@@ -51,7 +51,6 @@ from .morphisms import (
     apply_splitting,
     compose_signature_morphisms,
     compose_splitting,
-    in_k_restricted,
     is_back_translatable,
     is_monomorphic,
     substitute_back,
@@ -78,7 +77,6 @@ from .syntax import (
     formula_in_language,
     make_signature,
     parse_formula,
-    print_formula,
     signature_leq,
     signature_union,
     substitute,

@@ -8,6 +8,7 @@ All output is canonical and deterministic for fixed inputs, flags, and seed.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,19 +20,13 @@ from .devgraph import verify_homogeneous_refinement, verify_integration
 from .dsl import Document, emit_calculus, emit_ontology, emit_signature, parse_document
 from .errors import (
     ArityError,
-    CapExceeded,
-    CycleError,
-    DuplicateName,
-    EvidenceRefuted,
     FormatError,
     LanguageError,
-    MissingSplittingLink,
     OntoweaveError,
     ParseError,
     UnknownInternIndex,
     UnknownNode,
     UnknownSymbol,
-    ValidationFailed,
 )
 from .fibring import dump_session, fibred_derives, open_session
 from .ontology import connect, validate_ontology
@@ -47,14 +42,6 @@ _USAGE_ERRORS = (
     UnknownNode,
     UnknownInternIndex,
     LanguageError,
-)
-_VERIFICATION_ERRORS = (
-    ValidationFailed,
-    EvidenceRefuted,
-    CycleError,
-    DuplicateName,
-    MissingSplittingLink,
-    CapExceeded,
 )
 
 
@@ -79,17 +66,33 @@ class Workspace:
         return cls(manifest=manifest, graph=graph, fuel=fuel)
 
     def commit(self, graph: DevGraph) -> None:
-        """Persist and swap in the new graph; disk and memory stay in step."""
-        self.manifest.write_bytes(save_graph(graph))
+        """Persist and swap in the new graph; disk and memory stay in step.
+
+        The manifest is written beside itself and renamed over the old one,
+        so an interrupted write never leaves a truncated manifest behind.
+        """
+        data = save_graph(graph)
+        tmp = self.manifest.with_name(f".{self.manifest.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_bytes(data)
+            os.replace(tmp, self.manifest)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
         self.graph = graph
 
 
 def _fuel_from_args(args: argparse.Namespace) -> Fuel:
-    return Fuel(
-        max_closure_rounds=args.fuel_rounds,
-        max_formula_size=args.fuel_size,
-        max_set_size=args.fuel_set,
-    )
+    """The command's fuel; fibre's --rounds overrides --fuel-rounds."""
+    rounds = getattr(args, "rounds", None)
+    try:
+        return Fuel(
+            max_closure_rounds=args.fuel_rounds if rounds is None else rounds,
+            max_formula_size=args.fuel_size,
+            max_set_size=args.fuel_set,
+        )
+    except ValueError as exc:
+        raise ParseError(f"bad fuel: {exc}") from exc
 
 
 def _load_defs(path: str) -> Document:
@@ -167,8 +170,6 @@ def cmd_fibre(args: argparse.Namespace) -> int:
     if left is None or right is None:
         raise UnknownSymbol("unknown calculus name for --left or --right")
     fuel = _fuel_from_args(args)
-    if args.rounds is not None:
-        fuel = Fuel(args.rounds, fuel.max_formula_size, fuel.max_set_size)
     session = open_session(left, right, fuel)
     gamma = _read_gamma(args.gamma, session.union_sig)
     phi = parse_formula(args.phi, session.union_sig)
@@ -387,9 +388,6 @@ def main(argv: list[str] | None = None) -> int:
     except _USAGE_ERRORS as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except _VERIFICATION_ERRORS as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
     except OntoweaveError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

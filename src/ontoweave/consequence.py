@@ -366,7 +366,7 @@ class _Engine:
                 bind[pat.var] = cand
                 trail.append(pat.var)
                 return True
-            return bound is cand or bound == cand
+            return bound is cand
         if cand.var is not None or cand.head != pat.head:
             return False
         for p_child, c_child in zip(pat.args, cand.args):
@@ -733,6 +733,76 @@ def check_structural(
 
 
 # ---------------------------------------------------------------------------
+# Transfer of consequence along a map
+
+
+def _gamma_candidates(corpus: Sequence[Formula], max_premises: int):
+    yield ()
+    if max_premises >= 1:
+        for f in corpus:
+            yield (f,)
+    if max_premises >= 2:
+        for i, f in enumerate(corpus):
+            for g in corpus[i + 1 :]:
+                yield (f, g)
+
+
+@dataclass(frozen=True)
+class TransferWitness:
+    """A corpus consequence phi of gamma whose image the target misses."""
+
+    gamma: tuple[Formula, ...]
+    phi: Formula
+    image: Formula
+
+    def render(self) -> str:
+        return f"gamma={_format_set(self.gamma)} phi={self.phi.text} image={self.image.text}"
+
+
+def transfer_scan(
+    src: CalculusPresentation,
+    dst: CalculusPresentation,
+    image: Callable[[Formula], Formula],
+    corpus_depth: int,
+    fuel: Fuel,
+) -> tuple[int, TransferWitness | None]:
+    """Bounded check that consequence transfers from src to dst along image.
+
+    Scans every premise set of at most two corpus formulas over src's
+    language (variables x1, x2) in canonical order. Each strict corpus
+    consequence src derives within fuel must have its image derived by dst
+    from the imaged premises within fuel; images still missing get one retry
+    at escalated fuel. Returns the number of premises and consequences
+    checked, and the first failure (the first missing image in canonical
+    order of its preimage), or None when everything transferred.
+    """
+    corpus = enumerate_formulas(src.sig, corpus_depth, 2)
+    corpus_set = set(corpus)
+    escalation = fuel.escalated()
+    checked = 0
+    for gamma in _gamma_candidates(corpus, 2):
+        # premises transfer by extensivity; check the strict consequences
+        derivable = sorted(
+            (closure_bounded(src, gamma, fuel) & corpus_set) - set(gamma),
+            key=lambda f: f.sort_key,
+        )
+        checked += len(gamma) + len(derivable)
+        if not derivable:
+            continue
+        image_gamma = [image(g) for g in gamma]
+        images = [image(phi) for phi in derivable]
+        seeds = [node for img in images for node in img.subformulas()]
+        transferred = closure_bounded(dst, image_gamma, fuel, extra_pool=seeds)
+        missing = [i for i, img in enumerate(images) if img not in transferred]
+        if missing:
+            transferred = closure_bounded(dst, image_gamma, escalation, extra_pool=seeds)
+            missing = [i for i in missing if images[i] not in transferred]
+        if missing:
+            return checked, TransferWitness(gamma, derivable[missing[0]], images[missing[0]])
+    return checked, None
+
+
+# ---------------------------------------------------------------------------
 # Weakness relation
 
 
@@ -742,7 +812,6 @@ class WeaknessEvidence:
 
     verified: every corpus derivability of the weaker side transfers.
     witness: (gamma, phi) pair refuting the transfer, if any.
-    partial_verified: the premise-free variant (gamma empty only).
     """
 
     verified: bool
@@ -751,7 +820,6 @@ class WeaknessEvidence:
     witness_gamma: tuple[Formula, ...] | None = None
     witness_phi: Formula | None = None
     escalation: Fuel | None = None
-    partial_verified: bool = True
     checked: int = 0
 
     def render(self) -> str:
@@ -767,78 +835,23 @@ class WeaknessEvidence:
         )
 
 
-def _gamma_candidates(corpus: Sequence[Formula], max_premises: int):
-    yield ()
-    if max_premises >= 1:
-        for f in corpus:
-            yield (f,)
-    if max_premises >= 2:
-        for i, f in enumerate(corpus):
-            for g in corpus[i + 1 :]:
-                yield (f, g)
-
-
 def weaker_than(
     cal1: CalculusPresentation,
     cal2: CalculusPresentation,
     corpus_depth: int,
     fuel: Fuel,
-    *,
-    max_var: int = 2,
-    max_premises: int = 2,
 ) -> WeaknessEvidence:
-    """Bounded evidence for "cal1 is weaker than cal2".
-
-    Scans every premise set of at most max_premises corpus formulas in
-    canonical order; everything cal1 derives within fuel must be derivable
-    by cal2 within escalated fuel. The first failure is reported as a
-    refutation witness.
+    """Bounded evidence for "cal1 is weaker than cal2": transfer_scan along
+    the identity, so everything cal1 derives on the corpus premise sets must
+    be derivable by cal2. The first failure is the refutation witness.
     """
     if not signature_leq(cal1.sig, cal2.sig):
         raise SignatureError("weaker-than needs the left language inside the right one")
-    corpus = enumerate_formulas(cal1.sig, corpus_depth, max_var)
-    corpus_set = set(corpus)
-    escalation = fuel.escalated()
-    checked = 0
-    partial_verified = True
-    for gamma in _gamma_candidates(corpus, max_premises):
-        # premise members always transfer by extensivity; check the rest
-        derivable = sorted(
-            (closure_bounded(cal1, gamma, fuel) & corpus_set) - set(gamma),
-            key=lambda f: f.sort_key,
-        )
-        checked += len(gamma)
-        if not derivable:
-            continue
-        seeds: list[Formula] = []
-        for phi in derivable:
-            seeds.extend(phi.subformulas())
-        transferred = closure_bounded(cal2, gamma, fuel, extra_pool=seeds)
-        missing = [phi for phi in derivable if phi not in transferred]
-        if missing:
-            # give the target one generous retry before refuting
-            transferred = closure_bounded(cal2, gamma, escalation, extra_pool=seeds)
-            missing = [phi for phi in missing if phi not in transferred]
-        checked += len(derivable)
-        if missing:
-            if gamma == ():
-                partial_verified = False
-            return WeaknessEvidence(
-                verified=False,
-                corpus_depth=corpus_depth,
-                fuel=fuel,
-                witness_gamma=gamma,
-                witness_phi=missing[0],
-                escalation=escalation,
-                partial_verified=partial_verified,
-                checked=checked,
-            )
+    checked, witness = transfer_scan(cal1, cal2, lambda phi: phi, corpus_depth, fuel)
+    if witness is None:
+        return WeaknessEvidence(True, corpus_depth, fuel, checked=checked)
     return WeaknessEvidence(
-        verified=True,
-        corpus_depth=corpus_depth,
-        fuel=fuel,
-        partial_verified=True,
-        checked=checked,
+        False, corpus_depth, fuel, witness.gamma, witness.phi, fuel.escalated(), checked
     )
 
 

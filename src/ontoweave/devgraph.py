@@ -18,7 +18,7 @@ from .consequence import (
     Report,
     ReportEntry,
     check_structural,
-    closure_bounded,
+    transfer_scan,
     weaker_than,
 )
 from .dsl import (
@@ -52,7 +52,7 @@ from .morphisms import (
     is_monomorphic,
 )
 from .ontology import Ontology, check_ecsy_morphism, validate_ontology
-from .syntax import Formula, Signature, enumerate_formulas
+from .syntax import Signature, enumerate_formulas
 
 
 @dataclass(frozen=True)
@@ -89,10 +89,6 @@ class Evidence:
     def __post_init__(self) -> None:
         if self.status not in ("verified", "asserted"):
             raise ValueError(f"bad evidence status {self.status!r}")
-
-    @property
-    def usable(self) -> bool:
-        return True
 
 
 class DevGraph:
@@ -197,56 +193,17 @@ def check_splitting_morphism(
     b: Ontology,
     corpus_depth: int,
     fuel: Fuel,
-    *,
-    max_var: int = 2,
-    max_premises: int = 2,
 ) -> SplittingEvidence:
-    """Entailment preservation along the induced unfolding, on small corpus
-    premise sets: whatever the source derives, the image must derive."""
+    """Entailment preservation along the induced unfolding, checked by
+    transfer_scan from a's effective calculus to b's: whatever the source
+    derives, the image must derive."""
     if f.source != a.base.sig or f.target != b.base.sig:
         raise SignatureError("splitting endpoints do not match the ontologies")
-    corpus = enumerate_formulas(a.base.sig, corpus_depth, max_var)
-    corpus_set = set(corpus)
-    escalation = fuel.escalated()
-    checked = 0
-
-    def gamma_candidates():
-        yield ()
-        for x in corpus:
-            yield (x,)
-        if max_premises >= 2:
-            for i, x in enumerate(corpus):
-                for y in corpus[i + 1 :]:
-                    yield (x, y)
-
-    for gamma in gamma_candidates():
-        # premise images transfer by extensivity; check the strict consequences
-        derivable = sorted(
-            (closure_bounded(a.effective, gamma, fuel) & corpus_set) - set(gamma),
-            key=lambda x: x.sort_key,
-        )
-        checked += len(gamma)
-        if not derivable:
-            continue
-        image_gamma = [apply_splitting(f, gph) for gph in gamma]
-        images = [apply_splitting(f, psi) for psi in derivable]
-        seeds: list[Formula] = []
-        for img in images:
-            seeds.extend(img.subformulas())
-        transferred = closure_bounded(b.effective, image_gamma, fuel, extra_pool=seeds)
-        if any(img not in transferred for img in images):
-            transferred = closure_bounded(
-                b.effective, image_gamma, escalation, extra_pool=seeds
-            )
-        for psi, img in zip(derivable, images):
-            checked += 1
-            if img not in transferred:
-                witness = (
-                    "gamma={" + ", ".join(x.text for x in gamma) + "} "
-                    f"phi={psi.text} image={img.text}"
-                )
-                return SplittingEvidence(False, corpus_depth, fuel, witness, checked)
-    return SplittingEvidence(True, corpus_depth, fuel, "", checked)
+    checked, found = transfer_scan(
+        a.effective, b.effective, lambda phi: apply_splitting(f, phi), corpus_depth, fuel
+    )
+    witness = found.render() if found else ""
+    return SplittingEvidence(found is None, corpus_depth, fuel, witness, checked)
 
 
 def add_link(

@@ -316,13 +316,3 @@ def substitute_back(t: Translation, phi: Formula) -> Formula:
     if not phi.args:
         return phi
     return apply_symbol(phi.head, tuple(substitute_back(t, a) for a in phi.args))
-
-
-def in_k_restricted(phi: Formula, sig: Signature, k: int) -> bool:
-    """Membership in the k-restricted language: in L(sig) and the variable
-    set is exactly x1..xk (empty for k = 0)."""
-    from .syntax import formula_in_language
-
-    if not formula_in_language(phi, sig):
-        return False
-    return phi.variables == frozenset(range(1, k + 1))

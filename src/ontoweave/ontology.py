@@ -19,8 +19,8 @@ from .consequence import (
     ReportEntry,
     Rule,
     check_operator_laws,
-    closure_bounded,
     derives,
+    transfer_scan,
 )
 from .errors import LanguageError, OntoSigError, ParseError, SignatureError
 from .fibring import FibringSession, fibred_derives, open_session
@@ -28,7 +28,6 @@ from .morphisms import SignatureMorphism, apply_signature_morphism, substitute_b
 from .syntax import (
     Formula,
     Signature,
-    enumerate_formulas,
     formula_in_language,
     signature_leq,
     signature_union,
@@ -179,61 +178,16 @@ def check_ecsy_morphism(
     b: Ontology,
     corpus_depth: int,
     fuel: Fuel,
-    *,
-    max_var: int = 2,
-    max_premises: int = 2,
 ) -> EcsyEvidence:
-    """Check the consequence-morphism condition on small corpus premise sets
-    and the exact equality of the translated ontological theory."""
+    """The consequence-morphism condition, checked by transfer_scan from a's
+    effective calculus to b's along h, plus the exact equality of the
+    translated ontological theory."""
     if h.source != a.base.sig or h.target != b.base.sig:
         raise SignatureError("morphism endpoints do not match the ontologies")
-    corpus = enumerate_formulas(a.base.sig, corpus_depth, max_var)
-    corpus_set = set(corpus)
-    escalation = fuel.escalated()
-    checked = 0
-    witness = ""
-    consequence_ok = True
-
-    def gamma_candidates():
-        yield ()
-        for f in corpus:
-            yield (f,)
-        if max_premises >= 2:
-            for i, f in enumerate(corpus):
-                for g in corpus[i + 1 :]:
-                    yield (f, g)
-
-    for gamma in gamma_candidates():
-        # premise images transfer by extensivity; check the strict consequences
-        derivable = sorted(
-            (closure_bounded(a.effective, gamma, fuel) & corpus_set) - set(gamma),
-            key=lambda f: f.sort_key,
-        )
-        checked += len(gamma)
-        if not derivable:
-            continue
-        image_gamma = [apply_signature_morphism(h, g) for g in gamma]
-        images = [apply_signature_morphism(h, psi) for psi in derivable]
-        seeds: list[Formula] = []
-        for img in images:
-            seeds.extend(img.subformulas())
-        transferred = closure_bounded(b.effective, image_gamma, fuel, extra_pool=seeds)
-        if any(img not in transferred for img in images):
-            transferred = closure_bounded(
-                b.effective, image_gamma, escalation, extra_pool=seeds
-            )
-        for psi, img in zip(derivable, images):
-            checked += 1
-            if img not in transferred:
-                consequence_ok = False
-                witness = (
-                    "gamma={" + ", ".join(g.text for g in gamma) + "} "
-                    f"phi={psi.text} image={img.text}"
-                )
-                break
-        if not consequence_ok:
-            break
-
+    checked, found = transfer_scan(
+        a.effective, b.effective, lambda phi: apply_signature_morphism(h, phi), corpus_depth, fuel
+    )
+    witness = found.render() if found else ""
     image_axioms = tuple(
         sorted({apply_signature_morphism(h, phi) for phi in a.axioms}, key=lambda f: f.sort_key)
     )
@@ -243,7 +197,7 @@ def check_ecsy_morphism(
         off = sorted(sym_diff, key=lambda f: f.sort_key)[0]
         witness = f"theory mismatch at {off.text}"
     return EcsyEvidence(
-        consequence_verified=consequence_ok,
+        consequence_verified=found is None,
         gamma_equal=gamma_equal,
         corpus_depth=corpus_depth,
         fuel=fuel,

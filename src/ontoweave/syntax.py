@@ -138,7 +138,7 @@ class Formula:
     """A schema variable or a symbol applied to exactly arity-many children.
 
     Do not call the constructor directly; use svar() and apply_symbol(),
-    which intern every node.
+    which intern every node, so equality is identity.
     """
 
     __slots__ = ("var", "head", "args", "size", "_hash", "_skey", "_text", "_vars")
@@ -213,13 +213,6 @@ class Formula:
             yield node
             stack.extend(reversed(node.args))
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Formula):
-            return NotImplemented
-        return self.sort_key == other.sort_key
-
     def __lt__(self, other: "Formula") -> bool:
         return self.sort_key < other.sort_key
 
@@ -265,11 +258,6 @@ def formula_in_language(phi: Formula, sig: Signature) -> bool:
 def require_in_language(phi: Formula, sig: Signature, what: str = "formula") -> None:
     if not formula_in_language(phi, sig):
         raise LanguageError(f"{what} {phi.text} is not in the given language")
-
-
-def print_formula(phi: Formula) -> str:
-    """Canonical rendering; parse_formula inverts it."""
-    return phi.text
 
 
 # ---------------------------------------------------------------------------

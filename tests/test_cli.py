@@ -1,5 +1,7 @@
 """Command-line behavior: exit codes, reports, and workspace round trips."""
 
+import os
+
 import pytest
 
 from ontoweave.cli import main
@@ -75,6 +77,23 @@ def test_derive_unknown_within_bound(defs_file, capsys):
     ])
     assert code == 0
     assert capsys.readouterr().out.startswith("UNKNOWN bound=")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["derive", "--calculus", "cpl", "--phi", "x1", "--fuel-rounds", "-1"],
+        ["derive", "--calculus", "cpl", "--phi", "x1", "--fuel-set", "0"],
+        ["fibre", "--left", "cpl", "--right", "conj", "--phi", "x1", "--rounds", "0"],
+    ],
+)
+def test_bad_fuel_is_a_usage_error(defs_file, capsys, argv):
+    code = main([argv[0], "--defs", str(defs_file), *argv[1:]])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith("ParseError: bad fuel:")
+    assert "Traceback" not in err
 
 
 def test_derive_unknown_calculus(defs_file, capsys):
@@ -170,6 +189,22 @@ def test_workspace_stays_reparseable(defs_file, tmp_path):
     second = load_graph(manifest.read_bytes())
     assert set(first.nodes) == {"efq"}
     assert len(second.links) == 1
+
+
+def test_failed_manifest_write_keeps_old_manifest(defs_file, tmp_path, capsys, monkeypatch):
+    manifest = tmp_path / "graph.dsl"
+    assert graph_cmd(manifest, "add-node", "--defs", str(defs_file), "--name", "efq") == 0
+    before = manifest.read_bytes()
+
+    def failing_replace(src, dst):
+        raise OSError("simulated crash during rename")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    code = graph_cmd(manifest, "add-node", "--defs", str(defs_file), "--name", "conj_onto")
+    assert code == 2
+    assert "simulated crash" in capsys.readouterr().err
+    assert manifest.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["defs.dsl", "graph.dsl"]
 
 
 def test_cli_determinism_same_seed(defs_file, capsys):

@@ -280,7 +280,7 @@ def test_structural_general_substitution_example(cpl):
 
 def test_weaker_than_reflexive(cpl):
     ev = weaker_than(cpl, cpl, corpus_depth=2, fuel=Fuel(1, 12, 20000))
-    assert ev.verified and ev.partial_verified
+    assert ev.verified
 
 
 def test_fragment_weaker_than_full(imp_fragment, cpl):
@@ -295,8 +295,6 @@ def test_cpl_not_weaker_than_rule_free(cpl, rule_free):
     assert [g.text for g in ev.witness_gamma] == ["x1", "imp(x1, x2)"]
     assert ev.witness_phi.text == "x2"
     assert ev.escalation is not None
-    # the empty-premise fragment alone gives no refutation
-    assert ev.partial_verified
 
 
 def test_weaker_than_needs_language_inclusion(cpl):

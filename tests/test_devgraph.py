@@ -27,7 +27,7 @@ from ontoweave.errors import (
     ValidationFailed,
 )
 from ontoweave.morphisms import SignatureMorphism, SplittingMorphism
-from ontoweave.ontology import Ontology, make_ontology
+from ontoweave.ontology import Ontology, check_ecsy_morphism, make_ontology
 from ontoweave.syntax import Symbol, make_signature, parse_formula
 from ontoweave import presets
 
@@ -160,6 +160,27 @@ def test_splitting_morphism_refutation(cpl, rule_free):
     ev = check_splitting_morphism(ident, strong, weak, 2, LINK_FUEL)
     assert not ev.verified
     assert "x2" in ev.witness
+
+
+def test_link_checkers_share_one_transfer_scan(cpl, rule_free):
+    o = plain_ontology(cpl, "o")
+    theorem = weaker_than(o.effective, o.effective, 2, LINK_FUEL)
+    definition = check_ecsy_morphism(SignatureMorphism.identity(cpl.sig), o, o, 2, LINK_FUEL)
+    splitting = check_splitting_morphism(SplittingMorphism.identity(cpl.sig), o, o, 2, LINK_FUEL)
+    assert theorem.verified and definition.ok and splitting.verified
+    assert theorem.checked == definition.checked == splitting.checked > 0
+
+    strong = plain_ontology(cpl, "strong")
+    weak = plain_ontology(rule_free, "weak")
+    refuted_definition = check_ecsy_morphism(
+        SignatureMorphism.identity(cpl.sig), strong, weak, 2, LINK_FUEL
+    )
+    refuted_splitting = check_splitting_morphism(
+        SplittingMorphism.identity(cpl.sig), strong, weak, 2, LINK_FUEL
+    )
+    assert not refuted_definition.ok and not refuted_splitting.verified
+    assert refuted_definition.witness == refuted_splitting.witness
+    assert refuted_splitting.witness == "gamma={x1, imp(x1, x2)} phi=x2 image=x2"
 
 
 # -- refinement patterns
@@ -443,8 +464,6 @@ def test_stored_evidence_is_reproducible():
             )
             assert again.verified
         else:
-            from ontoweave.ontology import check_ecsy_morphism
-
             again = check_ecsy_morphism(link.morphism, src, dst, ev.corpus_depth, ev.fuel)
             assert again.ok
 

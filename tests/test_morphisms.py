@@ -19,7 +19,6 @@ from ontoweave.morphisms import (
     apply_splitting,
     compose_signature_morphisms,
     compose_splitting,
-    in_k_restricted,
     is_back_translatable,
     is_monomorphic,
     substitute_back,
@@ -122,17 +121,6 @@ def test_compose_signature_morphisms():
     assert comp.maps[Symbol("a", 1)] == Symbol("c", 1)
     with pytest.raises(CompositionError):
         compose_signature_morphisms(h1, h2)
-
-
-# -- k-restricted languages
-
-
-def test_k_restricted_exact_variable_set():
-    assert in_k_restricted(f("imp(x1, x2)"), CPL, 2)
-    assert not in_k_restricted(f("imp(x1, x1)"), CPL, 2)  # x2 missing: not "at most"
-    assert in_k_restricted(f("bot"), CPL, 0)
-    assert not in_k_restricted(f("imp(x1, x3)"), CPL, 2)
-    assert not in_k_restricted(parse_formula("box(x1)", MIXED), CPL, 1)  # wrong language
 
 
 # -- splitting morphisms

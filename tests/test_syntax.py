@@ -16,7 +16,6 @@ from ontoweave.syntax import (
     formula_in_language,
     make_signature,
     parse_formula,
-    print_formula,
     signature_leq,
     signature_union,
     substitute,
@@ -96,7 +95,7 @@ def test_parse_simple():
     phi = parse_formula("imp(x1, x1)", sig)
     assert phi.head == Symbol("imp", 2)
     assert phi.args[0] is svar(1)
-    assert print_formula(phi) == "imp(x1, x1)"
+    assert phi.text == "imp(x1, x1)"
 
 
 def test_parse_bare_variable():
@@ -144,7 +143,7 @@ def test_substitution_is_simultaneous():
     sig = make_signature(CPL_DECLS)
     phi = parse_formula("imp(x1, x2)", sig)
     swapped = substitute(phi, Substitution({1: svar(2), 2: svar(1)}))
-    assert print_formula(swapped) == "imp(x2, x1)"
+    assert swapped.text == "imp(x2, x1)"
 
 
 def test_substitution_identity():
@@ -157,7 +156,7 @@ def test_substitution_replaces_all_occurrences():
     sig = make_signature(CPL_DECLS)
     phi = parse_formula("not(x1)", sig)
     image = substitute(phi, {1: parse_formula("imp(x1, x1)", sig)})
-    assert print_formula(image) == "not(imp(x1, x1))"
+    assert image.text == "not(imp(x1, x1))"
 
 
 def test_renaming_inverse_round_trip():
@@ -182,19 +181,19 @@ def test_non_renaming_rejected_for_inverse():
 
 def test_enumerate_unary_only():
     sig = make_signature([("not", 1)])
-    got = [print_formula(f) for f in enumerate_formulas(sig, 2, 1)]
+    got = [f.text for f in enumerate_formulas(sig, 2, 1)]
     assert got == ["x1", "not(x1)"]
 
 
 def test_enumerate_depth_one_is_leaves():
     sig = make_signature(CPL_DECLS)
-    got = [print_formula(f) for f in enumerate_formulas(sig, 1, 2)]
+    got = [f.text for f in enumerate_formulas(sig, 1, 2)]
     assert got == ["x1", "x2", "bot"]
 
 
 def test_enumerate_cpl_depth_two():
     sig = make_signature(CPL_DECLS)
-    got = [print_formula(f) for f in enumerate_formulas(sig, 2, 1)]
+    got = [f.text for f in enumerate_formulas(sig, 2, 1)]
     assert got == [
         "x1",
         "bot",
@@ -280,7 +279,7 @@ _CORPUS = enumerate_formulas(_SIG, 3, 2)
 
 @given(st.sampled_from(_CORPUS))
 def test_print_parse_round_trip(phi):
-    assert parse_formula(print_formula(phi), _SIG) is phi
+    assert parse_formula(phi.text, _SIG) is phi
 
 
 @given(st.sampled_from(_CORPUS), st.permutations([1, 2, 3, 4]))
