@@ -83,7 +83,12 @@ class Workspace:
 
 
 def _fuel_from_args(args: argparse.Namespace) -> Fuel:
-    """The command's fuel; fibre's --rounds overrides --fuel-rounds."""
+    """The command's fuel; fibre's --rounds overrides --fuel-rounds. Also
+    rejects the non-positive --corpus-depth and --samples the checks need."""
+    for flag in ("corpus_depth", "samples"):
+        value = getattr(args, flag, 1)
+        if value < 1:
+            raise ParseError(f"bad --{flag.replace('_', '-')}: must be >= 1, got {value}")
     rounds = getattr(args, "rounds", None)
     try:
         return Fuel(

@@ -166,24 +166,33 @@ class CalculusPresentation:
         for rule in self.axioms:
             if rule.premises:
                 raise ValueError(f"axiom {rule.name!r} has premises")
+        maxvar = 2
         for rule in self.axioms + self.rules:
             for schema in rule.schemas():
                 require_in_language(schema, sig, f"schema of {rule.name!r}")
+                maxvar = max((maxvar, *schema.variables))
         if negation is not None:
             if negation.arity != 1 or negation not in sig:
                 raise ConfigError(f"designated negation {negation} must be unary in the signature")
         self.negation = negation
         self._key = (sig, self.axioms, self.rules, negation)
         self._hash = hash(self._key)
-        maxvar = 2
-        for rule in self.axioms + self.rules:
-            for schema in rule.schemas():
-                if schema.variables:
-                    maxvar = max(maxvar, max(schema.variables))
         self._base_var_count = maxvar
+        # axiom instances, keyed by (axiom index, tuple of variable values)
         self._inst_memo: dict = {}
-        self._plans = None
-        self._axiom_meta = None
+        # premise evaluation order: structured patterns first, bare variables last
+        self._plans = tuple(
+            tuple(sorted(range(len(r.premises)), key=lambda i: r.premises[i].var is not None))
+            for r in self.rules
+        )
+        # each axiom schema with its variables and their occurrence counts
+        self._axiom_meta = []
+        for rule in self.axioms:
+            occurrences = [n.var for n in rule.conclusion.subformulas() if n.var is not None]
+            varlist = sorted(set(occurrences))
+            self._axiom_meta.append(
+                (rule.conclusion, varlist, [occurrences.count(v) for v in varlist])
+            )
 
     def with_axiom_formulas(self, formulas: Iterable[Formula], prefix: str) -> "CalculusPresentation":
         """A new presentation with each formula added as a premise-free rule."""
@@ -210,15 +219,6 @@ class CalculusPresentation:
 # The bounded closure engine
 
 
-def _premise_plan(rule: Rule) -> tuple[int, ...]:
-    """Premise evaluation order: structured patterns first, bare variables last."""
-    order = sorted(
-        range(len(rule.premises)),
-        key=lambda i: (rule.premises[i].var is not None, i),
-    )
-    return tuple(order)
-
-
 class _StagingFull(Exception):
     """Internal: the per-round staging budget is exhausted."""
 
@@ -232,18 +232,6 @@ class _Engine:
         self.psize = fuel.pool_size
         self.wide_psize = fuel.wide_pool_size
         self.bare_cap = fuel.bare_size
-        if cal._plans is None:
-            cal._plans = {id(r): _premise_plan(r) for r in cal.rules}
-            meta = []
-            for rule in cal.axioms:
-                schema = rule.conclusion
-                varlist = sorted(schema.variables)
-                occs = [0] * len(varlist)
-                for node in schema.subformulas():
-                    if node.var is not None:
-                        occs[varlist.index(node.var)] += 1
-                meta.append((schema, varlist, occs))
-            cal._axiom_meta = meta
         self.members: set[Formula] = set()
         self.by_head: dict[Symbol, list[Formula]] = {}
         self.bare_candidates: list[Formula] = []
@@ -308,10 +296,9 @@ class _Engine:
 
     # -- axiom instantiation
 
-    def _axiom_conclusions(self, staged: set[Formula]) -> None:
+    def _axiom_conclusions(self, staged: set[Formula], all_sorted: list[Formula]) -> None:
         old_sorted = self.pool_old
         new_sorted = self.pool_new
-        all_sorted = sorted(self.pool, key=lambda f: f.sort_key)
         memo = self.cal._inst_memo
         exempt = self.seed_exempt
         for rule_idx, (schema, varlist, occs) in enumerate(self.cal._axiom_meta):
@@ -328,7 +315,7 @@ class _Engine:
 
             def rec(pos: int, remaining: int, first_new: int) -> None:
                 if pos == n:
-                    key = (rule_idx, tuple(id(v) for v in chosen))
+                    key = (rule_idx, tuple(chosen))
                     concl = memo.get(key)
                     if concl is None:
                         concl = substitute(schema, dict(zip(varlist, chosen)))
@@ -374,7 +361,9 @@ class _Engine:
                 return False
         return True
 
-    def _rule_conclusions(self, delta: Sequence[Formula], staged: set[Formula]) -> None:
+    def _rule_conclusions(
+        self, delta: Sequence[Formula], staged: set[Formula], pool_sorted: list[Formula]
+    ) -> None:
         if not delta or not self.cal.rules:
             return
         delta_set = set(delta)
@@ -385,10 +374,8 @@ class _Engine:
                 delta_by_head.setdefault(phi.head, []).append(phi)
             if phi.size <= self.bare_cap:
                 delta_bare.append(phi)
-        pool_sorted = sorted(self.pool, key=lambda f: f.sort_key)
 
-        for rule in self.cal.rules:
-            plan = self.cal._plans[id(rule)]
+        for rule, plan in zip(self.cal.rules, self.cal._plans):
             n = len(plan)
             concl_vars = sorted(rule.conclusion.variables)
 
@@ -463,20 +450,22 @@ class _Engine:
             # generation stops once nothing more could be admitted anyway;
             # the slack keeps canonical truncation meaningful near the cap.
             # Rules fire first so schema instantiation cannot starve them
-            # of the round's work budget.
+            # of the round's work budget. The pool stays fixed until the
+            # round's admission, so one sort serves the whole round.
             self.stage_quota = 4 * room + 64
             staged: set[Formula] = set()
+            pool_sorted = sorted(self.pool, key=lambda f: f.sort_key)
             try:
                 self.work_left = 6 * self.stage_quota + 4096
-                self._rule_conclusions(delta, staged)
+                self._rule_conclusions(delta, staged, pool_sorted)
             except _StagingFull:
                 pass
             try:
                 self.work_left = 6 * self.stage_quota + 4096
-                self._axiom_conclusions(staged)
+                self._axiom_conclusions(staged, pool_sorted)
             except _StagingFull:
                 pass
-            self.pool_old = sorted(self.pool, key=lambda f: f.sort_key)
+            self.pool_old = pool_sorted
             self.pool_new = []
             fresh = sorted(staged - self.members, key=lambda f: f.sort_key)
             if not fresh:
@@ -612,8 +601,11 @@ def check_operator_laws(
     cut_tested = 0
 
     for _ in range(samples):
-        gamma = frozenset(rng.sample(corpus, k=rng.randint(0, min(3, len(corpus)))))
-        delta = frozenset(f for f in gamma if rng.random() < 0.7)
+        # delta is drawn from the sampled list, whose order is seeded;
+        # iterating the frozenset would follow the formulas' identity hashes
+        drawn = rng.sample(corpus, k=rng.randint(0, min(3, len(corpus))))
+        gamma = frozenset(drawn)
+        delta = frozenset(f for f in drawn if rng.random() < 0.7)
         closed_gamma = close(cal, gamma, fuel)
         closed_delta = close(cal, delta, fuel)
 

@@ -29,7 +29,7 @@ from .consequence import CalculusPresentation, Fuel, Rule
 from .errors import ParseError
 from .morphisms import SignatureMorphism, SplittingMorphism
 from .ontology import Ontology, make_ontology
-from .syntax import Formula, Signature, Symbol, make_signature, svar
+from .syntax import MAX_NESTING, Formula, Signature, Symbol, apply_symbol, make_signature, svar
 
 _TOKEN_RE = re.compile(
     r"""
@@ -130,9 +130,9 @@ class _Parser:
         self.take("}")
         return decls
 
-    def formula(self, sig: Signature) -> Formula:
-        from .syntax import apply_symbol
-
+    def formula(self, sig: Signature, depth: int = 1) -> Formula:
+        if depth > MAX_NESTING:
+            raise ParseError(f"formula nested deeper than {MAX_NESTING}")
         tok = self.take()
         var_match = re.match(r"x([1-9][0-9]*)\Z", tok)
         if var_match:
@@ -141,10 +141,10 @@ class _Parser:
             raise ParseError(f"expected a formula, found {tok!r}")
         if self.peek() == "(":
             self.take("(")
-            args = [self.formula(sig)]
+            args = [self.formula(sig, depth + 1)]
             while self.peek() == ",":
                 self.take(",")
-                args.append(self.formula(sig))
+                args.append(self.formula(sig, depth + 1))
             self.take(")")
             sym = sig.lookup(tok, len(args))
             if sym is None:

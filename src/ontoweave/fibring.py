@@ -108,8 +108,9 @@ def fibred_derives(session: FibringSession, gamma: Iterable[Formula], phi: Formu
     of the current set. Verdicts are monotone in the round count; the round
     at which the goal appears is implementation-defined.
     """
+    gamma = list(gamma)
     current = set(gamma)
-    for f in list(current) + [phi]:
+    for f in gamma + [phi]:
         if not formula_in_language(f, session.union_sig):
             raise LanguageError(f"{f.text} is outside the combined language")
     if phi in current:

@@ -128,7 +128,7 @@ class SplittingMorphism:
         for sym in self.assign:
             if sym not in source:
                 raise SignatureError(f"mapped symbol {sym} not in source signature")
-        self._key = tuple(sorted(((s, f.sort_key) for s, f in self.assign.items())))
+        self._key = tuple(sorted(self.assign.items()))
 
     @classmethod
     def identity(cls, sig: Signature) -> "SplittingMorphism":
@@ -149,7 +149,7 @@ class SplittingMorphism:
         return hash((self.source, self.target, self._key))
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{s}->{f.text}" for s, f in sorted(self.assign.items()))
+        body = ", ".join(f"{s}->{f.text}" for s, f in self._key)
         return f"SplittingMorphism({body})"
 
 

@@ -3,13 +3,15 @@
 Formulas are finite trees over arity-indexed symbols and schema variables
 x1, x2, ... (written xi in the DSL). Every formula is hash-consed through a
 module-level intern table, so structurally equal formulas are the same
-object; equality and hashing are O(1) after construction.
+object, and equality and hashing are object identity.
 
-The canonical total order on formulas is (node count, structural order),
-where the structural order puts schema variables before symbol applications,
-orders variables by index, and orders applications by symbol name, arity,
-then arguments. Enumeration, reports and serialized artifacts all use this
-order so that runs are reproducible.
+Identity hashes differ from process to process, so iterating a set of
+formulas visits them in no reproducible order. Order comes only from
+sort_key, the canonical total order (node count, structural order), where
+the structural order puts schema variables before symbol applications,
+orders variables by index, and orders applications by arity, then symbol
+name, then arguments. Enumeration, reports and serialized artifacts all
+sort by it so that runs are reproducible.
 """
 
 from __future__ import annotations
@@ -23,6 +25,11 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _VAR_NAME_RE = re.compile(r"x([1-9][0-9]*)\Z")
 
 DEFAULT_ENUM_CAP = 200_000
+
+# The deepest formula nesting the parsers accept. It stays far below
+# Python's recursion limit, so the recursive traversals (text, substitution,
+# translation) never overflow on a parsed formula.
+MAX_NESTING = 256
 
 
 class Symbol(NamedTuple):
@@ -138,10 +145,11 @@ class Formula:
     """A schema variable or a symbol applied to exactly arity-many children.
 
     Do not call the constructor directly; use svar() and apply_symbol(),
-    which intern every node, so equality is identity.
+    which intern every node, so equality and hashing are object identity.
+    Formulas have no order of their own; sort them by sort_key.
     """
 
-    __slots__ = ("var", "head", "args", "size", "_hash", "_skey", "_text", "_vars")
+    __slots__ = ("var", "head", "args", "size", "_skey", "_text", "_vars")
 
     var: int | None
     head: Symbol | None
@@ -153,10 +161,6 @@ class Formula:
         self.head = head
         self.args = args
         self.size = size
-        if var is not None:
-            self._hash = hash(("v", var))
-        else:
-            self._hash = hash((head, tuple(a._hash for a in args)))
         self._skey = None
         self._text = None
         self._vars = None
@@ -213,12 +217,6 @@ class Formula:
             yield node
             stack.extend(reversed(node.args))
 
-    def __lt__(self, other: "Formula") -> bool:
-        return self.sort_key < other.sort_key
-
-    def __hash__(self) -> int:
-        return self._hash
-
     def __repr__(self) -> str:
         return self.text
 
@@ -242,7 +240,7 @@ def apply_symbol(sym: Symbol, args: Iterable[Formula] = ()) -> Formula:
     args = tuple(args)
     if len(args) != sym.arity:
         raise ArityError(f"{sym} applied to {len(args)} argument(s)")
-    key = (sym, tuple(id(a) for a in args))
+    key = (sym, args)
     node = _INTERN.get(key)
     if node is None:
         node = Formula(None, sym, args, 1 + sum(a.size for a in args))
@@ -354,7 +352,9 @@ def parse_formula(text: str, sig: Signature) -> Formula:
         pos += 1
         return tok
 
-    def parse_node() -> Formula:
+    def parse_node(depth: int) -> Formula:
+        if depth > MAX_NESTING:
+            raise ParseError(f"formula nested deeper than {MAX_NESTING}")
         tok = take()
         if tok in ("(", ")", ","):
             raise ParseError(f"unexpected {tok!r}")
@@ -363,10 +363,10 @@ def parse_formula(text: str, sig: Signature) -> Formula:
             return svar(int(var_match.group(1)))
         if peek() == "(":
             take("(")
-            args = [parse_node()]
+            args = [parse_node(depth + 1)]
             while peek() == ",":
                 take(",")
-                args.append(parse_node())
+                args.append(parse_node(depth + 1))
             take(")")
             sym = sig.lookup(tok, len(args))
             if sym is None:
@@ -381,7 +381,7 @@ def parse_formula(text: str, sig: Signature) -> Formula:
             raise UnknownSymbol(f"unknown symbol {tok!r}")
         return apply_symbol(sym)
 
-    node = parse_node()
+    node = parse_node(1)
     if pos != len(tokens):
         raise ParseError(f"trailing tokens after formula: {tokens[pos:]}")
     return node

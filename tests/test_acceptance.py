@@ -437,13 +437,26 @@ ontology conj_onto {
 """
 
 
+CONJ_ONLY_DEFS = """
+signature CONJ { and/2; }
+calculus conj over CONJ {
+  rule AndE1: and(x1, x2) |- x1;
+  rule AndE2: and(x1, x2) |- x2;
+  rule AndI: x1, x2 |- and(x1, x2);
+}
+"""
+
+
 def _cli_script(run_dir: Path, hash_seed: str) -> bytes:
     (run_dir / "defs.dsl").write_text(DETERMINISM_DEFS, encoding="utf-8")
     (run_dir / "gamma.txt").write_text("x1\nimp(x1, x2)\n", encoding="utf-8")
     (run_dir / "fg.txt").write_text("and(x1, x2)\nimp(x1, x3)\n", encoding="utf-8")
+    (run_dir / "conj.dsl").write_text(CONJ_ONLY_DEFS, encoding="utf-8")
     fast = ["--fuel-rounds", "2", "--fuel-size", "14", "--fuel-set", "20000"]
     commands = [
         ["check", "defs.dsl", "--samples", "8", "--seed", "11", *fast],
+        # law-check witnesses at the default fuel must not follow hash order
+        ["check", "conj.dsl", "--samples", "30", "--seed", "1"],
         ["derive", "--defs", "defs.dsl", "--calculus", "cpl",
          "--gamma", "gamma.txt", "--phi", "x2", *fast],
         ["fibre", "--defs", "defs.dsl", "--left", "cpl", "--right", "conj",
@@ -461,6 +474,10 @@ def _cli_script(run_dir: Path, hash_seed: str) -> bytes:
     ]
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = hash_seed
+    # the commands run in run_dir, so a relative PYTHONPATH would not find
+    # the package under test
+    src = str(Path(presets.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     blob = b""
     for command in commands:
         proc = subprocess.run(
@@ -470,6 +487,7 @@ def _cli_script(run_dir: Path, hash_seed: str) -> bytes:
             capture_output=True,
             timeout=300,
         )
+        assert b"Traceback" not in proc.stderr, proc.stderr.decode()
         blob += b"$ " + " ".join(command).encode() + b"\n"
         blob += proc.stdout + f"exit={proc.returncode}\n".encode()
     return blob

@@ -82,17 +82,35 @@ def test_derive_unknown_within_bound(defs_file, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["derive", "--calculus", "cpl", "--phi", "x1", "--fuel-rounds", "-1"],
-        ["derive", "--calculus", "cpl", "--phi", "x1", "--fuel-set", "0"],
-        ["fibre", "--left", "cpl", "--right", "conj", "--phi", "x1", "--rounds", "0"],
+        ["derive", "--defs", "{defs}", "--calculus", "cpl", "--phi", "x1", "--fuel-rounds", "-1"],
+        ["derive", "--defs", "{defs}", "--calculus", "cpl", "--phi", "x1", "--fuel-set", "0"],
+        ["fibre", "--defs", "{defs}", "--left", "cpl", "--right", "conj", "--phi", "x1",
+         "--rounds", "0"],
+        ["check", "{defs}", "--samples", "0"],
+        ["check", "{defs}", "--corpus-depth", "0"],
+        ["graph", "--manifest", "{manifest}", "--corpus-depth", "0",
+         "add-link", "--kind", "theorem", "--from", "efq", "--to", "efq"],
+        ["graph", "--manifest", "{manifest}", "--corpus-depth", "0",
+         "verify-decomposition", "--node", "efq", "--parts", "efq"],
     ],
 )
 def test_bad_fuel_is_a_usage_error(defs_file, capsys, argv):
-    code = main([argv[0], "--defs", str(defs_file), *argv[1:]])
+    paths = {"defs": defs_file, "manifest": defs_file.with_name("graph.dsl")}
+    code = main([arg.format(**paths) for arg in argv])
     err = capsys.readouterr().err
     assert code == 2
     assert len(err.splitlines()) == 1
-    assert err.startswith("ParseError: bad fuel:")
+    assert err.startswith("ParseError: bad ")
+    assert "Traceback" not in err
+
+
+def test_deep_nesting_is_a_parse_error(defs_file, capsys):
+    phi = "not(" * 3000 + "x1" + ")" * 3000
+    code = main(["derive", "--defs", str(defs_file), "--calculus", "cpl", "--phi", phi])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith("ParseError: formula nested deeper than")
     assert "Traceback" not in err
 
 

@@ -12,7 +12,7 @@ from ontoweave.dsl import (
     parse_document,
 )
 from ontoweave.errors import ParseError
-from ontoweave.syntax import Symbol
+from ontoweave.syntax import MAX_NESTING, Symbol, make_signature, parse_formula
 
 FIXTURE = """
 # a workbench document
@@ -106,6 +106,24 @@ def test_parse_errors(bad):
     prefix = "signature S { a/0; }\n" if "signature S" not in bad else ""
     with pytest.raises(ParseError):
         parse_document(prefix + bad)
+
+
+def test_both_parsers_share_the_nesting_cap():
+    sig = make_signature([("not", 1)])
+
+    def nested(depth):
+        return "not(" * (depth - 1) + "x1" + ")" * (depth - 1)
+
+    def axiom_doc(depth):
+        return f"signature S {{ not/1; }} calculus c over S {{ axiom A: {nested(depth)}; }}"
+
+    assert parse_formula(nested(MAX_NESTING), sig).size == MAX_NESTING
+    axiom = parse_document(axiom_doc(MAX_NESTING)).calculi["c"].axioms[0]
+    assert axiom.conclusion.size == MAX_NESTING
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse_formula(nested(MAX_NESTING + 1), sig)
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse_document(axiom_doc(MAX_NESTING + 1))
 
 
 def test_negation_must_resolve():
