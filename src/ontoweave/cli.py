@@ -53,10 +53,6 @@ class Workspace:
     graph: DevGraph
     fuel: Fuel
 
-    @property
-    def root(self) -> Path:
-        return self.manifest.parent
-
     @classmethod
     def open(cls, manifest: Path, fuel: Fuel) -> "Workspace":
         if manifest.exists():

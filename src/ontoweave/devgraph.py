@@ -22,14 +22,12 @@ from .consequence import (
     weaker_than,
 )
 from .dsl import (
-    Document,
     LinkRecord,
     emit_calculus,
     emit_link,
-    emit_morphism,
+    emit_map,
     emit_ontology,
     emit_signature,
-    emit_splitting,
     parse_document,
     sanitize_detail,
 )
@@ -422,21 +420,15 @@ def _collect_names(g: DevGraph):
     cals.sort(key=lambda c: emit_calculus("_", c, sig_names[c.sig]))
     cal_names = {cal: f"c{i}" for i, cal in enumerate(cals)}
 
-    morphisms: list = []
+    # definition links carry morphisms, named h<i>; splitting links carry
+    # splittings, named f<i>
+    prefixes: dict = {}
     for link in g.links:
-        if link.morphism is not None and link.morphism not in morphisms:
-            morphisms.append(link.morphism)
-
-    def morphism_text(m) -> str:
-        if isinstance(m, SignatureMorphism):
-            return emit_morphism("_", m, sig_names[m.source], sig_names[m.target])
-        return emit_splitting("_", m, sig_names[m.source], sig_names[m.target])
-
-    morphisms.sort(key=morphism_text)
-    morphism_names = {}
-    for i, m in enumerate(morphisms):
-        prefix = "h" if isinstance(m, SignatureMorphism) else "f"
-        morphism_names[m] = f"{prefix}{i}"
+        if link.morphism is not None:
+            prefixes.setdefault(link.morphism, "h" if link.kind == "definition" else "f")
+    texts = {m: emit_map("_", m, sig_names[m.source], sig_names[m.target]) for m in prefixes}
+    morphisms = sorted(prefixes, key=texts.__getitem__)
+    morphism_names = {m: f"{prefixes[m]}{i}" for i, m in enumerate(morphisms)}
     return sigs, sig_names, cals, cal_names, morphisms, morphism_names
 
 
@@ -450,14 +442,7 @@ def save_graph(g: DevGraph) -> bytes:
     for cal in cals:
         chunks.append(emit_calculus(cal_names[cal], cal, sig_names[cal.sig]))
     for m in morphisms:
-        if isinstance(m, SignatureMorphism):
-            chunks.append(
-                emit_morphism(morphism_names[m], m, sig_names[m.source], sig_names[m.target])
-            )
-        else:
-            chunks.append(
-                emit_splitting(morphism_names[m], m, sig_names[m.source], sig_names[m.target])
-            )
+        chunks.append(emit_map(morphism_names[m], m, sig_names[m.source], sig_names[m.target]))
     for name in sorted(g.nodes):
         chunks.append(emit_ontology(name, g.nodes[name], cal_names[g.nodes[name].base]))
     records = []

@@ -26,10 +26,10 @@ import re
 from dataclasses import dataclass, field
 
 from .consequence import CalculusPresentation, Fuel, Rule
-from .errors import ParseError
+from .errors import ArityError, ParseError, UnknownSymbol
 from .morphisms import SignatureMorphism, SplittingMorphism
 from .ontology import Ontology, make_ontology
-from .syntax import MAX_NESTING, Formula, Signature, Symbol, apply_symbol, make_signature, svar
+from .syntax import IDENT_PATTERN, Formula, Signature, Symbol, is_identifier, make_signature, read_formula
 
 _TOKEN_RE = re.compile(
     r"""
@@ -39,12 +39,10 @@ _TOKEN_RE = re.compile(
   | (?P<punct>[{}(),;:/=])
   | (?P<string>"[^"\n]*")
   | (?P<number>[0-9]+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<ident>""" + IDENT_PATTERN + """)
     """,
     re.VERBOSE,
 )
-
-_BLOCK_KEYWORDS = ("signature", "calculus", "ontology", "morphism", "splitting", "link")
 
 
 def _tokenize(text: str) -> list[str]:
@@ -104,7 +102,7 @@ class _Parser:
 
     def take_ident(self) -> str:
         tok = self.take()
-        if not re.match(r"[A-Za-z_][A-Za-z0-9_]*\Z", tok):
+        if not is_identifier(tok):
             raise ParseError(f"expected an identifier, found {tok!r}")
         return tok
 
@@ -116,49 +114,33 @@ class _Parser:
 
     # -- shared pieces
 
+    def name_arity(self) -> tuple[str, int]:
+        name = self.take_ident()
+        self.take("/")
+        return name, self.take_number()
+
     def symbol_decls(self) -> list[tuple[str, int]]:
         """name/arity pairs between braces, separated by optional ';'."""
         decls = []
         self.take("{")
         while self.peek() != "}":
-            name = self.take_ident()
-            self.take("/")
-            arity = self.take_number()
-            decls.append((name, arity))
+            decls.append(self.name_arity())
             if self.peek() == ";":
                 self.take(";")
         self.take("}")
         return decls
 
-    def formula(self, sig: Signature, depth: int = 1) -> Formula:
-        if depth > MAX_NESTING:
-            raise ParseError(f"formula nested deeper than {MAX_NESTING}")
-        tok = self.take()
-        var_match = re.match(r"x([1-9][0-9]*)\Z", tok)
-        if var_match:
-            return svar(int(var_match.group(1)))
-        if not re.match(r"[A-Za-z_][A-Za-z0-9_]*\Z", tok):
-            raise ParseError(f"expected a formula, found {tok!r}")
-        if self.peek() == "(":
-            self.take("(")
-            args = [self.formula(sig, depth + 1)]
-            while self.peek() == ",":
-                self.take(",")
-                args.append(self.formula(sig, depth + 1))
-            self.take(")")
-            sym = sig.lookup(tok, len(args))
-            if sym is None:
-                raise ParseError(f"unknown symbol {tok!r} at arity {len(args)}")
-            return apply_symbol(sym, args)
-        sym = sig.lookup(tok, 0)
-        if sym is None:
-            raise ParseError(f"unknown constant {tok!r}")
-        return apply_symbol(sym)
+    def formula(self, sig: Signature) -> Formula:
+        """One formula through syntax.read_formula; an undeclared symbol is a
+        ParseError here, like every other fault in a document."""
+        try:
+            phi, self.pos = read_formula(self.tokens, self.pos, sig)
+        except (UnknownSymbol, ArityError) as exc:
+            raise ParseError(str(exc)) from exc
+        return phi
 
     def symbol_ref(self, sig: Signature) -> Symbol:
-        name = self.take_ident()
-        self.take("/")
-        arity = self.take_number()
+        name, arity = self.name_arity()
         sym = sig.lookup(name, arity)
         if sym is None:
             raise ParseError(f"symbol {name}/{arity} is not in the signature")
@@ -188,29 +170,22 @@ class _Parser:
         self.take("{")
         while self.peek() != "}":
             kw = self.take()
-            if kw == "axiom":
+            if kw in ("axiom", "rule"):
                 rname = self.take_ident()
                 self.take(":")
-                concl = self.formula(sig)
-                self.take(";")
-                if rname in seen_names:
-                    raise ParseError(f"duplicate rule name {rname!r} in calculus {name!r}")
-                seen_names.add(rname)
-                axioms.append(Rule(rname, (), concl))
-            elif kw == "rule":
-                rname = self.take_ident()
-                self.take(":")
-                premises = [self.formula(sig)]
-                while self.peek() == ",":
-                    self.take(",")
+                premises = []
+                if kw == "rule":
                     premises.append(self.formula(sig))
-                self.take("|-")
+                    while self.peek() == ",":
+                        self.take(",")
+                        premises.append(self.formula(sig))
+                    self.take("|-")
                 concl = self.formula(sig)
                 self.take(";")
                 if rname in seen_names:
                     raise ParseError(f"duplicate rule name {rname!r} in calculus {name!r}")
                 seen_names.add(rname)
-                rules.append(Rule(rname, tuple(premises), concl))
+                (rules if premises else axioms).append(Rule(rname, tuple(premises), concl))
             elif kw == "negation":
                 sym_name = self.take_ident()
                 self.take(";")
@@ -246,46 +221,27 @@ class _Parser:
         self.take("}")
         doc.ontologies[name] = make_ontology(cal, onto_sig, axioms, name)
 
-    def morphism_block(self, doc: Document) -> None:
+    def map_block(self, doc: Document, kind: str, table: dict, cls: type, read_image) -> None:
+        """`name : S -> T { sym -> image; ... }` for a morphism (symbol
+        images) or a splitting (formula images) block."""
         name = self.take_ident()
-        if name in doc.morphisms:
-            raise ParseError(f"duplicate morphism {name!r}")
+        if name in table:
+            raise ParseError(f"duplicate {kind} {name!r}")
         self.take(":")
         src = doc.signatures.get(self.take_ident())
         self.take("->")
         dst = doc.signatures.get(self.take_ident())
         if src is None or dst is None:
-            raise ParseError(f"morphism {name!r} references an unknown signature")
-        maps = {}
+            raise ParseError(f"{kind} {name!r} references an unknown signature")
+        images = {}
         self.take("{")
         while self.peek() != "}":
             source_sym = self.symbol_ref(src)
             self.take("->")
-            target_sym = self.symbol_ref(dst)
-            self.take(";")
-            maps[source_sym] = target_sym
-        self.take("}")
-        doc.morphisms[name] = SignatureMorphism(src, dst, maps)
-
-    def splitting_block(self, doc: Document) -> None:
-        name = self.take_ident()
-        if name in doc.splittings:
-            raise ParseError(f"duplicate splitting {name!r}")
-        self.take(":")
-        src = doc.signatures.get(self.take_ident())
-        self.take("->")
-        dst = doc.signatures.get(self.take_ident())
-        if src is None or dst is None:
-            raise ParseError(f"splitting {name!r} references an unknown signature")
-        assign = {}
-        self.take("{")
-        while self.peek() != "}":
-            source_sym = self.symbol_ref(src)
-            self.take("->")
-            assign[source_sym] = self.formula(dst)
+            images[source_sym] = read_image(dst)
             self.take(";")
         self.take("}")
-        doc.splittings[name] = SplittingMorphism(src, dst, assign)
+        table[name] = cls(src, dst, images)
 
     def link_statement(self, doc: Document) -> None:
         kind = self.take()
@@ -335,9 +291,9 @@ class _Parser:
             elif kw == "ontology":
                 self.ontology_block(doc)
             elif kw == "morphism":
-                self.morphism_block(doc)
+                self.map_block(doc, kw, doc.morphisms, SignatureMorphism, self.symbol_ref)
             elif kw == "splitting":
-                self.splitting_block(doc)
+                self.map_block(doc, kw, doc.splittings, SplittingMorphism, self.formula)
             elif kw == "link":
                 self.link_statement(doc)
             else:
@@ -353,10 +309,13 @@ def parse_document(text: str) -> Document:
 # Canonical emitters
 
 
+def _emit_decls(sig: Signature) -> str:
+    """A signature's symbols between braces: `{ a/0; f/2; }`, or `{ }`."""
+    return "{" + "".join(f" {sym};" for sym in sig.symbols()) + " }"
+
+
 def emit_signature(name: str, sig: Signature) -> str:
-    decls = " ".join(f"{s.name}/{s.arity};" for s in sig.symbols())
-    inner = f" {decls} " if decls else " "
-    return f"signature {name} {{{inner}}}"
+    return f"signature {name} {_emit_decls(sig)}"
 
 
 def emit_calculus(name: str, cal: CalculusPresentation, sig_name: str) -> str:
@@ -373,12 +332,10 @@ def emit_calculus(name: str, cal: CalculusPresentation, sig_name: str) -> str:
 
 
 def emit_ontology(name: str, onto: Ontology, cal_name: str) -> str:
-    decls = " ".join(f"{s.name}/{s.arity};" for s in onto.onto_sig.symbols())
-    sig_inner = f" {decls} " if decls else " "
     lines = [
         f"ontology {name} {{",
         f"  base {cal_name};",
-        f"  onto_signature {{{sig_inner}}}",
+        f"  onto_signature {_emit_decls(onto.onto_sig)}",
         "  axioms {",
     ]
     for phi in onto.axioms:
@@ -388,19 +345,17 @@ def emit_ontology(name: str, onto: Ontology, cal_name: str) -> str:
     return "\n".join(lines)
 
 
-def emit_morphism(name: str, h: SignatureMorphism, src_name: str, dst_name: str) -> str:
-    lines = [f"morphism {name} : {src_name} -> {dst_name} {{"]
-    for sym in h.source.symbols():
-        image = h.maps[sym]
-        lines.append(f"  {sym.name}/{sym.arity} -> {image.name}/{image.arity};")
-    lines.append("}")
-    return "\n".join(lines)
-
-
-def emit_splitting(name: str, f: SplittingMorphism, src_name: str, dst_name: str) -> str:
-    lines = [f"splitting {name} : {src_name} -> {dst_name} {{"]
-    for sym in f.source.symbols():
-        lines.append(f"  {sym.name}/{sym.arity} -> {f.assign[sym].text};")
+def emit_map(
+    name: str, m: SignatureMorphism | SplittingMorphism, src_name: str, dst_name: str
+) -> str:
+    """A morphism block (symbol images) or a splitting block (formula
+    images), one line per source symbol in signature order."""
+    if isinstance(m, SignatureMorphism):
+        kind, images = "morphism", {sym: str(image) for sym, image in m.maps.items()}
+    else:
+        kind, images = "splitting", {sym: body.text for sym, body in m.assign.items()}
+    lines = [f"{kind} {name} : {src_name} -> {dst_name} {{"]
+    lines.extend(f"  {sym} -> {images[sym]};" for sym in m.source.symbols())
     lines.append("}")
     return "\n".join(lines)
 

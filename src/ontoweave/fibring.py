@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .consequence import CalculusPresentation, Derived, Fuel, NotDerivedWithin, Verdict, closure_bounded
-from .errors import CapExceeded, FormatError, LanguageError, SignatureError
+from .errors import CapExceeded, FormatError, LanguageError
 from .morphisms import (
     Interning,
     Translation,
@@ -83,7 +83,7 @@ def _side_closure(
     closed = closure_bounded(cal, translated, session.fuel, extra_pool=seeds)
     size_cap = session.fuel.max_formula_size
     out = set()
-    for psi in sorted(closed, key=lambda f: f.sort_key):
+    for psi in closed:
         if is_back_translatable(t, psi):
             image = substitute_back(t, psi)
             # expanding interned subtrees can outgrow the session's formula
@@ -154,9 +154,7 @@ def dump_session(session: FibringSession) -> str:
         "union\t" + " ".join(str(s) for s in session.union_sig.symbols()),
         "intern",
     ]
-    for idx, formula in session.t_left.interning.items():
-        lines.append(f"{idx}\t{formula.text}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n" + session.t_left.interning.serialize()
 
 
 def load_session(

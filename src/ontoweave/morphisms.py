@@ -10,7 +10,7 @@ out indices 1, 2, 3, ... at first registration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import (
     CompositionError,
@@ -219,12 +219,9 @@ class Interning:
         """Disallow further growth; reads stay safe to share."""
         self._frozen = True
 
-    def items(self) -> Iterable[tuple[int, Formula]]:
-        return enumerate(self._by_index, start=1)
-
     def serialize(self) -> str:
         """Line-based dump: index, a tab, the canonical formula text."""
-        return "".join(f"{i}\t{f.text}\n" for i, f in self.items())
+        return "".join(f"{i}\t{f.text}\n" for i, f in enumerate(self._by_index, start=1))
 
     @classmethod
     def deserialize(cls, text: str, sig: Signature) -> "Interning":

@@ -29,6 +29,7 @@ from .syntax import (
     Formula,
     Signature,
     formula_in_language,
+    is_identifier,
     signature_leq,
     signature_union,
 )
@@ -64,14 +65,6 @@ class Ontology:
                 self._effective = self.base
         return self._effective
 
-    def same_content(self, other: "Ontology") -> bool:
-        """Equality up to the node name."""
-        return (
-            self.base == other.base
-            and self.onto_sig == other.onto_sig
-            and self.axioms == other.axioms
-        )
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Ontology) and self._key == other._key
 
@@ -80,11 +73,6 @@ class Ontology:
 
     def __repr__(self) -> str:
         return f"Ontology({self.name!r}, axioms={[f.text for f in self.axioms]})"
-
-
-import re as _re
-
-_NAME_RE = _re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
 def make_ontology(
@@ -99,7 +87,7 @@ def make_ontology(
     the effective calculus carries it as a premise-free rule. Names must fit
     the identifier grammar so nodes stay serializable.
     """
-    if not _NAME_RE.match(name):
+    if not is_identifier(name):
         raise ParseError(f"ontology name {name!r} is not a valid identifier")
     if not signature_leq(onto_sig, base.sig):
         raise OntoSigError(

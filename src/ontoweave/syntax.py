@@ -17,11 +17,14 @@ sort by it so that runs are reproducible.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ArityError, CapExceeded, LanguageError, ParseError, UnknownSymbol
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+# The identifier grammar of every name in the textual surface: symbols,
+# signatures, calculi, ontologies, maps, and the schema variables among them.
+IDENT_PATTERN = r"[A-Za-z_][A-Za-z0-9_]*"
+_IDENT_RE = re.compile(IDENT_PATTERN + r"\Z")
 _VAR_NAME_RE = re.compile(r"x([1-9][0-9]*)\Z")
 
 DEFAULT_ENUM_CAP = 200_000
@@ -42,8 +45,12 @@ class Symbol(NamedTuple):
         return f"{self.name}/{self.arity}"
 
 
+def is_identifier(text: str) -> bool:
+    return _IDENT_RE.match(text) is not None
+
+
 def _check_symbol_name(name: str) -> None:
-    if not _IDENT_RE.match(name):
+    if not is_identifier(name):
         raise ParseError(f"malformed identifier: {name!r}")
     if _VAR_NAME_RE.match(name):
         raise ParseError(f"identifier {name!r} is reserved for schema variables")
@@ -115,9 +122,6 @@ def make_signature(decls: Iterable[tuple[str, int]]) -> Signature:
             raise ParseError(f"negative arity for {name!r}")
         levels.setdefault(arity, set()).add(Symbol(name, arity))
     return Signature(levels)
-
-
-EMPTY_SIGNATURE = make_signature([])
 
 
 def signature_union(c1: Signature, c2: Signature) -> Signature:
@@ -316,7 +320,7 @@ def substitute(phi: Formula, sigma: Substitution | Mapping[int, Formula]) -> For
 # ---------------------------------------------------------------------------
 # Parsing
 
-_TOKEN_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|\(|\)|,)")
+_TOKEN_RE = re.compile(rf"\s*({IDENT_PATTERN}|\(|\)|,)")
 
 
 def _tokenize_formula(text: str) -> list[str]:
@@ -334,57 +338,61 @@ def _tokenize_formula(text: str) -> list[str]:
     return tokens
 
 
-def parse_formula(text: str, sig: Signature) -> Formula:
-    """Parse the prefix DSL form against a signature."""
-    tokens = _tokenize_formula(text)
-    pos = 0
+def read_formula(tokens: Sequence[str], pos: int, sig: Signature) -> tuple[Formula, int]:
+    """Read one prefix-form formula from tokens[pos:] against a signature;
+    return it with the position just past it.
 
-    def peek() -> str | None:
-        return tokens[pos] if pos < len(tokens) else None
+    This is the one reader of the formula grammar, behind parse_formula and
+    the document parser. Raises ParseError for malformed input or nesting
+    deeper than MAX_NESTING, UnknownSymbol or ArityError for a symbol the
+    signature does not declare.
+    """
 
-    def take(expected: str | None = None) -> str:
+    def take() -> str:
         nonlocal pos
         if pos >= len(tokens):
             raise ParseError("unexpected end of formula")
-        tok = tokens[pos]
-        if expected is not None and tok != expected:
-            raise ParseError(f"expected {expected!r}, found {tok!r}")
         pos += 1
-        return tok
+        return tokens[pos - 1]
 
-    def parse_node(depth: int) -> Formula:
+    def node(depth: int) -> Formula:
+        nonlocal pos
         if depth > MAX_NESTING:
             raise ParseError(f"formula nested deeper than {MAX_NESTING}")
         tok = take()
-        if tok in ("(", ")", ","):
-            raise ParseError(f"unexpected {tok!r}")
         var_match = _VAR_NAME_RE.match(tok)
         if var_match:
             return svar(int(var_match.group(1)))
-        if peek() == "(":
-            take("(")
-            args = [parse_node(depth + 1)]
-            while peek() == ",":
-                take(",")
-                args.append(parse_node(depth + 1))
-            take(")")
-            sym = sig.lookup(tok, len(args))
-            if sym is None:
-                if sig.has_name(tok):
-                    raise ArityError(f"{tok!r} is not declared at arity {len(args)}")
-                raise UnknownSymbol(f"unknown symbol {tok!r}")
-            return apply_symbol(sym, args)
-        sym = sig.lookup(tok, 0)
+        if not is_identifier(tok):
+            raise ParseError(f"expected a formula, found {tok!r}")
+        args = []
+        if pos < len(tokens) and tokens[pos] == "(":
+            pos += 1
+            args.append(node(depth + 1))
+            while pos < len(tokens) and tokens[pos] == ",":
+                pos += 1
+                args.append(node(depth + 1))
+            close = take()
+            if close != ")":
+                raise ParseError(f"expected ')', found {close!r}")
+        sym = sig.lookup(tok, len(args))
         if sym is None:
             if sig.has_name(tok):
-                raise ArityError(f"{tok!r} is not a constant")
+                raise ArityError(f"{tok!r} is not declared at arity {len(args)}")
             raise UnknownSymbol(f"unknown symbol {tok!r}")
-        return apply_symbol(sym)
+        return apply_symbol(sym, args)
 
-    node = parse_node(1)
+    phi = node(1)
+    return phi, pos
+
+
+def parse_formula(text: str, sig: Signature) -> Formula:
+    """Parse the prefix DSL form against a signature."""
+    tokens = _tokenize_formula(text)
+    phi, pos = read_formula(tokens, 0, sig)
     if pos != len(tokens):
         raise ParseError(f"trailing tokens after formula: {tokens[pos:]}")
-    return node
+    return phi
 
 
 # ---------------------------------------------------------------------------

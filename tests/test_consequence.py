@@ -223,6 +223,17 @@ def test_laws_report_format(cpl):
     ]
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_laws_skip_samples_truncated_by_the_set_cap(seed):
+    # `ontoweave check` defaults: 30 samples, corpus depth 2, Fuel(). Some
+    # conjunction closures fill the 512 set cap, below which alone the laws
+    # are promised, so a truncated closure must not read as a law failure.
+    report = check_operator_laws(
+        presets.conj(), samples=30, fuel=Fuel(), seed=seed, corpus_depth=2
+    )
+    assert report.ok, report.render()
+
+
 def test_laws_broken_closure_reports_extensivity(cpl):
     def amnesiac(cal, gamma, fuel, extra_pool=()):
         return closure_bounded(cal, [], fuel, extra_pool=extra_pool)

@@ -7,6 +7,7 @@ from ontoweave.dsl import (
     LinkRecord,
     emit_calculus,
     emit_link,
+    emit_map,
     emit_ontology,
     emit_signature,
     parse_document,
@@ -100,6 +101,8 @@ def test_parse_verified_link_with_detail():
         "signature S { a/0; } signature S { b/0; }",
         "calculus c over S { axiom A: a; axiom A: a; }",
         "morphism h : S -> T { }",
+        "splitting f : S -> S { a/0 -> a; } splitting f : S -> S { a/0 -> a; }",
+        "splitting f : S -> T { }",
     ],
 )
 def test_parse_errors(bad):
@@ -146,6 +149,17 @@ def test_emitters_round_trip():
     onto_text = emit_ontology("efq", doc.ontologies["efq"], "cpl")
     doc4 = parse_document(sig_text + "\n" + cal_text + "\n" + onto_text)
     assert doc4.ontologies["efq"] == doc.ontologies["efq"]
+
+    conj_text = emit_signature("CONJ", doc.signatures["CONJ"])
+    morphism_text = emit_map("h0", doc.morphisms["h0"], "CONJ", "CPL")
+    assert morphism_text == "morphism h0 : CONJ -> CPL {\n  and/2 -> imp/2;\n}"
+    splitting_text = emit_map("f0", doc.splittings["f0"], "CONJ", "CPL")
+    assert splitting_text == (
+        "splitting f0 : CONJ -> CPL {\n  and/2 -> not(imp(x1, not(x2)));\n}"
+    )
+    doc5 = parse_document("\n".join([sig_text, conj_text, morphism_text, splitting_text]))
+    assert doc5.morphisms["h0"] == doc.morphisms["h0"]
+    assert doc5.splittings["f0"] == doc.splittings["f0"]
 
 
 def test_emit_link_formats():

@@ -16,6 +16,7 @@ from ontoweave.syntax import (
     formula_in_language,
     make_signature,
     parse_formula,
+    read_formula,
     signature_leq,
     signature_union,
     substitute,
@@ -112,6 +113,14 @@ def test_parse_unknown_symbol():
     sig = make_signature(CPL_DECLS)
     with pytest.raises(UnknownSymbol):
         parse_formula("box(x1)", sig)
+
+
+def test_read_formula_returns_the_next_position():
+    sig = make_signature(CPL_DECLS)
+    tokens = ["imp", "(", "x1", ",", "bot", ")", ";", "x2"]
+    phi, pos = read_formula(tokens, 0, sig)
+    assert phi is parse_formula("imp(x1, bot)", sig)
+    assert (tokens[pos], read_formula(tokens, pos + 1, sig)) == (";", (svar(2), 8))
 
 
 def test_parse_bad_token():
