@@ -5,13 +5,13 @@ connection, and splittable development graphs."""
 from .consequence import (
     CalculusPresentation,
     Derived,
+    Evidence,
     Fuel,
     NotDerivedWithin,
     Report,
     ReportEntry,
     Rule,
     Verdict,
-    WeaknessEvidence,
     check_operator_laws,
     check_principles,
     check_structural,
@@ -21,9 +21,7 @@ from .consequence import (
 )
 from .devgraph import (
     DevGraph,
-    Evidence,
     Link,
-    SplittingEvidence,
     add_link,
     add_node,
     check_splitting_morphism,
@@ -57,7 +55,6 @@ from .morphisms import (
     translate,
 )
 from .ontology import (
-    EcsyEvidence,
     Ontology,
     check_ecsy_morphism,
     connect,

@@ -79,16 +79,15 @@ class Workspace:
 
 
 def _fuel_from_args(args: argparse.Namespace) -> Fuel:
-    """The command's fuel; fibre's --rounds overrides --fuel-rounds. Also
-    rejects the non-positive --corpus-depth and --samples the checks need."""
+    """The command's fuel. Also rejects the non-positive --corpus-depth and
+    --samples the checks need."""
     for flag in ("corpus_depth", "samples"):
         value = getattr(args, flag, 1)
         if value < 1:
             raise ParseError(f"bad --{flag.replace('_', '-')}: must be >= 1, got {value}")
-    rounds = getattr(args, "rounds", None)
     try:
         return Fuel(
-            max_closure_rounds=args.fuel_rounds if rounds is None else rounds,
+            max_closure_rounds=args.fuel_rounds,
             max_formula_size=args.fuel_size,
             max_set_size=args.fuel_set,
         )
@@ -192,7 +191,7 @@ def cmd_connect(args: argparse.Namespace) -> int:
     if left is None or right is None:
         raise UnknownSymbol("unknown ontology name for --left or --right")
     fuel = _fuel_from_args(args)
-    result = connect(left, right, fuel, name=args.name)
+    result = connect(left, right, name=args.name)
     print(emit_signature("connected_sig", result.base.sig))
     print(emit_calculus("connected_cal", result.base, "connected_sig"))
     print(emit_ontology(result.name, result, "connected_cal"))
@@ -322,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--right", required=True)
     p.add_argument("--gamma")
     p.add_argument("--phi", required=True)
-    p.add_argument("--rounds", type=int)
+    p.add_argument("--rounds", dest="fuel_rounds", type=int)
     p.add_argument("--dump")
     p.set_defaults(func=cmd_fibre)
 

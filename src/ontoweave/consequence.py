@@ -795,37 +795,31 @@ def transfer_scan(
     return checked, None
 
 
-# ---------------------------------------------------------------------------
-# Weakness relation
-
-
 @dataclass(frozen=True)
-class WeaknessEvidence:
-    """Outcome of the bounded weaker-than scan.
+class Evidence:
+    """What is known about a link, from its checker to the manifest.
 
-    verified: every corpus derivability of the weaker side transfers.
-    witness: (gamma, phi) pair refuting the transfer, if any.
+    status is "verified" (no counterexample within corpus_depth and fuel),
+    "refuted" (detail names the witness) or "asserted" (no check ran, so
+    there are no check parameters). Stored links never carry refuted
+    evidence: add_link rejects the link instead.
     """
 
-    verified: bool
-    corpus_depth: int
-    fuel: Fuel
-    witness_gamma: tuple[Formula, ...] | None = None
-    witness_phi: Formula | None = None
-    escalation: Fuel | None = None
-    checked: int = 0
+    status: str  # "verified" | "refuted" | "asserted"
+    corpus_depth: int | None = None
+    fuel: Fuel | None = None
+    detail: str = ""
 
-    def render(self) -> str:
-        if self.verified:
-            return (
-                f"weaker-than\tverified-up-to\tdepth={self.corpus_depth} "
-                f"rounds={self.fuel.max_closure_rounds} checked={self.checked}"
-            )
-        gamma = _format_set(self.witness_gamma or ())
-        return (
-            f"weaker-than\trefuted\tgamma={gamma} phi={self.witness_phi.text} "
-            f"escalation-rounds={self.escalation.max_closure_rounds}"
-        )
+    @property
+    def ok(self) -> bool:
+        return self.status != "refuted"
+
+
+ASSERTED = Evidence("asserted", None, None, "asserted without machine check")
+
+
+# ---------------------------------------------------------------------------
+# Weakness relation
 
 
 def weaker_than(
@@ -833,7 +827,7 @@ def weaker_than(
     cal2: CalculusPresentation,
     corpus_depth: int,
     fuel: Fuel,
-) -> WeaknessEvidence:
+) -> Evidence:
     """Bounded evidence for "cal1 is weaker than cal2": transfer_scan along
     the identity, so everything cal1 derives on the corpus premise sets must
     be derivable by cal2. The first failure is the refutation witness.
@@ -841,11 +835,11 @@ def weaker_than(
     if not signature_leq(cal1.sig, cal2.sig):
         raise SignatureError("weaker-than needs the left language inside the right one")
     checked, witness = transfer_scan(cal1, cal2, lambda phi: phi, corpus_depth, fuel)
-    if witness is None:
-        return WeaknessEvidence(True, corpus_depth, fuel, checked=checked)
-    return WeaknessEvidence(
-        False, corpus_depth, fuel, witness.gamma, witness.phi, fuel.escalated(), checked
-    )
+    if witness:
+        return Evidence("refuted", corpus_depth, fuel, f"weaker-than refuted {witness.render()}")
+    rounds = fuel.max_closure_rounds
+    detail = f"weaker-than verified-up-to depth={corpus_depth} rounds={rounds} checked={checked}"
+    return Evidence("verified", corpus_depth, fuel, detail)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .consequence import (
+    ASSERTED,
     CalculusPresentation,
+    Evidence,
     Fuel,
     Report,
     ReportEntry,
@@ -29,7 +31,6 @@ from .dsl import (
     emit_ontology,
     emit_signature,
     parse_document,
-    sanitize_detail,
 )
 from .errors import (
     CycleError,
@@ -69,24 +70,6 @@ class Link:
             raise ValueError("theorem links carry no morphism")
         if self.kind not in ("definition", "theorem", "splitting"):
             raise ValueError(f"unknown link kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class Evidence:
-    """What is known about a stored link.
-
-    Stored links only ever carry verified or asserted evidence; a refuted
-    check rejects the link at insertion time.
-    """
-
-    status: str  # "verified" | "asserted"
-    corpus_depth: int | None = None
-    fuel: Fuel | None = None
-    detail: str = ""
-
-    def __post_init__(self) -> None:
-        if self.status not in ("verified", "asserted"):
-            raise ValueError(f"bad evidence status {self.status!r}")
 
 
 class DevGraph:
@@ -172,26 +155,13 @@ def add_node(g: DevGraph, o: Ontology, fuel: Fuel | None = None) -> DevGraph:
     return DevGraph(nodes, g.links, g.evidence)
 
 
-@dataclass(frozen=True)
-class SplittingEvidence:
-    verified: bool
-    corpus_depth: int
-    fuel: Fuel
-    witness: str = ""
-    checked: int = 0
-
-    def render(self) -> str:
-        status = "verified-up-to" if self.verified else "refuted"
-        return f"splitting-morphism\t{status}\t{self.witness or f'checked={self.checked}'}"
-
-
 def check_splitting_morphism(
     f: SplittingMorphism,
     a: Ontology,
     b: Ontology,
     corpus_depth: int,
     fuel: Fuel,
-) -> SplittingEvidence:
+) -> Evidence:
     """Entailment preservation along the induced unfolding, checked by
     transfer_scan from a's effective calculus to b's: whatever the source
     derives, the image must derive."""
@@ -200,8 +170,10 @@ def check_splitting_morphism(
     checked, found = transfer_scan(
         a.effective, b.effective, lambda phi: apply_splitting(f, phi), corpus_depth, fuel
     )
-    witness = found.render() if found else ""
-    return SplittingEvidence(found is None, corpus_depth, fuel, witness, checked)
+    if found:
+        return Evidence("refuted", corpus_depth, fuel, f"splitting-morphism refuted {found.render()}")
+    detail = f"splitting-morphism verified-up-to checked={checked}"
+    return Evidence("verified", corpus_depth, fuel, detail)
 
 
 def add_link(
@@ -214,8 +186,8 @@ def add_link(
 ) -> DevGraph:
     """Check and insert a link; refuted evidence rejects it.
 
-    asserted skips the checker and stores assertion-only evidence, reported
-    distinctly by the verifiers' detail output.
+    asserted skips the checker and stores ASSERTED, which carries no check
+    parameters and which the verifiers tell apart from verified evidence.
     """
     src = g.require_node(link.src)
     dst = g.require_node(link.dst)
@@ -225,23 +197,15 @@ def add_link(
     if not _acyclic(g.nodes, candidate):
         raise CycleError(f"link {link.src} -> {link.dst} would close a cycle")
     if asserted:
-        # assertion carries no check parameters; the manifest stores it bare
-        evidence = Evidence("asserted", None, None, "asserted without machine check")
+        evidence = ASSERTED
     elif link.kind == "definition":
-        outcome = check_ecsy_morphism(link.morphism, src, dst, corpus_depth, fuel)
-        if not outcome.ok:
-            raise EvidenceRefuted(f"definition link refuted: {outcome.witness}", outcome.witness)
-        evidence = Evidence("verified", corpus_depth, fuel, sanitize_detail(outcome.render()))
+        evidence = check_ecsy_morphism(link.morphism, src, dst, corpus_depth, fuel)
     elif link.kind == "theorem":
-        outcome = weaker_than(src.effective, dst.effective, corpus_depth, fuel)
-        if not outcome.verified:
-            raise EvidenceRefuted(f"theorem link refuted: {outcome.render()}", outcome.render())
-        evidence = Evidence("verified", corpus_depth, fuel, sanitize_detail(outcome.render()))
+        evidence = weaker_than(src.effective, dst.effective, corpus_depth, fuel)
     else:
-        outcome = check_splitting_morphism(link.morphism, src, dst, corpus_depth, fuel)
-        if not outcome.verified:
-            raise EvidenceRefuted(f"splitting link refuted: {outcome.witness}", outcome.witness)
-        evidence = Evidence("verified", corpus_depth, fuel, sanitize_detail(outcome.render()))
+        evidence = check_splitting_morphism(link.morphism, src, dst, corpus_depth, fuel)
+    if not evidence.ok:
+        raise EvidenceRefuted(f"{link.kind} link: {evidence.detail}")
     ev = dict(g.evidence)
     ev[link] = evidence
     return DevGraph(g.nodes, candidate, ev)
@@ -447,18 +411,8 @@ def save_graph(g: DevGraph) -> bytes:
         chunks.append(emit_ontology(name, g.nodes[name], cal_names[g.nodes[name].base]))
     records = []
     for link in g.links:
-        ev = g.evidence.get(link)
-        record = LinkRecord(
-            kind=link.kind,
-            src=link.src,
-            dst=link.dst,
-            morphism=morphism_names.get(link.morphism) if link.morphism else None,
-            asserted=ev is not None and ev.status == "asserted",
-            evidence_status=ev.status if ev else None,
-            evidence_depth=ev.corpus_depth if ev else None,
-            evidence_fuel=ev.fuel if ev else None,
-            evidence_detail=ev.detail if ev else "",
-        )
+        morphism = morphism_names.get(link.morphism) if link.morphism else None
+        record = LinkRecord(link.kind, link.src, link.dst, morphism, g.evidence.get(link))
         records.append(emit_link(record))
     chunks.extend(sorted(records))
     return ("\n".join(chunks) + "\n").encode("utf-8")
@@ -486,16 +440,10 @@ def load_graph(data: bytes | str) -> DevGraph:
             link = Link(record.kind, record.src, record.dst, morphism)
         except ValueError as exc:
             raise FormatError(str(exc)) from exc
-        if record.asserted:
-            ev = Evidence("asserted", None, None, "asserted without machine check")
-        elif record.evidence_status == "verified":
-            ev = Evidence(
-                "verified", record.evidence_depth, record.evidence_fuel, record.evidence_detail
-            )
-        else:
+        if record.evidence is None:
             raise FormatError(f"link {record.src} -> {record.dst} lacks evidence")
         links.append(link)
-        evidence[link] = ev
+        evidence[link] = record.evidence
     graph = DevGraph(nodes, links, evidence)
     if not graph.is_acyclic():
         raise FormatError("manifest encodes a cyclic graph")

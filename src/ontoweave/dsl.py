@@ -25,8 +25,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .consequence import CalculusPresentation, Fuel, Rule
-from .errors import ArityError, ParseError, UnknownSymbol
+from .consequence import ASSERTED, CalculusPresentation, Evidence, Fuel, Rule
+from .errors import ArityError, OntoSigError, ParseError, SignatureError, UnknownSymbol
 from .morphisms import SignatureMorphism, SplittingMorphism
 from .ontology import Ontology, make_ontology
 from .syntax import IDENT_PATTERN, Formula, Signature, Symbol, is_identifier, make_signature, read_formula
@@ -66,11 +66,7 @@ class LinkRecord:
     src: str
     dst: str
     morphism: str | None = None
-    asserted: bool = False
-    evidence_status: str | None = None
-    evidence_depth: int | None = None
-    evidence_fuel: Fuel | None = None
-    evidence_detail: str = ""
+    evidence: Evidence | None = None
 
 
 @dataclass
@@ -219,7 +215,10 @@ class _Parser:
             self.take(";")
         self.take("}")
         self.take("}")
-        doc.ontologies[name] = make_ontology(cal, onto_sig, axioms, name)
+        try:
+            doc.ontologies[name] = make_ontology(cal, onto_sig, axioms, name)
+        except OntoSigError as exc:
+            raise ParseError(str(exc)) from exc
 
     def map_block(self, doc: Document, kind: str, table: dict, cls: type, read_image) -> None:
         """`name : S -> T { sym -> image; ... }` for a morphism (symbol
@@ -241,7 +240,10 @@ class _Parser:
             images[source_sym] = read_image(dst)
             self.take(";")
         self.take("}")
-        table[name] = cls(src, dst, images)
+        try:
+            table[name] = cls(src, dst, images)
+        except SignatureError as exc:
+            raise ParseError(f"{kind} {name!r}: {exc}") from exc
 
     def link_statement(self, doc: Document) -> None:
         kind = self.take()
@@ -256,13 +258,11 @@ class _Parser:
             if kw == "morphism":
                 record.morphism = self.take_ident()
             elif kw == "assert":
-                record.asserted = True
-                record.evidence_status = "asserted"
+                record.evidence = ASSERTED
             else:
                 status = self.take()
                 if status != "verified":
                     raise ParseError(f"unknown evidence status {status!r}")
-                record.evidence_status = "verified"
                 fields = {}
                 for key in ("depth", "rounds", "size", "set"):
                     got = self.take()
@@ -270,14 +270,18 @@ class _Parser:
                         raise ParseError(f"expected evidence field {key!r}, found {got!r}")
                     self.take("=")
                     fields[key] = self.take_number()
-                record.evidence_depth = fields["depth"]
-                record.evidence_fuel = Fuel(fields["rounds"], fields["size"], fields["set"])
+                try:
+                    fuel = Fuel(fields["rounds"], fields["size"], fields["set"])
+                except ValueError as exc:
+                    raise ParseError(f"bad evidence fuel: {exc}") from exc
+                detail = ""
                 if self.peek() == "detail":
                     self.take("detail")
                     raw = self.take()
                     if not (raw.startswith('"') and raw.endswith('"')):
                         raise ParseError("evidence detail must be a quoted string")
-                    record.evidence_detail = raw[1:-1]
+                    detail = raw[1:-1]
+                record.evidence = Evidence("verified", fields["depth"], fuel, detail)
         doc.links.append(record)
 
     def document(self) -> Document:
@@ -365,21 +369,20 @@ def sanitize_detail(detail: str) -> str:
 
 
 def emit_link(record: LinkRecord) -> str:
+    """A link statement: `assert` for asserted evidence, else the evidence
+    status, its check parameters and the sanitized detail."""
     parts = [f"link {record.kind} {record.src} -> {record.dst}"]
     if record.morphism:
         parts.append(f"morphism {record.morphism}")
-    if record.asserted:
+    ev = record.evidence
+    if ev is not None and ev.status == "asserted":
         parts.append("assert")
-    elif record.evidence_status == "verified":
-        fuel = record.evidence_fuel
+    elif ev is not None:
+        fuel = ev.fuel
         parts.append(
-            "evidence verified depth={} rounds={} size={} set={}".format(
-                record.evidence_depth,
-                fuel.max_closure_rounds,
-                fuel.max_formula_size,
-                fuel.max_set_size,
-            )
+            f"evidence {ev.status} depth={ev.corpus_depth} rounds={fuel.max_closure_rounds} "
+            f"size={fuel.max_formula_size} set={fuel.max_set_size}"
         )
-        if record.evidence_detail:
-            parts.append(f'detail "{sanitize_detail(record.evidence_detail)}"')
+        if ev.detail:
+            parts.append(f'detail "{sanitize_detail(ev.detail)}"')
     return " ".join(parts)

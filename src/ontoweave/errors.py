@@ -60,10 +60,6 @@ class CycleError(OntoweaveError):
 class EvidenceRefuted(OntoweaveError):
     """The checker refuted the property a link asserts; the link is rejected."""
 
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
 
 class UnknownNode(OntoweaveError):
     """A graph operation referenced a node name that does not exist."""

@@ -9,11 +9,11 @@ it rather than trusting it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .consequence import (
     CalculusPresentation,
+    Evidence,
     Fuel,
     Report,
     ReportEntry,
@@ -23,8 +23,8 @@ from .consequence import (
     transfer_scan,
 )
 from .errors import LanguageError, OntoSigError, ParseError, SignatureError
-from .fibring import FibringSession, fibred_derives, open_session
-from .morphisms import SignatureMorphism, apply_signature_morphism, substitute_back, translate
+from .fibring import fibred_derives, open_session
+from .morphisms import SignatureMorphism, apply_signature_morphism
 from .syntax import (
     Formula,
     Signature,
@@ -140,33 +140,13 @@ def validate_ontology(
 # Morphisms between ontologies
 
 
-@dataclass(frozen=True)
-class EcsyEvidence:
-    """Bounded evidence that a signature morphism is an ontology morphism."""
-
-    consequence_verified: bool
-    gamma_equal: bool
-    corpus_depth: int
-    fuel: Fuel
-    witness: str = ""
-    checked: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return self.consequence_verified and self.gamma_equal
-
-    def render(self) -> str:
-        status = "verified-up-to" if self.ok else "refuted"
-        return f"ecsy-morphism\t{status}\t{self.witness or f'checked={self.checked}'}"
-
-
 def check_ecsy_morphism(
     h: SignatureMorphism,
     a: Ontology,
     b: Ontology,
     corpus_depth: int,
     fuel: Fuel,
-) -> EcsyEvidence:
+) -> Evidence:
     """The consequence-morphism condition, checked by transfer_scan from a's
     effective calculus to b's along h, plus the exact equality of the
     translated ontological theory."""
@@ -175,23 +155,14 @@ def check_ecsy_morphism(
     checked, found = transfer_scan(
         a.effective, b.effective, lambda phi: apply_signature_morphism(h, phi), corpus_depth, fuel
     )
-    witness = found.render() if found else ""
-    image_axioms = tuple(
-        sorted({apply_signature_morphism(h, phi) for phi in a.axioms}, key=lambda f: f.sort_key)
-    )
-    gamma_equal = image_axioms == b.axioms
-    if not gamma_equal and not witness:
-        sym_diff = set(image_axioms) ^ set(b.axioms)
-        off = sorted(sym_diff, key=lambda f: f.sort_key)[0]
-        witness = f"theory mismatch at {off.text}"
-    return EcsyEvidence(
-        consequence_verified=found is None,
-        gamma_equal=gamma_equal,
-        corpus_depth=corpus_depth,
-        fuel=fuel,
-        witness=witness,
-        checked=checked,
-    )
+    if found:
+        return Evidence("refuted", corpus_depth, fuel, f"ecsy-morphism refuted {found.render()}")
+    image_axioms = {apply_signature_morphism(h, phi) for phi in a.axioms}
+    if image_axioms != set(b.axioms):
+        off = min(image_axioms ^ set(b.axioms), key=lambda f: f.sort_key)
+        detail = f"ecsy-morphism refuted theory mismatch at {off.text}"
+        return Evidence("refuted", corpus_depth, fuel, detail)
+    return Evidence("verified", corpus_depth, fuel, f"ecsy-morphism verified-up-to checked={checked}")
 
 
 # ---------------------------------------------------------------------------
@@ -235,42 +206,30 @@ def merge_presentations(
     )
 
 
-def connection_session(o1: Ontology, o2: Ontology, fuel: Fuel) -> FibringSession:
-    """The fibring session underlying connect: both effective calculi."""
-    return open_session(o1.effective, o2.effective, fuel)
-
-
-def connect(o1: Ontology, o2: Ontology, fuel: Fuel, name: str | None = None) -> Ontology:
+def connect(o1: Ontology, o2: Ontology, name: str | None = None) -> Ontology:
     """Connect two ontologies through fibring.
 
     The result's base is the union presentation, its ontological signature
-    the union of both, and its theory exactly the substituted images of both
-    input theories (the least set the connection conditions allow). Each
-    axiom is registered through its own side's translation and mapped back,
-    which normalizes it into the combined language verbatim.
+    the union of both, and its theory exactly the union of both input
+    theories (the least set the connection conditions allow): each axiom is
+    already in the combined language, so it is carried over verbatim.
     """
-    session = connection_session(o1, o2, fuel)
-    axioms: set[Formula] = set()
-    for ontology, translation in ((o1, session.t_left), (o2, session.t_right)):
-        for phi in ontology.axioms:
-            axioms.add(substitute_back(translation, translate(translation, phi)))
     base = merge_presentations(o1.base, o2.base)
     onto_sig = signature_union(o1.onto_sig, o2.onto_sig)
     if name is None:
         name = f"{o1.name}_{o2.name}"
-    return make_ontology(base, onto_sig, axioms, name)
+    return make_ontology(base, onto_sig, o1.axioms + o2.axioms, name)
 
 
 def connection_axiom_rounds(o1: Ontology, o2: Ontology, fuel: Fuel) -> list[tuple[Formula, int]]:
-    """For each substituted input axiom, the alternation round at which it is
-    fibred-derivable from the empty theory. Raises if any is not found."""
-    session = connection_session(o1, o2, fuel)
+    """For each input axiom, the alternation round at which it is
+    fibred-derivable from the empty theory in the session of both effective
+    calculi. Raises if any is not found."""
+    session = open_session(o1.effective, o2.effective, fuel)
     out = []
-    for ontology, translation in ((o1, session.t_left), (o2, session.t_right)):
-        for phi in ontology.axioms:
-            image = substitute_back(translation, translate(translation, phi))
-            verdict = fibred_derives(session, (), image)
-            if not verdict.is_derived:
-                raise LanguageError(f"axiom image {image.text} not fibred-derivable")
-            out.append((image, verdict.depth))
+    for phi in o1.axioms + o2.axioms:
+        verdict = fibred_derives(session, (), phi)
+        if not verdict.is_derived:
+            raise LanguageError(f"axiom {phi.text} not fibred-derivable")
+        out.append((phi, verdict.depth))
     return out

@@ -201,7 +201,7 @@ def test_criterion_4_connection_validity():
         right_axioms = rng.sample(enumerate_formulas(right_cal.sig, 2, 2), rng.randint(0, 1))
         o1 = make_ontology(left_cal, left_cal.sig, left_axioms, f"L{i}")
         o2 = make_ontology(right_cal, right_cal.sig, right_axioms, f"R{i}")
-        both = connect(o1, o2, fuel)
+        both = connect(o1, o2)
         if not validate_ontology(both, fuel).ok:
             failures.append(f"pair {i}: validation")
             continue
@@ -222,15 +222,13 @@ def test_criterion_5_weakness_evidence():
     verified = weaker_than(fragment, cpl, corpus_depth=3, fuel=Fuel(2, 14, 20_000))
     refuted = weaker_than(cpl, rule_free, corpus_depth=2, fuel=Fuel(1, 12, 8_000))
     witness_ok = (
-        not refuted.verified
-        and refuted.witness_gamma is not None
-        and [g.text for g in refuted.witness_gamma] == ["x1", "imp(x1, x2)"]
-        and refuted.witness_phi.text == "x2"
+        refuted.status == "refuted"
+        and refuted.detail == "weaker-than refuted gamma={x1, imp(x1, x2)} phi=x2 image=x2"
     )
     report(
         "criterion-5 weakness-evidence",
-        verified.verified and witness_ok,
-        f"fragment-checked={verified.checked} refutation={refuted.render()}",
+        verified.status == "verified" and witness_ok,
+        f"fragment={verified.detail} refutation={refuted.detail}",
     )
 
 

@@ -104,6 +104,34 @@ def test_bad_fuel_is_a_usage_error(defs_file, capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "text, argv, prefix",
+    [
+        ("signature S { a/0; } signature T { b/0; } morphism h : S -> T { }",
+         ["check", "{path}"], "ParseError: morphism 'h': "),
+        ("signature S { a/0; } calculus c over S { }\n"
+         "ontology o { base c; onto_signature { b/0; } axioms { } }",
+         ["check", "{path}"], "ParseError: ontological signature of 'o' "),
+        ("signature S { a/0; } calculus c over S { }\n"
+         "ontology o { base c; onto_signature { } axioms { } }\n"
+         "link theorem o -> o evidence verified depth=2 rounds=0 size=16 set=512\n",
+         ["graph", "--manifest", "{path}", "load"],
+         "FormatError: corrupt manifest: bad evidence fuel: "),
+    ],
+)
+def test_unbuildable_blocks_are_usage_errors(tmp_path, capsys, text, argv, prefix):
+    # each block reads well, but the morphism is partial, the onto_signature
+    # leaves its base, or the evidence fuel is below 1
+    path = tmp_path / "input.dsl"
+    path.write_text(text, encoding="utf-8")
+    code = main([arg.format(path=path) for arg in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith(prefix)
+    assert "Traceback" not in err
+
+
 def test_deep_nesting_is_a_parse_error(defs_file, capsys):
     phi = "not(" * 3000 + "x1" + ")" * 3000
     code = main(["derive", "--defs", str(defs_file), "--calculus", "cpl", "--phi", phi])
@@ -132,6 +160,19 @@ def test_fibre_worked_example(defs_file, tmp_path, capsys):
     assert code == 0
     assert out.splitlines()[0] == "DERIVED depth=2"
     assert dump.read_text().startswith("session\n")
+
+
+def test_fibre_rounds_is_fuel_rounds(defs_file, capsys):
+    # an UNKNOWN answer prints its round bound, so the two spellings must agree
+    runs = []
+    for flag in ("--rounds", "--fuel-rounds"):
+        code = main([
+            "fibre", "--defs", str(defs_file), "--left", "cpl", "--right", "conj",
+            "--phi", "x4", flag, "2", "--fuel-size", "12", "--fuel-set", "4000",
+        ])
+        runs.append((code, capsys.readouterr()))
+    assert runs[0] == runs[1]
+    assert runs[0][1].out == "UNKNOWN bound=rounds:2\n"
 
 
 def test_connect_emits_loadable_snippet(defs_file, capsys):

@@ -291,21 +291,21 @@ def test_structural_general_substitution_example(cpl):
 
 def test_weaker_than_reflexive(cpl):
     ev = weaker_than(cpl, cpl, corpus_depth=2, fuel=Fuel(1, 12, 20000))
-    assert ev.verified
+    assert ev.status == "verified"
 
 
 def test_fragment_weaker_than_full(imp_fragment, cpl):
     ev = weaker_than(imp_fragment, cpl, corpus_depth=3, fuel=Fuel(2, 14, 20000))
-    assert ev.verified
-    assert ev.checked > 0
+    assert ev.status == "verified"
+    assert ev.detail.startswith("weaker-than verified-up-to depth=3 rounds=2 checked=")
+    assert int(ev.detail.rsplit("checked=", 1)[1]) > 0
 
 
 def test_cpl_not_weaker_than_rule_free(cpl, rule_free):
     ev = weaker_than(cpl, rule_free, corpus_depth=2, fuel=Fuel(1, 12, 20000))
-    assert not ev.verified
-    assert [g.text for g in ev.witness_gamma] == ["x1", "imp(x1, x2)"]
-    assert ev.witness_phi.text == "x2"
-    assert ev.escalation is not None
+    assert ev.status == "refuted" and not ev.ok
+    assert ev.detail == "weaker-than refuted gamma={x1, imp(x1, x2)} phi=x2 image=x2"
+    assert (ev.corpus_depth, ev.fuel) == (2, Fuel(1, 12, 20000))
 
 
 def test_weaker_than_needs_language_inclusion(cpl):

@@ -2,10 +2,9 @@
 
 import pytest
 
-from ontoweave.consequence import CalculusPresentation, Fuel, weaker_than
+from ontoweave.consequence import CalculusPresentation, Evidence, Fuel, weaker_than
 from ontoweave.devgraph import (
     DevGraph,
-    Evidence,
     Link,
     add_link,
     add_node,
@@ -158,8 +157,9 @@ def test_splitting_morphism_refutation(cpl, rule_free):
     strong = plain_ontology(cpl, "strong")
     weak = plain_ontology(rule_free, "weak")
     ev = check_splitting_morphism(ident, strong, weak, 2, LINK_FUEL)
-    assert not ev.verified
-    assert "x2" in ev.witness
+    assert ev.status == "refuted"
+    assert ev.detail.startswith("splitting-morphism refuted ")
+    assert "x2" in ev.detail
 
 
 def test_link_checkers_share_one_transfer_scan(cpl, rule_free):
@@ -167,8 +167,9 @@ def test_link_checkers_share_one_transfer_scan(cpl, rule_free):
     theorem = weaker_than(o.effective, o.effective, 2, LINK_FUEL)
     definition = check_ecsy_morphism(SignatureMorphism.identity(cpl.sig), o, o, 2, LINK_FUEL)
     splitting = check_splitting_morphism(SplittingMorphism.identity(cpl.sig), o, o, 2, LINK_FUEL)
-    assert theorem.verified and definition.ok and splitting.verified
-    assert theorem.checked == definition.checked == splitting.checked > 0
+    assert theorem.status == definition.status == splitting.status == "verified"
+    checked = {ev.detail.rsplit(" checked=", 1)[1] for ev in (theorem, definition, splitting)}
+    assert len(checked) == 1 and int(checked.pop()) > 0
 
     strong = plain_ontology(cpl, "strong")
     weak = plain_ontology(rule_free, "weak")
@@ -178,9 +179,25 @@ def test_link_checkers_share_one_transfer_scan(cpl, rule_free):
     refuted_splitting = check_splitting_morphism(
         SplittingMorphism.identity(cpl.sig), strong, weak, 2, LINK_FUEL
     )
-    assert not refuted_definition.ok and not refuted_splitting.verified
-    assert refuted_definition.witness == refuted_splitting.witness
-    assert refuted_splitting.witness == "gamma={x1, imp(x1, x2)} phi=x2 image=x2"
+    witness = "gamma={x1, imp(x1, x2)} phi=x2 image=x2"
+    assert refuted_definition.status == refuted_splitting.status == "refuted"
+    assert refuted_definition.detail == f"ecsy-morphism refuted {witness}"
+    assert refuted_splitting.detail == f"splitting-morphism refuted {witness}"
+
+
+def test_theory_mismatch_refutes_definition_link(cpl):
+    # consequences transfer into the stronger node, but its theory differs
+    bare = plain_ontology(cpl, "bare")
+    axiom = parse_formula("imp(bot, x1)", cpl.sig)
+    efq = make_ontology(cpl, make_signature([("bot", 0)]), [axiom], "efq")
+    identity = SignatureMorphism.identity(cpl.sig)
+    ev = check_ecsy_morphism(identity, bare, efq, 2, LINK_FUEL)
+    detail = "ecsy-morphism refuted theory mismatch at imp(bot, x1)"
+    assert ev == Evidence("refuted", 2, LINK_FUEL, detail)
+    g = add_node(add_node(DevGraph(), bare, NODE_FUEL), efq, NODE_FUEL)
+    with pytest.raises(EvidenceRefuted) as refusal:
+        add_link(g, Link("definition", "bare", "efq", identity), 2, LINK_FUEL)
+    assert str(refusal.value) == f"definition link: {ev.detail}"
 
 
 # -- refinement patterns
@@ -406,7 +423,7 @@ def test_theorem_chain_composes(cpl):
     assert verify_homogeneous_refinement(g, "A", "B")
     assert verify_homogeneous_refinement(g, "B", "C")
     composed = weaker_than(weakest, cpl, corpus_depth=2, fuel=LINK_FUEL)
-    assert composed.verified
+    assert composed.status == "verified"
 
 
 # -- persistence
@@ -449,7 +466,7 @@ def test_load_rejects_unknown_nodes():
 
 
 def test_stored_evidence_is_reproducible():
-    g = full_graph()
+    g = load_graph(save_graph(full_graph()))
     for link in g.links:
         ev = g.evidence[link]
         if ev.status != "verified":
@@ -457,15 +474,13 @@ def test_stored_evidence_is_reproducible():
         src, dst = g.nodes[link.src], g.nodes[link.dst]
         if link.kind == "theorem":
             again = weaker_than(src.effective, dst.effective, ev.corpus_depth, ev.fuel)
-            assert again.verified
         elif link.kind == "splitting":
             again = check_splitting_morphism(
                 link.morphism, src, dst, ev.corpus_depth, ev.fuel
             )
-            assert again.verified
         else:
             again = check_ecsy_morphism(link.morphism, src, dst, ev.corpus_depth, ev.fuel)
-            assert again.ok
+        assert again == ev
 
 
 def test_verifiers_do_not_mutate():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from ontoweave.consequence import Fuel
+from ontoweave.consequence import ASSERTED, Evidence, Fuel
 from ontoweave.dsl import (
     LinkRecord,
     emit_calculus,
@@ -72,7 +72,7 @@ def test_parsed_link_record():
     doc = parse_document(FIXTURE)
     record = doc.links[0]
     assert (record.kind, record.src, record.dst) == ("theorem", "efq", "efq")
-    assert record.asserted
+    assert record.evidence is ASSERTED
 
 
 def test_parse_verified_link_with_detail():
@@ -84,10 +84,7 @@ def test_parse_verified_link_with_detail():
     doc = parse_document(text)
     record = doc.links[1]
     assert record.morphism == "h0"
-    assert record.evidence_status == "verified"
-    assert record.evidence_depth == 2
-    assert record.evidence_fuel == Fuel(3, 16, 512)
-    assert record.evidence_detail == "checked=9"
+    assert record.evidence == Evidence("verified", 2, Fuel(3, 16, 512), "checked=9")
 
 
 @pytest.mark.parametrize(
@@ -103,6 +100,9 @@ def test_parse_verified_link_with_detail():
         "morphism h : S -> T { }",
         "splitting f : S -> S { a/0 -> a; } splitting f : S -> S { a/0 -> a; }",
         "splitting f : S -> T { }",
+        "signature T { b/0; } morphism h : S -> T { }",
+        "calculus c over S { } ontology o { base c; onto_signature { b/0; } axioms { } }",
+        "link theorem A -> B evidence verified depth=2 rounds=0 size=16 set=512",
     ],
 )
 def test_parse_errors(bad):
@@ -163,17 +163,14 @@ def test_emitters_round_trip():
 
 
 def test_emit_link_formats():
-    plain = LinkRecord(kind="theorem", src="A", dst="B", asserted=True)
+    plain = LinkRecord(kind="theorem", src="A", dst="B", evidence=ASSERTED)
     assert emit_link(plain) == "link theorem A -> B assert"
     verified = LinkRecord(
         kind="definition",
         src="A",
         dst="B",
         morphism="h0",
-        evidence_status="verified",
-        evidence_depth=2,
-        evidence_fuel=Fuel(3, 16, 512),
-        evidence_detail="checked=4",
+        evidence=Evidence("verified", 2, Fuel(3, 16, 512), "checked=4"),
     )
     assert emit_link(verified) == (
         "link definition A -> B morphism h0 "

@@ -156,7 +156,7 @@ def test_fibred_is_extension_of_left(cpl, conj):
 
     merged = merge_presentations(cpl, conj)
     ev = weaker_than(cpl, merged, corpus_depth=2, fuel=Fuel(1, 12, 20_000))
-    assert ev.verified
+    assert ev.status == "verified"
 
 
 # -- session persistence
