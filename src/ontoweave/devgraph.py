@@ -86,6 +86,14 @@ class DevGraph:
         self.nodes: dict[str, Ontology] = dict(nodes or {})
         self.links: tuple[Link, ...] = tuple(links)
         self.evidence: dict[Link, Evidence] = dict(evidence or {})
+        # save_graph writes every link with its evidence; load_graph needs both
+        for link in self.links:
+            if link not in self.evidence:
+                raise ValueError(f"link {link.kind} {link.src} -> {link.dst} lacks evidence")
+        links = set(self.links)
+        for link in self.evidence:
+            if link not in links:
+                raise ValueError(f"evidence for {link.kind} {link.src} -> {link.dst}: not a link")
 
     def links_from(self, src: str, kind: str | None = None) -> list[Link]:
         return [l for l in self.links if l.src == src and (kind is None or l.kind == kind)]
@@ -412,7 +420,7 @@ def save_graph(g: DevGraph) -> bytes:
     records = []
     for link in g.links:
         morphism = morphism_names.get(link.morphism) if link.morphism else None
-        record = LinkRecord(link.kind, link.src, link.dst, morphism, g.evidence.get(link))
+        record = LinkRecord(link.kind, link.src, link.dst, morphism, g.evidence[link])
         records.append(emit_link(record))
     chunks.extend(sorted(records))
     return ("\n".join(chunks) + "\n").encode("utf-8")

@@ -375,9 +375,9 @@ def emit_link(record: LinkRecord) -> str:
     if record.morphism:
         parts.append(f"morphism {record.morphism}")
     ev = record.evidence
-    if ev is not None and ev.status == "asserted":
+    if ev.status == "asserted":
         parts.append("assert")
-    elif ev is not None:
+    else:
         fuel = ev.fuel
         parts.append(
             f"evidence {ev.status} depth={ev.corpus_depth} rounds={fuel.max_closure_rounds} "

@@ -69,6 +69,12 @@ def open_session(
     )
 
 
+def _translate_given(t: Translation, given: set[Formula]) -> list[Formula]:
+    """Translate a set into one side's language in canonical order. The
+    order fixes the interning index of every new foreign subtree."""
+    return [translate(t, phi) for phi in sorted(given, key=lambda f: f.sort_key)]
+
+
 def _side_closure(
     session: FibringSession,
     side: str,
@@ -78,8 +84,7 @@ def _side_closure(
     t = session.translation(side)
     cal = session.presentation(side)
     given = set(gamma)
-    ordered = sorted(given, key=lambda f: f.sort_key)
-    translated = [translate(t, phi) for phi in ordered]
+    translated = _translate_given(t, given)
     closed = closure_bounded(cal, translated, session.fuel, extra_pool=seeds)
     size_cap = session.fuel.max_formula_size
     out = set()
@@ -107,6 +112,11 @@ def fibred_derives(session: FibringSession, gamma: Iterable[Formula], phi: Formu
     """Alternating fixpoint membership: each round adds both side closures
     of the current set. Verdicts are monotone in the round count; the round
     at which the goal appears is implementation-defined.
+
+    A round ends after its left side closure once that closure holds the
+    goal. The right side's translation of the current set still runs, so the
+    shared interning registers the same subtrees in the same order as a full
+    round: verdicts, depths and session dumps are those of the full round.
     """
     gamma = list(gamma)
     current = set(gamma)
@@ -120,6 +130,9 @@ def fibred_derives(session: FibringSession, gamma: Iterable[Formula], phi: Formu
     for round_no in range(1, session.fuel.max_closure_rounds + 1):
         grown = set(current)
         grown |= _side_closure(session, "left", current, seeds_left)
+        if phi in grown:
+            _translate_given(session.t_right, current)
+            return Derived(round_no)
         grown |= _side_closure(session, "right", current, seeds_right)
         if phi in grown:
             return Derived(round_no)

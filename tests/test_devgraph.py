@@ -2,7 +2,7 @@
 
 import pytest
 
-from ontoweave.consequence import CalculusPresentation, Evidence, Fuel, weaker_than
+from ontoweave.consequence import ASSERTED, CalculusPresentation, Evidence, Fuel, weaker_than
 from ontoweave.devgraph import (
     DevGraph,
     Link,
@@ -463,6 +463,30 @@ def test_load_truncated_manifest():
 def test_load_rejects_unknown_nodes():
     with pytest.raises(FormatError):
         load_graph(b"link theorem A -> B assert\n")
+
+
+def test_links_need_evidence(cpl):
+    nodes = {"A": plain_ontology(cpl, "A"), "B": plain_ontology(cpl, "B")}
+    link = Link("theorem", "A", "B")
+    with pytest.raises(ValueError, match="lacks evidence"):
+        DevGraph(nodes, [link])
+    stray = Link("theorem", "B", "A")
+    with pytest.raises(ValueError, match="not a link"):
+        DevGraph(nodes, [link], {link: ASSERTED, stray: ASSERTED})
+
+
+def test_asserted_and_verified_links_round_trip():
+    cal = binary_calculus("m")
+    g = DevGraph()
+    for name in ("A", "B", "C"):
+        g = add_node(g, plain_ontology(cal, name), NODE_FUEL)
+    g = add_link(g, Link("theorem", "A", "B"), 2, LINK_FUEL)
+    g = add_link(g, Link("theorem", "A", "C"), 2, LINK_FUEL, asserted=True)
+    assert sorted(ev.status for ev in g.evidence.values()) == ["asserted", "verified"]
+    blob = save_graph(g)
+    loaded = load_graph(blob)
+    assert loaded == g
+    assert save_graph(loaded) == blob
 
 
 def test_stored_evidence_is_reproducible():

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from ontoweave.consequence import Derived, Fuel, closure_bounded, derives, weaker_than
-from ontoweave.errors import CapExceeded, FormatError, LanguageError
+from ontoweave import fibring
+from ontoweave.consequence import Derived, Fuel, NotDerivedWithin, closure_bounded, derives, weaker_than
+from ontoweave.errors import CapExceeded, FormatError, LanguageError, UnknownInternIndex
 from ontoweave.fibring import (
     dump_session,
     fibred_derives,
@@ -13,6 +14,7 @@ from ontoweave.fibring import (
     load_session,
     open_session,
 )
+from ontoweave.morphisms import translate
 from ontoweave.syntax import enumerate_formulas, make_signature, parse_formula, signature_union
 from ontoweave import presets
 
@@ -159,6 +161,87 @@ def test_fibred_is_extension_of_left(cpl, conj):
     assert ev.status == "verified"
 
 
+# -- a round ends after its left side once the goal is present
+
+
+def full_round_derives(session, gamma, phi):
+    """Reference alternation: every round runs both side closures."""
+    current = set(gamma)
+    if phi in current:
+        return Derived(0)
+    seeds_left = tuple(translate(session.t_left, phi).subformulas())
+    seeds_right = tuple(translate(session.t_right, phi).subformulas())
+    for round_no in range(1, session.fuel.max_closure_rounds + 1):
+        grown = set(current)
+        grown |= fibring._side_closure(session, "left", current, seeds_left)
+        grown |= fibring._side_closure(session, "right", current, seeds_right)
+        if phi in grown:
+            return Derived(round_no)
+        if len(grown) > session.fuel.max_set_size:
+            raise CapExceeded(f"round {round_no}")
+        if grown == current:
+            break
+        current = grown
+    return NotDerivedWithin(session.fuel)
+
+
+def counting_side_closures(monkeypatch):
+    calls = []
+    side_closure = fibring._side_closure
+
+    def counted(session, side, gamma, seeds):
+        calls.append(side)
+        return side_closure(session, side, gamma, seeds)
+
+    monkeypatch.setattr(fibring, "_side_closure", counted)
+    return calls
+
+
+def test_early_round_end_matches_full_rounds(cpl, conj, monkeypatch):
+    calls = counting_side_closures(monkeypatch)
+    fuel = Fuel(2, 10, 3000)
+    corpus = enumerate_formulas(open_session(cpl, conj, fuel).union_sig, 2, 2)
+    rng = random.Random(1)
+    queries = [(rng.sample(corpus, 2), rng.choice(corpus)) for _ in range(12)]
+    reused, reused_ref = open_session(cpl, conj, fuel), open_session(cpl, conj, fuel)
+    answers = []
+    full_calls = early_calls = 0
+    for gamma, phi in queries:
+        fresh, fresh_ref = open_session(cpl, conj, fuel), open_session(cpl, conj, fuel)
+        start = len(calls)
+        expected = full_round_derives(fresh_ref, gamma, phi)
+        middle = len(calls)
+        got = fibred_derives(fresh, gamma, phi)
+        full_calls += middle - start
+        early_calls += len(calls) - middle
+        assert got == expected, (gamma, phi)
+        assert dump_session(fresh) == dump_session(fresh_ref), (gamma, phi)
+        assert fibred_derives(reused, gamma, phi) == full_round_derives(reused_ref, gamma, phi)
+        answers.append(got.depth if got.is_derived else None)
+    # dumping freezes the interning, so the reused sessions are dumped once
+    assert dump_session(reused) == dump_session(reused_ref)
+    assert {1, 2, None} <= set(answers)
+    assert early_calls < full_calls
+
+
+def test_readme_example_skips_the_last_right_side(cpl, conj, monkeypatch):
+    calls = counting_side_closures(monkeypatch)
+    s = open_session(cpl, conj, Fuel(2, 12, 8000))
+    gamma = [union_formula(s, "and(x1, x2)"), union_formula(s, "imp(x1, x3)")]
+    assert fibred_derives(s, gamma, union_formula(s, "x3")) == Derived(2)
+    assert calls == ["left", "right", "left"]
+
+
+def test_early_round_end_still_translates_the_right_side(cpl, conj):
+    # the left side alone derives x2, but the right side's translation of
+    # imp(x1, x2) needs a new interning slot, which a frozen session refuses
+    s = open_session(cpl, conj, SESSION_FUEL)
+    dump_session(s)
+    gamma = [union_formula(s, "x1"), union_formula(s, "imp(x1, x2)")]
+    with pytest.raises(UnknownInternIndex):
+        fibred_derives(s, gamma, union_formula(s, "x2"))
+
+
 # -- session persistence
 
 
@@ -174,9 +257,6 @@ def test_dump_load_bit_exact(cpl, conj):
 
 
 def test_dump_freezes_the_session(cpl, conj):
-    from ontoweave.errors import UnknownInternIndex
-    from ontoweave.morphisms import translate
-
     s = open_session(cpl, conj, SESSION_FUEL)
     dump_session(s)
     # registering a new foreign subtree must fail once the table is frozen
