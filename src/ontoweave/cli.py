@@ -95,15 +95,23 @@ def _fuel_from_args(args: argparse.Namespace) -> Fuel:
         raise ParseError(f"bad fuel: {exc}") from exc
 
 
+def _read_text(path: str) -> str:
+    """A UTF-8 text file; bytes that do not decode are a usage error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
+
+
 def _load_defs(path: str) -> Document:
-    return parse_document(Path(path).read_text(encoding="utf-8"))
+    return parse_document(_read_text(path))
 
 
 def _read_gamma(path: str | None, sig) -> list:
     if path is None:
         return []
     out = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in _read_text(path).splitlines():
         line = raw.strip()
         if line and not line.startswith("#"):
             out.append(parse_formula(line, sig))

@@ -131,6 +131,15 @@ class Rule:
         yield self.conclusion
 
 
+def _lookahead_position(pats: Sequence[Formula], i: int) -> int | None:
+    """The first k with pats[i].args[k] the bare variable pats[i + 1]."""
+    if i + 1 < len(pats) and pats[i + 1].var is not None:
+        for k, arg in enumerate(pats[i].args):
+            if arg is pats[i + 1]:
+                return k
+    return None
+
+
 class CalculusPresentation:
     """A signature with axiom schemas, rules, and an optional negation."""
 
@@ -144,6 +153,7 @@ class CalculusPresentation:
         "_base_var_count",
         "_inst_memo",
         "_plans",
+        "_lookahead",
         "_axiom_meta",
     )
 
@@ -180,6 +190,12 @@ class CalculusPresentation:
         self._plans = tuple(
             tuple(sorted(range(len(r.premises)), key=lambda i: r.premises[i].var is not None))
             for r in self.rules
+        )
+        # per plan level, the argument position at which a structured
+        # premise holds the next level's bare premise, or None
+        self._lookahead = tuple(
+            tuple(_lookahead_position([r.premises[j] for j in plan], i) for i in range(len(plan)))
+            for r, plan in zip(self.rules, self._plans)
         )
         # each axiom schema with its variables and their occurrence counts
         self._axiom_meta = []
@@ -252,6 +268,7 @@ class _Engine:
     def _spend(self, amount: int = 1) -> None:
         self.work_left -= amount
         if self.work_left <= 0:
+            self.work_left = 0
             raise _StagingFull
 
     # -- membership bookkeeping
@@ -359,6 +376,16 @@ class _Engine:
     def _rule_conclusions(
         self, delta: Sequence[Formula], staged: set[Formula], pool_sorted: list[Formula]
     ) -> None:
+        """Stage every rule instance with a premise in delta.
+
+        Each premise in turn drives: it ranges over delta, every other
+        premise over the members. Every candidate scanned costs one unit of
+        work, in enumeration order. A candidate over the size cap, or one
+        that the plan's look-ahead rules out before matching (its argument
+        for the next, bare premise is not in that premise's set), would
+        match nothing further, so a run of them is charged in one bulk
+        spend before the next candidate that is matched.
+        """
         if not delta or not self.cal.rules:
             return
         delta_set = set(delta)
@@ -369,23 +396,30 @@ class _Engine:
                 delta_by_head.setdefault(phi.head, []).append(phi)
             if phi.size <= self.bare_cap:
                 delta_bare.append(phi)
+        members = self.members
+        by_head = self.by_head
+        bare_candidates = self.bare_candidates
+        size_cap = self.size_cap
+        spend = self._spend
+        match = self._match
 
-        for rule, plan in zip(self.cal.rules, self.cal._plans):
+        for rule, plan, lookahead in zip(self.cal.rules, self.cal._plans, self.cal._lookahead):
             n = len(plan)
+            pats = [rule.premises[j] for j in plan]
             concl_vars = sorted(rule.conclusion.variables)
 
             def emit(bind: dict[int, Formula]) -> None:
                 free = [v for v in concl_vars if v not in bind]
                 if not free:
                     concl = substitute(rule.conclusion, bind)
-                    if concl.size <= self.size_cap:
+                    if concl.size <= size_cap:
                         self._stage(staged, concl)
                     return
                 # conclusion-only variables range over the pool
                 def fill(i: int) -> None:
                     if i == len(free):
                         concl = substitute(rule.conclusion, bind)
-                        if concl.size <= self.size_cap:
+                        if concl.size <= size_cap:
                             self._stage(staged, concl)
                         return
                     for value in pool_sorted:
@@ -395,33 +429,44 @@ class _Engine:
 
                 fill(0)
 
-            def candidates(pat: Formula, from_delta: bool, bind: dict[int, Formula]):
-                if pat.var is not None and pat.var in bind:
-                    bound = bind[pat.var]
-                    if bound.size > self.size_cap:
-                        return ()
-                    if from_delta:
-                        return (bound,) if bound in delta_set else ()
-                    return (bound,) if bound in self.members else ()
-                if pat.var is not None:
-                    return delta_bare if from_delta else self.bare_candidates
-                src = delta_by_head if from_delta else self.by_head
-                return src.get(pat.head, ())
-
             def join(i: int, drive: int, bind: dict[int, Formula]) -> None:
                 if i == n:
                     emit(bind)
                     return
-                pat = rule.premises[plan[i]]
-                for cand in candidates(pat, plan[i] == drive, bind):
-                    self._spend()
-                    if cand.size > self.size_cap:
+                pat = pats[i]
+                from_delta = plan[i] == drive
+                var = pat.var
+                if var is not None:
+                    bound = bind.get(var)
+                    if bound is not None:
+                        if bound.size <= size_cap and bound in (delta_set if from_delta else members):
+                            spend()
+                            join(i + 1, drive, bind)
+                        return
+                    # bare candidates are within Fuel.bare_size <= the size cap
+                    for cand in delta_bare if from_delta else bare_candidates:
+                        spend()
+                        bind[var] = cand
+                        join(i + 1, drive, bind)
+                    bind.pop(var, None)
+                    return
+                k = lookahead[i]
+                if k is not None:
+                    ahead = delta_set if plan[i + 1] == drive else members
+                skipped = 0
+                for cand in (delta_by_head if from_delta else by_head).get(pat.head, ()):
+                    if cand.size > size_cap or (k is not None and cand.args[k] not in ahead):
+                        skipped += 1
                         continue
+                    spend(skipped + 1)
+                    skipped = 0
                     trail: list[int] = []
-                    if self._match(pat, cand, bind, trail):
+                    if match(pat, cand, bind, trail):
                         join(i + 1, drive, bind)
                     for v in trail:
                         del bind[v]
+                if skipped:
+                    spend(skipped)
 
             for drive in range(n):
                 join(0, drive, {})

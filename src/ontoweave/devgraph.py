@@ -428,7 +428,10 @@ def save_graph(g: DevGraph) -> bytes:
 
 def load_graph(data: bytes | str) -> DevGraph:
     """Rebuild a graph from a manifest without re-running any checker."""
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    try:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"corrupt manifest: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
     try:
         doc = parse_document(text)
     except ParseError as exc:

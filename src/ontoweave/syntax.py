@@ -10,8 +10,11 @@ formulas visits them in no reproducible order. Order comes only from
 sort_key, the canonical total order (node count, structural order), where
 the structural order puts schema variables before symbol applications,
 orders variables by index, and orders applications by arity, then symbol
-name, then arguments. Enumeration, reports and serialized artifacts all
-sort by it so that runs are reproducible.
+name, then arguments. The key is (size, flat tuple): the preorder tokens
+(0, var index, "") and (1, arity, name) laid end to end in one tuple, so
+one flat tuple comparison decides the structural order. Enumeration,
+reports and serialized artifacts all sort by it so that runs are
+reproducible.
 """
 
 from __future__ import annotations
@@ -150,7 +153,8 @@ class Formula:
 
     Do not call the constructor directly; use svar() and apply_symbol(),
     which intern every node, so equality and hashing are object identity.
-    Formulas have no order of their own; sort them by sort_key.
+    Formulas have no order of their own; sort them by sort_key, whose
+    second part is the flat token tuple described there.
     """
 
     __slots__ = ("var", "head", "args", "size", "_skey", "_text", "_vars")
@@ -175,19 +179,32 @@ class Formula:
 
     @property
     def sort_key(self):
-        """(node count, structural token sequence); total and deterministic."""
-        if self._skey is None:
-            tokens: list[tuple] = []
+        """(node count, flat token tuple); total and deterministic.
+
+        The flat tuple is the node's own token followed by its children's
+        flat tuples: the preorder token sequence, three elements per token,
+        (0, var index, "") for a variable and (1, arity, name) for an
+        application. Every token has the same width, so comparing flat
+        tuples orders formulas exactly as comparing token sequences would.
+        The key is built by a preorder walk without recursion that copies
+        in the cached tuple of every subtree that has one, and is cached on
+        this node only, so a key costs memory linear in the formula's size.
+        """
+        key = self._skey
+        if key is None:
+            flat: list = []
             stack = [self]
             while stack:
                 node = stack.pop()
-                if node.var is not None:
-                    tokens.append((0, node.var, ""))
+                if node._skey is not None:
+                    flat += node._skey[1]
+                elif node.var is not None:
+                    flat += (0, node.var, "")
                 else:
-                    tokens.append((1, node.head.arity, node.head.name))
+                    flat += (1, node.head.arity, node.head.name)
                     stack.extend(reversed(node.args))
-            self._skey = (self.size, tuple(tokens))
-        return self._skey
+            key = self._skey = (self.size, tuple(flat))
+        return key
 
     @property
     def text(self) -> str:

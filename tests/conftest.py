@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from ontoweave import presets
 from ontoweave.consequence import CalculusPresentation, Fuel, Rule
 from ontoweave.ontology import make_ontology
 from ontoweave.syntax import make_signature, parse_formula
+
+# Property tests draw the same examples on every run and have no deadline,
+# so a slow shared host cannot turn them into timing failures.
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

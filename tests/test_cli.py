@@ -132,6 +132,33 @@ def test_unbuildable_blocks_are_usage_errors(tmp_path, capsys, text, argv, prefi
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [
+        (["check", "{bad}"], "ParseError: {bad} is not UTF-8 text (byte 0: "),
+        (["derive", "--defs", "{bad}", "--calculus", "cpl", "--phi", "x1"],
+         "ParseError: {bad} is not UTF-8 text (byte 0: "),
+        (["derive", "--defs", "{defs}", "--calculus", "cpl", "--gamma", "{bad}", "--phi", "x1"],
+         "ParseError: {bad} is not UTF-8 text (byte 0: "),
+        (["fibre", "--defs", "{defs}", "--left", "cpl", "--right", "conj",
+          "--gamma", "{bad}", "--phi", "x1"],
+         "ParseError: {bad} is not UTF-8 text (byte 0: "),
+        (["graph", "--manifest", "{bad}", "load"],
+         "FormatError: corrupt manifest: not UTF-8 text (byte 0: "),
+    ],
+)
+def test_undecodable_input_is_a_usage_error(defs_file, capsys, argv, prefix):
+    bad = defs_file.with_name("bad.dsl")
+    bad.write_bytes(b"\xff\xfe")
+    paths = {"defs": defs_file, "bad": bad}
+    code = main([arg.format(**paths) for arg in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith(prefix.format(**paths))
+    assert "Traceback" not in err
+
+
 def test_deep_nesting_is_a_parse_error(defs_file, capsys):
     phi = "not(" * 3000 + "x1" + ")" * 3000
     code = main(["derive", "--defs", str(defs_file), "--calculus", "cpl", "--phi", phi])

@@ -4,6 +4,7 @@ structurality, weakness, and the meta-principle probes."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ontoweave.consequence import (
     CalculusPresentation,
@@ -18,8 +19,17 @@ from ontoweave.consequence import (
     derives,
     weaker_than,
 )
+from ontoweave.consequence import _Engine, _StagingFull
 from ontoweave.errors import CapExceeded, ConfigError, LanguageError
-from ontoweave.syntax import enumerate_formulas, make_signature, parse_formula, svar
+from ontoweave.syntax import (
+    Symbol,
+    apply_symbol,
+    enumerate_formulas,
+    make_signature,
+    parse_formula,
+    substitute,
+    svar,
+)
 from ontoweave import presets
 
 
@@ -348,3 +358,245 @@ def test_principles_missing_negation():
     rf = presets.rule_free(negation=None)
     with pytest.raises(ConfigError):
         check_principles(rf, corpus_depth=1, fuel=Fuel(1, 10, 4000))
+
+
+# -- the rule join against the plain nested-loop join it replaced
+#
+# The reference below is the earlier join, kept verbatim apart from taking
+# the engine as an argument: every candidate goes through the matcher and
+# costs one unit of work on its own. The engine's join must stage the same
+# set, stop (or not) at the same point and leave the same work budget, at
+# every staging quota and work budget, cut or uncut.
+
+
+def _reference_spend(eng) -> None:
+    eng.work_left -= 1
+    if eng.work_left <= 0:
+        raise _StagingFull
+
+
+def _reference_match(eng, pat, cand, bind, trail) -> bool:
+    if pat.var is not None:
+        bound = bind.get(pat.var)
+        if bound is None:
+            bind[pat.var] = cand
+            trail.append(pat.var)
+            return True
+        return bound is cand
+    if cand.var is not None or cand.head != pat.head:
+        return False
+    for p_child, c_child in zip(pat.args, cand.args):
+        if not _reference_match(eng, p_child, c_child, bind, trail):
+            return False
+    return True
+
+
+def _reference_rule_conclusions(eng, delta, staged, pool_sorted) -> None:
+    if not delta or not eng.cal.rules:
+        return
+    delta_set = set(delta)
+    delta_by_head = {}
+    delta_bare = []
+    for phi in delta:
+        if phi.var is None:
+            delta_by_head.setdefault(phi.head, []).append(phi)
+        if phi.size <= eng.bare_cap:
+            delta_bare.append(phi)
+
+    for rule, plan in zip(eng.cal.rules, eng.cal._plans):
+        n = len(plan)
+        concl_vars = sorted(rule.conclusion.variables)
+
+        def emit(bind):
+            free = [v for v in concl_vars if v not in bind]
+            if not free:
+                concl = substitute(rule.conclusion, bind)
+                if concl.size <= eng.size_cap:
+                    eng._stage(staged, concl)
+                return
+
+            def fill(i):
+                if i == len(free):
+                    concl = substitute(rule.conclusion, bind)
+                    if concl.size <= eng.size_cap:
+                        eng._stage(staged, concl)
+                    return
+                for value in pool_sorted:
+                    bind[free[i]] = value
+                    fill(i + 1)
+                    del bind[free[i]]
+
+            fill(0)
+
+        def candidates(pat, from_delta, bind):
+            if pat.var is not None and pat.var in bind:
+                bound = bind[pat.var]
+                if bound.size > eng.size_cap:
+                    return ()
+                if from_delta:
+                    return (bound,) if bound in delta_set else ()
+                return (bound,) if bound in eng.members else ()
+            if pat.var is not None:
+                return delta_bare if from_delta else eng.bare_candidates
+            src = delta_by_head if from_delta else eng.by_head
+            return src.get(pat.head, ())
+
+        def join(i, drive, bind):
+            if i == n:
+                emit(bind)
+                return
+            pat = rule.premises[plan[i]]
+            for cand in candidates(pat, plan[i] == drive, bind):
+                _reference_spend(eng)
+                if cand.size > eng.size_cap:
+                    continue
+                trail = []
+                if _reference_match(eng, pat, cand, bind, trail):
+                    join(i + 1, drive, bind)
+                for v in trail:
+                    del bind[v]
+
+        for drive in range(n):
+            join(0, drive, {})
+
+
+def _join_outcome(join, eng, delta, pool_sorted, quota, budget):
+    """Staged set, whether the join stopped early, and the budget left."""
+    eng.stage_quota = quota
+    eng.work_left = budget
+    staged = set()
+    try:
+        join(eng, delta, staged, pool_sorted)
+    except _StagingFull:
+        return staged, True, eng.work_left
+    return staged, False, eng.work_left
+
+
+def _compare_joins(cal, gamma, fuel, budgets_per_round=40):
+    """Drive an engine through the rounds of closing gamma and, in each
+    round, compare both joins uncut, at every staging quota up to the staged
+    count, and at budgets spread over the work the uncut join does. Returns
+    the number of comparisons cut by the quota and by the work budget."""
+    eng = _Engine(cal, fuel, ())
+    delta = eng._admit(sorted(set(gamma), key=lambda g: g.sort_key))
+    quota_cuts = work_cuts = 0
+    huge = 10**9
+    for _ in range(fuel.max_closure_rounds):
+        room = eng.set_cap - len(eng.members)
+        if room <= 0 or not delta:
+            break
+        pool_sorted = sorted(eng.pool, key=lambda g: g.sort_key)
+        full, raised, left = _join_outcome(
+            _reference_rule_conclusions, eng, delta, pool_sorted, huge, huge
+        )
+        assert not raised
+        spent = huge - left
+        cuts = [(huge, huge), (huge, spent), (huge, spent + 1)]
+        cuts += [(q, huge) for q in range(1, len(full) + 1)]
+        step = max(1, spent // budgets_per_round)
+        cuts += [(huge, b) for b in range(1, spent + 1, step)]
+        for quota, budget in cuts:
+            want = _join_outcome(_reference_rule_conclusions, eng, delta, pool_sorted, quota, budget)
+            got = _join_outcome(_Engine._rule_conclusions, eng, delta, pool_sorted, quota, budget)
+            assert got == want, (quota, budget)
+            if want[1]:
+                if want[2] == 0:
+                    work_cuts += 1
+                else:
+                    quota_cuts += 1
+        # advance the state as one round of _Engine.run does (these
+        # calculi have no axioms)
+        quota = 4 * room + 64
+        staged, _, _ = _join_outcome(
+            _Engine._rule_conclusions, eng, delta, pool_sorted, quota, 6 * quota + 4096
+        )
+        eng.pool_old = pool_sorted
+        eng.pool_new = []
+        delta = eng._admit(sorted(staged - eng.members, key=lambda g: g.sort_key))
+    return quota_cuts, work_cuts
+
+
+_JOIN_SIG = make_signature([("a", 0), ("b", 0), ("n", 1), ("f", 2)])
+_A, _B = (apply_symbol(Symbol(c, 0)) for c in "ab")
+_N, _F = Symbol("n", 1), Symbol("f", 2)
+
+
+def _headed(inner):
+    return st.one_of(
+        st.builds(lambda x: apply_symbol(_N, (x,)), inner),
+        st.builds(lambda x, y: apply_symbol(_F, (x, y)), inner, inner),
+    )
+
+
+def _patterns(leaves):
+    """Patterns over the given leaves, at most two levels deep."""
+    shallow = st.one_of(leaves, _headed(leaves))
+    return st.one_of(shallow, _headed(shallow))
+
+
+_LEAVES = [svar(1), svar(2), svar(3), _A, _B]
+_PATTERNS = _patterns(st.sampled_from(_LEAVES))
+_HEADED = _headed(_PATTERNS)
+
+
+@st.composite
+def _join_calculi(draw):
+    rules = []
+    for i in range(draw(st.integers(1, 3))):
+        premises = draw(st.lists(_PATTERNS, max_size=2))
+        if draw(st.integers(0, 3)):
+            # a bare premise that is a direct argument of the last
+            # structured one, and first among the bare ones in plan order:
+            # the shape the look-ahead serves
+            v, other = draw(st.sampled_from(_LEAVES[:3])), draw(_PATTERNS)
+            shapes = [apply_symbol(_N, (v,)), apply_symbol(_F, (v, other)), apply_symbol(_F, (other, v))]
+            premises.append(draw(st.sampled_from(shapes)))
+            premises.insert(0, v)
+        else:
+            premises.append(draw(_HEADED))
+        premises = tuple(premises)
+        bound = sorted(set().union(*(p.variables for p in premises)))
+        # conclusions mostly reuse premise variables; a few range over the pool
+        if draw(st.integers(0, 3)):
+            concl = draw(_patterns(st.sampled_from([svar(v) for v in bound] + [_A, _B])))
+        else:
+            concl = draw(_PATTERNS)
+        rules.append(Rule(f"R{i}", premises, concl))
+    return CalculusPresentation(_JOIN_SIG, rules=rules)
+
+
+@st.composite
+def _join_premise_sets(draw):
+    gamma = draw(st.lists(_PATTERNS, min_size=1, max_size=8))
+    # some direct arguments too, so that look-ahead candidates survive
+    args = sorted({a for g in gamma for a in g.args}, key=lambda g: g.sort_key)
+    if args:
+        gamma += draw(st.lists(st.sampled_from(args), max_size=3))
+    return gamma
+
+
+@given(_join_calculi(), _join_premise_sets(), st.sampled_from([4, 7, 12]))
+def test_join_matches_the_nested_loop_reference(cal, gamma, size_cap):
+    _compare_joins(cal, gamma, Fuel(3, size_cap, 120))
+
+
+def test_join_matches_the_reference_on_edge_shapes():
+    # constants, a repeated variable, a variable at depth 2 and a
+    # three-premise rule, each beside a bare premise the look-ahead uses
+    p = lambda text: parse_formula(text, _JOIN_SIG)
+    cal = CalculusPresentation(
+        _JOIN_SIG,
+        rules=(
+            Rule("MP", (p("x1"), p("f(x1, x2)")), p("x2")),
+            Rule("Rep", (p("f(x1, x1)"), p("x1")), p("n(x1)")),
+            Rule("Deep", (p("f(n(x1), x2)"), p("x2")), p("f(x2, x1)")),
+            Rule("Three", (p("n(x3)"), p("f(x1, x2)"), p("x2")), p("f(x3, a)")),
+            Rule("Const", (p("f(a, x1)"), p("x1")), p("n(b)")),
+        ),
+    )
+    assert all(any(k is not None for k in levels) for levels in cal._lookahead)
+    gamma = [p(t) for t in ("a", "b", "f(a, b)", "f(b, b)", "n(a)", "f(n(a), b)", "f(b, n(b))")]
+    quota_cuts, work_cuts = _compare_joins(cal, gamma, Fuel(3, 9, 400), budgets_per_round=400)
+    assert quota_cuts and work_cuts
+    # a cap small enough that look-ahead arguments go over it
+    _compare_joins(cal, gamma, Fuel(3, 4, 400), budgets_per_round=400)

@@ -301,3 +301,65 @@ def test_injective_renaming_round_trips(phi, perm):
 def test_substitution_preserves_membership(phi, psi):
     image = substitute(phi, {1: psi})
     assert formula_in_language(image, _SIG)
+
+
+# -- the canonical sort key
+
+_KEY_SIG = make_signature([("a", 0), ("b", 0), ("n", 1), ("m", 1), ("f", 2), ("g", 3)])
+
+_KEY_FORMULAS = st.recursive(
+    st.one_of(
+        st.sampled_from([1, 2, 3, 10, 11]).map(svar),
+        st.sampled_from(_KEY_SIG.constants()).map(apply_symbol),
+    ),
+    lambda inner: st.one_of(
+        *(
+            st.tuples(*[inner] * sym.arity).map(lambda args, sym=sym: apply_symbol(sym, args))
+            for arity in (1, 2, 3)
+            for sym in _KEY_SIG.level(arity)
+        )
+    ),
+    max_leaves=6,
+)
+
+
+def _nested_token_key(phi):
+    """The earlier form of the key: (size, tuple of preorder token triples)."""
+    tokens = []
+    stack = [phi]
+    while stack:
+        node = stack.pop()
+        if node.var is not None:
+            tokens.append((0, node.var, ""))
+        else:
+            tokens.append((1, node.head.arity, node.head.name))
+            stack.extend(reversed(node.args))
+    return (phi.size, tuple(tokens))
+
+
+@given(st.lists(_KEY_FORMULAS, min_size=2, max_size=12), st.lists(st.booleans(), min_size=12))
+def test_flat_sort_key_orders_as_nested_tokens(formulas, warm):
+    # keys cached on some subtrees first, so that both ways of building a
+    # key (fresh tokens and copied cached tuples) are exercised
+    for phi, w in zip(formulas, warm):
+        if w:
+            for sub in list(phi.subformulas())[1::2]:
+                sub.sort_key
+    for phi in formulas:
+        size, tokens = _nested_token_key(phi)
+        assert phi.sort_key == (size, tuple(x for tok in tokens for x in tok))
+    assert sorted(formulas, key=lambda p: p.sort_key) == sorted(formulas, key=_nested_token_key)
+    for phi in formulas:
+        for psi in formulas:
+            assert (phi.sort_key < psi.sort_key) == (_nested_token_key(phi) < _nested_token_key(psi))
+
+
+def test_sort_key_of_a_deep_chain_needs_no_recursion():
+    n = Symbol("n", 1)
+    phi = svar(1)
+    for _ in range(5000):
+        phi = apply_symbol(n, (phi,))
+    size, flat = phi.sort_key
+    assert size == 5001
+    assert flat[:3] == (1, 1, "n") and flat[-3:] == (0, 1, "")
+    assert len(flat) == 3 * 5001
