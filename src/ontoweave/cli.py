@@ -32,8 +32,6 @@ from .fibring import dump_session, fibred_derives, open_session
 from .ontology import connect, validate_ontology
 from .syntax import parse_formula
 
-DEFAULT_FUEL = Fuel(max_closure_rounds=6, max_formula_size=31, max_set_size=512)
-
 _USAGE_ERRORS = (
     ParseError,
     UnknownSymbol,
@@ -122,28 +120,29 @@ def _read_gamma(path: str | None, sig) -> list:
 # Commands
 
 
+def _check_reports(doc: Document, args: argparse.Namespace, fuel: Fuel):
+    """Each block's report in output order. The sampling flags apply to
+    calculi; ontologies are validated as graph add-node validates them."""
+    for name in sorted(doc.calculi):
+        yield f"calculus {name}", check_operator_laws(
+            doc.calculi[name], samples=args.samples, fuel=fuel, seed=args.seed,
+            corpus_depth=args.corpus_depth,
+        )
+    for name in sorted(doc.ontologies):
+        yield f"ontology {name}", validate_ontology(doc.ontologies[name], fuel)
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     fuel = _fuel_from_args(args)
     ok = True
     first_witness = ""
     for path in args.files:
-        doc = _load_defs(path)
-        for name in sorted(doc.calculi):
-            report = check_operator_laws(
-                doc.calculi[name], samples=args.samples, fuel=fuel, seed=args.seed,
-                corpus_depth=args.corpus_depth,
-            )
+        for block, report in _check_reports(_load_defs(path), args, fuel):
             for entry in report.entries:
-                print(f"{path}\tcalculus {name}\t{entry.render()}")
-                if not entry.ok and not first_witness:
-                    first_witness = entry.witness
-            ok = ok and report.ok
-        for name in sorted(doc.ontologies):
-            report = validate_ontology(doc.ontologies[name], fuel)
-            for entry in report.entries:
-                print(f"{path}\tontology {name}\t{entry.render()}")
-                if not entry.ok and not first_witness:
-                    first_witness = entry.witness or entry.label
+                print(f"{path}\t{block}\t{entry.render()}")
+            bad = report.failure
+            if bad and not first_witness:
+                first_witness = bad.witness or bad.label
             ok = ok and report.ok
     if not ok:
         print(first_witness, file=sys.stderr)
@@ -223,16 +222,25 @@ def cmd_graph_add_node(args: argparse.Namespace) -> int:
     return 0
 
 
+def _link_map(args: argparse.Namespace):
+    """The map an add-link names, looked up only in its kind's table."""
+    if args.kind == "theorem":
+        if args.morphism is not None:
+            raise ParseError("theorem links carry no --morphism")
+        return None
+    block = "morphism" if args.kind == "definition" else "splitting"
+    if args.morphism is None or args.defs is None:
+        raise ParseError(f"{args.kind} links need --defs and --morphism naming a {block}")
+    doc = _load_defs(args.defs)
+    found = (doc.morphisms if block == "morphism" else doc.splittings).get(args.morphism)
+    if found is None:
+        raise ParseError(f"{args.defs} has no {block} named {args.morphism!r}")
+    return found
+
+
 def cmd_graph_add_link(args: argparse.Namespace) -> int:
     ws = _workspace(args)
-    morphism = None
-    if args.morphism is not None:
-        if args.defs is None:
-            raise ParseError("--morphism needs --defs to resolve the name")
-        doc = _load_defs(args.defs)
-        morphism = doc.morphisms.get(args.morphism) or doc.splittings.get(args.morphism)
-        if morphism is None:
-            raise UnknownSymbol(f"unknown morphism {args.morphism!r}")
+    morphism = _link_map(args)
     link = Link(args.kind, args.src, args.dst, morphism)
     graph = add_link(
         ws.graph, link, corpus_depth=args.corpus_depth, fuel=ws.fuel, asserted=args.assert_
@@ -265,9 +273,7 @@ def cmd_graph_verify_integration(args: argparse.Namespace) -> int:
 
 def cmd_graph_verify_decomposition(args: argparse.Namespace) -> int:
     ws = _workspace(args)
-    report = verify_decomposition(
-        ws.graph, args.node, args.parts, corpus_depth=args.corpus_depth, fuel=ws.fuel
-    )
+    report = verify_decomposition(ws.graph, args.node, args.parts, fuel=ws.fuel)
     print(report.render())
     return 0 if report.ok else 1
 
@@ -293,12 +299,11 @@ def cmd_graph_load(args: argparse.Namespace) -> int:
 # Argument plumbing
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--fuel-rounds", type=int, default=DEFAULT_FUEL.max_closure_rounds)
-    parser.add_argument("--fuel-size", type=int, default=DEFAULT_FUEL.max_formula_size)
-    parser.add_argument("--fuel-set", type=int, default=DEFAULT_FUEL.max_set_size)
-    parser.add_argument("--corpus-depth", type=int, default=2)
-    parser.add_argument("--seed", type=int, default=0)
+def _add_fuel(parser: argparse.ArgumentParser) -> None:
+    defaults = Fuel()
+    parser.add_argument("--fuel-rounds", type=int, default=defaults.max_closure_rounds)
+    parser.add_argument("--fuel-size", type=int, default=defaults.max_formula_size)
+    parser.add_argument("--fuel-set", type=int, default=defaults.max_set_size)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -309,13 +314,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="parse files, validate calculi and ontologies")
-    _add_common(p)
+    _add_fuel(p)
+    p.add_argument("--corpus-depth", type=int, default=2)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=30)
     p.add_argument("files", nargs="+")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("derive", help="bounded derivability query")
-    _add_common(p)
+    _add_fuel(p)
     p.add_argument("--defs", required=True)
     p.add_argument("--calculus", required=True)
     p.add_argument("--gamma")
@@ -323,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_derive)
 
     p = sub.add_parser("fibre", help="derivability in the fibred combination")
-    _add_common(p)
+    _add_fuel(p)
     p.add_argument("--defs", required=True)
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
@@ -334,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fibre)
 
     p = sub.add_parser("connect", help="connect two ontologies through fibring")
-    _add_common(p)
+    _add_fuel(p)
     p.add_argument("--defs", required=True)
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
@@ -342,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_connect)
 
     p = sub.add_parser("graph", help="manage a manifest-backed development graph")
-    _add_common(p)
+    _add_fuel(p)
+    p.add_argument("--corpus-depth", type=int, default=2)
     p.add_argument("--manifest", required=True)
     gsub = p.add_subparsers(dest="graph_command", required=True)
 

@@ -551,20 +551,17 @@ def derives(
     gamma: Iterable[Formula],
     phi: Formula,
     fuel: Fuel,
-    *,
-    extra_pool: Iterable[Formula] | None = None,
 ) -> Verdict:
     """Bounded derivability of phi from gamma.
 
-    By default the goal's subformulas seed the instantiation pool, so the
-    verdict equals membership of phi in closure_bounded(gamma) with the same
-    seeds. Derived verdicts are definitive and stable under fuel increase.
+    The goal's subformulas seed the instantiation pool, so the verdict
+    equals membership of phi in closure_bounded(gamma, extra_pool=(phi,)).
+    Derived verdicts are definitive and stable under fuel increase.
     """
     if not formula_in_language(phi, cal.sig):
         raise LanguageError(f"goal {phi.text} is outside the calculus language")
     checked = _check_gamma(cal, gamma, fuel)
-    seeds = (phi,) if extra_pool is None else tuple(extra_pool)
-    engine = _Engine(cal, fuel, seeds)
+    engine = _Engine(cal, fuel, (phi,))
     _, found = engine.run(checked, watch=phi)
     if found is None:
         return NotDerivedWithin(fuel)
@@ -594,6 +591,11 @@ class Report:
     def ok(self) -> bool:
         return all(e.ok for e in self.entries)
 
+    @property
+    def failure(self) -> ReportEntry | None:
+        """The first failing entry, or None when every entry passes."""
+        return next((e for e in self.entries if not e.ok), None)
+
     def entry(self, label: str) -> ReportEntry:
         for e in self.entries:
             if e.label == label:
@@ -621,11 +623,11 @@ def check_operator_laws(
     seed: int,
     *,
     corpus_depth: int = 3,
-    max_var: int = 2,
     closure_fn: ClosureFn | None = None,
 ) -> Report:
     """Probe extensivity, monotonicity, cut, and bounded idempotence on
-    seeded random premise sets drawn from the enumerated corpus.
+    seeded random premise sets drawn from the corpus of formulas over x1, x2
+    up to corpus_depth.
 
     The laws are promised only below the set cap, so a sample's
     monotonicity, cut or idempotence comparison is skipped when the closure
@@ -638,7 +640,7 @@ def check_operator_laws(
         raise ValueError("samples must be >= 1")
     close = closure_fn or closure_bounded
     rng = random.Random(seed)
-    corpus = enumerate_formulas(cal.sig, corpus_depth, max_var)
+    corpus = enumerate_formulas(cal.sig, corpus_depth, 2)
     failures: dict[str, str] = {}
     cut_tested = 0
 
@@ -725,19 +727,17 @@ def check_structural(
     samples: int,
     fuel: Fuel,
     seed: int,
-    *,
-    corpus_depth: int = 2,
-    max_var: int = 2,
 ) -> Report:
     """Probe closure under substitution: images of bounded consequences must
     be bounded consequences of the substituted premises at doubled fuel.
+    Premise sets are drawn from the depth-2 corpus over x1, x2.
 
     Substitution values are kept leaf-sized so image derivations stay inside
     the doubled pool threshold; both renamings and general substitutions are
     drawn.
     """
     rng = random.Random(seed)
-    corpus = enumerate_formulas(cal.sig, corpus_depth, max_var)
+    corpus = enumerate_formulas(cal.sig, 2, 2)
     renaming_failure = ""
     general_failure = ""
     tested = 0

@@ -51,7 +51,7 @@ from .morphisms import (
     is_monomorphic,
 )
 from .ontology import Ontology, check_ecsy_morphism, validate_ontology
-from .syntax import Signature, enumerate_formulas
+from .syntax import Signature
 
 
 @dataclass(frozen=True)
@@ -150,13 +150,12 @@ def _acyclic(nodes: Mapping[str, Ontology], links: Sequence[Link]) -> bool:
 # Mutations
 
 
-def add_node(g: DevGraph, o: Ontology, fuel: Fuel | None = None) -> DevGraph:
+def add_node(g: DevGraph, o: Ontology, fuel: Fuel) -> DevGraph:
     """Insert a validated ontology under its own name."""
     if o.name in g.nodes:
         raise DuplicateName(f"node {o.name!r} already exists")
-    report = validate_ontology(o, fuel or Fuel())
-    if not report.ok:
-        bad = next(e for e in report.entries if not e.ok)
+    bad = validate_ontology(o, fuel).failure
+    if bad:
         raise ValidationFailed(f"{o.name}: {bad.label} failed: {bad.witness}")
     nodes = dict(g.nodes)
     nodes[o.name] = o
@@ -270,17 +269,15 @@ def verify_decomposition(
     g: DevGraph,
     o: str,
     parts: Sequence[str],
-    corpus_depth: int,
     fuel: Fuel,
-    *,
-    max_var: int = 2,
 ) -> Report:
     """Check a product-shaped decomposition of o into parts.
 
     (i) every projection splitting link must carry verified evidence;
     (ii) every registered competing cone (a node with splitting links to all
-    parts) must have a mediating splitting link to o whose composites with
-    the projections agree with the cone's own legs on the whole corpus;
+    parts) must have a mediating splitting link to o whose composite with
+    some projection to each part equals one of the cone's legs to that part
+    (an exact equality of splitting morphisms, not a corpus scan);
     (iii) the decomposed node passes the structurality probe.
     Only cones present in the graph are checked.
     """
@@ -312,37 +309,23 @@ def verify_decomposition(
     for name in sorted(g.nodes):
         if name == o:
             continue
-        legs = {part: g.links_between(name, part, "splitting") for part in parts}
-        if all(legs[part] for part in parts):
+        legs = {part: {l.morphism for l in g.links_between(name, part, "splitting")}
+                for part in parts}
+        if all(legs.values()):
             cones.append((name, legs))
+
+    def commutes(mediator: Link, part: str, legs: set[SplittingMorphism]) -> bool:
+        """Some projection to part, composed after the mediator, is a leg."""
+        return any(
+            compose_splitting(p.morphism, mediator.morphism) in legs for p in projections[part]
+        )
 
     cone_witness = ""
     for name, legs in cones:
-        corpus = enumerate_formulas(g.nodes[name].base.sig, corpus_depth, max_var)
-        mediators = g.links_between(name, o, "splitting")
-        mediated = False
-        for mediator in mediators:
-            agrees = True
-            for part in parts:
-                part_ok = False
-                for proj in projections[part]:
-                    composite = compose_splitting(proj.morphism, mediator.morphism)
-                    for leg in legs[part]:
-                        if all(
-                            apply_splitting(composite, phi) == apply_splitting(leg.morphism, phi)
-                            for phi in corpus
-                        ):
-                            part_ok = True
-                            break
-                    if part_ok:
-                        break
-                if not part_ok:
-                    agrees = False
-                    break
-            if agrees:
-                mediated = True
-                break
-        if not mediated:
+        if not any(
+            all(commutes(mediator, part, legs[part]) for part in parts)
+            for mediator in g.links_between(name, o, "splitting")
+        ):
             cone_witness = f"cone {name} has no commuting mediator to {o}"
             break
     entries.append(
@@ -353,13 +336,9 @@ def verify_decomposition(
         )
     )
 
-    structural = check_structural(node.effective, samples=12, fuel=fuel, seed=5)
+    bad_probe = check_structural(node.effective, samples=12, fuel=fuel, seed=5).failure
     entries.append(
-        ReportEntry(
-            "structurality",
-            structural.ok,
-            "" if structural.ok else next(e.witness for e in structural.entries if not e.ok),
-        )
+        ReportEntry("structurality", not bad_probe, bad_probe.witness if bad_probe else "")
     )
     return Report(entries)
 
@@ -444,7 +423,8 @@ def load_graph(data: bytes | str) -> DevGraph:
             raise FormatError(f"link references unknown node {record.src} -> {record.dst}")
         morphism = None
         if record.morphism is not None:
-            morphism = doc.morphisms.get(record.morphism) or doc.splittings.get(record.morphism)
+            table = doc.splittings if record.kind == "splitting" else doc.morphisms
+            morphism = table.get(record.morphism)
             if morphism is None:
                 raise FormatError(f"link references unknown morphism {record.morphism!r}")
         try:

@@ -100,25 +100,13 @@ def make_ontology(
     return Ontology(name, base, onto_sig, axioms)
 
 
-def validate_ontology(
-    o: Ontology,
-    fuel: Fuel,
-    *,
-    samples: int = 20,
-    seed: int = 17,
-    corpus_depth: int = 2,
-) -> Report:
-    """Re-check the three defining conditions with bounded evidence."""
-    laws = check_operator_laws(
-        o.effective, samples=samples, fuel=fuel, seed=seed, corpus_depth=corpus_depth
-    )
-    entries = [
-        ReportEntry(
-            "consequence-laws",
-            laws.ok,
-            "" if laws.ok else next(e.witness for e in laws.entries if not e.ok),
-        )
-    ]
+def validate_ontology(o: Ontology, fuel: Fuel) -> Report:
+    """Re-check the three defining conditions with bounded evidence: the
+    operator laws on 20 samples (seed 17) from the depth-2 corpus, the
+    signature inclusion, and the derivability of every axiom."""
+    laws = check_operator_laws(o.effective, samples=20, fuel=fuel, seed=17, corpus_depth=2)
+    bad_law = laws.failure
+    entries = [ReportEntry("consequence-laws", laws.ok, bad_law.witness if bad_law else "")]
     inclusion_ok = signature_leq(o.onto_sig, o.base.sig)
     entries.append(
         ReportEntry(

@@ -385,14 +385,14 @@ def test_criterion_7_graph_integrity():
             detail.append(f"integration survives deleting {victim.kind}")
 
     deco = _decomposition_fixture(node_fuel, link_fuel)
-    if not verify_decomposition(deco, "W", ["P1", "P2"], 2, link_fuel).ok:
+    if not verify_decomposition(deco, "W", ["P1", "P2"], link_fuel).ok:
         detail.append("decomposition fixture")
     for victim in deco.links:
         if victim.src == "C" and victim.dst != "W":
             continue  # cone legs only unregister the cone; the pattern stays
         pruned = _delete(deco, victim)
         try:
-            still = verify_decomposition(pruned, "W", ["P1", "P2"], 2, link_fuel).ok
+            still = verify_decomposition(pruned, "W", ["P1", "P2"], link_fuel).ok
         except MissingSplittingLink:
             still = False
         if still:

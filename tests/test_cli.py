@@ -1,10 +1,12 @@
 """Command-line behavior: exit codes, reports, and workspace round trips."""
 
 import os
+import shlex
+from pathlib import Path
 
 import pytest
 
-from ontoweave.cli import main
+from ontoweave.cli import build_parser, main
 
 DEFS = """
 signature CPL { bot/0; not/1; imp/2; }
@@ -410,3 +412,134 @@ morphism t2 : R -> B { ref/2 -> or/2; }
     assert graph_cmd(manifest, "verify-integration", "--node", "O",
                      "--left", "O1", "--right", "O2", "--conservative") == 0
     assert "holds" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["derive", "--defs", "{defs}", "--calculus", "cpl", "--phi", "x1", "--seed", "1"],
+        ["derive", "--defs", "{defs}", "--calculus", "cpl", "--phi", "x1", "--corpus-depth", "1"],
+        ["fibre", "--defs", "{defs}", "--left", "cpl", "--right", "conj", "--phi", "x1",
+         "--seed", "1"],
+        ["fibre", "--defs", "{defs}", "--left", "cpl", "--right", "conj", "--phi", "x1",
+         "--corpus-depth", "1"],
+        ["connect", "--defs", "{defs}", "--left", "efq", "--right", "conj_onto", "--seed", "1"],
+        ["connect", "--defs", "{defs}", "--left", "efq", "--right", "conj_onto",
+         "--corpus-depth", "1"],
+        ["graph", "--manifest", "{manifest}", "--seed", "1", "load"],
+    ],
+)
+def test_flags_nothing_reads_are_rejected(defs_file, capsys, argv):
+    paths = {"defs": defs_file, "manifest": defs_file.with_name("graph.dsl")}
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(**paths) for arg in argv])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+
+
+CONE_DEFS = """
+signature W { w/2; }
+signature P { p/2; }
+calculus wc over W {
+  rule E1: w(x1, x2) |- x1;
+  rule E2: w(x1, x2) |- x2;
+  rule I: x1, x2 |- w(x1, x2);
+}
+calculus pc over P {
+  rule E1: p(x1, x2) |- x1;
+  rule E2: p(x1, x2) |- x2;
+  rule I: x1, x2 |- p(x1, x2);
+}
+ontology W_node { base wc; onto_signature { w/2; } axioms { } }
+ontology C_node { base wc; onto_signature { w/2; } axioms { } }
+ontology P_node { base pc; onto_signature { p/2; } axioms { } }
+splitting proj : W -> P { w/2 -> p(x1, x2); }
+splitting mediator : W -> W { w/2 -> w(x1, x2); }
+splitting leg : W -> P { w/2 -> p(x2, x1); }
+splitting twin : W -> P { w/2 -> p(x1, x2); }
+morphism twin : W -> P { w/2 -> p/2; }
+"""
+
+
+@pytest.fixture()
+def cone_manifest(tmp_path):
+    """W -> P by proj, and a cone C whose leg to P swaps the arguments, so
+    proj after the identity mediator C -> W is not the leg."""
+    defs = tmp_path / "cone.dsl"
+    defs.write_text(CONE_DEFS, encoding="utf-8")
+    manifest = tmp_path / "graph.dsl"
+    for name in ("W_node", "C_node", "P_node"):
+        assert graph_cmd(manifest, "add-node", "--defs", str(defs), "--name", name) == 0
+    for src, dst, name in (("W_node", "P_node", "proj"), ("C_node", "W_node", "mediator"),
+                           ("C_node", "P_node", "leg")):
+        code = graph_cmd(manifest, "add-link", "--kind", "splitting", "--from", src,
+                         "--to", dst, "--defs", str(defs), "--morphism", name)
+        assert code == 0
+    return defs, manifest
+
+
+@pytest.mark.parametrize("depth", ["1", "2"])
+def test_non_commuting_cone_fails_at_every_corpus_depth(cone_manifest, capsys, depth):
+    # at depth 1 a corpus scan sees only the leaves x1, x2, which every
+    # splitting fixes; the exact comparison does not depend on the depth
+    _, manifest = cone_manifest
+    capsys.readouterr()
+    code = main(["graph", "--manifest", str(manifest), "--corpus-depth", depth,
+                 "verify-decomposition", "--node", "W_node", "--parts", "P_node"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "cones-mediated\tfail\tcone C_node has no commuting mediator to W_node" in out
+
+
+@pytest.mark.parametrize(
+    "link, prefix",
+    [
+        (["--kind", "definition"], "ParseError: definition links need --defs and --morphism"),
+        (["--kind", "splitting"], "ParseError: splitting links need --defs and --morphism"),
+        (["--kind", "definition", "--defs", "{defs}", "--morphism", "proj"],
+         "ParseError: {defs} has no morphism named 'proj'"),
+        (["--kind", "splitting", "--defs", "{defs}", "--morphism", "nope"],
+         "ParseError: {defs} has no splitting named 'nope'"),
+        (["--kind", "theorem", "--defs", "{defs}", "--morphism", "twin"],
+         "ParseError: theorem links carry no --morphism"),
+    ],
+)
+def test_add_link_map_must_match_its_kind(cone_manifest, capsys, link, prefix):
+    defs, manifest = cone_manifest
+    capsys.readouterr()
+    argv = [arg.format(defs=defs) for arg in link]
+    code = graph_cmd(manifest, "add-link", "--from", "W_node", "--to", "P_node", *argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith(prefix.format(defs=defs))
+    assert "Traceback" not in err
+
+
+def test_add_link_reaches_a_splitting_that_shares_a_morphism_name(cone_manifest):
+    from ontoweave.devgraph import load_graph
+    from ontoweave.dsl import parse_document
+
+    defs, manifest = cone_manifest
+    code = graph_cmd(manifest, "add-link", "--kind", "splitting", "--from", "C_node",
+                     "--to", "P_node", "--defs", str(defs), "--morphism", "twin")
+    assert code == 0
+    maps = {l.morphism for l in load_graph(manifest.read_bytes()).links_between("C_node", "P_node")}
+    assert parse_document(defs.read_text()).splittings["twin"] in maps
+
+
+def test_readme_cli_block_parses():
+    # optional flags shown in brackets are parsed as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").replace("[", "").replace("]", "").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("ontoweave ")]
+    assert len(commands) == 11
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: ontoweave {shlex.join(argv)}")

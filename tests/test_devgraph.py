@@ -350,14 +350,14 @@ def decomposition_fixture(swap_mediator=False):
 
 def test_decomposition_verifies():
     g = decomposition_fixture()
-    report = verify_decomposition(g, "W", ["P1", "P2"], 2, LINK_FUEL)
+    report = verify_decomposition(g, "W", ["P1", "P2"], LINK_FUEL)
     assert report.ok, report.render()
     assert "cones-checked=1" in report.entry("cones-mediated").witness
 
 
 def test_decomposition_disagreeing_mediator_reported():
     g = decomposition_fixture(swap_mediator=True)
-    report = verify_decomposition(g, "W", ["P1", "P2"], 2, LINK_FUEL)
+    report = verify_decomposition(g, "W", ["P1", "P2"], LINK_FUEL)
     assert not report.entry("cones-mediated").ok
 
 
@@ -366,14 +366,14 @@ def test_decomposition_missing_projection():
     kept = [l for l in g.links if not (l.src == "W" and l.dst == "P1")]
     pruned = DevGraph(g.nodes, kept, {l: g.evidence[l] for l in kept})
     with pytest.raises(MissingSplittingLink):
-        verify_decomposition(pruned, "W", ["P1", "P2"], 2, LINK_FUEL)
+        verify_decomposition(pruned, "W", ["P1", "P2"], LINK_FUEL)
 
 
 def test_decomposition_deleted_mediator_flips():
     g = decomposition_fixture()
     kept = [l for l in g.links if not (l.src == "C" and l.dst == "W")]
     pruned = DevGraph(g.nodes, kept, {l: g.evidence[l] for l in kept})
-    report = verify_decomposition(pruned, "W", ["P1", "P2"], 2, LINK_FUEL)
+    report = verify_decomposition(pruned, "W", ["P1", "P2"], LINK_FUEL)
     assert not report.ok
 
 
@@ -384,7 +384,7 @@ def test_decomposition_identity_single_part():
     g = add_node(g, plain_ontology(whole, "W"), NODE_FUEL)
     g = add_node(g, plain_ontology(part, "P"), NODE_FUEL)
     g = add_link(g, Link("splitting", "W", "P", splitting_to(whole, part)), 2, LINK_FUEL)
-    report = verify_decomposition(g, "W", ["P"], 2, LINK_FUEL)
+    report = verify_decomposition(g, "W", ["P"], LINK_FUEL)
     assert report.ok
 
 
@@ -398,7 +398,7 @@ def test_decomposition_asserted_projection_not_enough():
         g, Link("splitting", "W", "P", splitting_to(whole, part)), 2, LINK_FUEL,
         asserted=True,
     )
-    report = verify_decomposition(g, "W", ["P"], 2, LINK_FUEL)
+    report = verify_decomposition(g, "W", ["P"], LINK_FUEL)
     assert not report.entry("projection-evidence").ok
 
 
