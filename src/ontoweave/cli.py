@@ -60,20 +60,21 @@ class Workspace:
         return cls(manifest=manifest, graph=graph, fuel=fuel)
 
     def commit(self, graph: DevGraph) -> None:
-        """Persist and swap in the new graph; disk and memory stay in step.
-
-        The manifest is written beside itself and renamed over the old one,
-        so an interrupted write never leaves a truncated manifest behind.
-        """
-        data = save_graph(graph)
-        tmp = self.manifest.with_name(f".{self.manifest.name}.{os.getpid()}.tmp")
-        try:
-            tmp.write_bytes(data)
-            os.replace(tmp, self.manifest)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        """Persist and swap in the new graph; disk and memory stay in step."""
+        _write_atomically(self.manifest, save_graph(graph))
         self.graph = graph
+
+
+def _write_atomically(path: Path, data: bytes) -> None:
+    """Write data beside path and rename it over path, so an interrupted
+    write never leaves a truncated file behind."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _fuel_from_args(args: argparse.Namespace) -> Fuel:
@@ -186,7 +187,7 @@ def cmd_fibre(args: argparse.Namespace) -> int:
     else:
         print(f"UNKNOWN bound=rounds:{fuel.max_closure_rounds}")
     if args.dump:
-        Path(args.dump).write_text(dump_session(session), encoding="utf-8")
+        _write_atomically(Path(args.dump), dump_session(session).encode("utf-8"))
         print(f"session dumped to {args.dump}")
     return 0
 
@@ -282,7 +283,7 @@ def cmd_graph_save(args: argparse.Namespace) -> int:
     ws = _workspace(args)
     data = save_graph(ws.graph)
     if args.to:
-        Path(args.to).write_bytes(data)
+        _write_atomically(Path(args.to), data)
         print(f"saved to {args.to}")
     else:
         sys.stdout.write(data.decode("utf-8"))
@@ -299,6 +300,13 @@ def cmd_graph_load(args: argparse.Namespace) -> int:
 # Argument plumbing
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors are one stderr line and exit 2; subparsers inherit it."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _add_fuel(parser: argparse.ArgumentParser) -> None:
     defaults = Fuel()
     parser.add_argument("--fuel-rounds", type=int, default=defaults.max_closure_rounds)
@@ -307,7 +315,7 @@ def _add_fuel(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ontoweave",
         description="Workbench for consequence systems, ontologies, and their combination.",
     )

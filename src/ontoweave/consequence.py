@@ -15,6 +15,9 @@ seed formulas) and (b) every rule instance whose premise instances are all
 present. Because closure is literally F iterated, extensivity, monotonicity,
 cut at doubled fuel, and bounded idempotence hold by construction whenever
 the set cap does not bind.
+
+Presentations are hash-consed like formulas: equal presentations are one
+object, so they share one axiom-instance memo within a process.
 """
 
 from __future__ import annotations
@@ -140,16 +143,24 @@ def _lookahead_position(pats: Sequence[Formula], i: int) -> int | None:
     return None
 
 
+# Every presentation built in this process, keyed by its content.
+_PRESENTATIONS: dict[tuple, "CalculusPresentation"] = {}
+
+
 class CalculusPresentation:
-    """A signature with axiom schemas, rules, and an optional negation."""
+    """A signature with axiom schemas, rules, and an optional negation.
+
+    Hash-consed like formulas: building a presentation whose signature,
+    sorted axioms, sorted rules and negation equal one already built returns
+    that object, so equality is identity and the plans, look-ahead and
+    axiom-instance memo are built once per content. Invalid ones always raise.
+    """
 
     __slots__ = (
         "sig",
         "axioms",
         "rules",
         "negation",
-        "_key",
-        "_hash",
         "_base_var_count",
         "_inst_memo",
         "_plans",
@@ -157,68 +168,64 @@ class CalculusPresentation:
         "_axiom_meta",
     )
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         sig: Signature,
         axioms: Iterable[Rule] = (),
         rules: Iterable[Rule] = (),
         negation: Symbol | None = None,
-    ):
-        self.sig = sig
-        self.axioms = tuple(sorted(axioms, key=lambda r: (r.name, r.conclusion.sort_key)))
-        self.rules = tuple(
-            sorted(rules, key=lambda r: (r.name, tuple(p.sort_key for p in r.schemas())))
-        )
-        for rule in self.axioms:
+    ) -> "CalculusPresentation":
+        axioms = tuple(sorted(axioms, key=lambda r: (r.name, r.conclusion.sort_key)))
+        rules = tuple(sorted(rules, key=lambda r: (r.name, tuple(p.sort_key for p in r.schemas()))))
+        key = (sig, axioms, rules, negation)
+        self = _PRESENTATIONS.get(key)
+        if self is not None:
+            return self
+        for rule in axioms:
             if rule.premises:
                 raise ValueError(f"axiom {rule.name!r} has premises")
         maxvar = 2
-        for rule in self.axioms + self.rules:
+        for rule in axioms + rules:
             for schema in rule.schemas():
                 require_in_language(schema, sig, f"schema of {rule.name!r}")
                 maxvar = max((maxvar, *schema.variables))
-        if negation is not None:
-            if negation.arity != 1 or negation not in sig:
-                raise ConfigError(f"designated negation {negation} must be unary in the signature")
+        if negation is not None and (negation.arity != 1 or negation not in sig):
+            raise ConfigError(f"designated negation {negation} must be unary in the signature")
+        self = super().__new__(cls)
+        self.sig = sig
+        self.axioms = axioms
+        self.rules = rules
         self.negation = negation
-        self._key = (sig, self.axioms, self.rules, negation)
-        self._hash = hash(self._key)
         self._base_var_count = maxvar
         # axiom instances, keyed by (axiom index, tuple of variable values)
         self._inst_memo: dict = {}
         # premise evaluation order: structured patterns first, bare variables last
         self._plans = tuple(
             tuple(sorted(range(len(r.premises)), key=lambda i: r.premises[i].var is not None))
-            for r in self.rules
+            for r in rules
         )
         # per plan level, the argument position at which a structured
         # premise holds the next level's bare premise, or None
         self._lookahead = tuple(
             tuple(_lookahead_position([r.premises[j] for j in plan], i) for i in range(len(plan)))
-            for r, plan in zip(self.rules, self._plans)
+            for r, plan in zip(rules, self._plans)
         )
         # each axiom schema with its variables and their occurrence counts
         self._axiom_meta = []
-        for rule in self.axioms:
+        for rule in axioms:
             occurrences = [n.var for n in rule.conclusion.subformulas() if n.var is not None]
             varlist = sorted(set(occurrences))
-            self._axiom_meta.append(
-                (rule.conclusion, varlist, [occurrences.count(v) for v in varlist])
-            )
+            self._axiom_meta.append((rule.conclusion, varlist, [occurrences.count(v) for v in varlist]))
+        _PRESENTATIONS[key] = self
+        return self
 
     def with_axiom_formulas(self, formulas: Iterable[Formula], prefix: str) -> "CalculusPresentation":
-        """A new presentation with each formula added as a premise-free rule."""
+        """The presentation with each formula added as a premise-free rule."""
         extra = [
             Rule(f"{prefix}{i}", (), phi)
             for i, phi in enumerate(sorted(set(formulas), key=lambda f: f.sort_key), start=1)
         ]
         return CalculusPresentation(self.sig, self.axioms + tuple(extra), self.rules, self.negation)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, CalculusPresentation) and self._key == other._key
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return (
@@ -249,12 +256,9 @@ class _Engine:
         self.bare_candidates: list[Formula] = []
         self.pool_old: list[Formula] = []
         self.emitted_closed_axioms = False
-        seeds: set[Formula] = {svar(i) for i in range(1, cal._base_var_count + 1)}
+        self.seed_exempt = {node for phi in extra_pool for node in phi.subformulas()}
+        seeds = {svar(i) for i in range(1, cal._base_var_count + 1)} | self.seed_exempt
         seeds.update(apply_symbol(c) for c in cal.sig.constants())
-        self.seed_exempt: set[Formula] = set()
-        for phi in extra_pool:
-            self.seed_exempt.update(phi.subformulas())
-        seeds |= self.seed_exempt
         self.pool: set[Formula] = set(seeds)
         self.pool_new: list[Formula] = sorted(seeds, key=lambda f: f.sort_key)
         self.stage_quota = fuel.max_set_size
@@ -674,7 +678,7 @@ def check_operator_laws(
         pick_from = sorted(closed_delta, key=lambda f: f.sort_key)
         a = rng.choice(pick_from) if pick_from and rng.random() < 0.8 else rng.choice(corpus)
         b = rng.choice(corpus)
-        seeds = tuple(a.subformulas()) + tuple(b.subformulas())
+        seeds = (a, b)
         if a in close(cal, delta, fuel, extra_pool=seeds):
             hyp2 = close(cal, gamma | {a}, fuel, extra_pool=seeds)
             if b in hyp2:
@@ -749,10 +753,7 @@ def check_structural(
         checked = sorted(set(closed) & set(corpus), key=lambda f: f.sort_key)
         images = [substitute(phi, sigma) for phi in checked]
         gamma_image = [substitute(phi, sigma) for phi in sorted(gamma, key=lambda f: f.sort_key)]
-        seeds: list[Formula] = []
-        for img in images:
-            seeds.extend(img.subformulas())
-        closed_image = closure_bounded(cal, gamma_image, fuel.widened(), extra_pool=seeds)
+        closed_image = closure_bounded(cal, gamma_image, fuel.widened(), extra_pool=images)
         tested += len(images)
         for img in images:
             if img not in closed_image:
@@ -829,11 +830,10 @@ def transfer_scan(
             continue
         image_gamma = [image(g) for g in gamma]
         images = [image(phi) for phi in derivable]
-        seeds = [node for img in images for node in img.subformulas()]
-        transferred = closure_bounded(dst, image_gamma, fuel, extra_pool=seeds)
+        transferred = closure_bounded(dst, image_gamma, fuel, extra_pool=images)
         missing = [i for i, img in enumerate(images) if img not in transferred]
         if missing:
-            transferred = closure_bounded(dst, image_gamma, escalation, extra_pool=seeds)
+            transferred = closure_bounded(dst, image_gamma, escalation, extra_pool=images)
             missing = [i for i in missing if images[i] not in transferred]
         if missing:
             return checked, TransferWitness(gamma, derivable[missing[0]], images[missing[0]])

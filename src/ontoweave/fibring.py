@@ -125,8 +125,8 @@ def fibred_derives(session: FibringSession, gamma: Iterable[Formula], phi: Formu
             raise LanguageError(f"{f.text} is outside the combined language")
     if phi in current:
         return Derived(0)
-    seeds_left = tuple(translate(session.t_left, phi).subformulas())
-    seeds_right = tuple(translate(session.t_right, phi).subformulas())
+    seeds_left = (translate(session.t_left, phi),)
+    seeds_right = (translate(session.t_right, phi),)
     for round_no in range(1, session.fuel.max_closure_rounds + 1):
         grown = set(current)
         grown |= _side_closure(session, "left", current, seeds_left)

@@ -38,7 +38,7 @@ from .syntax import (
 class Ontology:
     """A named consequence system plus ontological signature and theory."""
 
-    __slots__ = ("name", "base", "onto_sig", "axioms", "_effective", "_key", "_hash")
+    __slots__ = ("name", "base", "onto_sig", "axioms", "effective", "_key", "_hash")
 
     def __init__(
         self,
@@ -51,19 +51,10 @@ class Ontology:
         self.base = base
         self.onto_sig = onto_sig
         self.axioms = tuple(sorted(set(axioms), key=lambda f: f.sort_key))
-        self._effective = None
+        # base plus the ontological axioms; with none, hash-consing makes it base
+        self.effective = base.with_axiom_formulas(self.axioms, prefix="onto_")
         self._key = (name, base, onto_sig, self.axioms)
         self._hash = hash(self._key)
-
-    @property
-    def effective(self) -> CalculusPresentation:
-        """The base presentation extended with the ontological axioms."""
-        if self._effective is None:
-            if self.axioms:
-                self._effective = self.base.with_axiom_formulas(self.axioms, prefix="onto_")
-            else:
-                self._effective = self.base
-        return self._effective
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Ontology) and self._key == other._key

@@ -279,20 +279,48 @@ def test_workspace_stays_reparseable(defs_file, tmp_path):
     assert len(second.links) == 1
 
 
+def _crash_on_replace(src, dst):
+    raise OSError("simulated crash during rename")
+
+
 def test_failed_manifest_write_keeps_old_manifest(defs_file, tmp_path, capsys, monkeypatch):
     manifest = tmp_path / "graph.dsl"
     assert graph_cmd(manifest, "add-node", "--defs", str(defs_file), "--name", "efq") == 0
     before = manifest.read_bytes()
-
-    def failing_replace(src, dst):
-        raise OSError("simulated crash during rename")
-
-    monkeypatch.setattr(os, "replace", failing_replace)
+    monkeypatch.setattr(os, "replace", _crash_on_replace)
     code = graph_cmd(manifest, "add-node", "--defs", str(defs_file), "--name", "conj_onto")
     assert code == 2
     assert "simulated crash" in capsys.readouterr().err
     assert manifest.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["defs.dsl", "graph.dsl"]
+
+
+def test_failed_save_to_keeps_old_file(defs_file, tmp_path, capsys, monkeypatch):
+    manifest = tmp_path / "graph.dsl"
+    saved = tmp_path / "saved.dsl"
+    assert graph_cmd(manifest, "add-node", "--defs", str(defs_file), "--name", "efq") == 0
+    saved.write_bytes(b"previous save\n")
+    monkeypatch.setattr(os, "replace", _crash_on_replace)
+    assert graph_cmd(manifest, "save", "--to", str(saved)) == 2
+    assert "simulated crash" in capsys.readouterr().err
+    assert saved.read_bytes() == b"previous save\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["defs.dsl", "graph.dsl", "saved.dsl"]
+
+
+def test_failed_dump_keeps_old_file(defs_file, tmp_path, capsys, monkeypatch):
+    gamma = tmp_path / "gamma.txt"
+    gamma.write_text("x1\n")
+    dump = tmp_path / "session.txt"
+    dump.write_bytes(b"previous dump\n")
+    monkeypatch.setattr(os, "replace", _crash_on_replace)
+    code = main([
+        "fibre", "--defs", str(defs_file), "--left", "cpl", "--right", "conj",
+        "--gamma", str(gamma), "--phi", "x1", "--dump", str(dump),
+    ])
+    assert code == 2
+    assert "simulated crash" in capsys.readouterr().err
+    assert dump.read_bytes() == b"previous dump\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["defs.dsl", "gamma.txt", "session.txt"]
 
 
 def test_cli_determinism_same_seed(defs_file, capsys):
@@ -427,15 +455,21 @@ morphism t2 : R -> B { ref/2 -> or/2; }
         ["connect", "--defs", "{defs}", "--left", "efq", "--right", "conj_onto",
          "--corpus-depth", "1"],
         ["graph", "--manifest", "{manifest}", "--seed", "1", "load"],
+        ["derive", "--defs", "{defs}"],
+        ["derive", "--defs", "{defs}", "--calculus", "cpl", "--phi", "x1", "--fuel-rounds", "abc"],
     ],
 )
 def test_flags_nothing_reads_are_rejected(defs_file, capsys, argv):
+    # also a missing required flag and a non-integer fuel: every argument
+    # error is one stderr line and exit 2, like every other usage error
     paths = {"defs": defs_file, "manifest": defs_file.with_name("graph.dsl")}
     with pytest.raises(SystemExit) as exc:
         main([arg.format(**paths) for arg in argv])
     captured = capsys.readouterr()
     assert exc.value.code == 2
     assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("ontoweave")
     assert "Traceback" not in captured.err
 
 

@@ -60,6 +60,73 @@ def test_negation_must_be_unary_in_signature():
         CalculusPresentation(sig, negation=Symbol("not", 1))
 
 
+# -- hash-consing: one presentation per content
+
+CONJ_DEFS = """
+signature CONJ { and/2; }
+calculus conj over CONJ {
+  rule AndI: x1, x2 |- and(x1, x2);
+  rule AndE2: and(x1, x2) |- x2;
+  rule AndE1: and(x1, x2) |- x1;
+}
+"""
+
+
+def test_equal_content_is_one_presentation():
+    from ontoweave.dsl import parse_document
+    from ontoweave.ontology import merge_presentations
+
+    parsed = parse_document(CONJ_DEFS).calculi["conj"]
+    assert parse_document(CONJ_DEFS).calculi["conj"] is parsed
+    assert parsed is presets.conj()
+    assert presets.cpl() is presets.cpl()
+    assert presets.cpl()._inst_memo is presets.cpl()._inst_memo
+    merged = merge_presentations(presets.cpl(), presets.conj())
+    assert merge_presentations(presets.cpl(), presets.conj()) is merged
+    cpl = presets.cpl()
+    extra = [f("imp(bot, x1)"), f("not(bot)"), f("imp(x1, x1)")]
+    assert cpl.with_axiom_formulas(extra, "o_") is cpl.with_axiom_formulas(extra[::-1], "o_")
+    assert cpl.with_axiom_formulas((), "o_") is cpl
+    conj = presets.conj()
+    assert CalculusPresentation(make_signature([("and", 2)]), rules=conj.rules[::-1]) is conj
+
+
+def test_different_content_is_a_different_presentation():
+    conj = presets.conj()
+    e1, e2, i = conj.rules
+    sig = conj.sig
+    variants = [
+        conj,
+        CalculusPresentation(sig, rules=(Rule("E1", e1.premises, e1.conclusion), e2, i)),
+        CalculusPresentation(sig, rules=(Rule(e1.name, e1.premises, f("x2", sig)), e2, i)),
+        CalculusPresentation(sig, rules=(e1, e2)),
+        presets.cpl(),
+        CalculusPresentation(presets.cpl().sig, presets.cpl().axioms, presets.cpl().rules),
+    ]
+    assert len(set(variants)) == len(variants)
+    assert variants[0] != variants[1]
+
+
+def test_rebuilding_keeps_the_instance_memo():
+    cal = presets.implication_fragment()
+    closure_bounded(cal, [], Fuel(1, 12, 4000))
+    filled = dict(cal._inst_memo)
+    assert filled
+    again = presets.implication_fragment()
+    assert again is cal and again._inst_memo == filled
+
+
+def test_invalid_presentation_raises_every_time():
+    sig = make_signature([("imp", 2)])
+    for _ in range(2):
+        with pytest.raises(LanguageError):
+            CalculusPresentation(sig, axioms=(Rule("A", (), f("not(x1)")),))
+        with pytest.raises(ValueError):
+            CalculusPresentation(sig, axioms=(Rule("bad", (f("x1", sig),), f("x1", sig)),))
+        with pytest.raises(ConfigError):
+            CalculusPresentation(sig, negation=Symbol("not", 1))
+
+
 def test_fuel_fields_must_be_positive():
     with pytest.raises(ValueError):
         Fuel(0, 10, 10)

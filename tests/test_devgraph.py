@@ -62,7 +62,7 @@ def test_add_node_and_duplicate(cpl):
 
 def test_add_node_validation_failure(cpl):
     bad = Ontology("bad", cpl, make_signature([]), [parse_formula("x1", cpl.sig)])
-    bad._effective = cpl  # force condition 3 to fail
+    bad.effective = cpl  # force condition 3 to fail
     with pytest.raises(ValidationFailed):
         add_node(DevGraph(), bad, NODE_FUEL)
 

@@ -66,7 +66,7 @@ def test_validate_catches_underivable_axiom(cpl):
     # hand-built negative control: claim a bare variable as theory while
     # pinning the effective calculus to the plain base, which cannot prove it
     bad = Ontology("bad", cpl, make_signature([]), [f("x1")])
-    bad._effective = cpl
+    bad.effective = cpl
     report = validate_ontology(bad, FUEL)
     assert not report.entry("axioms-derivable").ok
     assert report.entry("axioms-derivable").witness == "x1"
