@@ -18,11 +18,18 @@ the set cap does not bind.
 
 Presentations are hash-consed like formulas: equal presentations are one
 object, so they share one axiom-instance memo within a process.
+
+closure_bounded is a pure function of (presentation, premise set, fuel, seed
+set), so its results are memoised in one process-wide least-recently-used
+table bounded by CLOSURE_MEMO_SLOTS formula slots. Premises are checked on
+every call, so a memoised call raises exactly what a fresh one would.
+derives is not memoised: it stops at the round its goal appears.
 """
 
 from __future__ import annotations
 
 import random
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -482,7 +489,8 @@ class _Engine:
         gamma: Sequence[Formula],
         watch: Formula | None = None,
     ) -> tuple[frozenset[Formula], int | None]:
-        delta = self._admit(sorted(set(gamma), key=lambda f: f.sort_key))
+        """Close gamma, distinct premises in canonical order (_check_gamma)."""
+        delta = self._admit(gamma)
         found = 0 if watch is not None and watch in self.members else None
         if found is not None:
             return frozenset(self.members), found
@@ -521,15 +529,57 @@ class _Engine:
         return frozenset(self.members), None
 
 
-def _check_gamma(cal: CalculusPresentation, gamma: Iterable[Formula], fuel: Fuel) -> list[Formula]:
-    out = []
+def _check_gamma(cal: CalculusPresentation, gamma: Iterable[Formula], fuel: Fuel) -> tuple[Formula, ...]:
+    """The distinct premises in canonical order; raises on a premise outside
+    the language or on more premises than the set cap."""
+    distinct = set()
     for phi in gamma:
         if not formula_in_language(phi, cal.sig):
             raise LanguageError(f"premise {phi.text} is outside the calculus language")
-        out.append(phi)
-    if len(set(out)) > fuel.max_set_size:
+        distinct.add(phi)
+    if len(distinct) > fuel.max_set_size:
         raise CapExceeded(f"premise set larger than the set cap {fuel.max_set_size}")
-    return out
+    return tuple(sorted(distinct, key=lambda f: f.sort_key))
+
+
+# The closure memo's budget in formula slots: an entry takes one slot per
+# premise, seed and member. One pass of the graph-session scripts needs about
+# 105k member slots and one fibre-alternation pass about 130k.
+CLOSURE_MEMO_SLOTS = 1 << 18
+
+
+class _ClosureMemo:
+    """Closures by (presentation, premises, fuel, seeds), least recently used
+    first. Members are stored as tuples, which take less memory than
+    frozensets; an entry bigger than the whole budget is not stored."""
+
+    def __init__(self, slots: int):
+        self.budget = slots
+        self.slots = 0
+        self.table: OrderedDict[tuple, tuple[Formula, ...]] = OrderedDict()
+
+    def get(self, key: tuple) -> tuple[Formula, ...] | None:
+        members = self.table.get(key)
+        if members is not None:
+            self.table.move_to_end(key)
+        return members
+
+    @staticmethod
+    def _size(key: tuple, members: tuple[Formula, ...]) -> int:
+        _, premises, _, seeds = key
+        return len(premises) + len(seeds) + len(members)
+
+    def put(self, key: tuple, members: tuple[Formula, ...]) -> None:
+        size = self._size(key, members)
+        if size > self.budget:
+            return
+        self.table[key] = members
+        self.slots += size
+        while self.slots > self.budget:
+            self.slots -= self._size(*self.table.popitem(last=False))
+
+
+_CLOSURES = _ClosureMemo(CLOSURE_MEMO_SLOTS)
 
 
 def closure_bounded(
@@ -543,10 +593,16 @@ def closure_bounded(
 
     extra_pool formulas seed the instantiation pool (their subformulas are
     admitted regardless of the pool size threshold) without being premises.
+    Results are memoised process-wide (see the module docstring).
     """
-    checked = _check_gamma(cal, gamma, fuel)
-    engine = _Engine(cal, fuel, extra_pool)
-    members, _ = engine.run(checked)
+    premises = _check_gamma(cal, gamma, fuel)
+    seeds = tuple(sorted(set(extra_pool), key=lambda f: f.sort_key))
+    key = (cal, premises, fuel, seeds)
+    stored = _CLOSURES.get(key)
+    if stored is not None:
+        return frozenset(stored)
+    members, _ = _Engine(cal, fuel, seeds).run(premises)
+    _CLOSURES.put(key, tuple(members))
     return members
 
 

@@ -17,9 +17,10 @@ from ontoweave.consequence import (
     check_structural,
     closure_bounded,
     derives,
+    transfer_scan,
     weaker_than,
 )
-from ontoweave.consequence import _Engine, _StagingFull
+from ontoweave.consequence import CLOSURE_MEMO_SLOTS, _ClosureMemo, _Engine, _StagingFull
 from ontoweave.errors import CapExceeded, ConfigError, LanguageError
 from ontoweave.syntax import (
     Symbol,
@@ -30,7 +31,7 @@ from ontoweave.syntax import (
     substitute,
     svar,
 )
-from ontoweave import presets
+from ontoweave import consequence, presets
 
 
 def f(text, sig=None):
@@ -189,6 +190,104 @@ def test_closure_monotone_in_fuel(cpl):
     lo = closure_bounded(cpl, gamma, Fuel(1, 10, 50000))
     for bigger in (Fuel(2, 10, 50000), Fuel(1, 14, 50000), Fuel(2, 16, 50000)):
         assert lo <= closure_bounded(cpl, gamma, bigger)
+
+
+# -- the closure memo
+
+
+def _canonical(formulas):
+    return tuple(sorted(set(formulas), key=lambda g: g.sort_key))
+
+
+@pytest.fixture
+def cold_memo(monkeypatch):
+    """An empty closure memo with the real budget in place of the shared one."""
+    memo = _ClosureMemo(CLOSURE_MEMO_SLOTS)
+    monkeypatch.setattr(consequence, "_CLOSURES", memo)
+    return memo
+
+
+def _memo_slots(memo):
+    return sum(len(p) + len(s) + len(m) for (_, p, _, s), m in memo.table.items())
+
+
+@pytest.mark.parametrize("name", ["cpl", "implication_fragment", "conj"])
+def test_memoised_closure_equals_a_fresh_engine(name, cold_memo):
+    cal = getattr(presets, name)()
+    rng = random.Random(10)
+    corpus = enumerate_formulas(cal.sig, 2, 2)
+    calls = capped = 0
+    for _ in range(6):
+        premises = rng.sample(corpus, rng.randint(0, 3))
+        seeds = rng.sample(corpus, rng.randint(0, 2))
+        for fuel in (Fuel(), Fuel(2, 14, 3000)):
+            want, _ = _Engine(cal, fuel, seeds).run(_canonical(premises))
+            capped += len(want) >= fuel.max_set_size
+            for _ in range(2):
+                # reordered, with repeats, and the seeds likewise
+                gamma = premises + premises[: rng.randint(0, len(premises))]
+                rng.shuffle(gamma)
+                pool = seeds + seeds[:1]
+                rng.shuffle(pool)
+                assert closure_bounded(cal, gamma, fuel, extra_pool=pool) == want
+                calls += 1
+    assert len(cold_memo.table) <= calls // 2
+    # the 512 cap of Fuel() binds on some cpl and conj closures
+    assert bool(capped) == (name != "implication_fragment")
+
+
+def test_checkers_agree_with_a_cold_and_a_warm_memo(cpl, imp_fragment, rule_free, cold_memo, monkeypatch):
+    fuel = Fuel(2, 12, 3000)
+
+    def check():
+        return (
+            check_operator_laws(cpl, 8, fuel, seed=3, corpus_depth=2).render(),
+            transfer_scan(imp_fragment, cpl, lambda phi: phi, 2, fuel),
+            transfer_scan(cpl, rule_free, lambda phi: phi, 2, fuel),
+        )
+
+    cold = check()
+    stored = len(cold_memo.table)
+    assert stored and cold[1][1] is None and cold[2][1] is not None
+    assert check() == cold
+    assert len(cold_memo.table) == stored  # every closure was a hit
+    monkeypatch.setattr(consequence, "_CLOSURES", _ClosureMemo(CLOSURE_MEMO_SLOTS))
+    assert check() == cold
+
+
+def test_memo_stays_within_its_slot_budget(cpl, monkeypatch):
+    memo = _ClosureMemo(400)
+    monkeypatch.setattr(consequence, "_CLOSURES", memo)
+    rng = random.Random(5)
+    corpus = enumerate_formulas(cpl.sig, 2, 2)
+    fuel = Fuel(1, 10, 200)
+    for _ in range(40):
+        gamma = rng.sample(corpus, 2)
+        assert closure_bounded(cpl, gamma, fuel) == _Engine(cpl, fuel, ()).run(_canonical(gamma))[0]
+        assert memo.slots == _memo_slots(memo) <= 400
+    assert 0 < len(memo.table) < 40
+    # an entry bigger than the whole budget is returned but not stored
+    big = Fuel()
+    gamma = [f("x1"), f("imp(x1, x2)")]
+    want, _ = _Engine(cpl, big, ()).run(_canonical(gamma))
+    assert len(want) == 512
+    held = dict(memo.table)
+    assert closure_bounded(cpl, gamma, big) == want
+    assert memo.table == held and memo.slots == _memo_slots(memo)
+
+
+def test_memoised_closure_still_checks_its_premises(cpl, quick_fuel, cold_memo):
+    # entries for the very keys a bad call would look up do not stop it raising
+    box = parse_formula("box(x1)", make_signature([("box", 1)]))
+    cold_memo.put((cpl, (box,), quick_fuel, ()), (box,))
+    three = [f("x1"), f("x2"), f("bot")]
+    tiny = Fuel(1, 9, 2)
+    cold_memo.put((cpl, _canonical(three), tiny, ()), tuple(three))
+    for _ in range(2):
+        with pytest.raises(LanguageError):
+            closure_bounded(cpl, [box], quick_fuel)
+        with pytest.raises(CapExceeded):
+            closure_bounded(cpl, three, tiny)
 
 
 # -- derives

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from ontoweave import fibring
+from ontoweave import consequence, fibring
 from ontoweave.consequence import Derived, Fuel, NotDerivedWithin, closure_bounded, derives, weaker_than
+from ontoweave.consequence import CLOSURE_MEMO_SLOTS, _ClosureMemo
 from ontoweave.errors import CapExceeded, FormatError, LanguageError, UnknownInternIndex
 from ontoweave.fibring import (
     dump_session,
@@ -240,6 +241,33 @@ def test_early_round_end_still_translates_the_right_side(cpl, conj):
     gamma = [union_formula(s, "x1"), union_formula(s, "imp(x1, x2)")]
     with pytest.raises(UnknownInternIndex):
         fibred_derives(s, gamma, union_formula(s, "x2"))
+
+
+def test_readme_example_from_the_closure_memo(cpl, conj, monkeypatch):
+    def cold_memo():
+        memo = _ClosureMemo(CLOSURE_MEMO_SLOTS)
+        monkeypatch.setattr(consequence, "_CLOSURES", memo)
+        return memo
+
+    def query(s):
+        gamma = [union_formula(s, "and(x1, x2)"), union_formula(s, "imp(x1, x3)")]
+        return fibred_derives(s, gamma, union_formula(s, "x3"))
+
+    # fresh sessions: the second one's side closures all hit the memo
+    memo = cold_memo()
+    cold, warm = open_session(cpl, conj, SESSION_FUEL), open_session(cpl, conj, SESSION_FUEL)
+    assert query(cold) == Derived(2)
+    stored = dict(memo.table)
+    assert stored
+    assert query(warm) == Derived(2)
+    assert memo.table == stored
+    assert dump_session(cold) == dump_session(warm)
+    # reused sessions, each asked twice, from an emptied and from a warm memo
+    memo = cold_memo()
+    cold, warm = open_session(cpl, conj, SESSION_FUEL), open_session(cpl, conj, SESSION_FUEL)
+    assert query(cold) == query(cold) == query(warm) == query(warm) == Derived(2)
+    assert memo.table == stored
+    assert dump_session(cold) == dump_session(warm)
 
 
 # -- session persistence
