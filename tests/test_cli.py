@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from ontoweave import cli
 from ontoweave.cli import build_parser, main
 
 DEFS = """
@@ -283,11 +284,37 @@ def _crash_on_replace(src, dst):
     raise OSError("simulated crash during rename")
 
 
+def _crash_on_swap(monkeypatch):
+    """Make both ways of swapping a written file into place fail."""
+    monkeypatch.setattr(os, "replace", _crash_on_replace)
+    monkeypatch.setattr(cli, "_exchange", _crash_on_replace)
+
+
+@pytest.mark.parametrize("exchange", [True, False], ids=["exchange", "rename"])
+def test_write_over_existing_file(tmp_path, monkeypatch, exchange):
+    if not exchange:
+        monkeypatch.setattr(cli, "_exchange", lambda src, dst: False)
+    target = tmp_path / "graph.dsl"
+    target.write_bytes(b"old\n")
+    cli._write_atomically(target, b"new\n")
+    assert target.read_bytes() == b"new\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["graph.dsl"]
+
+
+def test_write_onto_a_directory_fails_and_keeps_it(tmp_path):
+    target = tmp_path / "saved"
+    target.mkdir()
+    with pytest.raises(IsADirectoryError):
+        cli._write_atomically(target, b"new\n")
+    assert target.is_dir()
+    assert [p.name for p in tmp_path.iterdir()] == ["saved"]
+
+
 def test_failed_manifest_write_keeps_old_manifest(defs_file, tmp_path, capsys, monkeypatch):
     manifest = tmp_path / "graph.dsl"
     assert graph_cmd(manifest, "add-node", "--defs", str(defs_file), "--name", "efq") == 0
     before = manifest.read_bytes()
-    monkeypatch.setattr(os, "replace", _crash_on_replace)
+    _crash_on_swap(monkeypatch)
     code = graph_cmd(manifest, "add-node", "--defs", str(defs_file), "--name", "conj_onto")
     assert code == 2
     assert "simulated crash" in capsys.readouterr().err
@@ -300,7 +327,7 @@ def test_failed_save_to_keeps_old_file(defs_file, tmp_path, capsys, monkeypatch)
     saved = tmp_path / "saved.dsl"
     assert graph_cmd(manifest, "add-node", "--defs", str(defs_file), "--name", "efq") == 0
     saved.write_bytes(b"previous save\n")
-    monkeypatch.setattr(os, "replace", _crash_on_replace)
+    _crash_on_swap(monkeypatch)
     assert graph_cmd(manifest, "save", "--to", str(saved)) == 2
     assert "simulated crash" in capsys.readouterr().err
     assert saved.read_bytes() == b"previous save\n"
@@ -312,7 +339,7 @@ def test_failed_dump_keeps_old_file(defs_file, tmp_path, capsys, monkeypatch):
     gamma.write_text("x1\n")
     dump = tmp_path / "session.txt"
     dump.write_bytes(b"previous dump\n")
-    monkeypatch.setattr(os, "replace", _crash_on_replace)
+    _crash_on_swap(monkeypatch)
     code = main([
         "fibre", "--defs", str(defs_file), "--left", "cpl", "--right", "conj",
         "--gamma", str(gamma), "--phi", "x1", "--dump", str(dump),
