@@ -419,30 +419,21 @@ class _Engine:
             pats = [rule.premises[j] for j in plan]
             concl_vars = sorted(rule.conclusion.variables)
 
-            def emit(bind: dict[int, Formula]) -> None:
-                free = [v for v in concl_vars if v not in bind]
-                if not free:
+            def emit(bind: dict[int, Formula], free: list[int], i: int) -> None:
+                # conclusion-only variables free[i:] range over the pool
+                if i == len(free):
                     concl = substitute(rule.conclusion, bind)
                     if concl.size <= size_cap:
                         self._stage(staged, concl)
                     return
-                # conclusion-only variables range over the pool
-                def fill(i: int) -> None:
-                    if i == len(free):
-                        concl = substitute(rule.conclusion, bind)
-                        if concl.size <= size_cap:
-                            self._stage(staged, concl)
-                        return
-                    for value in pool_sorted:
-                        bind[free[i]] = value
-                        fill(i + 1)
-                        del bind[free[i]]
-
-                fill(0)
+                for value in pool_sorted:
+                    bind[free[i]] = value
+                    emit(bind, free, i + 1)
+                    del bind[free[i]]
 
             def join(i: int, drive: int, bind: dict[int, Formula]) -> None:
                 if i == n:
-                    emit(bind)
+                    emit(bind, [v for v in concl_vars if v not in bind], 0)
                     return
                 pat = pats[i]
                 from_delta = plan[i] == drive

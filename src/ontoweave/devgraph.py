@@ -86,11 +86,14 @@ class DevGraph:
         self.nodes: dict[str, Ontology] = dict(nodes or {})
         self.links: tuple[Link, ...] = tuple(links)
         self.evidence: dict[Link, Evidence] = dict(evidence or {})
-        # save_graph writes every link with its evidence; load_graph needs both
+        # save_graph writes every link once with its evidence; load_graph needs both
+        links: set[Link] = set()
         for link in self.links:
             if link not in self.evidence:
                 raise ValueError(f"link {link.kind} {link.src} -> {link.dst} lacks evidence")
-        links = set(self.links)
+            if link in links:
+                raise ValueError(f"link {link.kind} {link.src} -> {link.dst} is repeated")
+            links.add(link)
         for link in self.evidence:
             if link not in links:
                 raise ValueError(f"evidence for {link.kind} {link.src} -> {link.dst}: not a link")
@@ -435,7 +438,10 @@ def load_graph(data: bytes | str) -> DevGraph:
             raise FormatError(f"link {record.src} -> {record.dst} lacks evidence")
         links.append(link)
         evidence[link] = record.evidence
-    graph = DevGraph(nodes, links, evidence)
+    try:
+        graph = DevGraph(nodes, links, evidence)
+    except ValueError as exc:
+        raise FormatError(f"corrupt manifest: {exc}") from exc
     if not graph.is_acyclic():
         raise FormatError("manifest encodes a cyclic graph")
     return graph

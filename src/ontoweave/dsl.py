@@ -17,45 +17,20 @@ and link blocks, plus canonical emitters for bit-exact round trips.
     link theorem O1 -> O2 assert
     link definition O1 -> O2 morphism h0 evidence verified depth=2 rounds=4 size=16 set=4096 detail "..."
 
-Comments run from '#' to end of line. Whitespace is insignificant.
+Comments run from '#' to end of line. Whitespace is insignificant. The
+tokens come from syntax.tokenize, the one lexer of every textual input, and
+every formula from syntax.read_formula.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 
 from .consequence import ASSERTED, CalculusPresentation, Evidence, Fuel, Rule
 from .errors import ArityError, OntoSigError, ParseError, SignatureError, UnknownSymbol
 from .morphisms import SignatureMorphism, SplittingMorphism
 from .ontology import Ontology, make_ontology
-from .syntax import IDENT_PATTERN, Formula, Signature, Symbol, is_identifier, make_signature, read_formula
-
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+|\#[^\n]*)
-  | (?P<arrow>->)
-  | (?P<turnstile>\|-)
-  | (?P<punct>[{}(),;:/=])
-  | (?P<string>"[^"\n]*")
-  | (?P<number>[0-9]+)
-  | (?P<ident>""" + IDENT_PATTERN + """)
-    """,
-    re.VERBOSE,
-)
-
-
-def _tokenize(text: str) -> list[str]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"bad token at {text[pos:pos + 12]!r}")
-        if m.lastgroup != "ws":
-            tokens.append(m.group(m.lastgroup))
-        pos = m.end()
-    return tokens
+from .syntax import Formula, Signature, Symbol, is_identifier, make_signature, read_formula, tokenize
 
 
 @dataclass
@@ -306,7 +281,7 @@ class _Parser:
 
 
 def parse_document(text: str) -> Document:
-    return _Parser(_tokenize(text)).document()
+    return _Parser(tokenize(text)).document()
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .consequence import CalculusPresentation, Derived, Fuel, NotDerivedWithin, Verdict, closure_bounded
-from .errors import CapExceeded, FormatError, LanguageError
+from .errors import ArityError, CapExceeded, FormatError, LanguageError, ParseError, UnknownSymbol
 from .morphisms import (
     Interning,
     Translation,
@@ -201,7 +201,10 @@ def load_session(
     recorded = " ".join(str(s) for s in session.union_sig.symbols())
     if recorded != union_decl.strip():
         raise FormatError("session dump union signature does not match the presentations")
-    table = Interning.deserialize("\n".join(lines[intern_at:]), session.union_sig)
+    try:
+        table = Interning.deserialize("\n".join(lines[intern_at:]), session.union_sig)
+    except (ParseError, UnknownSymbol, ArityError) as exc:
+        raise FormatError(f"corrupt session dump: {exc}") from exc
     session.t_left.interning = table
     session.t_right.interning = table
     return session

@@ -15,6 +15,11 @@ name, then arguments. The key is (size, flat tuple): the preorder tokens
 one flat tuple comparison decides the structural order. Enumeration,
 reports and serialized artifacts all sort by it so that runs are
 reproducible.
+
+The whole textual surface (documents, manifests, --phi, gamma lines,
+session dumps) goes through one lexer, tokenize, so '#' comments may stand
+wherever whitespace may in all of it, and every formula through one
+reader, read_formula.
 """
 
 from __future__ import annotations
@@ -337,21 +342,29 @@ def substitute(phi: Formula, sigma: Substitution | Mapping[int, Formula]) -> For
 # ---------------------------------------------------------------------------
 # Parsing
 
-_TOKEN_RE = re.compile(rf"\s*({IDENT_PATTERN}|\(|\)|,)")
+# Each match skips whitespace and '#' comments, then takes a token (group 1),
+# a character that starts no token (group 2), or the end of the text. The end
+# alternative keeps findall from retrying inside a trailing comment, so the
+# matches tile the text.
+_TOKEN_RE = re.compile(
+    r"""\s*(?:\#[^\n]*\s*)*
+    (?: ( """ + IDENT_PATTERN + r""" | [{}(),;:/=] | -> | \|- | "[^"\n]*" | [0-9]+ )
+      | (\S)
+      | \Z )""",
+    re.VERBOSE,
+)
 
 
-def _tokenize_formula(text: str) -> list[str]:
+def tokenize(text: str) -> list[str]:
+    """The tokens of text; ParseError at the first character that starts
+    none, quoting up to 12 characters from it."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            rest = text[pos:].strip()
-            if not rest:
-                break
-            raise ParseError(f"bad token at {rest[:10]!r}")
-        tokens.append(m.group(1))
-        pos = m.end()
+    for token, bad in _TOKEN_RE.findall(text):
+        if bad:
+            at = next(m.start(2) for m in _TOKEN_RE.finditer(text) if m.group(2))
+            raise ParseError(f"bad token at {text[at:at + 12]!r}")
+        if token:
+            tokens.append(token)
     return tokens
 
 
@@ -405,7 +418,7 @@ def read_formula(tokens: Sequence[str], pos: int, sig: Signature) -> tuple[Formu
 
 def parse_formula(text: str, sig: Signature) -> Formula:
     """Parse the prefix DSL form against a signature."""
-    tokens = _tokenize_formula(text)
+    tokens = tokenize(text)
     phi, pos = read_formula(tokens, 0, sig)
     if pos != len(tokens):
         raise ParseError(f"trailing tokens after formula: {tokens[pos:]}")

@@ -74,6 +74,17 @@ def test_derive_mp(defs_file, tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "DERIVED depth=1"
 
 
+def test_derive_reads_comments_in_gamma_and_phi(defs_file, tmp_path, capsys):
+    gamma = tmp_path / "gamma.txt"
+    gamma.write_text("# premises\nx1  # the minor premise\nimp(x1, x2)  # the major premise\n")
+    code = main([
+        "derive", "--defs", str(defs_file), "--calculus", "cpl",
+        "--gamma", str(gamma), "--phi", "x2  # the goal", *FAST,
+    ])
+    assert code == 0
+    assert capsys.readouterr().out.strip() == "DERIVED depth=1"
+
+
 def test_derive_unknown_within_bound(defs_file, capsys):
     code = main([
         "derive", "--defs", str(defs_file), "--calculus", "cpl", "--phi", "x1", *FAST,
@@ -120,11 +131,17 @@ def test_bad_fuel_is_a_usage_error(defs_file, capsys, argv):
          "link theorem o -> o evidence verified depth=2 rounds=0 size=16 set=512\n",
          ["graph", "--manifest", "{path}", "load"],
          "FormatError: corrupt manifest: bad evidence fuel: "),
+        ("signature S { a/0; } calculus c over S { }\n"
+         "ontology o { base c; onto_signature { } axioms { } }\n"
+         "link theorem o -> o assert\n"
+         "link theorem o -> o assert\n",
+         ["graph", "--manifest", "{path}", "load"],
+         "FormatError: corrupt manifest: link theorem o -> o is repeated"),
     ],
 )
 def test_unbuildable_blocks_are_usage_errors(tmp_path, capsys, text, argv, prefix):
     # each block reads well, but the morphism is partial, the onto_signature
-    # leaves its base, or the evidence fuel is below 1
+    # leaves its base, the evidence fuel is below 1, or a link is repeated
     path = tmp_path / "input.dsl"
     path.write_text(text, encoding="utf-8")
     code = main([arg.format(path=path) for arg in argv])

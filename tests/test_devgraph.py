@@ -473,6 +473,8 @@ def test_links_need_evidence(cpl):
     stray = Link("theorem", "B", "A")
     with pytest.raises(ValueError, match="not a link"):
         DevGraph(nodes, [link], {link: ASSERTED, stray: ASSERTED})
+    with pytest.raises(ValueError, match="is repeated"):
+        DevGraph(nodes, [link, link], {link: ASSERTED})
 
 
 def test_asserted_and_verified_links_round_trip():

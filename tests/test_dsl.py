@@ -1,5 +1,7 @@
 """Block parsing and canonical emission."""
 
+from pathlib import Path
+
 import pytest
 
 from ontoweave.consequence import ASSERTED, Evidence, Fuel
@@ -182,3 +184,13 @@ def test_comments_and_whitespace_ignored():
     noisy = "# top\nsignature   S\n{ a/0;\n# inner\n b/1; }\n"
     doc = parse_document(noisy)
     assert set(s.name for s in doc.signatures["S"].symbols()) == {"a", "b"}
+
+
+def test_readme_dsl_block_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## The DSL\n", 1)[1].split("```", 2)[1]
+    doc = parse_document(block)
+    assert (list(doc.signatures), list(doc.calculi), list(doc.ontologies)) == (
+        ["CPL"], ["cpl"], ["efq"]
+    )
+    assert len(doc.calculi["cpl"].axioms) == 4

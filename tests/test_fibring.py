@@ -297,6 +297,11 @@ def test_load_session_rejects_garbage(cpl, conj):
         load_session("not a dump", cpl, conj)
     with pytest.raises(FormatError):
         load_session("session\nfuel\t1\t2\n", cpl, conj)
+    header = dump_session(open_session(cpl, conj, SESSION_FUEL))
+    # a line without a tab, an undeclared symbol, an index out of order
+    for intern in ("garbage", "1\tzz", "5\tbot"):
+        with pytest.raises(FormatError, match="^corrupt session dump: "):
+            load_session(header + intern + "\n", cpl, conj)
 
 
 def test_load_session_checks_union(cpl, conj):

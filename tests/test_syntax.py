@@ -1,12 +1,15 @@
 """Signatures, formulas, parsing, substitution, and enumeration."""
 
 import itertools
+import re
+import string
 
 import pytest
 from hypothesis import given, strategies as st
 
 from ontoweave.errors import ArityError, CapExceeded, ParseError, UnknownSymbol
 from ontoweave.syntax import (
+    IDENT_PATTERN,
     Signature,
     Substitution,
     Symbol,
@@ -21,6 +24,7 @@ from ontoweave.syntax import (
     signature_union,
     substitute,
     svar,
+    tokenize,
 )
 
 CPL_DECLS = [("bot", 0), ("not", 1), ("imp", 2)]
@@ -136,6 +140,118 @@ def test_whitespace_insignificant():
     a = parse_formula("imp( x1 ,x2 )", sig)
     b = parse_formula("imp(x1, x2)", sig)
     assert a is b
+    assert parse_formula("imp(x1, # the minor premise\n x2)  # note", sig) is b
+
+
+# -- the lexer, against the two tokenizers it replaced
+
+
+_OLD_DOCUMENT_RE = re.compile(
+    r"""
+    (?P<ws>\s+|\#[^\n]*)
+  | (?P<arrow>->)
+  | (?P<turnstile>\|-)
+  | (?P<punct>[{}(),;:/=])
+  | (?P<string>"[^"\n]*")
+  | (?P<number>[0-9]+)
+  | (?P<ident>""" + IDENT_PATTERN + """)
+    """,
+    re.VERBOSE,
+)
+_OLD_FORMULA_RE = re.compile(rf"\s*({IDENT_PATTERN}|\(|\)|,)")
+
+
+def _old_document_tokens(text):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _OLD_DOCUMENT_RE.match(text, pos)
+        if m is None:
+            raise ParseError(f"bad token at {text[pos:pos + 12]!r}")
+        if m.lastgroup != "ws":
+            tokens.append(m.group(m.lastgroup))
+        pos = m.end()
+    return tokens
+
+
+def _old_formula_tokens(text):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _OLD_FORMULA_RE.match(text, pos)
+        if m is None:
+            rest = text[pos:].strip()
+            if not rest:
+                break
+            raise ParseError(f"bad token at {rest[:10]!r}")
+        tokens.append(m.group(1))
+        pos = m.end()
+    return tokens
+
+
+_BLANKS = st.text(st.sampled_from(" \t\n\r\x0b\x0c\xa0\u2003"), min_size=1, max_size=3)
+_COMMENT_BODY = st.text(st.characters(blacklist_characters="\n", blacklist_categories=("Cs",)), max_size=8)
+_COMMENT = _COMMENT_BODY.map(lambda body: "#" + body + "\n")
+_GAP = st.lists(st.one_of(_BLANKS, _COMMENT), max_size=3).map("".join)
+_FORMULA_TOKEN = st.one_of(
+    st.from_regex(IDENT_PATTERN, fullmatch=True).filter(lambda t: len(t) <= 6),
+    st.sampled_from(["(", ")", ","]),
+)
+_TOKEN = st.one_of(
+    _FORMULA_TOKEN,
+    st.sampled_from(["->", "|-", "{", "}", ";", ":", "/", "=", '"a # b"', '"#"', '""']),
+    st.integers(0, 10**6).map(str),
+    st.text(st.characters(blacklist_characters='"\n', blacklist_categories=("Cs",)), max_size=6).map(
+        lambda body: f'"{body}"'
+    ),
+)
+# fragments that start no token: a lone '-', '|' or '>', a quote left open
+# or closed on the next line
+_BAD = st.sampled_from(["-", "|", ">", '"ab', '"a\nb"', "%", "-x"])
+_END = st.one_of(st.just(""), _BLANKS, _COMMENT_BODY.map(lambda body: "#" + body))
+
+
+@st.composite
+def _texts(draw, token=_TOKEN, gap=_GAP):
+    """Random tokens, each after a random gap, then a random end: nothing
+    (no final newline), trailing blanks or a comment without a newline."""
+    parts = [draw(gap) + draw(token) for _ in range(draw(st.integers(0, 8)))]
+    return "".join(parts) + draw(_END)
+
+
+@given(
+    st.one_of(
+        _texts(),
+        _texts(token=_FORMULA_TOKEN, gap=st.one_of(st.just(""), _BLANKS)),
+        _texts(token=st.one_of(_TOKEN, _BAD)),
+    )
+)
+def test_lexer_matches_the_old_tokenizers(text):
+    try:
+        want = _old_document_tokens(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            tokenize(text)
+        assert str(got.value) == str(exc)
+    else:
+        assert tokenize(text) == want
+    try:
+        want = _old_formula_tokens(text)
+    except ParseError:
+        return  # formula text now also takes the document tokens and comments
+    assert tokenize(text) == want
+
+
+_ALPHABET = set(string.ascii_letters + string.digits + '_{}(),;:/=->|"#')
+
+
+@given(st.characters(blacklist_categories=("Cs",)).filter(lambda c: c not in _ALPHABET and not c.isspace()))
+def test_lexer_names_every_character_outside_the_alphabet(c):
+    with pytest.raises(ParseError) as got:
+        tokenize(f"imp(x1, {c}) # {c}")
+    assert str(got.value) == f"bad token at {c + ') # ' + c!r}"
+    with pytest.raises(ParseError, match="bad token at "):
+        parse_formula(f"imp(x1, {c})", _SIG)
 
 
 def test_membership_check():
