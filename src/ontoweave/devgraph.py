@@ -5,11 +5,20 @@ refinement, integration, and decomposition.
 Graphs are persistent values: add_node and add_link return new graphs.
 Theorem self-links are the one tolerated loop shape, because weakness is
 reflexive and a self-link defines nothing; every other cycle is rejected.
+
+A manifest is parsed once per content. save_graph keeps the last manifest
+it wrote beside its graph, and load_graph hands that graph back when it is
+given exactly those bytes. That is exact because DevGraph refuses the
+graphs its manifest cannot carry back, so load_graph(save_graph(g)) == g,
+and because graphs are read-only. Any other input, a str or a manifest
+edited by hand included, is parsed as before.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from dataclasses import astuple, dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .consequence import (
@@ -51,7 +60,7 @@ from .morphisms import (
     is_monomorphic,
 )
 from .ontology import Ontology, check_ecsy_morphism, validate_ontology
-from .syntax import Signature
+from .syntax import Signature, is_identifier
 
 
 @dataclass(frozen=True)
@@ -73,7 +82,17 @@ class Link:
 
 
 class DevGraph:
-    """Immutable snapshot of nodes, links, and link evidence."""
+    """Immutable snapshot of nodes, links, and link evidence.
+
+    The constructor refuses with a ValueError the graphs that save_graph
+    could not write so that load_graph reads them back equal: a node not
+    keyed by its ontology's name or whose calculus has rule names the parser
+    refuses, a link without evidence, repeated, to an absent node or closing
+    a cycle, evidence for no link, and evidence a manifest cannot hold (see
+    _evidence_fault). Parts are taken as built: those from the parser,
+    make_signature and make_ontology are all writable. nodes and evidence
+    are read-only mappings, and no attribute can be set.
+    """
 
     __slots__ = ("nodes", "links", "evidence")
 
@@ -83,20 +102,41 @@ class DevGraph:
         links: Iterable[Link] = (),
         evidence: Mapping[Link, Evidence] | None = None,
     ):
-        self.nodes: dict[str, Ontology] = dict(nodes or {})
-        self.links: tuple[Link, ...] = tuple(links)
-        self.evidence: dict[Link, Evidence] = dict(evidence or {})
-        # save_graph writes every link once with its evidence; load_graph needs both
-        links: set[Link] = set()
-        for link in self.links:
-            if link not in self.evidence:
+        nodes = dict(nodes or {})
+        links = tuple(links)
+        evidence = dict(evidence or {})
+        for name, onto in nodes.items():
+            _check_node(name, onto)
+        seen: set[Link] = set()
+        for link in links:
+            if link not in evidence:
                 raise ValueError(f"link {link.kind} {link.src} -> {link.dst} lacks evidence")
-            if link in links:
+            if link in seen:
                 raise ValueError(f"link {link.kind} {link.src} -> {link.dst} is repeated")
-            links.add(link)
-        for link in self.evidence:
-            if link not in links:
+            _check_link(link, nodes, evidence[link])
+            seen.add(link)
+        for link in evidence:
+            if link not in seen:
                 raise ValueError(f"evidence for {link.kind} {link.src} -> {link.dst}: not a link")
+        if not _acyclic(nodes, links):
+            raise ValueError("the links close a cycle")
+        self._seal(MappingProxyType(nodes), links, MappingProxyType(evidence))
+
+    def _seal(
+        self,
+        nodes: Mapping[str, Ontology],
+        links: tuple[Link, ...],
+        evidence: Mapping[Link, Evidence],
+    ) -> None:
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "links", links)
+        object.__setattr__(self, "evidence", evidence)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"DevGraph is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"DevGraph is immutable: cannot delete {name!r}")
 
     def links_from(self, src: str, kind: str | None = None) -> list[Link]:
         return [l for l in self.links if l.src == src and (kind is None or l.kind == kind)]
@@ -123,6 +163,58 @@ class DevGraph:
 
     def __repr__(self) -> str:
         return f"DevGraph(nodes={sorted(self.nodes)}, links={len(self.links)})"
+
+
+def _grown(
+    nodes: Mapping[str, Ontology], links: tuple[Link, ...], evidence: Mapping[Link, Evidence]
+) -> DevGraph:
+    """A graph from read-only parts; add_node and add_link have checked
+    what they added, and the rest was checked when it was built."""
+    g = object.__new__(DevGraph)
+    g._seal(nodes, links, evidence)
+    return g
+
+
+def _check_node(name: str, onto: Ontology) -> None:
+    """A manifest names each ontology block by its node, the parser names
+    the ontology after its block, and it reads rule names as distinct
+    identifiers."""
+    if not isinstance(onto, Ontology) or not is_identifier(name) or onto.name != name:
+        raise ValueError(f"node {name!r} must hold an ontology named {name!r}")
+    rules = [rule.name for rule in onto.base.axioms + onto.base.rules]
+    if len(set(rules)) < len(rules) or not all(map(is_identifier, rules)):
+        raise ValueError(f"node {name!r}: rule names must be distinct identifiers")
+
+
+def _check_link(link: Link, nodes: Mapping[str, Ontology], evidence: Evidence) -> None:
+    fault = _evidence_fault(evidence)
+    if link.src not in nodes or link.dst not in nodes:
+        fault = "an endpoint is not a node"
+    if fault:
+        raise ValueError(f"link {link.kind} {link.src} -> {link.dst}: {fault}")
+
+
+# what a quoted detail may hold: the lexer's string body, encodable as UTF-8
+_DETAIL_RE = re.compile('[^"\n\ud800-\udfff]*')
+
+
+def _evidence_fault(ev: Evidence) -> str:
+    """Why a link record could not carry ev back unchanged, or "" if it
+    can: the manifest writes ASSERTED as `assert`, and verified evidence as
+    whole numbers and a one-line detail without '"'."""
+    if not isinstance(ev, Evidence):
+        return "evidence must be an Evidence"
+    if ev.status == "asserted":
+        return "" if ev == ASSERTED else "asserted evidence must be ASSERTED"
+    if ev.status != "verified":
+        return f"{ev.status!r} evidence is never stored"
+    if not isinstance(ev.fuel, Fuel) or any(type(n) is not int for n in astuple(ev.fuel)):
+        return "verified evidence needs a Fuel of whole numbers"
+    if type(ev.corpus_depth) is not int or ev.corpus_depth < 0:
+        return "verified evidence needs a whole corpus depth >= 0"
+    if not isinstance(ev.detail, str) or not _DETAIL_RE.fullmatch(ev.detail):
+        return "the evidence detail must be one line of text without '\"'"
+    return ""
 
 
 def _acyclic(nodes: Mapping[str, Ontology], links: Sequence[Link]) -> bool:
@@ -157,12 +249,14 @@ def add_node(g: DevGraph, o: Ontology, fuel: Fuel) -> DevGraph:
     """Insert a validated ontology under its own name."""
     if o.name in g.nodes:
         raise DuplicateName(f"node {o.name!r} already exists")
+    _check_node(o.name, o)
     bad = validate_ontology(o, fuel).failure
     if bad:
         raise ValidationFailed(f"{o.name}: {bad.label} failed: {bad.witness}")
     nodes = dict(g.nodes)
     nodes[o.name] = o
-    return DevGraph(nodes, g.links, g.evidence)
+    # a new node has no links, so it closes no cycle
+    return _grown(MappingProxyType(nodes), g.links, g.evidence)
 
 
 def check_splitting_morphism(
@@ -216,9 +310,10 @@ def add_link(
         evidence = check_splitting_morphism(link.morphism, src, dst, corpus_depth, fuel)
     if not evidence.ok:
         raise EvidenceRefuted(f"{link.kind} link: {evidence.detail}")
+    _check_link(link, g.nodes, evidence)
     ev = dict(g.evidence)
     ev[link] = evidence
-    return DevGraph(g.nodes, candidate, ev)
+    return _grown(g.nodes, candidate, MappingProxyType(ev))
 
 
 # ---------------------------------------------------------------------------
@@ -386,9 +481,15 @@ def _collect_names(g: DevGraph):
     return sigs, sig_names, cals, cal_names, morphisms, morphism_names
 
 
+# the bytes save_graph returned last, and the graph it wrote into them
+_last_saved: tuple[bytes, DevGraph] | None = None
+
+
 def save_graph(g: DevGraph) -> bytes:
     """Canonical manifest: signatures, calculi, morphisms, nodes by name,
-    links in lexicographic order, evidence embedded in the link records."""
+    links in lexicographic order, evidence embedded in the link records.
+    The manifest and g take the one slot load_graph answers from."""
+    global _last_saved
     sigs, sig_names, cals, cal_names, morphisms, morphism_names = _collect_names(g)
     chunks: list[str] = []
     for sig in sigs:
@@ -405,11 +506,20 @@ def save_graph(g: DevGraph) -> bytes:
         record = LinkRecord(link.kind, link.src, link.dst, morphism, g.evidence[link])
         records.append(emit_link(record))
     chunks.extend(sorted(records))
-    return ("\n".join(chunks) + "\n").encode("utf-8")
+    data = ("\n".join(chunks) + "\n").encode("utf-8")
+    _last_saved = (data, g)
+    return data
 
 
 def load_graph(data: bytes | str) -> DevGraph:
-    """Rebuild a graph from a manifest without re-running any checker."""
+    """Rebuild a graph from a manifest without re-running any checker.
+
+    Bytes equal to the last manifest save_graph returned give back the graph
+    it wrote, equal to the one a parse would build; anything else is parsed.
+    """
+    saved = _last_saved
+    if saved is not None and isinstance(data, bytes) and data == saved[0]:
+        return saved[1]
     try:
         text = data.decode("utf-8") if isinstance(data, bytes) else data
     except UnicodeDecodeError as exc:
@@ -422,8 +532,6 @@ def load_graph(data: bytes | str) -> DevGraph:
     links: list[Link] = []
     evidence: dict[Link, Evidence] = {}
     for record in doc.links:
-        if record.src not in nodes or record.dst not in nodes:
-            raise FormatError(f"link references unknown node {record.src} -> {record.dst}")
         morphism = None
         if record.morphism is not None:
             table = doc.splittings if record.kind == "splitting" else doc.morphisms
@@ -434,14 +542,10 @@ def load_graph(data: bytes | str) -> DevGraph:
             link = Link(record.kind, record.src, record.dst, morphism)
         except ValueError as exc:
             raise FormatError(str(exc)) from exc
-        if record.evidence is None:
-            raise FormatError(f"link {record.src} -> {record.dst} lacks evidence")
         links.append(link)
-        evidence[link] = record.evidence
+        if record.evidence is not None:
+            evidence[link] = record.evidence
     try:
-        graph = DevGraph(nodes, links, evidence)
+        return DevGraph(nodes, links, evidence)
     except ValueError as exc:
         raise FormatError(f"corrupt manifest: {exc}") from exc
-    if not graph.is_acyclic():
-        raise FormatError("manifest encodes a cyclic graph")
-    return graph

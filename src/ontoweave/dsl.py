@@ -20,11 +20,21 @@ and link blocks, plus canonical emitters for bit-exact round trips.
 Comments run from '#' to end of line. Whitespace is insignificant. The
 tokens come from syntax.tokenize, the one lexer of every textual input, and
 every formula from syntax.read_formula.
+
+Each text is parsed once: parse_document keeps the Documents of the
+DOCUMENT_MEMO_SIZE texts it read most recently, keyed by the full text
+(never a path or an mtime), so an edited file is always parsed again. A
+text that fails is not remembered, so it fails again with the same
+message. A Document is read-only throughout (mapping proxies, a tuple of
+frozen LinkRecords), so no caller can change what a later one is handed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 from .consequence import ASSERTED, CalculusPresentation, Evidence, Fuel, Rule
 from .errors import ArityError, OntoSigError, ParseError, SignatureError, UnknownSymbol
@@ -33,7 +43,11 @@ from .ontology import Ontology, make_ontology
 from .syntax import Formula, Signature, Symbol, is_identifier, make_signature, read_formula, tokenize
 
 
-@dataclass
+# how many texts parse_document remembers
+DOCUMENT_MEMO_SIZE = 8
+
+
+@dataclass(frozen=True)
 class LinkRecord:
     """A link statement as written, before graph assembly."""
 
@@ -44,20 +58,29 @@ class LinkRecord:
     evidence: Evidence | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class Document:
-    signatures: dict[str, Signature] = field(default_factory=dict)
-    calculi: dict[str, CalculusPresentation] = field(default_factory=dict)
-    morphisms: dict[str, SignatureMorphism] = field(default_factory=dict)
-    splittings: dict[str, SplittingMorphism] = field(default_factory=dict)
-    ontologies: dict[str, Ontology] = field(default_factory=dict)
-    links: list[LinkRecord] = field(default_factory=list)
+    """A parsed text: each block kind's table by name, and the link
+    statements in text order. Read-only."""
+
+    signatures: Mapping[str, Signature]
+    calculi: Mapping[str, CalculusPresentation]
+    morphisms: Mapping[str, SignatureMorphism]
+    splittings: Mapping[str, SplittingMorphism]
+    ontologies: Mapping[str, Ontology]
+    links: tuple[LinkRecord, ...]
 
 
 class _Parser:
     def __init__(self, tokens: list[str]):
         self.tokens = tokens
         self.pos = 0
+        self.signatures: dict[str, Signature] = {}
+        self.calculi: dict[str, CalculusPresentation] = {}
+        self.morphisms: dict[str, SignatureMorphism] = {}
+        self.splittings: dict[str, SplittingMorphism] = {}
+        self.ontologies: dict[str, Ontology] = {}
+        self.links: list[LinkRecord] = []
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -119,19 +142,19 @@ class _Parser:
 
     # -- blocks
 
-    def signature_block(self, doc: Document) -> None:
+    def signature_block(self) -> None:
         name = self.take_ident()
-        if name in doc.signatures:
+        if name in self.signatures:
             raise ParseError(f"duplicate signature {name!r}")
-        doc.signatures[name] = make_signature(self.symbol_decls())
+        self.signatures[name] = make_signature(self.symbol_decls())
 
-    def calculus_block(self, doc: Document) -> None:
+    def calculus_block(self) -> None:
         name = self.take_ident()
-        if name in doc.calculi:
+        if name in self.calculi:
             raise ParseError(f"duplicate calculus {name!r}")
         self.take("over")
         sig_name = self.take_ident()
-        sig = doc.signatures.get(sig_name)
+        sig = self.signatures.get(sig_name)
         if sig is None:
             raise ParseError(f"calculus {name!r} references unknown signature {sig_name!r}")
         axioms: list[Rule] = []
@@ -167,17 +190,17 @@ class _Parser:
             else:
                 raise ParseError(f"unexpected {kw!r} in calculus block")
         self.take("}")
-        doc.calculi[name] = CalculusPresentation(sig, axioms, rules, negation)
+        self.calculi[name] = CalculusPresentation(sig, axioms, rules, negation)
 
-    def ontology_block(self, doc: Document) -> None:
+    def ontology_block(self) -> None:
         name = self.take_ident()
-        if name in doc.ontologies:
+        if name in self.ontologies:
             raise ParseError(f"duplicate ontology {name!r}")
         self.take("{")
         self.take("base")
         cal_name = self.take_ident()
         self.take(";")
-        cal = doc.calculi.get(cal_name)
+        cal = self.calculi.get(cal_name)
         if cal is None:
             raise ParseError(f"ontology {name!r} references unknown calculus {cal_name!r}")
         self.take("onto_signature")
@@ -191,20 +214,20 @@ class _Parser:
         self.take("}")
         self.take("}")
         try:
-            doc.ontologies[name] = make_ontology(cal, onto_sig, axioms, name)
+            self.ontologies[name] = make_ontology(cal, onto_sig, axioms, name)
         except OntoSigError as exc:
             raise ParseError(str(exc)) from exc
 
-    def map_block(self, doc: Document, kind: str, table: dict, cls: type, read_image) -> None:
+    def map_block(self, kind: str, table: dict, cls: type, read_image) -> None:
         """`name : S -> T { sym -> image; ... }` for a morphism (symbol
         images) or a splitting (formula images) block."""
         name = self.take_ident()
         if name in table:
             raise ParseError(f"duplicate {kind} {name!r}")
         self.take(":")
-        src = doc.signatures.get(self.take_ident())
+        src = self.signatures.get(self.take_ident())
         self.take("->")
-        dst = doc.signatures.get(self.take_ident())
+        dst = self.signatures.get(self.take_ident())
         if src is None or dst is None:
             raise ParseError(f"{kind} {name!r} references an unknown signature")
         images = {}
@@ -220,20 +243,20 @@ class _Parser:
         except SignatureError as exc:
             raise ParseError(f"{kind} {name!r}: {exc}") from exc
 
-    def link_statement(self, doc: Document) -> None:
+    def link_statement(self) -> None:
         kind = self.take()
         if kind not in ("definition", "theorem", "splitting"):
             raise ParseError(f"unknown link kind {kind!r}")
         src = self.take_ident()
         self.take("->")
         dst = self.take_ident()
-        record = LinkRecord(kind=kind, src=src, dst=dst)
+        morphism = evidence = None
         while self.peek() in ("morphism", "assert", "evidence"):
             kw = self.take()
             if kw == "morphism":
-                record.morphism = self.take_ident()
+                morphism = self.take_ident()
             elif kw == "assert":
-                record.evidence = ASSERTED
+                evidence = ASSERTED
             else:
                 status = self.take()
                 if status != "verified":
@@ -256,31 +279,39 @@ class _Parser:
                     if not (raw.startswith('"') and raw.endswith('"')):
                         raise ParseError("evidence detail must be a quoted string")
                     detail = raw[1:-1]
-                record.evidence = Evidence("verified", fields["depth"], fuel, detail)
-        doc.links.append(record)
+                evidence = Evidence("verified", fields["depth"], fuel, detail)
+        self.links.append(LinkRecord(kind, src, dst, morphism, evidence))
 
     def document(self) -> Document:
-        doc = Document()
         while self.peek() is not None:
             kw = self.take()
             if kw == "signature":
-                self.signature_block(doc)
+                self.signature_block()
             elif kw == "calculus":
-                self.calculus_block(doc)
+                self.calculus_block()
             elif kw == "ontology":
-                self.ontology_block(doc)
+                self.ontology_block()
             elif kw == "morphism":
-                self.map_block(doc, kw, doc.morphisms, SignatureMorphism, self.symbol_ref)
+                self.map_block(kw, self.morphisms, SignatureMorphism, self.symbol_ref)
             elif kw == "splitting":
-                self.map_block(doc, kw, doc.splittings, SplittingMorphism, self.formula)
+                self.map_block(kw, self.splittings, SplittingMorphism, self.formula)
             elif kw == "link":
-                self.link_statement(doc)
+                self.link_statement()
             else:
                 raise ParseError(f"expected a block keyword, found {kw!r}")
-        return doc
+        return Document(
+            MappingProxyType(self.signatures),
+            MappingProxyType(self.calculi),
+            MappingProxyType(self.morphisms),
+            MappingProxyType(self.splittings),
+            MappingProxyType(self.ontologies),
+            tuple(self.links),
+        )
 
 
+@functools.lru_cache(maxsize=DOCUMENT_MEMO_SIZE)
 def parse_document(text: str) -> Document:
+    """The Document of text; equal texts get the same read-only Document."""
     return _Parser(tokenize(text)).document()
 
 
@@ -339,13 +370,10 @@ def emit_map(
     return "\n".join(lines)
 
 
-def sanitize_detail(detail: str) -> str:
-    return detail.replace('"', "'").replace("\n", " ").replace("\t", " ")
-
-
 def emit_link(record: LinkRecord) -> str:
     """A link statement: `assert` for asserted evidence, else the evidence
-    status, its check parameters and the sanitized detail."""
+    status, its check parameters and the detail, which DevGraph keeps to one
+    quotable line."""
     parts = [f"link {record.kind} {record.src} -> {record.dst}"]
     if record.morphism:
         parts.append(f"morphism {record.morphism}")
@@ -359,5 +387,5 @@ def emit_link(record: LinkRecord) -> str:
             f"size={fuel.max_formula_size} set={fuel.max_set_size}"
         )
         if ev.detail:
-            parts.append(f'detail "{sanitize_detail(ev.detail)}"')
+            parts.append(f'detail "{ev.detail}"')
     return " ".join(parts)

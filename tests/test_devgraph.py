@@ -1,8 +1,10 @@
 """Development graphs: links with evidence, pattern verifiers, persistence."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ontoweave.consequence import ASSERTED, CalculusPresentation, Evidence, Fuel, weaker_than
+from ontoweave.cli import main
 from ontoweave.devgraph import (
     DevGraph,
     Link,
@@ -26,9 +28,9 @@ from ontoweave.errors import (
     ValidationFailed,
 )
 from ontoweave.morphisms import SignatureMorphism, SplittingMorphism
-from ontoweave.ontology import Ontology, check_ecsy_morphism, make_ontology
+from ontoweave.ontology import Ontology, check_ecsy_morphism, connect, make_ontology
 from ontoweave.syntax import Symbol, make_signature, parse_formula
-from ontoweave import presets
+from ontoweave import devgraph, dsl, presets
 
 from conftest import binary_calculus, plain_ontology
 
@@ -117,11 +119,18 @@ def test_link_unknown_endpoint():
         add_link(g, Link("theorem", "A", "Z"), 1, LINK_FUEL)
 
 
-def test_cycle_rejected():
+def test_cycle_rejected(monkeypatch):
     g, a, m = two_node_graph()
     g = add_link(g, Link("definition", "A", "M", relabel(a, m)), 1, LINK_FUEL)
-    with pytest.raises(CycleError):
+    calls = []
+    acyclic = devgraph._acyclic
+    monkeypatch.setattr(devgraph, "_acyclic", lambda *args: calls.append(1) or acyclic(*args))
+    with pytest.raises(CycleError, match="^link M -> A would close a cycle$"):
         add_link(g, Link("definition", "M", "A", relabel(m, a)), 1, LINK_FUEL)
+    # the cycle check runs once per add_link, and add_node needs none
+    add_link(g, Link("theorem", "M", "M"), 1, LINK_FUEL)
+    add_node(g, plain_ontology(a, "B"), NODE_FUEL)
+    assert len(calls) == 2
 
 
 def test_refuted_theorem_rejected(cpl, rule_free):
@@ -515,3 +524,226 @@ def test_verifiers_do_not_mutate():
     verify_homogeneous_refinement(g, "O1", "O2P")
     verify_heterogeneous_refinement(g, "O1", "O2", "O2P")
     assert save_graph(g) == before
+
+
+# -- the constructor refuses what a manifest cannot carry back
+
+EDGE_CAL = binary_calculus("m")
+OTHER_CAL = binary_calculus("k")
+CLASH = dsl.parse_document("""
+signature S { a/0; } signature T { b/0; }
+calculus l over S { axiom X: a; }
+calculus r over T { rule X: b |- b; }
+ontology L { base l; onto_signature { } axioms { } }
+ontology R { base r; onto_signature { } axioms { } }
+""").ontologies
+
+
+def edge_graph(evidence, nodes=("A", "B"), src="A", dst="B"):
+    """DevGraph with one theorem link src -> dst carrying evidence."""
+    link = Link("theorem", src, dst)
+    return DevGraph({n: plain_ontology(EDGE_CAL, n) for n in nodes}, [link], {link: evidence})
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: edge_graph(Evidence("verified", None, None, "")),
+        lambda: edge_graph(Evidence("verified", None, Fuel(), "")),
+        lambda: edge_graph(Evidence("verified", 2.0, Fuel(), "")),
+        lambda: edge_graph(Evidence("verified", 2, Fuel(2.5, 12, 8000), "")),
+        lambda: edge_graph(Evidence("refuted", 2, Fuel(), "weaker-than refuted")),
+        lambda: edge_graph(Evidence("verified", 2, Fuel(), 'says "hi"')),
+        lambda: edge_graph(Evidence("verified", 2, Fuel(), "two\nlines")),
+        lambda: edge_graph(Evidence("asserted", 2, Fuel(), "mine")),
+        lambda: edge_graph(ASSERTED, nodes=("A",)),
+        lambda: DevGraph({"x": plain_ontology(EDGE_CAL, "a")}),
+        lambda: DevGraph({"x y": Ontology("x y", EDGE_CAL, EDGE_CAL.sig, ())}),
+        lambda: add_node(DevGraph(), Ontology("x y", EDGE_CAL, EDGE_CAL.sig, ()), NODE_FUEL),
+        # connect keeps an axiom and a rule that share a name
+        lambda: DevGraph({"M": connect(CLASH["L"], CLASH["R"], "M")}),
+        lambda: DevGraph(
+            {n: plain_ontology(EDGE_CAL, n) for n in "AB"},
+            [Link("theorem", "A", "B"), Link("theorem", "B", "A")],
+            {Link("theorem", "A", "B"): ASSERTED, Link("theorem", "B", "A"): ASSERTED},
+        ),
+    ],
+    ids=[
+        "no-fuel", "no-depth", "float-depth", "float-fuel", "refuted", "quote-in-detail",
+        "newline-in-detail", "asserted-with-parameters", "absent-node", "renamed-node",
+        "non-identifier-node", "non-identifier-added-node", "clashing-rule-names", "two-cycle",
+    ],
+)
+def test_unstorable_graphs_are_refused(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_stored_detail_is_kept_verbatim():
+    g = edge_graph(Evidence("verified", 0, Fuel(), "tab\tand # hash, \\ backslash"))
+    assert load_graph(save_graph(g).decode("utf-8")) == g
+
+
+def test_graphs_are_read_only():
+    g = full_graph()
+    link = g.links[0]
+    with pytest.raises(TypeError):
+        g.nodes["B"] = g.nodes["O1"]
+    with pytest.raises(TypeError):
+        del g.nodes["O1"]
+    with pytest.raises(TypeError):
+        g.evidence[link] = ASSERTED
+    with pytest.raises(AttributeError):
+        g.links = ()
+    with pytest.raises(AttributeError):
+        del g.evidence
+
+
+# -- load_graph answers its own last save without parsing
+
+
+def _parse_spy(monkeypatch):
+    """Count parses of the document parser load_graph calls."""
+    calls = []
+    parse = devgraph.parse_document
+    monkeypatch.setattr(devgraph, "parse_document", lambda text: calls.append(1) or parse(text))
+    return calls
+
+
+@pytest.fixture()
+def committed(tmp_path):
+    """A manifest written by CLI commits: two nodes and a verified self-link."""
+    defs = tmp_path / "defs.dsl"
+    defs.write_text(
+        "signature S { m/2; }\n"
+        "calculus c over S { rule E1: m(x1, x2) |- x1; }\n"
+        "ontology A { base c; onto_signature { } axioms { } }\n"
+        "ontology B { base c; onto_signature { } axioms { } }\n",
+        encoding="utf-8",
+    )
+    manifest = tmp_path / "graph.dsl"
+    for argv in (["add-node", "--defs", str(defs), "--name", "A"],
+                 ["add-node", "--defs", str(defs), "--name", "B"],
+                 ["add-link", "--kind", "theorem", "--from", "A", "--to", "A"]):
+        assert main(["graph", "--manifest", str(manifest), "--fuel-rounds", "1", *argv]) == 0
+    return manifest
+
+
+def test_load_after_commit_does_not_parse(committed, monkeypatch, capsys):
+    def refuse(text):
+        raise AssertionError("parsed")
+
+    monkeypatch.setattr(dsl, "parse_document", refuse)
+    monkeypatch.setattr(devgraph, "parse_document", refuse)
+    g = load_graph(committed.read_bytes())
+    assert sorted(g.nodes) == ["A", "B"] and len(g.links) == 1
+    capsys.readouterr()
+    assert main(["graph", "--manifest", str(committed), "load"]) == 0
+    assert capsys.readouterr().out == "nodes=2 links=1\n"
+
+
+def test_hand_edited_manifest_is_parsed_again(committed, monkeypatch):
+    blob = committed.read_bytes()
+    calls = _parse_spy(monkeypatch)
+    assert b" depth=2 " in blob
+    edited = blob.replace(b" depth=2 ", b" depth=3 ")
+    assert len(edited) == len(blob)
+    (link,) = load_graph(edited).links
+    assert calls == [1]
+    assert load_graph(edited).evidence[link].corpus_depth == 3
+    assert load_graph(blob).evidence[link].corpus_depth == 2
+    assert calls == [1, 1]
+
+
+def test_text_and_bad_manifests_load_as_before(committed, monkeypatch):
+    blob = committed.read_bytes()
+    saved = load_graph(blob)
+    calls = _parse_spy(monkeypatch)
+    assert load_graph(blob.decode("utf-8")) == saved
+    assert calls == [1]
+    with pytest.raises(FormatError, match="^corrupt manifest: "):
+        load_graph(blob[: len(blob) // 2])
+    with pytest.raises(FormatError, match=r"^corrupt manifest: not UTF-8 text \(byte 0: "):
+        load_graph(b"\xff" + blob[1:])
+
+
+# -- every graph the constructor builds round-trips through a fresh parse
+
+_NODES = {
+    name: plain_ontology(cal, name) for name, cal in zip("ABC", (EDGE_CAL, OTHER_CAL, EDGE_CAL))
+}
+_BAD_NODES = [
+    ("D", plain_ontology(OTHER_CAL, "A")),
+    ("x y", Ontology("x y", EDGE_CAL, EDGE_CAL.sig, ())),
+]
+_LINK_SHAPES = [
+    ("theorem", None),
+    ("definition", relabel(EDGE_CAL, OTHER_CAL)),
+    ("definition", relabel(EDGE_CAL, EDGE_CAL)),
+    ("splitting", splitting_to(OTHER_CAL, EDGE_CAL, swap=True)),
+]
+_FUELS = [Fuel(), Fuel(1, 12, 8_000)]
+_SOUND_EVIDENCE = st.one_of(
+    st.just(ASSERTED),
+    st.builds(Evidence, st.just("verified"), st.sampled_from([0, 2]), st.sampled_from(_FUELS),
+              st.text(st.characters(blacklist_characters='"\n'), max_size=6)),
+)
+_ANY_EVIDENCE = st.builds(
+    Evidence,
+    st.sampled_from(["verified", "refuted", "asserted"]),
+    st.sampled_from([2, None, -1, 2.0]),
+    st.sampled_from([*_FUELS, None, Fuel(1.0, 12, 8_000)]),
+    st.text(max_size=6),
+)
+_FAULTS = [None, "node", "end", "evidence", "no-evidence", "stray-evidence", "reversed"]
+
+
+@st.composite
+def graph_parts(draw):
+    """Nodes, acyclic links and their evidence, then at most one fault."""
+    names = draw(st.sampled_from(["ABC", "AB", "BC", "A"]))
+    nodes = {name: _NODES[name] for name in names}
+    links, evidence = [], {}
+    for _ in range(draw(st.integers(0, 4))):
+        kind, morphism = draw(st.sampled_from(_LINK_SHAPES))
+        src, dst = sorted(draw(st.sampled_from(names)) for _ in "12")
+        link = Link(kind, src, dst, morphism) if src != dst else Link("theorem", src, dst)
+        if link not in evidence:
+            links.append(link)
+            evidence[link] = draw(_SOUND_EVIDENCE)
+    fault = draw(st.sampled_from(_FAULTS))
+    if fault == "node":
+        nodes.update([draw(st.sampled_from(_BAD_NODES))])
+    elif fault == "end":
+        links.append(Link("theorem", names[0], "Z"))
+        evidence[links[-1]] = ASSERTED
+    elif fault and links:
+        link = draw(st.sampled_from(links))
+        if fault == "evidence":
+            evidence[link] = draw(_ANY_EVIDENCE)
+        elif fault == "no-evidence":
+            del evidence[link]
+        elif fault == "stray-evidence":
+            links.remove(link)
+        elif link.src != link.dst:
+            back = Link(link.kind, link.dst, link.src, link.morphism)
+            links.append(back)
+            evidence[back] = ASSERTED
+    return nodes, links, evidence, fault
+
+
+@given(graph_parts())
+def test_every_buildable_graph_round_trips(parts):
+    nodes, links, evidence, fault = parts
+    try:
+        g = DevGraph(nodes, links, evidence)
+    except ValueError:
+        assert fault is not None
+        return
+    blob = save_graph(g)
+    assert load_graph(blob) == g
+    # the same manifest parsed afresh, past both memos
+    dsl.parse_document.cache_clear()
+    fresh = load_graph(blob.decode("utf-8"))
+    assert fresh == g and fresh is not g
+    assert save_graph(fresh) == blob

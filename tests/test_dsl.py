@@ -1,5 +1,6 @@
 """Block parsing and canonical emission."""
 
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import pytest
@@ -75,6 +76,32 @@ def test_parsed_link_record():
     record = doc.links[0]
     assert (record.kind, record.src, record.dst) == ("theorem", "efq", "efq")
     assert record.evidence is ASSERTED
+
+
+def test_documents_are_read_only():
+    doc = parse_document(FIXTURE)
+    for table in (doc.signatures, doc.calculi, doc.morphisms, doc.splittings, doc.ontologies):
+        with pytest.raises(TypeError):
+            table["fresh"] = None
+    with pytest.raises(TypeError):
+        doc.links[0] = None
+    with pytest.raises(FrozenInstanceError):
+        doc.links[0].src = "other"
+    with pytest.raises(FrozenInstanceError):
+        doc.links = ()
+    assert parse_document(FIXTURE) == doc
+
+
+def test_each_text_is_parsed_once():
+    doc = parse_document(FIXTURE)
+    # the key is the content, not the string object
+    assert parse_document("".join(FIXTURE)) is doc
+    assert parse_document(FIXTURE + " ") is not doc
+    # a failing text is not remembered: it raises the same error every time
+    bad = FIXTURE + "link theorem efq ->"
+    for _ in range(2):
+        with pytest.raises(ParseError, match="unexpected end of input"):
+            parse_document(bad)
 
 
 def test_parse_verified_link_with_detail():
