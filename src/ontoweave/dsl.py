@@ -21,12 +21,14 @@ Comments run from '#' to end of line. Whitespace is insignificant. The
 tokens come from syntax.tokenize, the one lexer of every textual input, and
 every formula from syntax.read_formula.
 
-Each text is parsed once: parse_document keeps the Documents of the
+read_document parses a text afresh. parse_document, the reader of defs
+files, parses each text once: it keeps the Documents of the
 DOCUMENT_MEMO_SIZE texts it read most recently, keyed by the full text
 (never a path or an mtime), so an edited file is always parsed again. A
 text that fails is not remembered, so it fails again with the same
 message. A Document is read-only throughout (mapping proxies, a tuple of
 frozen LinkRecords), so no caller can change what a later one is handed.
+Manifests go through read_document: devgraph keeps its own slot for them.
 """
 
 from __future__ import annotations
@@ -43,8 +45,9 @@ from .ontology import Ontology, make_ontology
 from .syntax import Formula, Signature, Symbol, is_identifier, make_signature, read_formula, tokenize
 
 
-# how many texts parse_document remembers
-DOCUMENT_MEMO_SIZE = 8
+# how many texts parse_document remembers: a CLI command reads one defs
+# file, and a run of graph commands on one defs file asks for one text
+DOCUMENT_MEMO_SIZE = 1
 
 
 @dataclass(frozen=True)
@@ -309,10 +312,15 @@ class _Parser:
         )
 
 
+def read_document(text: str) -> Document:
+    """The Document of text, parsed afresh."""
+    return _Parser(tokenize(text)).document()
+
+
 @functools.lru_cache(maxsize=DOCUMENT_MEMO_SIZE)
 def parse_document(text: str) -> Document:
     """The Document of text; equal texts get the same read-only Document."""
-    return _Parser(tokenize(text)).document()
+    return read_document(text)
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,11 @@ def is_identifier(text: str) -> bool:
     return _IDENT_RE.match(text) is not None
 
 
+def is_symbol_name(text: str) -> bool:
+    """An identifier that names no schema variable: what a signature declares."""
+    return is_identifier(text) and _VAR_NAME_RE.match(text) is None
+
+
 def _check_symbol_name(name: str) -> None:
     if not is_identifier(name):
         raise ParseError(f"malformed identifier: {name!r}")
@@ -414,6 +419,24 @@ def read_formula(tokens: Sequence[str], pos: int, sig: Signature) -> tuple[Formu
 
     phi = node(1)
     return phi, pos
+
+
+def within_nesting(phi: Formula) -> bool:
+    """Whether read_formula can read phi back: phi nests at most MAX_NESTING
+    deep, counting a variable or a constant as depth 1."""
+    if phi.size <= MAX_NESTING:
+        return True  # no formula nests deeper than it has nodes
+    depth: dict[Formula, int] = {}
+    stack = [phi]
+    while stack:
+        node = stack[-1]
+        todo = [a for a in node.args if a not in depth]
+        if todo:
+            stack.extend(todo)
+        else:
+            depth[node] = 1 + max((depth[a] for a in node.args), default=0)
+            stack.pop()
+    return depth[phi] <= MAX_NESTING
 
 
 def parse_formula(text: str, sig: Signature) -> Formula:

@@ -365,7 +365,8 @@ def test_criterion_7_graph_integrity():
         if not g.is_acyclic():
             problems.append(f"cyclic after op {ops}")
             break
-        if load_graph(save_graph(g)) != g:
+        # a str is parsed afresh, never answered from save_graph's last bytes
+        if load_graph(save_graph(g).decode("utf-8")) != g:
             problems.append(f"round-trip mismatch after op {ops}")
             break
 

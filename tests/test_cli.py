@@ -290,9 +290,10 @@ def test_workspace_stays_reparseable(defs_file, tmp_path):
 
     manifest = tmp_path / "graph.dsl"
     graph_cmd(manifest, "add-node", "--defs", str(defs_file), "--name", "efq")
-    first = load_graph(manifest.read_bytes())
+    # as text, so each manifest is parsed rather than answered from the save slot
+    first = load_graph(manifest.read_bytes().decode("utf-8"))
     graph_cmd(manifest, "add-link", "--kind", "theorem", "--from", "efq", "--to", "efq")
-    second = load_graph(manifest.read_bytes())
+    second = load_graph(manifest.read_bytes().decode("utf-8"))
     assert set(first.nodes) == {"efq"}
     assert len(second.links) == 1
 

@@ -3,7 +3,14 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from ontoweave.consequence import ASSERTED, CalculusPresentation, Evidence, Fuel, weaker_than
+from ontoweave.consequence import (
+    ASSERTED,
+    CalculusPresentation,
+    Evidence,
+    Fuel,
+    Rule,
+    weaker_than,
+)
 from ontoweave.cli import main
 from ontoweave.devgraph import (
     DevGraph,
@@ -29,7 +36,15 @@ from ontoweave.errors import (
 )
 from ontoweave.morphisms import SignatureMorphism, SplittingMorphism
 from ontoweave.ontology import Ontology, check_ecsy_morphism, connect, make_ontology
-from ontoweave.syntax import Symbol, make_signature, parse_formula
+from ontoweave.syntax import (
+    MAX_NESTING,
+    Signature,
+    Symbol,
+    apply_symbol,
+    make_signature,
+    parse_formula,
+    svar,
+)
 from ontoweave import devgraph, dsl, presets
 
 from conftest import binary_calculus, plain_ontology
@@ -450,17 +465,23 @@ def full_graph():
     return g
 
 
+def reparse(blob):
+    """The graph a fresh parse of a saved manifest builds: a str never
+    takes the slot of save_graph's last bytes."""
+    return load_graph(blob.decode("utf-8"))
+
+
 def test_save_load_round_trip_all_kinds():
     g = full_graph()
     blob = save_graph(g)
-    loaded = load_graph(blob)
-    assert loaded == g
+    loaded = reparse(blob)
+    assert loaded == g and loaded is not g
     assert save_graph(loaded) == blob
 
 
 def test_save_load_empty():
     g = DevGraph()
-    assert load_graph(save_graph(g)) == g
+    assert reparse(save_graph(g)) == g
 
 
 def test_load_truncated_manifest():
@@ -495,13 +516,13 @@ def test_asserted_and_verified_links_round_trip():
     g = add_link(g, Link("theorem", "A", "C"), 2, LINK_FUEL, asserted=True)
     assert sorted(ev.status for ev in g.evidence.values()) == ["asserted", "verified"]
     blob = save_graph(g)
-    loaded = load_graph(blob)
+    loaded = reparse(blob)
     assert loaded == g
     assert save_graph(loaded) == blob
 
 
 def test_stored_evidence_is_reproducible():
-    g = load_graph(save_graph(full_graph()))
+    g = reparse(save_graph(full_graph()))
     for link in g.links:
         ev = g.evidence[link]
         if ev.status != "verified":
@@ -539,10 +560,35 @@ ontology R { base r; onto_signature { } axioms { } }
 """).ontologies
 
 
+def chain(sym, inner, times):
+    """sym applied times over inner, sym's other arguments x1."""
+    for _ in range(times):
+        inner = apply_symbol(sym, (inner,) + (svar(1),) * (sym.arity - 1))
+    return inner
+
+
+M, U, C = Symbol("m", 2), Symbol("u", 1), Symbol("c", 0)
+# nested one deeper than read_formula reads
+DEEP = chain(M, svar(1), MAX_NESTING)
+DEEP_CLOSED = chain(U, apply_symbol(C), MAX_NESTING)
+UC_SIG = make_signature([("u", 1), ("c", 0)])
+
+
+def sig_node(name, sym):
+    """A node over a signature holding sym, which no signature block declares."""
+    sig = Signature({sym.arity: [sym]})
+    return Ontology(name, CalculusPresentation(sig), sig, ())
+
+
 def edge_graph(evidence, nodes=("A", "B"), src="A", dst="B"):
     """DevGraph with one theorem link src -> dst carrying evidence."""
     link = Link("theorem", src, dst)
     return DevGraph({n: plain_ontology(EDGE_CAL, n) for n in nodes}, [link], {link: evidence})
+
+
+def link_graph(link):
+    """DevGraph with nodes A and B and one asserted link."""
+    return DevGraph({n: plain_ontology(EDGE_CAL, n) for n in "AB"}, [link], {link: ASSERTED})
 
 
 @pytest.mark.parametrize(
@@ -567,11 +613,27 @@ def edge_graph(evidence, nodes=("A", "B"), src="A", dst="B"):
             [Link("theorem", "A", "B"), Link("theorem", "B", "A")],
             {Link("theorem", "A", "B"): ASSERTED, Link("theorem", "B", "A"): ASSERTED},
         ),
+        lambda: DevGraph({"A": Ontology("A", EDGE_CAL, EDGE_CAL.sig, [DEEP])}),
+        lambda: DevGraph({"A": plain_ontology(CalculusPresentation(
+            EDGE_CAL.sig, [Rule("A", (), DEEP)]), "A")}),
+        lambda: DevGraph({"A": sig_node("A", Symbol("a b", 0))}),
+        lambda: DevGraph({"A": sig_node("A", Symbol("x1", 0))}),
+        lambda: DevGraph({"A": sig_node("A", Symbol("f", -1))}),
+        lambda: DevGraph({"A": Ontology("A", EDGE_CAL, UC_SIG, ())}),
+        lambda: DevGraph({"A": plain_ontology(CalculusPresentation(
+            EDGE_CAL.sig, rules=[Rule("R", (), svar(1))]), "A")}),
+        lambda: link_graph(Link("definition", "A", "B", SignatureMorphism.identity(
+            Signature({0: [Symbol("a b", 0)]})))),
+        lambda: link_graph(Link("splitting", "A", "B", SplittingMorphism(
+            make_signature([("c", 0)]), UC_SIG, {C: DEEP_CLOSED}))),
     ],
     ids=[
         "no-fuel", "no-depth", "float-depth", "float-fuel", "refuted", "quote-in-detail",
         "newline-in-detail", "asserted-with-parameters", "absent-node", "renamed-node",
         "non-identifier-node", "non-identifier-added-node", "clashing-rule-names", "two-cycle",
+        "deep-axiom", "deep-schema", "non-identifier-symbol", "variable-named-symbol",
+        "negative-arity", "onto-signature-outside-base",
+        "rule-without-premises", "morphism-over-unwritable-signature", "deep-splitting-image",
     ],
 )
 def test_unstorable_graphs_are_refused(build):
@@ -581,7 +643,7 @@ def test_unstorable_graphs_are_refused(build):
 
 def test_stored_detail_is_kept_verbatim():
     g = edge_graph(Evidence("verified", 0, Fuel(), "tab\tand # hash, \\ backslash"))
-    assert load_graph(save_graph(g).decode("utf-8")) == g
+    assert reparse(save_graph(g)) == g
 
 
 def test_graphs_are_read_only():
@@ -605,8 +667,8 @@ def test_graphs_are_read_only():
 def _parse_spy(monkeypatch):
     """Count parses of the document parser load_graph calls."""
     calls = []
-    parse = devgraph.parse_document
-    monkeypatch.setattr(devgraph, "parse_document", lambda text: calls.append(1) or parse(text))
+    parse = devgraph.read_document
+    monkeypatch.setattr(devgraph, "read_document", lambda text: calls.append(1) or parse(text))
     return calls
 
 
@@ -634,7 +696,8 @@ def test_load_after_commit_does_not_parse(committed, monkeypatch, capsys):
         raise AssertionError("parsed")
 
     monkeypatch.setattr(dsl, "parse_document", refuse)
-    monkeypatch.setattr(devgraph, "parse_document", refuse)
+    monkeypatch.setattr(dsl, "read_document", refuse)
+    monkeypatch.setattr(devgraph, "read_document", refuse)
     g = load_graph(committed.read_bytes())
     assert sorted(g.nodes) == ["A", "B"] and len(g.links) == 1
     capsys.readouterr()
@@ -675,6 +738,8 @@ _NODES = {
 _BAD_NODES = [
     ("D", plain_ontology(OTHER_CAL, "A")),
     ("x y", Ontology("x y", EDGE_CAL, EDGE_CAL.sig, ())),
+    ("D", Ontology("D", EDGE_CAL, EDGE_CAL.sig, [DEEP])),
+    ("D", Ontology("D", EDGE_CAL, UC_SIG, ())),
 ]
 _LINK_SHAPES = [
     ("theorem", None),
@@ -742,8 +807,7 @@ def test_every_buildable_graph_round_trips(parts):
         return
     blob = save_graph(g)
     assert load_graph(blob) == g
-    # the same manifest parsed afresh, past both memos
-    dsl.parse_document.cache_clear()
-    fresh = load_graph(blob.decode("utf-8"))
+    # the same manifest parsed afresh, past the slot
+    fresh = reparse(blob)
     assert fresh == g and fresh is not g
     assert save_graph(fresh) == blob

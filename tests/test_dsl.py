@@ -16,7 +16,14 @@ from ontoweave.dsl import (
     parse_document,
 )
 from ontoweave.errors import ParseError
-from ontoweave.syntax import MAX_NESTING, Symbol, make_signature, parse_formula
+from ontoweave.syntax import (
+    MAX_NESTING,
+    Symbol,
+    apply_symbol,
+    make_signature,
+    parse_formula,
+    within_nesting,
+)
 
 FIXTURE = """
 # a workbench document
@@ -156,6 +163,9 @@ def test_both_parsers_share_the_nesting_cap():
         parse_formula(nested(MAX_NESTING + 1), sig)
     with pytest.raises(ParseError, match="nested deeper"):
         parse_document(axiom_doc(MAX_NESTING + 1))
+    # within_nesting draws the same line for formulas built in code
+    assert within_nesting(axiom.conclusion)
+    assert not within_nesting(apply_symbol(Symbol("not", 1), [axiom.conclusion]))
 
 
 def test_negation_must_resolve():
