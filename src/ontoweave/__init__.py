@@ -59,14 +59,12 @@ from .ontology import (
     check_ecsy_morphism,
     connect,
     connection_axiom_rounds,
-    make_ontology,
     merge_presentations,
     validate_ontology,
 )
 from .syntax import (
     Formula,
     Signature,
-    Substitution,
     Symbol,
     apply_symbol,
     count_formulas,

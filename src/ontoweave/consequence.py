@@ -36,6 +36,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .errors import CapExceeded, ConfigError, LanguageError, SignatureError
 from .syntax import (
     Formula,
+    ReadOnly,
     Signature,
     Symbol,
     apply_symbol,
@@ -50,14 +51,18 @@ from .syntax import (
 
 @dataclass(frozen=True)
 class Fuel:
-    """Resource bounds for one bounded-closure computation."""
+    """Resource bounds for one bounded-closure computation: three whole
+    numbers >= 1, or the constructor raises ValueError."""
 
     max_closure_rounds: int = 6
     max_formula_size: int = 31
     max_set_size: int = 512
 
     def __post_init__(self) -> None:
-        if min(self.max_closure_rounds, self.max_formula_size, self.max_set_size) < 1:
+        fields = (self.max_closure_rounds, self.max_formula_size, self.max_set_size)
+        if any(type(n) is not int for n in fields):
+            raise ValueError("all fuel fields must be whole numbers")
+        if min(fields) < 1:
             raise ValueError("all fuel fields must be positive")
 
     @property
@@ -154,13 +159,16 @@ def _lookahead_position(pats: Sequence[Formula], i: int) -> int | None:
 _PRESENTATIONS: dict[tuple, "CalculusPresentation"] = {}
 
 
-class CalculusPresentation:
+class CalculusPresentation(ReadOnly):
     """A signature with axiom schemas, rules, and an optional negation.
 
     Hash-consed like formulas: building a presentation whose signature,
     sorted axioms, sorted rules and negation equal one already built returns
     that object, so equality is identity and the plans, look-ahead and
-    axiom-instance memo are built once per content. Invalid ones always raise.
+    axiom-instance memo are built once per content. Invalid ones always
+    raise: an axiom with premises or a rule without any (which could never
+    fire), a schema outside the signature, a negation that is not one of
+    its unary symbols. No attribute can be set.
     """
 
     __slots__ = (
@@ -191,6 +199,9 @@ class CalculusPresentation:
         for rule in axioms:
             if rule.premises:
                 raise ValueError(f"axiom {rule.name!r} has premises")
+        for rule in rules:
+            if not rule.premises:
+                raise ValueError(f"rule {rule.name!r} has no premises")
         maxvar = 2
         for rule in axioms + rules:
             for schema in rule.schemas():
@@ -198,31 +209,35 @@ class CalculusPresentation:
                 maxvar = max((maxvar, *schema.variables))
         if negation is not None and (negation.arity != 1 or negation not in sig):
             raise ConfigError(f"designated negation {negation} must be unary in the signature")
-        self = super().__new__(cls)
-        self.sig = sig
-        self.axioms = axioms
-        self.rules = rules
-        self.negation = negation
-        self._base_var_count = maxvar
-        # axiom instances, keyed by (axiom index, tuple of variable values)
-        self._inst_memo: dict = {}
         # premise evaluation order: structured patterns first, bare variables last
-        self._plans = tuple(
+        plans = tuple(
             tuple(sorted(range(len(r.premises)), key=lambda i: r.premises[i].var is not None))
             for r in rules
         )
-        # per plan level, the argument position at which a structured
-        # premise holds the next level's bare premise, or None
-        self._lookahead = tuple(
-            tuple(_lookahead_position([r.premises[j] for j in plan], i) for i in range(len(plan)))
-            for r, plan in zip(rules, self._plans)
-        )
         # each axiom schema with its variables and their occurrence counts
-        self._axiom_meta = []
+        axiom_meta = []
         for rule in axioms:
             occurrences = [n.var for n in rule.conclusion.subformulas() if n.var is not None]
             varlist = sorted(set(occurrences))
-            self._axiom_meta.append((rule.conclusion, varlist, [occurrences.count(v) for v in varlist]))
+            axiom_meta.append((rule.conclusion, varlist, [occurrences.count(v) for v in varlist]))
+        self = super().__new__(cls)
+        self._seal(
+            sig=sig,
+            axioms=axioms,
+            rules=rules,
+            negation=negation,
+            _base_var_count=maxvar,
+            # axiom instances, keyed by (axiom index, tuple of variable values)
+            _inst_memo={},
+            _plans=plans,
+            # per plan level, the argument position at which a structured
+            # premise holds the next level's bare premise, or None
+            _lookahead=tuple(
+                tuple(_lookahead_position([r.premises[j] for j in plan], i) for i in range(len(plan)))
+                for r, plan in zip(rules, plans)
+            ),
+            _axiom_meta=axiom_meta,
+        )
         _PRESENTATIONS[key] = self
         return self
 
@@ -893,14 +908,29 @@ class Evidence:
 
     status is "verified" (no counterexample within corpus_depth and fuel),
     "refuted" (detail names the witness) or "asserted" (no check ran, so
-    there are no check parameters). Stored links never carry refuted
-    evidence: add_link rejects the link instead.
+    there are no check parameters). A checked value carries a whole
+    corpus_depth >= 0 and a Fuel, an asserted one neither, and detail is a
+    str; the constructor raises ValueError otherwise. Stored links never
+    carry refuted evidence: add_link rejects the link instead.
     """
 
     status: str  # "verified" | "refuted" | "asserted"
     corpus_depth: int | None = None
     fuel: Fuel | None = None
     detail: str = ""
+
+    def __post_init__(self) -> None:
+        if self.status == "asserted":
+            if self.corpus_depth is not None or self.fuel is not None:
+                raise ValueError("asserted evidence carries no corpus depth or fuel")
+        elif self.status in ("verified", "refuted"):
+            depth = self.corpus_depth
+            if type(depth) is not int or depth < 0 or not isinstance(self.fuel, Fuel):
+                raise ValueError(f"{self.status} evidence needs a whole corpus depth >= 0 and a Fuel")
+        else:
+            raise ValueError(f"unknown evidence status {self.status!r}")
+        if type(self.detail) is not str:
+            raise ValueError("the evidence detail must be a str")
 
     @property
     def ok(self) -> bool:

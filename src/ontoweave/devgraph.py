@@ -8,16 +8,16 @@ reflexive and a self-link defines nothing; every other cycle is rejected.
 
 A manifest is parsed once per content. save_graph keeps the last manifest
 it wrote beside its graph, and load_graph hands that graph back when it is
-given exactly those bytes. That is exact because DevGraph refuses the
-graphs its manifest cannot carry back, so load_graph(save_graph(g)) == g,
-and because graphs are read-only. Any other input, a str or a manifest
-edited by hand included, is parsed as before.
+given exactly those bytes. That is exact because no graph its manifest
+cannot carry back can be built, so load_graph(save_graph(g)) == g, and
+because graphs and every part they hold are read-only. Any other input, a
+str or a manifest edited by hand included, is parsed as before.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -60,15 +60,7 @@ from .morphisms import (
     is_monomorphic,
 )
 from .ontology import Ontology, check_ecsy_morphism, validate_ontology
-from .syntax import (
-    MAX_NESTING,
-    Formula,
-    Signature,
-    is_identifier,
-    is_symbol_name,
-    signature_leq,
-    within_nesting,
-)
+from .syntax import MAX_NESTING, Formula, ReadOnly, Signature, is_identifier, within_nesting
 
 
 @dataclass(frozen=True)
@@ -89,18 +81,20 @@ class Link:
             raise ValueError(f"unknown link kind {self.kind!r}")
 
 
-class DevGraph:
+class DevGraph(ReadOnly):
     """Immutable snapshot of nodes, links, and link evidence.
 
-    The constructor refuses with a ValueError the graphs that save_graph
-    could not write so that load_graph reads them back equal: a node the
-    parser would not build the same (see _check_node), a link without
-    evidence, repeated, to an absent node or closing a cycle, a morphism
-    the parser would not read (_check_parts), evidence for no link, and
-    evidence a manifest cannot hold (_evidence_fault). Parts are taken as
-    built: those from the parser, make_signature and make_ontology are all
-    writable. nodes and evidence are read-only mappings, and no attribute
-    can be set.
+    Each part checks itself when it is built: Signature its symbols,
+    CalculusPresentation its schemas and rule shapes, Ontology its name,
+    signature inclusion and language, Fuel and Evidence their fields. The
+    constructor refuses with a ValueError what only a manifest restricts,
+    so that load_graph reads back equal whatever save_graph writes: a node
+    not named after its key, rule names the parser would not read, a
+    formula nested deeper than read_formula reads (see _check_node and
+    _check_link), a link without evidence, repeated, to an absent node or
+    closing a cycle, evidence for no link, and evidence a link record
+    cannot hold (_evidence_fault). nodes and evidence are read-only
+    mappings, and no attribute can be set.
     """
 
     __slots__ = ("nodes", "links", "evidence")
@@ -129,23 +123,7 @@ class DevGraph:
                 raise ValueError(f"evidence for {link.kind} {link.src} -> {link.dst}: not a link")
         if not _acyclic(nodes, links):
             raise ValueError("the links close a cycle")
-        self._seal(MappingProxyType(nodes), links, MappingProxyType(evidence))
-
-    def _seal(
-        self,
-        nodes: Mapping[str, Ontology],
-        links: tuple[Link, ...],
-        evidence: Mapping[Link, Evidence],
-    ) -> None:
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "links", links)
-        object.__setattr__(self, "evidence", evidence)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"DevGraph is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"DevGraph is immutable: cannot delete {name!r}")
+        self._seal(nodes=MappingProxyType(nodes), links=links, evidence=MappingProxyType(evidence))
 
     def links_from(self, src: str, kind: str | None = None) -> list[Link]:
         return [l for l in self.links if l.src == src and (kind is None or l.kind == kind)]
@@ -184,29 +162,22 @@ def _grown(
     add_node and add_link made the benchmark's graph commands a third
     slower."""
     g = object.__new__(DevGraph)
-    g._seal(nodes, links, evidence)
+    g._seal(nodes=nodes, links=links, evidence=evidence)
     return g
 
 
 def _check_node(name: str, onto: Ontology) -> None:
     """A manifest names each ontology block by its node, and the parser
     names the ontology after its block. It reads rule names as distinct
-    identifiers and a rule as an axiom unless it has premises, takes symbols
-    and formulas as _check_parts says, and builds the ontology through
-    make_ontology's inclusion check (the Ontology constructor itself refuses
-    an axiom outside the base language)."""
-    if not isinstance(onto, Ontology) or not is_identifier(name) or onto.name != name:
+    identifiers, and formulas as _check_nesting says."""
+    if not isinstance(onto, Ontology) or onto.name != name:
         raise ValueError(f"node {name!r} must hold an ontology named {name!r}")
     base = onto.base
     rules = [rule.name for rule in base.axioms + base.rules]
     if len(set(rules)) < len(rules) or not all(map(is_identifier, rules)):
         raise ValueError(f"node {name!r}: rule names must be distinct identifiers")
-    if not all(rule.premises for rule in base.rules):
-        raise ValueError(f"node {name!r}: a rule without premises reads back as an axiom")
-    if not signature_leq(onto.onto_sig, base.sig):
-        raise ValueError(f"node {name!r}: the ontological signature exceeds the base one")
     schemas = [phi for rule in base.axioms + base.rules for phi in rule.schemas()]
-    _check_parts(f"node {name!r}", (base.sig, onto.onto_sig), schemas + list(onto.axioms))
+    _check_nesting(f"node {name!r}", schemas + list(onto.axioms))
 
 
 def _check_link(link: Link, nodes: Mapping[str, Ontology], evidence: Evidence) -> None:
@@ -215,19 +186,12 @@ def _check_link(link: Link, nodes: Mapping[str, Ontology], evidence: Evidence) -
         fault = "an endpoint is not a node"
     if fault:
         raise ValueError(f"link {link.kind} {link.src} -> {link.dst}: {fault}")
-    m = link.morphism
-    if m is not None:
-        images = m.assign.values() if isinstance(m, SplittingMorphism) else ()
-        _check_parts(f"link {link.kind} {link.src} -> {link.dst}", (m.source, m.target), images)
+    if isinstance(link.morphism, SplittingMorphism):
+        _check_nesting(f"link {link.kind} {link.src} -> {link.dst}", link.morphism.assign.values())
 
 
-def _check_parts(what: str, sigs: Iterable[Signature], formulas: Iterable[Formula]) -> None:
-    """Signature blocks declare symbols as name/arity with a name that is no
-    schema variable's, and read_formula reads at most MAX_NESTING deep."""
-    for sig in sigs:
-        for sym in sig.symbols():
-            if not (is_symbol_name(sym.name) and type(sym.arity) is int and sym.arity >= 0):
-                raise ValueError(f"{what}: symbol {sym.name!r}/{sym.arity!r} cannot be declared")
+def _check_nesting(what: str, formulas: Iterable[Formula]) -> None:
+    """read_formula reads at most MAX_NESTING deep."""
     if not all(map(within_nesting, formulas)):
         raise ValueError(f"{what}: a formula is nested deeper than {MAX_NESTING}")
 
@@ -238,19 +202,13 @@ _DETAIL_RE = re.compile('[^"\n\ud800-\udfff]*')
 
 def _evidence_fault(ev: Evidence) -> str:
     """Why a link record could not carry ev back unchanged, or "" if it
-    can: the manifest writes ASSERTED as `assert`, and verified evidence as
-    whole numbers and a one-line detail without '"'."""
-    if not isinstance(ev, Evidence):
-        return "evidence must be an Evidence"
-    if ev.status == "asserted":
-        return "" if ev == ASSERTED else "asserted evidence must be ASSERTED"
-    if ev.status != "verified":
-        return f"{ev.status!r} evidence is never stored"
-    if not isinstance(ev.fuel, Fuel) or any(type(n) is not int for n in astuple(ev.fuel)):
-        return "verified evidence needs a Fuel of whole numbers"
-    if type(ev.corpus_depth) is not int or ev.corpus_depth < 0:
-        return "verified evidence needs a whole corpus depth >= 0"
-    if not isinstance(ev.detail, str) or not _DETAIL_RE.fullmatch(ev.detail):
+    can: a manifest holds no refuted evidence, writes ASSERTED as `assert`,
+    and quotes the detail on one line without '"'."""
+    if ev.status == "refuted":
+        return "'refuted' evidence is never stored"
+    if ev.status == "asserted" and ev != ASSERTED:
+        return "asserted evidence must be ASSERTED"
+    if not _DETAIL_RE.fullmatch(ev.detail):
         return "the evidence detail must be one line of text without '\"'"
     return ""
 

@@ -41,7 +41,7 @@ from typing import Mapping
 from .consequence import ASSERTED, CalculusPresentation, Evidence, Fuel, Rule
 from .errors import ArityError, OntoSigError, ParseError, SignatureError, UnknownSymbol
 from .morphisms import SignatureMorphism, SplittingMorphism
-from .ontology import Ontology, make_ontology
+from .ontology import Ontology
 from .syntax import Formula, Signature, Symbol, is_identifier, make_signature, read_formula, tokenize
 
 
@@ -217,7 +217,7 @@ class _Parser:
         self.take("}")
         self.take("}")
         try:
-            self.ontologies[name] = make_ontology(cal, onto_sig, axioms, name)
+            self.ontologies[name] = Ontology(name, cal, onto_sig, axioms)
         except OntoSigError as exc:
             raise ParseError(str(exc)) from exc
 

@@ -10,6 +10,7 @@ out indices 1, 2, 3, ... at first registration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping
 
 from .errors import (
@@ -22,6 +23,7 @@ from .errors import (
 )
 from .syntax import (
     Formula,
+    ReadOnly,
     Signature,
     Symbol,
     apply_symbol,
@@ -32,27 +34,27 @@ from .syntax import (
 )
 
 
-class SignatureMorphism:
-    """A family of per-arity symbol maps, total on the source signature."""
+class SignatureMorphism(ReadOnly):
+    """A family of per-arity symbol maps, total on the source signature.
+    Read-only: maps is a mapping proxy and no attribute can be set."""
 
     __slots__ = ("source", "target", "maps", "_key")
 
     def __init__(self, source: Signature, target: Signature, maps: Mapping[Symbol, Symbol]):
-        self.source = source
-        self.target = target
-        self.maps = dict(maps)
+        maps = dict(maps)
         for sym in source.symbols():
-            image = self.maps.get(sym)
+            image = maps.get(sym)
             if image is None:
                 raise SignatureError(f"morphism is not total: {sym} unmapped")
             if image.arity != sym.arity:
                 raise SignatureError(f"{sym} maps across arities to {image}")
             if image not in target:
                 raise SignatureError(f"image {image} missing from target signature")
-        for sym in self.maps:
+        for sym in maps:
             if sym not in source:
                 raise SignatureError(f"mapped symbol {sym} not in source signature")
-        self._key = tuple(sorted((s, t) for s, t in self.maps.items()))
+        key = tuple(sorted((s, t) for s, t in maps.items()))
+        self._seal(source=source, target=target, maps=MappingProxyType(maps), _key=key)
 
     @classmethod
     def identity(cls, sig: Signature) -> "SignatureMorphism":
@@ -104,17 +106,16 @@ def compose_signature_morphisms(g: SignatureMorphism, h: SignatureMorphism) -> S
 # Splitting morphisms
 
 
-class SplittingMorphism:
-    """Maps each k-ary source symbol to a target formula using exactly x1..xk."""
+class SplittingMorphism(ReadOnly):
+    """Maps each k-ary source symbol to a target formula using exactly x1..xk.
+    Read-only: assign is a mapping proxy and no attribute can be set."""
 
     __slots__ = ("source", "target", "assign", "_key")
 
     def __init__(self, source: Signature, target: Signature, assign: Mapping[Symbol, Formula]):
-        self.source = source
-        self.target = target
-        self.assign = dict(assign)
+        assign = dict(assign)
         for sym in source.symbols():
-            body = self.assign.get(sym)
+            body = assign.get(sym)
             if body is None:
                 raise SignatureError(f"splitting is not total: {sym} unmapped")
             wanted = frozenset(range(1, sym.arity + 1))
@@ -125,10 +126,11 @@ class SplittingMorphism:
             for node in body.subformulas():
                 if node.var is None and node.head not in target:
                     raise SignatureError(f"image of {sym} uses foreign symbol {node.head}")
-        for sym in self.assign:
+        for sym in assign:
             if sym not in source:
                 raise SignatureError(f"mapped symbol {sym} not in source signature")
-        self._key = tuple(sorted(self.assign.items()))
+        key = tuple(sorted(assign.items()))
+        self._seal(source=source, target=target, assign=MappingProxyType(assign), _key=key)
 
     @classmethod
     def identity(cls, sig: Signature) -> "SplittingMorphism":

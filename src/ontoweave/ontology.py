@@ -4,7 +4,9 @@ and an axiomatic ontological theory, plus morphism checks and connection.
 An ontology's consequence map is the effective calculus: the base
 presentation with every ontological axiom added as a premise-free rule.
 That makes the theory axiomatic by construction, and validation re-checks
-it rather than trusting it.
+it rather than trusting it. What an ontology is made of is checked once,
+by its constructor: an identifier name, an ontological signature inside
+the base one, and axioms in the base language.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .fibring import fibred_derives, open_session
 from .morphisms import SignatureMorphism, apply_signature_morphism
 from .syntax import (
     Formula,
+    ReadOnly,
     Signature,
     formula_in_language,
     is_identifier,
@@ -35,8 +38,16 @@ from .syntax import (
 )
 
 
-class Ontology:
-    """A named consequence system plus ontological signature and theory."""
+class Ontology(ReadOnly):
+    """A named consequence system plus ontological signature and theory.
+
+    The constructor raises ParseError for a name that is not an identifier,
+    so nodes stay serializable, OntoSigError for an ontological signature
+    not included in the base one, and LanguageError for an axiom outside
+    the base language. Every axiom becomes derivable from the empty theory
+    at depth one because the effective calculus carries it as a
+    premise-free rule. No attribute can be set.
+    """
 
     __slots__ = ("name", "base", "onto_sig", "axioms", "effective", "_key", "_hash")
 
@@ -47,14 +58,28 @@ class Ontology:
         onto_sig: Signature,
         axioms: Iterable[Formula],
     ):
-        self.name = name
-        self.base = base
-        self.onto_sig = onto_sig
-        self.axioms = tuple(sorted(set(axioms), key=lambda f: f.sort_key))
-        # base plus the ontological axioms; with none, hash-consing makes it base
-        self.effective = base.with_axiom_formulas(self.axioms, prefix="onto_")
-        self._key = (name, base, onto_sig, self.axioms)
-        self._hash = hash(self._key)
+        if not is_identifier(name):
+            raise ParseError(f"ontology name {name!r} is not a valid identifier")
+        if not signature_leq(onto_sig, base.sig):
+            raise OntoSigError(
+                f"ontological signature of {name!r} is not included in the base signature"
+            )
+        axioms = tuple(axioms)
+        for phi in axioms:
+            if not formula_in_language(phi, base.sig):
+                raise LanguageError(f"axiom {phi.text} is outside the base language")
+        axioms = tuple(sorted(set(axioms), key=lambda f: f.sort_key))
+        key = (name, base, onto_sig, axioms)
+        self._seal(
+            name=name,
+            base=base,
+            onto_sig=onto_sig,
+            axioms=axioms,
+            # base plus the ontological axioms; with none, hash-consing makes it base
+            effective=base.with_axiom_formulas(axioms, prefix="onto_"),
+            _key=key,
+            _hash=hash(key),
+        )
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Ontology) and self._key == other._key
@@ -66,46 +91,18 @@ class Ontology:
         return f"Ontology({self.name!r}, axioms={[f.text for f in self.axioms]})"
 
 
-def make_ontology(
-    base: CalculusPresentation,
-    onto_sig: Signature,
-    axioms: Iterable[Formula],
-    name: str = "unnamed",
-) -> Ontology:
-    """Check the ontological signature and language, then build the ontology.
-
-    Every axiom becomes derivable from the empty theory at depth one because
-    the effective calculus carries it as a premise-free rule. Names must fit
-    the identifier grammar so nodes stay serializable.
-    """
-    if not is_identifier(name):
-        raise ParseError(f"ontology name {name!r} is not a valid identifier")
-    if not signature_leq(onto_sig, base.sig):
-        raise OntoSigError(
-            f"ontological signature of {name!r} is not included in the base signature"
-        )
-    axioms = tuple(axioms)
-    for phi in axioms:
-        if not formula_in_language(phi, base.sig):
-            raise LanguageError(f"axiom {phi.text} is outside the base language")
-    return Ontology(name, base, onto_sig, axioms)
-
-
 def validate_ontology(o: Ontology, fuel: Fuel) -> Report:
-    """Re-check the three defining conditions with bounded evidence: the
-    operator laws on 20 samples (seed 17) from the depth-2 corpus, the
-    signature inclusion, and the derivability of every axiom."""
+    """Re-check the defining conditions with bounded evidence: the operator
+    laws on 20 samples (seed 17) from the depth-2 corpus and the
+    derivability of every axiom. The signature inclusion is the Ontology
+    constructor's to refuse, so its entry always passes; it stays so that
+    every report has the same three entries."""
     laws = check_operator_laws(o.effective, samples=20, fuel=fuel, seed=17, corpus_depth=2)
     bad_law = laws.failure
-    entries = [ReportEntry("consequence-laws", laws.ok, bad_law.witness if bad_law else "")]
-    inclusion_ok = signature_leq(o.onto_sig, o.base.sig)
-    entries.append(
-        ReportEntry(
-            "onto-signature-inclusion",
-            inclusion_ok,
-            "" if inclusion_ok else "ontological signature exceeds the base signature",
-        )
-    )
+    entries = [
+        ReportEntry("consequence-laws", laws.ok, bad_law.witness if bad_law else ""),
+        ReportEntry("onto-signature-inclusion", True, ""),
+    ]
     bad = ""
     for phi in o.axioms:
         if not derives(o.effective, (), phi, fuel).is_derived:
@@ -148,11 +145,13 @@ def check_ecsy_morphism(
 # Heterogeneous connection
 
 
-def _merge_rules(left: tuple[Rule, ...], right: tuple[Rule, ...]) -> tuple[Rule, ...]:
-    """Union of rule lists; identical rules collapse, clashing names get a
-    deterministic suffix."""
+def _merge_rules(
+    left: tuple[Rule, ...], right: tuple[Rule, ...], names: set[str]
+) -> tuple[Rule, ...]:
+    """Union of rule lists; identical rules collapse, and a right rule whose
+    name is in names gets a deterministic suffix. names grows by every name
+    the right rules take."""
     merged: list[Rule] = list(left)
-    names = {r.name for r in left}
     seen = set(left)
     for rule in right:
         if rule in seen:
@@ -175,12 +174,15 @@ def merge_presentations(
     """The union presentation over the union signature. Schema rules are
     carried verbatim: schema variables range over the whole combined
     language, so each side's rules act exactly as its side closure does.
-    If both sides designate a negation, the left one wins."""
+    If both sides designate a negation, the left one wins. Axioms and rules
+    share one name space, as in a calculus block, so a right axiom or rule
+    is renamed against every name already taken."""
     negation = left.negation if left.negation is not None else right.negation
+    names = {r.name for r in left.axioms + left.rules}
     return CalculusPresentation(
         signature_union(left.sig, right.sig),
-        _merge_rules(left.axioms, right.axioms),
-        _merge_rules(left.rules, right.rules),
+        _merge_rules(left.axioms, right.axioms, names),
+        _merge_rules(left.rules, right.rules, names),
         negation,
     )
 
@@ -197,7 +199,7 @@ def connect(o1: Ontology, o2: Ontology, name: str | None = None) -> Ontology:
     onto_sig = signature_union(o1.onto_sig, o2.onto_sig)
     if name is None:
         name = f"{o1.name}_{o2.name}"
-    return make_ontology(base, onto_sig, o1.axioms + o2.axioms, name)
+    return Ontology(name, base, onto_sig, o1.axioms + o2.axioms)
 
 
 def connection_axiom_rounds(o1: Ontology, o2: Ontology, fuel: Fuel) -> list[tuple[Formula, int]]:

@@ -57,20 +57,31 @@ def is_identifier(text: str) -> bool:
     return _IDENT_RE.match(text) is not None
 
 
-def is_symbol_name(text: str) -> bool:
-    """An identifier that names no schema variable: what a signature declares."""
-    return is_identifier(text) and _VAR_NAME_RE.match(text) is None
+class ReadOnly:
+    """A value whose attributes are set once, by its constructor through
+    _seal, and can then be neither set nor deleted."""
+
+    __slots__ = ()
+
+    def _seal(self, **values: object) -> None:
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
 
 
-def _check_symbol_name(name: str) -> None:
-    if not is_identifier(name):
-        raise ParseError(f"malformed identifier: {name!r}")
-    if _VAR_NAME_RE.match(name):
-        raise ParseError(f"identifier {name!r} is reserved for schema variables")
+class Signature(ReadOnly):
+    """An arity-indexed family of finite symbol sets. Immutable.
 
-
-class Signature:
-    """An arity-indexed family of finite symbol sets. Immutable."""
+    Every symbol is one a signature block can declare: its name is an
+    identifier that names no schema variable and its arity a whole number
+    >= 0. Otherwise the constructor raises ParseError, at the first bad
+    symbol in (arity, name) order.
+    """
 
     __slots__ = ("_levels", "_key", "_hash")
 
@@ -83,10 +94,17 @@ class Signature:
             for sym in syms:
                 if sym.arity != arity:
                     raise ArityError(f"symbol {sym} stored at level {arity}")
+                if not is_identifier(sym.name):
+                    raise ParseError(f"malformed identifier: {sym.name!r}")
+                if _VAR_NAME_RE.match(sym.name):
+                    raise ParseError(f"identifier {sym.name!r} is reserved for schema variables")
+                if type(sym.arity) is not int:
+                    raise ParseError(f"arity of {sym.name!r} is not a whole number")
+                if arity < 0:
+                    raise ParseError(f"negative arity for {sym.name!r}")
             cleaned[arity] = tuple(syms)
-        self._levels = cleaned
-        self._key = tuple((k, v) for k, v in cleaned.items())
-        self._hash = hash(self._key)
+        key = tuple(cleaned.items())
+        self._seal(_levels=cleaned, _key=key, _hash=hash(key))
 
     def level(self, arity: int) -> tuple[Symbol, ...]:
         return self._levels.get(arity, ())
@@ -130,9 +148,6 @@ def make_signature(decls: Iterable[tuple[str, int]]) -> Signature:
     """Build a signature from (name, arity) pairs; duplicates collapse."""
     levels: dict[int, set[Symbol]] = {}
     for name, arity in decls:
-        _check_symbol_name(name)
-        if arity < 0:
-            raise ParseError(f"negative arity for {name!r}")
         levels.setdefault(arity, set()).add(Symbol(name, arity))
     return Signature(levels)
 
@@ -293,44 +308,9 @@ def require_in_language(phi: Formula, sig: Signature, what: str = "formula") -> 
 # Substitution
 
 
-class Substitution:
-    """A finite map from schema-variable indices to formulas.
-
-    Variables outside the map are fixed. Application is simultaneous.
-    """
-
-    __slots__ = ("mapping",)
-
-    def __init__(self, mapping: Mapping[int, Formula]):
-        self.mapping = {int(k): v for k, v in mapping.items()}
-        for k in self.mapping:
-            if k < 1:
-                raise ValueError(f"bad schema variable index {k}")
-
-    @property
-    def is_renaming(self) -> bool:
-        return all(v.is_var for v in self.mapping.values())
-
-    def inverse(self) -> "Substitution":
-        if not self.is_renaming:
-            raise ValueError("only renaming substitutions can be inverted")
-        inv: dict[int, Formula] = {}
-        for k, v in self.mapping.items():
-            if v.var in inv:
-                raise ValueError("renaming is not injective")
-            inv[v.var] = svar(k)
-        return Substitution(inv)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Substitution) and self.mapping == other.mapping
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"x{k} -> {v.text}" for k, v in sorted(self.mapping.items()))
-        return f"Substitution({body})"
-
-
-def substitute(phi: Formula, sigma: Substitution | Mapping[int, Formula]) -> Formula:
-    mapping = sigma.mapping if isinstance(sigma, Substitution) else sigma
+def substitute(phi: Formula, mapping: Mapping[int, Formula]) -> Formula:
+    """phi with every variable xi in mapping replaced by mapping[i] at once;
+    the other variables are fixed."""
     if not mapping:
         return phi
 

@@ -7,7 +7,7 @@ from hypothesis import settings
 
 from ontoweave import presets
 from ontoweave.consequence import CalculusPresentation, Fuel, Rule
-from ontoweave.ontology import make_ontology
+from ontoweave.ontology import Ontology
 from ontoweave.syntax import make_signature, parse_formula
 
 # Property tests draw the same examples on every run and have no deadline,
@@ -69,4 +69,4 @@ def binary_calculus(symbol: str) -> CalculusPresentation:
 
 def plain_ontology(cal: CalculusPresentation, name: str):
     """An axiom-free ontology exposing the whole signature ontologically."""
-    return make_ontology(cal, cal.sig, [], name)
+    return Ontology(name, cal, cal.sig, [])

@@ -51,9 +51,9 @@ from ontoweave.morphisms import (
     translate,
 )
 from ontoweave.ontology import (
+    Ontology,
     connect,
     connection_axiom_rounds,
-    make_ontology,
     validate_ontology,
 )
 from ontoweave.syntax import (
@@ -199,8 +199,8 @@ def test_criterion_4_connection_validity():
         left_cal, right_cal = rng.choice(pool), rng.choice(pool)
         left_axioms = rng.sample(enumerate_formulas(left_cal.sig, 2, 2), rng.randint(0, 2))
         right_axioms = rng.sample(enumerate_formulas(right_cal.sig, 2, 2), rng.randint(0, 1))
-        o1 = make_ontology(left_cal, left_cal.sig, left_axioms, f"L{i}")
-        o2 = make_ontology(right_cal, right_cal.sig, right_axioms, f"R{i}")
+        o1 = Ontology(f"L{i}", left_cal, left_cal.sig, left_axioms)
+        o2 = Ontology(f"R{i}", right_cal, right_cal.sig, right_axioms)
         both = connect(o1, o2)
         if not validate_ontology(both, fuel).ok:
             failures.append(f"pair {i}: validation")

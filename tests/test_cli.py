@@ -237,6 +237,26 @@ def test_connect_emits_loadable_snippet(defs_file, capsys):
     assert [a.text for a in doc.ontologies["merged"].axioms] == ["imp(bot, x1)"]
 
 
+def test_connect_renames_across_axioms_and_rules(tmp_path, capsys):
+    # axioms and rules share one name space in a calculus block
+    defs = tmp_path / "clash.dsl"
+    defs.write_text(
+        "signature S { a/0; } signature T { b/0; }\n"
+        "calculus l over S { axiom X: a; rule Y: a |- a; }\n"
+        "calculus r over T { rule X: b |- b; axiom Y: b; axiom X_2: b; }\n"
+        "ontology L { base l; onto_signature { } axioms { } }\n"
+        "ontology R { base r; onto_signature { } axioms { } }\n",
+        encoding="utf-8",
+    )
+    assert main(["connect", "--defs", str(defs), "--left", "L", "--right", "R", *FAST]) == 0
+    out = capsys.readouterr().out
+    from ontoweave.dsl import parse_document
+
+    cal = parse_document(out.split("consequence-laws")[0]).calculi["connected_cal"]
+    assert [r.name for r in cal.axioms] == ["X", "X_2", "Y_2"]
+    assert [r.name for r in cal.rules] == ["X_3", "Y"]
+
+
 def graph_cmd(manifest, *args):
     return main(["graph", "--manifest", str(manifest), *FAST, *args])
 

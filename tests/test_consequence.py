@@ -45,6 +45,9 @@ def test_axiom_with_premises_rejected():
     sig = presets.cpl_signature()
     with pytest.raises(ValueError):
         CalculusPresentation(sig, axioms=(Rule("bad", (f("x1"),), f("x1")),))
+    # and a rule without premises, which could never fire
+    with pytest.raises(ValueError, match="^rule 'bad' has no premises$"):
+        CalculusPresentation(sig, rules=(Rule("bad", (), f("x1")),))
 
 
 def test_schema_outside_language_rejected():

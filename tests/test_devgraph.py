@@ -31,11 +31,13 @@ from ontoweave.errors import (
     EvidenceRefuted,
     FormatError,
     MissingSplittingLink,
+    OntoSigError,
+    ParseError,
     UnknownNode,
     ValidationFailed,
 )
 from ontoweave.morphisms import SignatureMorphism, SplittingMorphism
-from ontoweave.ontology import Ontology, check_ecsy_morphism, connect, make_ontology
+from ontoweave.ontology import Ontology, check_ecsy_morphism
 from ontoweave.syntax import (
     MAX_NESTING,
     Signature,
@@ -78,9 +80,10 @@ def test_add_node_and_duplicate(cpl):
 
 
 def test_add_node_validation_failure(cpl):
-    bad = Ontology("bad", cpl, make_signature([]), [parse_formula("x1", cpl.sig)])
-    bad.effective = cpl  # force condition 3 to fail
-    with pytest.raises(ValidationFailed):
+    # an axiom larger than the fuel's size cap is never derived within it
+    big = parse_formula("imp(bot, " * 8 + "x1" + ")" * 8, cpl.sig)
+    bad = Ontology("bad", cpl, make_signature([]), [big])
+    with pytest.raises(ValidationFailed, match="^bad: axioms-derivable failed: "):
         add_node(DevGraph(), bad, NODE_FUEL)
 
 
@@ -213,7 +216,7 @@ def test_theory_mismatch_refutes_definition_link(cpl):
     # consequences transfer into the stronger node, but its theory differs
     bare = plain_ontology(cpl, "bare")
     axiom = parse_formula("imp(bot, x1)", cpl.sig)
-    efq = make_ontology(cpl, make_signature([("bot", 0)]), [axiom], "efq")
+    efq = Ontology("efq", cpl, make_signature([("bot", 0)]), [axiom])
     identity = SignatureMorphism.identity(cpl.sig)
     ev = check_ecsy_morphism(identity, bare, efq, 2, LINK_FUEL)
     detail = "ecsy-morphism refuted theory mismatch at imp(bot, x1)"
@@ -551,15 +554,6 @@ def test_verifiers_do_not_mutate():
 
 EDGE_CAL = binary_calculus("m")
 OTHER_CAL = binary_calculus("k")
-CLASH = dsl.parse_document("""
-signature S { a/0; } signature T { b/0; }
-calculus l over S { axiom X: a; }
-calculus r over T { rule X: b |- b; }
-ontology L { base l; onto_signature { } axioms { } }
-ontology R { base r; onto_signature { } axioms { } }
-""").ontologies
-
-
 def chain(sym, inner, times):
     """sym applied times over inner, sym's other arguments x1."""
     for _ in range(times):
@@ -591,54 +585,81 @@ def link_graph(link):
     return DevGraph({n: plain_ontology(EDGE_CAL, n) for n in "AB"}, [link], {link: ASSERTED})
 
 
+# Each shape is refused by the constructor of the part it constrains, with
+# that constructor's exception, or else by DevGraph with a ValueError.
+EVIDENCE_PARAMS = "^verified evidence needs a whole corpus depth >= 0 and a Fuel$"
+
+
 @pytest.mark.parametrize(
-    "build",
+    "build, error, match",
     [
-        lambda: edge_graph(Evidence("verified", None, None, "")),
-        lambda: edge_graph(Evidence("verified", None, Fuel(), "")),
-        lambda: edge_graph(Evidence("verified", 2.0, Fuel(), "")),
-        lambda: edge_graph(Evidence("verified", 2, Fuel(2.5, 12, 8000), "")),
-        lambda: edge_graph(Evidence("refuted", 2, Fuel(), "weaker-than refuted")),
-        lambda: edge_graph(Evidence("verified", 2, Fuel(), 'says "hi"')),
-        lambda: edge_graph(Evidence("verified", 2, Fuel(), "two\nlines")),
-        lambda: edge_graph(Evidence("asserted", 2, Fuel(), "mine")),
-        lambda: edge_graph(ASSERTED, nodes=("A",)),
-        lambda: DevGraph({"x": plain_ontology(EDGE_CAL, "a")}),
-        lambda: DevGraph({"x y": Ontology("x y", EDGE_CAL, EDGE_CAL.sig, ())}),
-        lambda: add_node(DevGraph(), Ontology("x y", EDGE_CAL, EDGE_CAL.sig, ()), NODE_FUEL),
-        # connect keeps an axiom and a rule that share a name
-        lambda: DevGraph({"M": connect(CLASH["L"], CLASH["R"], "M")}),
-        lambda: DevGraph(
+        pytest.param(lambda: edge_graph(Evidence("verified", None, None, "")),
+                     ValueError, EVIDENCE_PARAMS, id="no-fuel"),
+        pytest.param(lambda: edge_graph(Evidence("verified", None, Fuel(), "")),
+                     ValueError, EVIDENCE_PARAMS, id="no-depth"),
+        pytest.param(lambda: edge_graph(Evidence("verified", 2.0, Fuel(), "")),
+                     ValueError, EVIDENCE_PARAMS, id="float-depth"),
+        pytest.param(lambda: edge_graph(Evidence("verified", 2, Fuel(2.5, 12, 8000), "")),
+                     ValueError, "^all fuel fields must be whole numbers$", id="float-fuel"),
+        pytest.param(lambda: edge_graph(Evidence("refuted", 2, Fuel(), "weaker-than refuted")),
+                     ValueError, "'refuted' evidence is never stored", id="refuted"),
+        pytest.param(lambda: edge_graph(Evidence("verified", 2, Fuel(), 'says "hi"')),
+                     ValueError, "detail must be one line", id="quote-in-detail"),
+        pytest.param(lambda: edge_graph(Evidence("verified", 2, Fuel(), "two\nlines")),
+                     ValueError, "detail must be one line", id="newline-in-detail"),
+        pytest.param(lambda: edge_graph(Evidence("asserted", 2, Fuel(), "mine")),
+                     ValueError, "^asserted evidence carries no corpus depth or fuel$",
+                     id="asserted-with-parameters"),
+        pytest.param(lambda: edge_graph(ASSERTED, nodes=("A",)),
+                     ValueError, "an endpoint is not a node", id="absent-node"),
+        pytest.param(lambda: DevGraph({"x": plain_ontology(EDGE_CAL, "a")}),
+                     ValueError, "must hold an ontology named 'x'", id="renamed-node"),
+        pytest.param(lambda: DevGraph({"x y": Ontology("x y", EDGE_CAL, EDGE_CAL.sig, ())}),
+                     ParseError, "^ontology name 'x y' is not a valid identifier$",
+                     id="non-identifier-node"),
+        pytest.param(
+            lambda: add_node(DevGraph(), Ontology("x y", EDGE_CAL, EDGE_CAL.sig, ()), NODE_FUEL),
+            ParseError, "^ontology name 'x y' is not a valid identifier$",
+            id="non-identifier-added-node"),
+        # an axiom and a rule that share a name; connect renames such pairs
+        pytest.param(lambda: DevGraph({"M": plain_ontology(CalculusPresentation(
+            EDGE_CAL.sig, [Rule("X", (), svar(1))], [Rule("X", (svar(1),), svar(1))]), "M")}),
+            ValueError, "rule names must be distinct identifiers", id="clashing-rule-names"),
+        pytest.param(lambda: DevGraph(
             {n: plain_ontology(EDGE_CAL, n) for n in "AB"},
             [Link("theorem", "A", "B"), Link("theorem", "B", "A")],
             {Link("theorem", "A", "B"): ASSERTED, Link("theorem", "B", "A"): ASSERTED},
-        ),
-        lambda: DevGraph({"A": Ontology("A", EDGE_CAL, EDGE_CAL.sig, [DEEP])}),
-        lambda: DevGraph({"A": plain_ontology(CalculusPresentation(
+        ), ValueError, "^the links close a cycle$", id="two-cycle"),
+        pytest.param(lambda: DevGraph({"A": Ontology("A", EDGE_CAL, EDGE_CAL.sig, [DEEP])}),
+                     ValueError, "nested deeper than 256", id="deep-axiom"),
+        pytest.param(lambda: DevGraph({"A": plain_ontology(CalculusPresentation(
             EDGE_CAL.sig, [Rule("A", (), DEEP)]), "A")}),
-        lambda: DevGraph({"A": sig_node("A", Symbol("a b", 0))}),
-        lambda: DevGraph({"A": sig_node("A", Symbol("x1", 0))}),
-        lambda: DevGraph({"A": sig_node("A", Symbol("f", -1))}),
-        lambda: DevGraph({"A": Ontology("A", EDGE_CAL, UC_SIG, ())}),
-        lambda: DevGraph({"A": plain_ontology(CalculusPresentation(
+            ValueError, "nested deeper than 256", id="deep-schema"),
+        pytest.param(lambda: DevGraph({"A": sig_node("A", Symbol("a b", 0))}),
+                     ParseError, "^malformed identifier: 'a b'$", id="non-identifier-symbol"),
+        pytest.param(lambda: DevGraph({"A": sig_node("A", Symbol("x1", 0))}),
+                     ParseError, "^identifier 'x1' is reserved for schema variables$",
+                     id="variable-named-symbol"),
+        pytest.param(lambda: DevGraph({"A": sig_node("A", Symbol("f", -1))}),
+                     ParseError, "^negative arity for 'f'$", id="negative-arity"),
+        pytest.param(lambda: DevGraph({"A": Ontology("A", EDGE_CAL, UC_SIG, ())}),
+                     OntoSigError, "is not included in the base signature",
+                     id="onto-signature-outside-base"),
+        pytest.param(lambda: DevGraph({"A": plain_ontology(CalculusPresentation(
             EDGE_CAL.sig, rules=[Rule("R", (), svar(1))]), "A")}),
-        lambda: link_graph(Link("definition", "A", "B", SignatureMorphism.identity(
+            ValueError, "^rule 'R' has no premises$", id="rule-without-premises"),
+        pytest.param(lambda: link_graph(Link("definition", "A", "B", SignatureMorphism.identity(
             Signature({0: [Symbol("a b", 0)]})))),
-        lambda: link_graph(Link("splitting", "A", "B", SplittingMorphism(
+            ParseError, "^malformed identifier: 'a b'$", id="morphism-over-unwritable-signature"),
+        pytest.param(lambda: link_graph(Link("splitting", "A", "B", SplittingMorphism(
             make_signature([("c", 0)]), UC_SIG, {C: DEEP_CLOSED}))),
-    ],
-    ids=[
-        "no-fuel", "no-depth", "float-depth", "float-fuel", "refuted", "quote-in-detail",
-        "newline-in-detail", "asserted-with-parameters", "absent-node", "renamed-node",
-        "non-identifier-node", "non-identifier-added-node", "clashing-rule-names", "two-cycle",
-        "deep-axiom", "deep-schema", "non-identifier-symbol", "variable-named-symbol",
-        "negative-arity", "onto-signature-outside-base",
-        "rule-without-premises", "morphism-over-unwritable-signature", "deep-splitting-image",
+            ValueError, "nested deeper than 256", id="deep-splitting-image"),
     ],
 )
-def test_unstorable_graphs_are_refused(build):
-    with pytest.raises(ValueError):
+def test_unstorable_graphs_are_refused(build, error, match):
+    with pytest.raises(error, match=match) as caught:
         build()
+    assert type(caught.value) is error
 
 
 def test_stored_detail_is_kept_verbatim():
@@ -659,6 +680,26 @@ def test_graphs_are_read_only():
         g.links = ()
     with pytest.raises(AttributeError):
         del g.evidence
+
+
+def test_saved_nodes_cannot_change_in_place():
+    blob = save_graph(full_graph())
+    g = load_graph(blob)
+    node = g.nodes["O2"]
+    by_kind = {link.kind: link.morphism for link in g.links}
+    definition, splitting = by_kind["definition"], by_kind["splitting"]
+    sym = next(iter(definition.maps))
+    for obj, attr in ((node, "axioms"), (node, "effective"), (node.base, "rules"),
+                      (definition, "maps"), (splitting, "source")):
+        with pytest.raises(AttributeError, match="is immutable: cannot set "):
+            setattr(obj, attr, getattr(obj, attr))
+        with pytest.raises(AttributeError, match="is immutable: cannot delete "):
+            delattr(obj, attr)
+    with pytest.raises(TypeError):
+        definition.maps[sym] = sym
+    with pytest.raises(TypeError):
+        del splitting.assign[next(iter(splitting.assign))]
+    assert load_graph(blob) == reparse(blob)
 
 
 # -- load_graph answers its own last save without parsing
@@ -737,9 +778,7 @@ _NODES = {
 }
 _BAD_NODES = [
     ("D", plain_ontology(OTHER_CAL, "A")),
-    ("x y", Ontology("x y", EDGE_CAL, EDGE_CAL.sig, ())),
     ("D", Ontology("D", EDGE_CAL, EDGE_CAL.sig, [DEEP])),
-    ("D", Ontology("D", EDGE_CAL, UC_SIG, ())),
 ]
 _LINK_SHAPES = [
     ("theorem", None),
@@ -753,12 +792,10 @@ _SOUND_EVIDENCE = st.one_of(
     st.builds(Evidence, st.just("verified"), st.sampled_from([0, 2]), st.sampled_from(_FUELS),
               st.text(st.characters(blacklist_characters='"\n'), max_size=6)),
 )
-_ANY_EVIDENCE = st.builds(
-    Evidence,
-    st.sampled_from(["verified", "refuted", "asserted"]),
-    st.sampled_from([2, None, -1, 2.0]),
-    st.sampled_from([*_FUELS, None, Fuel(1.0, 12, 8_000)]),
-    st.text(max_size=6),
+_ANY_EVIDENCE = st.one_of(
+    st.builds(Evidence, st.sampled_from(["verified", "refuted"]), st.sampled_from([0, 2]),
+              st.sampled_from(_FUELS), st.text(max_size=6)),
+    st.builds(Evidence, st.just("asserted"), st.none(), st.none(), st.text(max_size=6)),
 )
 _FAULTS = [None, "node", "end", "evidence", "no-evidence", "stray-evidence", "reversed"]
 

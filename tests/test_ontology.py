@@ -8,10 +8,10 @@ from ontoweave.consequence import CalculusPresentation, Fuel, Rule, derives
 from ontoweave.errors import LanguageError, OntoSigError, SignatureError
 from ontoweave.morphisms import SignatureMorphism
 from ontoweave.ontology import (
+    Ontology,
     check_ecsy_morphism,
     connect,
     connection_axiom_rounds,
-    make_ontology,
     merge_presentations,
     validate_ontology,
 )
@@ -31,13 +31,13 @@ def f(text, sig=None):
 
 
 def test_make_ontology_empty_theory(cpl):
-    o = make_ontology(cpl, cpl.sig, [], "plain")
+    o = Ontology("plain", cpl, cpl.sig, [])
     assert o.axioms == ()
     assert o.effective is cpl
 
 
 def test_make_ontology_axiom_becomes_rule(cpl):
-    o = make_ontology(cpl, make_signature([("bot", 0)]), [f("imp(bot, x1)")], "efq")
+    o = Ontology("efq", cpl, make_signature([("bot", 0)]), [f("imp(bot, x1)")])
     assert f("imp(bot, x1)") in {r.conclusion for r in o.effective.axioms}
     assert derives(o.effective, (), f("imp(bot, x1)"), Fuel(1, 10, 4000)) .is_derived
 
@@ -45,36 +45,36 @@ def test_make_ontology_axiom_becomes_rule(cpl):
 def test_make_ontology_signature_violation(cpl):
     alien = make_signature([("box", 1)])
     with pytest.raises(OntoSigError):
-        make_ontology(cpl, alien, [], "bad")
+        Ontology("bad", cpl, alien, [])
 
 
 def test_make_ontology_language_violation(cpl):
     box = parse_formula("box(x1)", make_signature([("box", 1)]))
     with pytest.raises(LanguageError):
-        make_ontology(cpl, cpl.sig, [box], "bad")
+        Ontology("bad", cpl, cpl.sig, [box])
 
 
 def test_validate_fresh_ontology_passes(cpl):
-    o = make_ontology(cpl, make_signature([("bot", 0)]), [f("imp(bot, x1)")], "efq")
+    o = Ontology("efq", cpl, make_signature([("bot", 0)]), [f("imp(bot, x1)")])
     report = validate_ontology(o, FUEL)
     assert report.ok, report.render()
 
 
 def test_validate_catches_underivable_axiom(cpl):
-    from ontoweave.ontology import Ontology
-
-    # hand-built negative control: claim a bare variable as theory while
-    # pinning the effective calculus to the plain base, which cannot prove it
-    bad = Ontology("bad", cpl, make_signature([]), [f("x1")])
-    bad.effective = cpl
+    # negative control: an axiom larger than the fuel's size cap is never
+    # admitted, so the effective calculus cannot derive it within the fuel
+    big = f("imp(bot, " * 8 + "x1" + ")" * 8)
+    assert big.size > FUEL.max_formula_size
+    bad = Ontology("bad", cpl, make_signature([]), [big])
     report = validate_ontology(bad, FUEL)
+    assert report.entry("consequence-laws").ok
     assert not report.entry("axioms-derivable").ok
-    assert report.entry("axioms-derivable").witness == "x1"
+    assert report.entry("axioms-derivable").witness == big.text
 
 
 def test_validate_empty_over_empty():
     empty = presets.rule_free(make_signature([]))
-    o = make_ontology(empty, make_signature([]), [], "void")
+    o = Ontology("void", empty, make_signature([]), [])
     assert validate_ontology(o, FUEL).ok
 
 
@@ -82,7 +82,7 @@ def test_validate_empty_over_empty():
 
 
 def test_ecsy_identity(cpl):
-    o = make_ontology(cpl, make_signature([("bot", 0)]), [f("imp(bot, x1)")], "efq")
+    o = Ontology("efq", cpl, make_signature([("bot", 0)]), [f("imp(bot, x1)")])
     h = SignatureMorphism.identity(cpl.sig)
     ev = check_ecsy_morphism(h, o, o, corpus_depth=2, fuel=Fuel(1, 12, 8000))
     assert ev.ok and ev.status == "verified"
@@ -92,10 +92,10 @@ def test_ecsy_identity(cpl):
 def test_ecsy_relabeling(conj):
     meet = binary_calculus("meet")
     and_sym, meet_sym = Symbol("and", 2), Symbol("meet", 2)
-    src = make_ontology(conj, conj.sig, [parse_formula("and(x1, x1)", conj.sig)], "a")
+    src = Ontology("a", conj, conj.sig, [parse_formula("and(x1, x1)", conj.sig)])
     # relabeled axioms must match exactly on the image
     dst_cal = CalculusPresentation(meet.sig, meet.axioms, meet.rules)
-    dst = make_ontology(dst_cal, meet.sig, [parse_formula("meet(x1, x1)", meet.sig)], "m")
+    dst = Ontology("m", dst_cal, meet.sig, [parse_formula("meet(x1, x1)", meet.sig)])
     h = SignatureMorphism(conj.sig, meet.sig, {and_sym: meet_sym})
     ev = check_ecsy_morphism(h, src, dst, corpus_depth=2, fuel=Fuel(1, 12, 8000))
     assert ev.status == "verified", ev.detail
@@ -104,8 +104,8 @@ def test_ecsy_relabeling(conj):
 def test_ecsy_theory_mismatch(conj):
     meet = binary_calculus("meet")
     and_sym, meet_sym = Symbol("and", 2), Symbol("meet", 2)
-    src = make_ontology(conj, conj.sig, [parse_formula("and(x1, x1)", conj.sig)], "a")
-    dst = make_ontology(meet, meet.sig, [], "m")  # image axiom missing
+    src = Ontology("a", conj, conj.sig, [parse_formula("and(x1, x1)", conj.sig)])
+    dst = Ontology("m", meet, meet.sig, [])  # image axiom missing
     h = SignatureMorphism(conj.sig, meet.sig, {and_sym: meet_sym})
     ev = check_ecsy_morphism(h, src, dst, corpus_depth=2, fuel=Fuel(1, 12, 8000))
     assert not ev.ok and ev.status == "refuted"
@@ -149,8 +149,8 @@ def test_merge_renames_clashing_rules():
 
 
 def test_connect_with_neutral_element(cpl):
-    o = make_ontology(cpl, make_signature([("bot", 0)]), [f("imp(bot, x1)")], "efq")
-    void = make_ontology(presets.rule_free(make_signature([])), make_signature([]), [], "void")
+    o = Ontology("efq", cpl, make_signature([("bot", 0)]), [f("imp(bot, x1)")])
+    void = Ontology("void", presets.rule_free(make_signature([])), make_signature([]), [])
     both = connect(o, void)
     assert both.base.sig == cpl.sig
     assert both.axioms == o.axioms
@@ -159,8 +159,8 @@ def test_connect_with_neutral_element(cpl):
 
 
 def test_connect_cpl_conj(cpl, conj):
-    o1 = make_ontology(cpl, make_signature([("bot", 0)]), [f("imp(bot, x1)")], "efq")
-    o2 = make_ontology(conj, conj.sig, [], "conj")
+    o1 = Ontology("efq", cpl, make_signature([("bot", 0)]), [f("imp(bot, x1)")])
+    o2 = Ontology("conj", conj, conj.sig, [])
     both = connect(o1, o2)
     assert both.onto_sig == signature_union(o1.onto_sig, o2.onto_sig)
     assert [a.text for a in both.axioms] == ["imp(bot, x1)"]
@@ -171,17 +171,15 @@ def test_connect_cpl_conj(cpl, conj):
 def test_ontology_name_must_serialize(cpl):
     from ontoweave.errors import ParseError
 
+    with pytest.raises(ParseError, match="^ontology name 'bad name' is not a valid identifier$"):
+        Ontology("bad name", cpl, cpl.sig, [])
     with pytest.raises(ParseError):
-        make_ontology(cpl, cpl.sig, [], "bad name")
-    with pytest.raises(ParseError):
-        make_ontology(cpl, cpl.sig, [], "a+b")
+        Ontology("a+b", cpl, cpl.sig, [])
 
 
 def test_connect_symmetric_up_to_name(cpl, conj):
-    o1 = make_ontology(cpl, make_signature([("bot", 0)]), [f("imp(bot, x1)")], "efq")
-    o2 = make_ontology(
-        conj, conj.sig, [parse_formula("and(x1, x1)", conj.sig)], "conj"
-    )
+    o1 = Ontology("efq", cpl, make_signature([("bot", 0)]), [f("imp(bot, x1)")])
+    o2 = Ontology("conj", conj, conj.sig, [parse_formula("and(x1, x1)", conj.sig)])
     ab = connect(o1, o2)
     ba = connect(o2, o1)
     assert ab.axioms == ba.axioms
@@ -190,8 +188,8 @@ def test_connect_symmetric_up_to_name(cpl, conj):
 
 
 def test_connect_axioms_fibred_derivable(cpl, conj):
-    o1 = make_ontology(cpl, make_signature([("bot", 0)]), [f("imp(bot, x1)")], "efq")
-    o2 = make_ontology(conj, conj.sig, [parse_formula("and(x1, x1)", conj.sig)], "conj")
+    o1 = Ontology("efq", cpl, make_signature([("bot", 0)]), [f("imp(bot, x1)")])
+    o2 = Ontology("conj", conj, conj.sig, [parse_formula("and(x1, x1)", conj.sig)])
     rounds = connection_axiom_rounds(o1, o2, Fuel(2, 14, 8000))
     assert rounds
     for image, round_no in rounds:
@@ -222,7 +220,7 @@ def test_random_connections_validate(cpl, conj):
         right_cal = rng.choice(pool)
         candidates = enumerate_formulas(left_cal.sig, 2, 2)[:6]
         left_axioms = rng.choice([[]] + [[phi] for phi in candidates])
-        o1 = make_ontology(left_cal, left_cal.sig, left_axioms, f"L{i}")
-        o2 = make_ontology(right_cal, right_cal.sig, [], f"R{i}")
+        o1 = Ontology(f"L{i}", left_cal, left_cal.sig, left_axioms)
+        o2 = Ontology(f"R{i}", right_cal, right_cal.sig, [])
         both = connect(o1, o2)
         assert validate_ontology(both, FUEL).ok

@@ -1,10 +1,12 @@
-"""Replay one recorded graph-session script of the benchmark in-process.
+"""Replay one recorded graph-session script of the benchmark in-process,
+and check that every name the benchmark's tracer wraps still exists.
 
 Every op's output and the final manifest's sha256 must equal the records in
 perfbench/expected/graph-session.json, so the parse-once path of the CLI is
 held byte-identical on every test run. perfbench/ is only read.
 """
 
+import importlib
 import importlib.util
 import itertools
 import sys
@@ -13,17 +15,17 @@ from pathlib import Path
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_workloads(monkeypatch):
+def load_perfbench(monkeypatch, name):
     # no bytecode is written beside the benchmark's sources
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_graph_session_script_0_replays_its_record(tmp_path, monkeypatch):
-    workloads = load_workloads(monkeypatch)
+    workloads = load_perfbench(monkeypatch, "workloads")
     session = workloads.GraphSession(workloads.EXPECTED_DIR, tmp_path)
     session.setup()
     session.load_expected()
@@ -37,3 +39,17 @@ def test_graph_session_script_0_replays_its_record(tmp_path, monkeypatch):
     want = session.records["scripts"][0]["manifest_sha256"]
     assert session.manifest_digest(manifest) == want
     assert session.finish() == []
+
+
+def test_every_traced_name_resolves(monkeypatch):
+    """--trace 1 wraps these by name; the tracer is not installed here."""
+    tracing = load_perfbench(monkeypatch, "tracing")
+    mods = {m: importlib.import_module(f"ontoweave.{m}") for m in tracing.MODULES}
+    for home, func, _ in tracing.FUNCTIONS:
+        assert callable(getattr(mods[home], func)), (home, func)
+    for home, cls, meth, _ in tracing.METHODS:
+        assert callable(getattr(getattr(mods[home], cls), meth)), (home, cls, meth)
+    assert callable(getattr(mods["cli"], "load_graph"))
+    # counted where fibring looks it up
+    check = getattr(mods["morphisms"], "is_back_translatable")
+    assert getattr(mods["fibring"], "is_back_translatable") is check

@@ -11,7 +11,6 @@ from ontoweave.errors import ArityError, CapExceeded, ParseError, UnknownSymbol
 from ontoweave.syntax import (
     IDENT_PATTERN,
     Signature,
-    Substitution,
     Symbol,
     apply_symbol,
     count_formulas,
@@ -267,14 +266,14 @@ def test_membership_check():
 def test_substitution_is_simultaneous():
     sig = make_signature(CPL_DECLS)
     phi = parse_formula("imp(x1, x2)", sig)
-    swapped = substitute(phi, Substitution({1: svar(2), 2: svar(1)}))
+    swapped = substitute(phi, {1: svar(2), 2: svar(1)})
     assert swapped.text == "imp(x2, x1)"
 
 
 def test_substitution_identity():
     sig = make_signature(CPL_DECLS)
     phi = parse_formula("imp(not(x1), bot)", sig)
-    assert substitute(phi, Substitution({})) is phi
+    assert substitute(phi, {}) is phi
 
 
 def test_substitution_replaces_all_occurrences():
@@ -286,19 +285,10 @@ def test_substitution_replaces_all_occurrences():
 
 def test_renaming_inverse_round_trip():
     sig = make_signature(CPL_DECLS)
-    sigma = Substitution({1: svar(5), 2: svar(1), 3: svar(9)})
-    assert sigma.is_renaming
-    inv = sigma.inverse()
+    sigma = {1: svar(5), 2: svar(1), 3: svar(9)}
+    inv = {5: svar(1), 1: svar(2), 9: svar(3)}
     phi = parse_formula("imp(imp(x1, x2), not(x3))", sig)
     assert substitute(substitute(phi, sigma), inv) is phi
-
-
-def test_non_renaming_rejected_for_inverse():
-    sig = make_signature(CPL_DECLS)
-    sigma = Substitution({1: parse_formula("bot", sig)})
-    assert not sigma.is_renaming
-    with pytest.raises(ValueError):
-        sigma.inverse()
 
 
 # -- enumeration
@@ -409,8 +399,9 @@ def test_print_parse_round_trip(phi):
 
 @given(st.sampled_from(_CORPUS), st.permutations([1, 2, 3, 4]))
 def test_injective_renaming_round_trips(phi, perm):
-    sigma = Substitution({i + 1: svar(v) for i, v in enumerate(perm)})
-    assert substitute(substitute(phi, sigma), sigma.inverse()) is phi
+    sigma = {i + 1: svar(v) for i, v in enumerate(perm)}
+    inverse = {v: svar(i + 1) for i, v in enumerate(perm)}
+    assert substitute(substitute(phi, sigma), inverse) is phi
 
 
 @given(st.sampled_from(_CORPUS), st.sampled_from(_CORPUS))
