@@ -16,8 +16,9 @@ present. Because closure is literally F iterated, extensivity, monotonicity,
 cut at doubled fuel, and bounded idempotence hold by construction whenever
 the set cap does not bind.
 
-Presentations are hash-consed like formulas: equal presentations are one
-object, so they share one axiom-instance memo within a process.
+Presentations are hash-consed like formulas, through syntax's one value
+table (the Interned base): equal presentations are one object, so they
+share one axiom-instance memo within a process.
 
 closure_bounded is a pure function of (presentation, premise set, fuel, seed
 set), so its results are memoised in one process-wide least-recently-used
@@ -36,7 +37,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .errors import CapExceeded, ConfigError, LanguageError, SignatureError
 from .syntax import (
     Formula,
-    ReadOnly,
+    Interned,
     Signature,
     Symbol,
     apply_symbol,
@@ -155,14 +156,10 @@ def _lookahead_position(pats: Sequence[Formula], i: int) -> int | None:
     return None
 
 
-# Every presentation built in this process, keyed by its content.
-_PRESENTATIONS: dict[tuple, "CalculusPresentation"] = {}
-
-
-class CalculusPresentation(ReadOnly):
+class CalculusPresentation(Interned):
     """A signature with axiom schemas, rules, and an optional negation.
 
-    Hash-consed like formulas: building a presentation whose signature,
+    Interned (syntax.Interned): building a presentation whose signature,
     sorted axioms, sorted rules and negation equal one already built returns
     that object, so equality is identity and the plans, look-ahead and
     axiom-instance memo are built once per content. Invalid ones always
@@ -183,19 +180,18 @@ class CalculusPresentation(ReadOnly):
         "_axiom_meta",
     )
 
-    def __new__(
-        cls,
+    @staticmethod
+    def _content(
         sig: Signature,
         axioms: Iterable[Rule] = (),
         rules: Iterable[Rule] = (),
         negation: Symbol | None = None,
-    ) -> "CalculusPresentation":
+    ) -> tuple:
         axioms = tuple(sorted(axioms, key=lambda r: (r.name, r.conclusion.sort_key)))
         rules = tuple(sorted(rules, key=lambda r: (r.name, tuple(p.sort_key for p in r.schemas()))))
-        key = (sig, axioms, rules, negation)
-        self = _PRESENTATIONS.get(key)
-        if self is not None:
-            return self
+        return sig, axioms, rules, negation
+
+    def _build(self, sig, axioms, rules, negation) -> None:
         for rule in axioms:
             if rule.premises:
                 raise ValueError(f"axiom {rule.name!r} has premises")
@@ -220,7 +216,6 @@ class CalculusPresentation(ReadOnly):
             occurrences = [n.var for n in rule.conclusion.subformulas() if n.var is not None]
             varlist = sorted(set(occurrences))
             axiom_meta.append((rule.conclusion, varlist, [occurrences.count(v) for v in varlist]))
-        self = super().__new__(cls)
         self._seal(
             sig=sig,
             axioms=axioms,
@@ -238,8 +233,6 @@ class CalculusPresentation(ReadOnly):
             ),
             _axiom_meta=axiom_meta,
         )
-        _PRESENTATIONS[key] = self
-        return self
 
     def with_axiom_formulas(self, formulas: Iterable[Formula], prefix: str) -> "CalculusPresentation":
         """The presentation with each formula added as a premise-free rule."""

@@ -23,7 +23,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .consequence import (
     ASSERTED,
-    CalculusPresentation,
     Evidence,
     Fuel,
     Report,
@@ -60,7 +59,7 @@ from .morphisms import (
     is_monomorphic,
 )
 from .ontology import Ontology, check_ecsy_morphism, validate_ontology
-from .syntax import MAX_NESTING, Formula, ReadOnly, Signature, is_identifier, within_nesting
+from .syntax import MAX_NESTING, Formula, ReadOnly, is_identifier, within_nesting
 
 
 @dataclass(frozen=True)
@@ -86,15 +85,16 @@ class DevGraph(ReadOnly):
 
     Each part checks itself when it is built: Signature its symbols,
     CalculusPresentation its schemas and rule shapes, Ontology its name,
-    signature inclusion and language, Fuel and Evidence their fields. The
-    constructor refuses with a ValueError what only a manifest restricts,
-    so that load_graph reads back equal whatever save_graph writes: a node
-    not named after its key, rule names the parser would not read, a
-    formula nested deeper than read_formula reads (see _check_node and
-    _check_link), a link without evidence, repeated, to an absent node or
-    closing a cycle, evidence for no link, and evidence a link record
-    cannot hold (_evidence_fault). nodes and evidence are read-only
-    mappings, and no attribute can be set.
+    signature inclusion and language, each morphism its totality and
+    images, Fuel and Evidence their fields; the interned ones (see
+    syntax.Interned) compare by identity. The constructor refuses with
+    a ValueError what only a manifest restricts, so that load_graph reads
+    back equal whatever save_graph writes: a node not named after its key,
+    rule names the parser would not read, a formula nested deeper than
+    read_formula reads (see _check_node and _check_link), a link without
+    evidence, repeated, to an absent node or closing a cycle, evidence for
+    no link, and evidence a link record cannot hold (_evidence_fault).
+    nodes and evidence are read-only mappings, and no attribute can be set.
     """
 
     __slots__ = ("nodes", "links", "evidence")
@@ -443,37 +443,22 @@ def verify_decomposition(
 
 def _collect_names(g: DevGraph):
     """Deterministic names for the signatures, calculi, and morphisms a
-    manifest needs; graph equality never depends on these names."""
-    sigs: list[Signature] = []
-    for name in sorted(g.nodes):
-        base_sig = g.nodes[name].base.sig
-        if base_sig not in sigs:
-            sigs.append(base_sig)
-    for link in g.links:
-        if link.morphism is not None:
-            for sig in (link.morphism.source, link.morphism.target):
-                if sig not in sigs:
-                    sigs.append(sig)
-    sigs.sort(key=lambda s: emit_signature("_", s))
+    manifest needs, numbered in the order of their emitted texts and never
+    in hash order; graph equality never depends on these names."""
+    cals = dict.fromkeys(g.nodes[name].base for name in sorted(g.nodes))
+    maps = dict.fromkeys(link.morphism for link in g.links if link.morphism is not None)
+    sigs = dict.fromkeys([cal.sig for cal in cals] + [s for m in maps for s in (m.source, m.target)])
+    sigs = sorted(sigs, key=lambda s: emit_signature("_", s))
     sig_names = {sig: f"s{i}" for i, sig in enumerate(sigs)}
-
-    cals: list[CalculusPresentation] = []
-    for name in sorted(g.nodes):
-        cal = g.nodes[name].base
-        if cal not in cals:
-            cals.append(cal)
-    cals.sort(key=lambda c: emit_calculus("_", c, sig_names[c.sig]))
+    cals = sorted(cals, key=lambda c: emit_calculus("_", c, sig_names[c.sig]))
     cal_names = {cal: f"c{i}" for i, cal in enumerate(cals)}
-
     # definition links carry morphisms, named h<i>; splitting links carry
     # splittings, named f<i>
-    prefixes: dict = {}
-    for link in g.links:
-        if link.morphism is not None:
-            prefixes.setdefault(link.morphism, "h" if link.kind == "definition" else "f")
-    texts = {m: emit_map("_", m, sig_names[m.source], sig_names[m.target]) for m in prefixes}
-    morphisms = sorted(prefixes, key=texts.__getitem__)
-    morphism_names = {m: f"{prefixes[m]}{i}" for i, m in enumerate(morphisms)}
+    texts = {m: emit_map("_", m, sig_names[m.source], sig_names[m.target]) for m in maps}
+    morphisms = sorted(maps, key=texts.__getitem__)
+    morphism_names = {
+        m: f"{'h' if isinstance(m, SignatureMorphism) else 'f'}{i}" for i, m in enumerate(morphisms)
+    }
     return sigs, sig_names, cals, cal_names, morphisms, morphism_names
 
 

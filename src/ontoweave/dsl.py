@@ -42,7 +42,7 @@ from .consequence import ASSERTED, CalculusPresentation, Evidence, Fuel, Rule
 from .errors import ArityError, OntoSigError, ParseError, SignatureError, UnknownSymbol
 from .morphisms import SignatureMorphism, SplittingMorphism
 from .ontology import Ontology
-from .syntax import Formula, Signature, Symbol, is_identifier, make_signature, read_formula, tokenize
+from .syntax import Formula, Signature, Symbol, is_identifier, make_signature, read_formula, read_number, tokenize
 
 
 # how many texts parse_document remembers: a CLI command reads one defs
@@ -104,10 +104,7 @@ class _Parser:
         return tok
 
     def take_number(self) -> int:
-        tok = self.take()
-        if not tok.isdigit():
-            raise ParseError(f"expected a number, found {tok!r}")
-        return int(tok)
+        return read_number(self.take())
 
     # -- shared pieces
 

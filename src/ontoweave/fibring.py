@@ -24,7 +24,7 @@ from .morphisms import (
     substitute_back,
     translate,
 )
-from .syntax import Formula, Signature, formula_in_language, signature_union
+from .syntax import Formula, Signature, formula_in_language, read_number, signature_union
 
 
 @dataclass
@@ -187,8 +187,8 @@ def load_session(
             if len(parts) != 4:
                 raise FormatError(f"bad fuel line: {line!r}")
             try:
-                fuel = Fuel(int(parts[1]), int(parts[2]), int(parts[3]))
-            except ValueError as exc:
+                fuel = Fuel(*map(read_number, parts[1:]))
+            except (ParseError, ValueError) as exc:
                 raise FormatError(str(exc)) from exc
         elif line.startswith("union\t"):
             union_decl = line.split("\t", 1)[1]

@@ -1,5 +1,11 @@
 """Signature morphisms, splitting morphisms, and fibring translations.
 
+Both kinds of morphism are interned (syntax.Interned) by source, target
+and the image of each source symbol, so equality is identity, and their
+maps list the source's own symbols in signature order. They check all of
+their input before the lookup: the key holds no symbol outside the source,
+and an image a/True equals a/1.
+
 The translation machinery realizes the two mutually inverse maps between a
 combined language and a component language: variables move to odd indices
 (xi becomes x(2i+1)), foreign-headed subtrees collapse to even-indexed
@@ -23,29 +29,33 @@ from .errors import (
 )
 from .syntax import (
     Formula,
-    ReadOnly,
+    Interned,
     Signature,
     Symbol,
     apply_symbol,
     parse_formula,
+    read_number,
     signature_leq,
     substitute,
     svar,
 )
 
 
-class SignatureMorphism(ReadOnly):
+class SignatureMorphism(Interned):
     """A family of per-arity symbol maps, total on the source signature.
     Read-only: maps is a mapping proxy and no attribute can be set."""
 
-    __slots__ = ("source", "target", "maps", "_key")
+    __slots__ = ("source", "target", "maps")
 
-    def __init__(self, source: Signature, target: Signature, maps: Mapping[Symbol, Symbol]):
+    @staticmethod
+    def _content(source: Signature, target: Signature, maps: Mapping[Symbol, Symbol]) -> tuple:
         maps = dict(maps)
         for sym in source.symbols():
             image = maps.get(sym)
             if image is None:
                 raise SignatureError(f"morphism is not total: {sym} unmapped")
+            if type(image.arity) is not int:
+                raise SignatureError(f"image {image} of {sym} has an arity that is not a whole number")
             if image.arity != sym.arity:
                 raise SignatureError(f"{sym} maps across arities to {image}")
             if image not in target:
@@ -53,26 +63,18 @@ class SignatureMorphism(ReadOnly):
         for sym in maps:
             if sym not in source:
                 raise SignatureError(f"mapped symbol {sym} not in source signature")
-        key = tuple(sorted((s, t) for s, t in maps.items()))
-        self._seal(source=source, target=target, maps=MappingProxyType(maps), _key=key)
+        return source, target, tuple(maps[sym] for sym in source.symbols())
+
+    def _build(self, source, target, images) -> None:
+        maps = MappingProxyType(dict(zip(source.symbols(), images)))
+        self._seal(source=source, target=target, maps=maps)
 
     @classmethod
     def identity(cls, sig: Signature) -> "SignatureMorphism":
         return cls(sig, sig, {s: s for s in sig.symbols()})
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, SignatureMorphism)
-            and self.source == other.source
-            and self.target == other.target
-            and self._key == other._key
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.source, self.target, self._key))
-
     def __repr__(self) -> str:
-        body = ", ".join(f"{s}->{t}" for s, t in self._key)
+        body = ", ".join(f"{s}->{t}" for s, t in sorted(self.maps.items()))
         return f"SignatureMorphism({body})"
 
 
@@ -106,13 +108,14 @@ def compose_signature_morphisms(g: SignatureMorphism, h: SignatureMorphism) -> S
 # Splitting morphisms
 
 
-class SplittingMorphism(ReadOnly):
+class SplittingMorphism(Interned):
     """Maps each k-ary source symbol to a target formula using exactly x1..xk.
     Read-only: assign is a mapping proxy and no attribute can be set."""
 
-    __slots__ = ("source", "target", "assign", "_key")
+    __slots__ = ("source", "target", "assign")
 
-    def __init__(self, source: Signature, target: Signature, assign: Mapping[Symbol, Formula]):
+    @staticmethod
+    def _content(source: Signature, target: Signature, assign: Mapping[Symbol, Formula]) -> tuple:
         assign = dict(assign)
         for sym in source.symbols():
             body = assign.get(sym)
@@ -129,8 +132,11 @@ class SplittingMorphism(ReadOnly):
         for sym in assign:
             if sym not in source:
                 raise SignatureError(f"mapped symbol {sym} not in source signature")
-        key = tuple(sorted(assign.items()))
-        self._seal(source=source, target=target, assign=MappingProxyType(assign), _key=key)
+        return source, target, tuple(assign[sym] for sym in source.symbols())
+
+    def _build(self, source, target, bodies) -> None:
+        assign = MappingProxyType(dict(zip(source.symbols(), bodies)))
+        self._seal(source=source, target=target, assign=assign)
 
     @classmethod
     def identity(cls, sig: Signature) -> "SplittingMorphism":
@@ -139,19 +145,8 @@ class SplittingMorphism(ReadOnly):
             assign[sym] = apply_symbol(sym, tuple(svar(i) for i in range(1, sym.arity + 1)))
         return cls(sig, sig, assign)
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, SplittingMorphism)
-            and self.source == other.source
-            and self.target == other.target
-            and self._key == other._key
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.source, self.target, self._key))
-
     def __repr__(self) -> str:
-        body = ", ".join(f"{s}->{f.text}" for s, f in self._key)
+        body = ", ".join(f"{s}->{f.text}" for s, f in sorted(self.assign.items()))
         return f"SplittingMorphism({body})"
 
 
@@ -234,8 +229,8 @@ class Interning:
                 continue
             try:
                 index_str, formula_str = line.split("\t", 1)
-                index = int(index_str)
-            except ValueError as exc:
+                index = read_number(index_str)
+            except (ValueError, ParseError) as exc:
                 raise ParseError(f"bad interning line {lineno}: {raw!r}") from exc
             phi = parse_formula(formula_str, sig)
             got = table.register(phi)

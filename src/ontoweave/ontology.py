@@ -4,9 +4,11 @@ and an axiomatic ontological theory, plus morphism checks and connection.
 An ontology's consequence map is the effective calculus: the base
 presentation with every ontological axiom added as a premise-free rule.
 That makes the theory axiomatic by construction, and validation re-checks
-it rather than trusting it. What an ontology is made of is checked once,
-by its constructor: an identifier name, an ontological signature inside
-the base one, and axioms in the base language.
+it rather than trusting it. Ontologies are hash-consed through the one
+value table (syntax.Interned), so equal ontologies are one object, and what
+one is made of is checked once per content, by its constructor: an
+identifier name, an ontological signature inside the base one, and axioms
+in the base language.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .fibring import fibred_derives, open_session
 from .morphisms import SignatureMorphism, apply_signature_morphism
 from .syntax import (
     Formula,
-    ReadOnly,
+    Interned,
     Signature,
     formula_in_language,
     is_identifier,
@@ -38,38 +40,37 @@ from .syntax import (
 )
 
 
-class Ontology(ReadOnly):
+class Ontology(Interned):
     """A named consequence system plus ontological signature and theory.
 
-    The constructor raises ParseError for a name that is not an identifier,
-    so nodes stay serializable, OntoSigError for an ontological signature
-    not included in the base one, and LanguageError for an axiom outside
-    the base language. Every axiom becomes derivable from the empty theory
-    at depth one because the effective calculus carries it as a
-    premise-free rule. No attribute can be set.
+    Interned (syntax.Interned) by name, base, ontological signature and the
+    set of axioms, so equality is identity. The constructor raises
+    ParseError for a name that is not an identifier, so nodes stay
+    serializable, OntoSigError for an ontological signature not included in
+    the base one, and LanguageError for an axiom outside the base language
+    (the first in canonical order). Every axiom becomes derivable from the
+    empty theory at depth one because the effective calculus carries it as
+    a premise-free rule. No attribute can be set.
     """
 
-    __slots__ = ("name", "base", "onto_sig", "axioms", "effective", "_key", "_hash")
+    __slots__ = ("name", "base", "onto_sig", "axioms", "effective")
 
-    def __init__(
-        self,
-        name: str,
-        base: CalculusPresentation,
-        onto_sig: Signature,
-        axioms: Iterable[Formula],
-    ):
+    @staticmethod
+    def _content(
+        name: str, base: CalculusPresentation, onto_sig: Signature, axioms: Iterable[Formula]
+    ) -> tuple:
+        return name, base, onto_sig, tuple(sorted(set(axioms), key=lambda f: f.sort_key))
+
+    def _build(self, name, base, onto_sig, axioms) -> None:
         if not is_identifier(name):
             raise ParseError(f"ontology name {name!r} is not a valid identifier")
         if not signature_leq(onto_sig, base.sig):
             raise OntoSigError(
                 f"ontological signature of {name!r} is not included in the base signature"
             )
-        axioms = tuple(axioms)
         for phi in axioms:
             if not formula_in_language(phi, base.sig):
                 raise LanguageError(f"axiom {phi.text} is outside the base language")
-        axioms = tuple(sorted(set(axioms), key=lambda f: f.sort_key))
-        key = (name, base, onto_sig, axioms)
         self._seal(
             name=name,
             base=base,
@@ -77,15 +78,7 @@ class Ontology(ReadOnly):
             axioms=axioms,
             # base plus the ontological axioms; with none, hash-consing makes it base
             effective=base.with_axiom_formulas(axioms, prefix="onto_"),
-            _key=key,
-            _hash=hash(key),
         )
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Ontology) and self._key == other._key
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return f"Ontology({self.name!r}, axioms={[f.text for f in self.axioms]})"

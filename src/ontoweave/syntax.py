@@ -3,18 +3,20 @@
 Formulas are finite trees over arity-indexed symbols and schema variables
 x1, x2, ... (written xi in the DSL). Every formula is hash-consed through a
 module-level intern table, so structurally equal formulas are the same
-object, and equality and hashing are object identity.
+object, and equality and hashing are object identity. Signatures, and the
+composite values other modules build on them, are hash-consed the same way
+through one value table (Interned).
 
 Identity hashes differ from process to process, so iterating a set of
-formulas visits them in no reproducible order. Order comes only from
-sort_key, the canonical total order (node count, structural order), where
-the structural order puts schema variables before symbol applications,
-orders variables by index, and orders applications by arity, then symbol
-name, then arguments. The key is (size, flat tuple): the preorder tokens
-(0, var index, "") and (1, arity, name) laid end to end in one tuple, so
-one flat tuple comparison decides the structural order. Enumeration,
-reports and serialized artifacts all sort by it so that runs are
-reproducible.
+formulas, or of any Interned value, visits them in no reproducible order.
+Order comes only from sort_key, the canonical total order (node count,
+structural order), where the structural order puts schema variables before
+symbol applications, orders variables by index, and orders applications by
+arity, then symbol name, then arguments. The key is (size, flat tuple): the
+preorder tokens (0, var index, "") and (1, arity, name) laid end to end in
+one tuple, so one flat tuple comparison decides the structural order.
+Enumeration, reports and serialized artifacts all sort by it so that runs
+are reproducible.
 
 The whole textual surface (documents, manifests, --phi, gamma lines,
 session dumps) goes through one lexer, tokenize, so '#' comments may stand
@@ -33,6 +35,9 @@ from .errors import ArityError, CapExceeded, LanguageError, ParseError, UnknownS
 # signatures, calculi, ontologies, maps, and the schema variables among them.
 IDENT_PATTERN = r"[A-Za-z_][A-Za-z0-9_]*"
 _IDENT_RE = re.compile(IDENT_PATTERN + r"\Z")
+# the number token: ASCII digits only
+NUMBER_PATTERN = r"[0-9]+"
+_NUMBER_RE = re.compile(NUMBER_PATTERN + r"\Z")
 _VAR_NAME_RE = re.compile(r"x([1-9][0-9]*)\Z")
 
 DEFAULT_ENUM_CAP = 200_000
@@ -57,6 +62,13 @@ def is_identifier(text: str) -> bool:
     return _IDENT_RE.match(text) is not None
 
 
+def read_number(token: str) -> int:
+    """The number a number token spells; ParseError for '+2', '1_2' or non-ASCII digits."""
+    if not _NUMBER_RE.match(token):
+        raise ParseError(f"expected a number, found {token!r}")
+    return int(token)
+
+
 class ReadOnly:
     """A value whose attributes are set once, by its constructor through
     _seal, and can then be neither set nor deleted."""
@@ -74,23 +86,49 @@ class ReadOnly:
         raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
 
 
-class Signature(ReadOnly):
-    """An arity-indexed family of finite symbol sets. Immutable.
+# Every Interned value built in this process, keyed by (class, content).
+_VALUES: dict[tuple, "Interned"] = {}
+
+
+class Interned(ReadOnly):
+    """A read-only value hash-consed like formulas: equal content gives one
+    object, so equality and hashing are object identity.
+
+    A subclass's _content normalises the constructor's arguments to a tuple
+    that fixes the value, refusing whatever that tuple cannot tell apart;
+    its _build runs on a miss only, checks the content and seals the new
+    object. A hit re-runs nothing, and an invalid value is never stored.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        content = cls._content(*args, **kwargs)
+        self = _VALUES.get((cls, content))
+        if self is None:
+            self = super().__new__(cls)
+            self._build(*content)
+            _VALUES[cls, content] = self
+        return self
+
+
+class Signature(Interned):
+    """An arity-indexed family of finite symbol sets. Interned.
 
     Every symbol is one a signature block can declare: its name is an
     identifier that names no schema variable and its arity a whole number
     >= 0. Otherwise the constructor raises ParseError, at the first bad
-    symbol in (arity, name) order.
+    symbol in (arity, name) order. The checks run before the lookup,
+    because Symbol("a", True) == Symbol("a", 1): no key tells them apart.
     """
 
-    __slots__ = ("_levels", "_key", "_hash")
+    __slots__ = ("_levels",)
 
-    def __init__(self, levels: Mapping[int, Iterable[Symbol]]):
-        cleaned: dict[int, tuple[Symbol, ...]] = {}
+    @staticmethod
+    def _content(levels: Mapping[int, Iterable[Symbol]]) -> tuple:
+        cleaned = []
         for arity in sorted(levels):
             syms = sorted(set(levels[arity]))
-            if not syms:
-                continue
             for sym in syms:
                 if sym.arity != arity:
                     raise ArityError(f"symbol {sym} stored at level {arity}")
@@ -102,9 +140,12 @@ class Signature(ReadOnly):
                     raise ParseError(f"arity of {sym.name!r} is not a whole number")
                 if arity < 0:
                     raise ParseError(f"negative arity for {sym.name!r}")
-            cleaned[arity] = tuple(syms)
-        key = tuple(cleaned.items())
-        self._seal(_levels=cleaned, _key=key, _hash=hash(key))
+            if syms:
+                cleaned.append((arity, tuple(syms)))
+        return (tuple(cleaned),)
+
+    def _build(self, levels: tuple) -> None:
+        self._seal(_levels=dict(levels))
 
     def level(self, arity: int) -> tuple[Symbol, ...]:
         return self._levels.get(arity, ())
@@ -133,12 +174,6 @@ class Signature(ReadOnly):
     def is_empty(self) -> bool:
         return not self._levels
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Signature) and self._key == other._key
-
-    def __hash__(self) -> int:
-        return self._hash
-
     def __repr__(self) -> str:
         decls = "; ".join(str(s) for s in self.symbols())
         return f"Signature({decls})"
@@ -153,11 +188,7 @@ def make_signature(decls: Iterable[tuple[str, int]]) -> Signature:
 
 
 def signature_union(c1: Signature, c2: Signature) -> Signature:
-    levels: dict[int, set[Symbol]] = {}
-    for sig in (c1, c2):
-        for arity in sig.arities():
-            levels.setdefault(arity, set()).update(sig.level(arity))
-    return Signature(levels)
+    return Signature({a: c1.level(a) + c2.level(a) for a in c1.arities() + c2.arities()})
 
 
 def signature_leq(c1: Signature, c2: Signature) -> bool:
@@ -333,7 +364,7 @@ def substitute(phi: Formula, mapping: Mapping[int, Formula]) -> Formula:
 # matches tile the text.
 _TOKEN_RE = re.compile(
     r"""\s*(?:\#[^\n]*\s*)*
-    (?: ( """ + IDENT_PATTERN + r""" | [{}(),;:/=] | -> | \|- | "[^"\n]*" | [0-9]+ )
+    (?: ( """ + IDENT_PATTERN + r""" | [{}(),;:/=] | -> | \|- | "[^"\n]*" | """ + NUMBER_PATTERN + r""" )
       | (\S)
       | \Z )""",
     re.VERBOSE,

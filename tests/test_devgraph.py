@@ -33,6 +33,7 @@ from ontoweave.errors import (
     MissingSplittingLink,
     OntoSigError,
     ParseError,
+    SignatureError,
     UnknownNode,
     ValidationFailed,
 )
@@ -651,6 +652,11 @@ EVIDENCE_PARAMS = "^verified evidence needs a whole corpus depth >= 0 and a Fuel
         pytest.param(lambda: link_graph(Link("definition", "A", "B", SignatureMorphism.identity(
             Signature({0: [Symbol("a b", 0)]})))),
             ParseError, "^malformed identifier: 'a b'$", id="morphism-over-unwritable-signature"),
+        # a/True equals a/1, but a manifest would write it as `a/1 -> a/True;`
+        pytest.param(lambda: link_graph(Link("definition", "A", "B", SignatureMorphism(
+            make_signature([("a", 1)]), make_signature([("a", 1)]), {Symbol("a", 1): Symbol("a", True)}))),
+            SignatureError, "^image a/True of a/1 has an arity that is not a whole number$",
+            id="bool-arity-image"),
         pytest.param(lambda: link_graph(Link("splitting", "A", "B", SplittingMorphism(
             make_signature([("c", 0)]), UC_SIG, {C: DEEP_CLOSED}))),
             ValueError, "nested deeper than 256", id="deep-splitting-image"),

@@ -1,6 +1,7 @@
 """Fibring sessions, side closures, and the alternating fixpoint."""
 
 import random
+import re
 
 import pytest
 
@@ -298,10 +299,19 @@ def test_load_session_rejects_garbage(cpl, conj):
     with pytest.raises(FormatError):
         load_session("session\nfuel\t1\t2\n", cpl, conj)
     header = dump_session(open_session(cpl, conj, SESSION_FUEL))
-    # a line without a tab, an undeclared symbol, an index out of order
-    for intern in ("garbage", "1\tzz", "5\tbot"):
+    # a line without a tab, an undeclared symbol, an index out of order, a
+    # signed index
+    for intern in ("garbage", "1\tzz", "5\tbot", "+1\tbot"):
         with pytest.raises(FormatError, match="^corrupt session dump: "):
             load_session(header + intern + "\n", cpl, conj)
+    # every number is the lexer's ASCII digit token: int() would read these
+    # as 12, 2 and 2
+    fuel_line = "fuel\t2\t14\t20000\n"
+    assert fuel_line in header
+    for rounds in ("1_2", "+2", "\u0662"):
+        bad = header.replace(fuel_line, f"fuel\t{rounds}\t14\t20000\n")
+        with pytest.raises(FormatError, match="^" + re.escape(f"expected a number, found '{rounds}'") + "$"):
+            load_session(bad, cpl, conj)
 
 
 def test_load_session_checks_union(cpl, conj):

@@ -1,9 +1,12 @@
-"""Replay one recorded graph-session script of the benchmark in-process,
-and check that every name the benchmark's tracer wraps still exists.
+"""Replay part of each benchmark workload's records in-process, and check
+that every name the benchmark's tracer wraps still exists.
 
-Every op's output and the final manifest's sha256 must equal the records in
-perfbench/expected/graph-session.json, so the parse-once path of the CLI is
-held byte-identical on every test run. perfbench/ is only read.
+Graph-session script 0 replays whole: every op's output and the final
+manifest's sha256 must equal perfbench/expected/graph-session.json, so the
+parse-once path of the CLI is held byte-identical on every test run.
+Derive-mix replays its first two catalogue blocks and fibre-alternation its
+first four queries, the README query first, against their records.
+perfbench/ is only read.
 """
 
 import importlib
@@ -11,6 +14,8 @@ import importlib.util
 import itertools
 import sys
 from pathlib import Path
+
+import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -39,6 +44,17 @@ def test_graph_session_script_0_replays_its_record(tmp_path, monkeypatch):
     want = session.records["scripts"][0]["manifest_sha256"]
     assert session.manifest_digest(manifest) == want
     assert session.finish() == []
+
+
+@pytest.mark.parametrize(
+    "name, ops", [("derive-mix", range(40)), ("fibre-alternation", range(4))], ids=["derive-mix", "fibre-alternation"]
+)
+def test_catalogue_ops_replay_their_records(tmp_path, monkeypatch, name, ops):
+    workloads = load_perfbench(monkeypatch, "workloads")
+    workload = workloads.WORKLOADS[name](workloads.EXPECTED_DIR, tmp_path)
+    workload.setup()
+    workload.load_expected()
+    assert [workload.execute(op) for op in ops] == [workload.expected(op) for op in ops]
 
 
 def test_every_traced_name_resolves(monkeypatch):

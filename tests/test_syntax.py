@@ -7,9 +7,15 @@ import string
 import pytest
 from hypothesis import given, strategies as st
 
-from ontoweave.errors import ArityError, CapExceeded, ParseError, UnknownSymbol
+from ontoweave import consequence
+from ontoweave.consequence import CalculusPresentation, Rule
+from ontoweave.dsl import read_document
+from ontoweave.errors import ArityError, CapExceeded, ParseError, SignatureError, UnknownSymbol
+from ontoweave.morphisms import SignatureMorphism, SplittingMorphism
+from ontoweave.ontology import Ontology
 from ontoweave.syntax import (
     IDENT_PATTERN,
+    Interned,
     Signature,
     Symbol,
     apply_symbol,
@@ -89,6 +95,74 @@ def test_union_is_join_for_leq():
     assert u == signature_union(b, a)
     d = make_signature([("imp", 2)])
     assert signature_union(signature_union(a, b), d) == signature_union(a, signature_union(b, d))
+
+
+# -- the value table: composite values are hash-consed like formulas
+
+TABLE_SIG = make_signature([("a", 0), ("b", 0), ("f", 1), ("g", 2)])
+TABLE_DEFS = """
+signature S { a/0; b/0; f/1; g/2; }
+calculus c over S { rule R2: f(x1) |- x1; rule R1: g(x1, x2) |- x2; axiom A: f(a); }
+ontology O { base c; onto_signature { f/1; } axioms { f(b); a; f(b); } }
+morphism h : S -> S { g/2 -> g/2; f/1 -> f/1; b/0 -> a/0; a/0 -> b/0; }
+splitting s : S -> S { f/1 -> g(x1, x1); a/0 -> b; b/0 -> a; g/2 -> g(x2, x1); }
+"""
+
+
+def table_formula(text):
+    return parse_formula(text, TABLE_SIG)
+
+
+def test_equal_content_is_one_value():
+    a, b, f, g = TABLE_SIG.symbols()
+    assert Signature({0: [b, a, a], 2: [g], 1: [f]}) is TABLE_SIG
+    rules = [Rule("R1", (table_formula("g(x1, x2)"),), svar(2)),
+             Rule("R2", (table_formula("f(x1)"),), svar(1))]
+    axiom = [Rule("A", (), table_formula("f(a)"))]
+    cal = CalculusPresentation(TABLE_SIG, axiom, rules)
+    assert CalculusPresentation(TABLE_SIG, axiom, rules[::-1]) is cal
+    axioms = [table_formula("f(b)"), table_formula("a")]
+    onto = Ontology("O", cal, make_signature([("f", 1)]), axioms)
+    assert Ontology("O", cal, make_signature([("f", 1)]), axioms[::-1] + axioms) is onto
+    images = {a: b, b: a, f: f, g: g}
+    h = SignatureMorphism(TABLE_SIG, TABLE_SIG, images)
+    assert SignatureMorphism(TABLE_SIG, TABLE_SIG, dict(reversed(images.items()))) is h
+    bodies = dict(zip([g, b, a, f], map(table_formula, ["g(x2, x1)", "a", "b", "g(x1, x1)"])))
+    s = SplittingMorphism(TABLE_SIG, TABLE_SIG, bodies)
+    assert SplittingMorphism(TABLE_SIG, TABLE_SIG, dict(reversed(bodies.items()))) is s
+    # maps are keyed by the source's symbols in signature order, whatever the input order
+    assert list(h.maps) == list(s.assign) == [a, b, f, g]
+    # two parses of one text build no new value
+    for doc in (read_document(TABLE_DEFS), read_document(TABLE_DEFS)):
+        assert doc.signatures["S"] is TABLE_SIG and doc.calculi["c"] is cal
+        assert doc.ontologies["O"] is onto
+        assert doc.morphisms["h"] is h and doc.splittings["s"] is s
+
+
+def test_one_table_serves_every_composite_value():
+    assert not hasattr(consequence, "_PRESENTATIONS")
+    for cls in (Signature, CalculusPresentation, Ontology, SignatureMorphism, SplittingMorphism):
+        assert issubclass(cls, Interned)
+        assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
+        assert not {"_key", "_hash"} & set(cls.__slots__)
+
+
+def test_refused_input_stays_refused_after_a_valid_twin():
+    """True == 1 and 1.0 == 1, so only a check before the lookup tells these
+    from their valid twins; a refused value is never stored."""
+    a1 = Symbol("a", 1)
+    sig = Signature({1: [a1]})
+    rule = Rule("R", (), svar(1))
+    assert SignatureMorphism.identity(sig).maps == {a1: a1}
+    CalculusPresentation(sig, axioms=[rule])
+    for _ in range(2):
+        for arity in (True, 1.0):
+            with pytest.raises(ParseError, match="^arity of 'a' is not a whole number$"):
+                Signature({1: [Symbol("a", arity)]})
+        with pytest.raises(SignatureError, match="^image a/True of a/1 has an arity that is not"):
+            SignatureMorphism(sig, sig, {a1: Symbol("a", True)})
+        with pytest.raises(ValueError, match="^rule 'R' has no premises$"):
+            CalculusPresentation(sig, rules=[rule])
 
 
 # -- parsing and printing
