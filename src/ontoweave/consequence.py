@@ -631,7 +631,7 @@ def derives(
 # Reports
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReportEntry:
     label: str
     ok: bool
@@ -642,9 +642,14 @@ class ReportEntry:
         return f"{self.label}\t{status}\t{self.witness}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Report:
-    entries: list[ReportEntry]
+    """Read-only, so one report can be shared: entries is kept as a tuple."""
+
+    entries: tuple[ReportEntry, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "entries", tuple(self.entries))
 
     @property
     def ok(self) -> bool:

@@ -441,54 +441,76 @@ def verify_decomposition(
 # Serialization
 
 
-def _collect_names(g: DevGraph):
+def _collect_names(g: DevGraph, emit):
     """Deterministic names for the signatures, calculi, and morphisms a
     manifest needs, numbered in the order of their emitted texts and never
     in hash order; graph equality never depends on these names."""
     cals = dict.fromkeys(g.nodes[name].base for name in sorted(g.nodes))
     maps = dict.fromkeys(link.morphism for link in g.links if link.morphism is not None)
     sigs = dict.fromkeys([cal.sig for cal in cals] + [s for m in maps for s in (m.source, m.target)])
-    sigs = sorted(sigs, key=lambda s: emit_signature("_", s))
+    sigs = sorted(sigs, key=lambda s: emit(emit_signature, "_", s))
     sig_names = {sig: f"s{i}" for i, sig in enumerate(sigs)}
-    cals = sorted(cals, key=lambda c: emit_calculus("_", c, sig_names[c.sig]))
+    cals = sorted(cals, key=lambda c: emit(emit_calculus, "_", c, sig_names[c.sig]))
     cal_names = {cal: f"c{i}" for i, cal in enumerate(cals)}
     # definition links carry morphisms, named h<i>; splitting links carry
     # splittings, named f<i>
-    texts = {m: emit_map("_", m, sig_names[m.source], sig_names[m.target]) for m in maps}
-    morphisms = sorted(maps, key=texts.__getitem__)
+    morphisms = sorted(
+        maps, key=lambda m: emit(emit_map, "_", m, sig_names[m.source], sig_names[m.target])
+    )
     morphism_names = {
         m: f"{'h' if isinstance(m, SignatureMorphism) else 'f'}{i}" for i, m in enumerate(morphisms)
     }
     return sigs, sig_names, cals, cal_names, morphisms, morphism_names
 
 
+def _emit_link(link: Link, evidence: Evidence, morphism: str | None) -> str:
+    return emit_link(LinkRecord(link.kind, link.src, link.dst, morphism, evidence))
+
+
 # the bytes save_graph returned last, and the graph it wrote into them
 _last_saved: tuple[bytes, DevGraph] | None = None
+# the text of each part of that manifest, "_"-named sort texts included,
+# keyed by (emitter, *arguments): the value and every name its text holds
+_last_texts: dict[tuple, str] = {}
 
 
 def save_graph(g: DevGraph) -> bytes:
     """Canonical manifest: signatures, calculi, morphisms, nodes by name,
     links in lexicographic order, evidence embedded in the link records.
-    The manifest and g take the one slot load_graph answers from."""
-    global _last_saved
-    sigs, sig_names, cals, cal_names, morphisms, morphism_names = _collect_names(g)
+    The manifest and g take the one slot load_graph answers from.
+
+    A part whose key was in the last manifest is copied from _last_texts,
+    and only the others are emitted; the table then holds this manifest's
+    parts alone. A renumbered name changes the key, so that part is emitted
+    again."""
+    global _last_saved, _last_texts
+    last, texts = _last_texts, {}
+
+    def emit(*key) -> str:
+        text = last.get(key)
+        if text is None:
+            text = key[0](*key[1:])
+        texts[key] = text
+        return text
+
+    sigs, sig_names, cals, cal_names, morphisms, morphism_names = _collect_names(g, emit)
     chunks: list[str] = []
     for sig in sigs:
-        chunks.append(emit_signature(sig_names[sig], sig))
+        chunks.append(emit(emit_signature, sig_names[sig], sig))
     for cal in cals:
-        chunks.append(emit_calculus(cal_names[cal], cal, sig_names[cal.sig]))
+        chunks.append(emit(emit_calculus, cal_names[cal], cal, sig_names[cal.sig]))
     for m in morphisms:
-        chunks.append(emit_map(morphism_names[m], m, sig_names[m.source], sig_names[m.target]))
+        chunks.append(emit(emit_map, morphism_names[m], m, sig_names[m.source], sig_names[m.target]))
     for name in sorted(g.nodes):
-        chunks.append(emit_ontology(name, g.nodes[name], cal_names[g.nodes[name].base]))
+        chunks.append(emit(emit_ontology, name, g.nodes[name], cal_names[g.nodes[name].base]))
+    # the evidence map holds every link, and the records are sorted
     records = []
-    for link in g.links:
-        morphism = morphism_names.get(link.morphism) if link.morphism else None
-        record = LinkRecord(link.kind, link.src, link.dst, morphism, g.evidence[link])
-        records.append(emit_link(record))
+    for link, ev in g.evidence.items():
+        records.append(emit(_emit_link, link, ev, morphism_names.get(link.morphism)))
     chunks.extend(sorted(records))
     data = ("\n".join(chunks) + "\n").encode("utf-8")
     _last_saved = (data, g)
+    _last_texts = texts
     return data
 
 

@@ -63,10 +63,14 @@ def is_identifier(text: str) -> bool:
 
 
 def read_number(token: str) -> int:
-    """The number a number token spells; ParseError for '+2', '1_2' or non-ASCII digits."""
+    """The number a number token spells; ParseError for '+2', '1_2', non-ASCII
+    digits, or more digits than int() converts (sys.get_int_max_str_digits)."""
     if not _NUMBER_RE.match(token):
         raise ParseError(f"expected a number, found {token!r}")
-    return int(token)
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(f"number with {len(token)} digits is too long") from None
 
 
 class ReadOnly:

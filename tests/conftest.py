@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import settings
 
-from ontoweave import presets
+from ontoweave import ontology, presets
 from ontoweave.consequence import CalculusPresentation, Fuel, Rule
 from ontoweave.ontology import Ontology
 from ontoweave.syntax import make_signature, parse_formula
@@ -51,6 +51,17 @@ def quick_fuel():
 def link_fuel():
     """Small fuel for link checkers inside graph fixtures."""
     return Fuel(max_closure_rounds=1, max_formula_size=12, max_set_size=4_000)
+
+
+@pytest.fixture
+def law_checks(monkeypatch):
+    """One entry per law check validate_ontology runs, from an empty report
+    table."""
+    calls = []
+    laws = ontology.check_operator_laws
+    monkeypatch.setattr(ontology, "check_operator_laws", lambda *a, **k: calls.append(1) or laws(*a, **k))
+    monkeypatch.setattr(ontology, "_REPORTS", {})
+    return calls
 
 
 def binary_calculus(symbol: str) -> CalculusPresentation:

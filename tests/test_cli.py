@@ -137,11 +137,15 @@ def test_bad_fuel_is_a_usage_error(defs_file, capsys, argv):
          "link theorem o -> o assert\n",
          ["graph", "--manifest", "{path}", "load"],
          "FormatError: corrupt manifest: link theorem o -> o is repeated"),
+        pytest.param("signature S { a/" + "1" * 5000 + "; }",
+                     ["check", "{path}"], "ParseError: number with 5000 digits is too long",
+                     id="long-number"),
     ],
 )
 def test_unbuildable_blocks_are_usage_errors(tmp_path, capsys, text, argv, prefix):
     # each block reads well, but the morphism is partial, the onto_signature
-    # leaves its base, the evidence fuel is below 1, or a link is repeated
+    # leaves its base, the evidence fuel is below 1, or a link is repeated;
+    # or an arity has more digits than int() converts
     path = tmp_path / "input.dsl"
     path.write_text(text, encoding="utf-8")
     code = main([arg.format(path=path) for arg in argv])

@@ -1,7 +1,7 @@
 """Development graphs: links with evidence, pattern verifiers, persistence."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ontoweave.consequence import (
     ASSERTED,
@@ -86,6 +86,18 @@ def test_add_node_validation_failure(cpl):
     bad = Ontology("bad", cpl, make_signature([]), [big])
     with pytest.raises(ValidationFailed, match="^bad: axioms-derivable failed: "):
         add_node(DevGraph(), bad, NODE_FUEL)
+
+
+def test_failing_node_fails_alike_twice(cpl, law_checks):
+    big = parse_formula("imp(bot, " * 8 + "x1" + ")" * 8, cpl.sig)
+    bad = Ontology("bad", cpl, make_signature([]), [big])
+    raised = []
+    for _ in range(2):
+        with pytest.raises(ValidationFailed) as info:
+            add_node(DevGraph(), bad, NODE_FUEL)
+        raised.append(str(info.value))
+    assert raised[0] == raised[1] and raised[0].startswith("bad: axioms-derivable failed: ")
+    assert len(law_checks) == 1
 
 
 # -- link insertion
@@ -854,3 +866,72 @@ def test_every_buildable_graph_round_trips(parts):
     fresh = reparse(blob)
     assert fresh == g and fresh is not g
     assert save_graph(fresh) == blob
+
+
+# -- save_graph copies the parts its last manifest already holds
+
+_TEXT_CALS = [
+    EDGE_CAL,
+    OTHER_CAL,
+    binary_calculus("a"),
+    # over EDGE_CAL's signature, so it renumbers calculi and not signatures
+    CalculusPresentation(EDGE_CAL.sig, rules=EDGE_CAL.rules[:2]),
+]
+_TEXT_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("node"), st.sampled_from("ABCDEF"), st.integers(0, len(_TEXT_CALS) - 1)),
+        st.tuples(
+            st.sampled_from(["theorem", "definition", "splitting"]),
+            st.integers(0, 5),
+            st.integers(0, 5),
+            st.booleans(),
+        ),
+    ),
+    max_size=10,
+)
+
+
+def cold_save(g):
+    """save_graph(g) with an empty text table and slot, and the table it
+    fills; the warm table and slot are put back."""
+    kept = devgraph._last_saved, devgraph._last_texts
+    devgraph._last_saved, devgraph._last_texts = None, {}
+    try:
+        return save_graph(g), devgraph._last_texts
+    finally:
+        devgraph._last_saved, devgraph._last_texts = kept
+
+
+# K and M first, then a calculus over a/2, whose signature and calculus sort
+# before theirs and renumber every s<i> and c<i>
+@example([("node", "K", 1), ("node", "M", 0), ("definition", 1, 0, False), ("node", "A", 2)])
+# a morphism from a/2 sorts before the one from m/2 and renumbers the h<i>
+@example(
+    [("node", "A", 2), ("node", "K", 1), ("node", "M", 0), ("definition", 2, 1, False),
+     ("definition", 0, 1, False), ("splitting", 0, 1, True)]
+)
+@given(_TEXT_STEPS)
+def test_warm_saves_equal_cold_saves(steps):
+    g, cals = DevGraph(), {}
+    for step in steps:
+        names = sorted(g.nodes)
+        try:
+            if step[0] == "node":
+                _, name, k = step
+                g = add_node(g, plain_ontology(_TEXT_CALS[k], name), NODE_FUEL)
+                cals[name] = _TEXT_CALS[k]
+            elif names:
+                kind, i, j, swap = step
+                src, dst = names[i % len(names)], names[j % len(names)]
+                morphism = {
+                    "theorem": None,
+                    "definition": relabel(cals[src], cals[dst]),
+                    "splitting": splitting_to(cals[src], cals[dst], swap),
+                }[kind]
+                g = add_link(g, Link(kind, src, dst, morphism), 1, LINK_FUEL, asserted=True)
+        except (CycleError, DuplicateName):
+            pass
+        cold, cold_texts = cold_save(g)
+        assert save_graph(g) == cold
+        # the table holds this manifest's parts and nothing else
+        assert devgraph._last_texts.keys() == cold_texts.keys()

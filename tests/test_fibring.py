@@ -312,6 +312,10 @@ def test_load_session_rejects_garbage(cpl, conj):
         bad = header.replace(fuel_line, f"fuel\t{rounds}\t14\t20000\n")
         with pytest.raises(FormatError, match="^" + re.escape(f"expected a number, found '{rounds}'") + "$"):
             load_session(bad, cpl, conj)
+    # more digits than int() converts
+    bad = header.replace(fuel_line, "fuel\t" + "1" * 5000 + "\t14\t20000\n")
+    with pytest.raises(FormatError, match="^number with 5000 digits is too long$"):
+        load_session(bad, cpl, conj)
 
 
 def test_load_session_checks_union(cpl, conj):

@@ -1,5 +1,6 @@
 """Ontologies: construction, validation, morphism checks, and connection."""
 
+import dataclasses
 import random
 
 import pytest
@@ -76,6 +77,32 @@ def test_validate_empty_over_empty():
     empty = presets.rule_free(make_signature([]))
     o = Ontology("void", empty, make_signature([]), [])
     assert validate_ontology(o, FUEL).ok
+
+
+# -- one report per content
+
+
+def test_validation_runs_once_per_content(cpl, law_checks):
+    sig = make_signature([("bot", 0)])
+    first = validate_ontology(Ontology("once_a", cpl, sig, [f("imp(bot, x1)")]), FUEL)
+    # the name is not part of what the report reads
+    second = validate_ontology(Ontology("once_b", cpl, sig, [f("imp(bot, x1)")]), FUEL)
+    assert second is first and len(law_checks) == 1
+    other_fuel = Fuel(FUEL.max_closure_rounds, FUEL.max_formula_size, FUEL.max_set_size + 1)
+    assert validate_ontology(Ontology("once_a", cpl, sig, [f("imp(bot, x1)")]), other_fuel).ok
+    assert len(law_checks) == 2
+
+
+def test_reports_are_read_only(cpl):
+    report = validate_ontology(Ontology("plain", cpl, cpl.sig, []), FUEL)
+    assert isinstance(report.entries, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.entries = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.entries[0].ok = False
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.entries[0].witness = "changed"
+    assert report.ok
 
 
 # -- ontology morphisms

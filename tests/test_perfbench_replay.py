@@ -1,9 +1,11 @@
 """Replay part of each benchmark workload's records in-process, and check
 that every name the benchmark's tracer wraps still exists.
 
-Graph-session script 0 replays whole: every op's output and the final
-manifest's sha256 must equal perfbench/expected/graph-session.json, so the
-parse-once path of the CLI is held byte-identical on every test run.
+Graph-session scripts 0 and 1 replay whole, back to back in one process:
+every op's output and each final manifest's sha256 must equal
+perfbench/expected/graph-session.json, so the parse-, validate- and
+emit-once paths of the CLI are held byte-identical on every test run, the
+second script starting warm.
 Derive-mix replays its first two catalogue blocks and fibre-alternation its
 first four queries, the README query first, against their records.
 perfbench/ is only read.
@@ -29,20 +31,21 @@ def load_perfbench(monkeypatch, name):
     return module
 
 
-def test_graph_session_script_0_replays_its_record(tmp_path, monkeypatch):
+def test_graph_session_scripts_0_and_1_replay_back_to_back(tmp_path, monkeypatch):
     workloads = load_perfbench(monkeypatch, "workloads")
     session = workloads.GraphSession(workloads.EXPECTED_DIR, tmp_path)
     session.setup()
     session.load_expected()
-    steps = len(session.scripts[0])
-    # all_ops runs script 0 first, each script in a new directory
-    ops = list(itertools.islice(session.all_ops(), steps))
+    steps = [len(session.scripts[0]), len(session.scripts[1])]
+    # all_ops runs script 0, then script 1, each in a new directory; script 1
+    # starts with the tables and the save slot script 0's last manifest left
+    ops = list(itertools.islice(session.all_ops(), sum(steps)))
     got = [session.execute(op) for op in ops]
     assert got == [session.expected(op) for op in ops]
-    (script, manifest, ran), = session.sessions
-    assert (script, ran) == (0, steps)
-    want = session.records["scripts"][0]["manifest_sha256"]
-    assert session.manifest_digest(manifest) == want
+    assert [(script, ran) for script, _, ran in session.sessions] == [(0, steps[0]), (1, steps[1])]
+    for script, manifest, _ in session.sessions:
+        want = session.records["scripts"][script]["manifest_sha256"]
+        assert session.manifest_digest(manifest) == want
     assert session.finish() == []
 
 
