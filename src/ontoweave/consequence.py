@@ -222,7 +222,7 @@ class CalculusPresentation(Interned):
             rules=rules,
             negation=negation,
             _base_var_count=maxvar,
-            # axiom instances, keyed by (axiom index, tuple of variable values)
+            # axiom instances, keyed by (axiom index, value 1, ..., value n)
             _inst_memo={},
             _plans=plans,
             # per plan level, the argument position at which a structured
@@ -294,86 +294,111 @@ class _Engine:
 
     def _admit(self, batch: Sequence[Formula]) -> list[Formula]:
         """Add a canonically sorted batch, respecting the set cap."""
-        room = self.set_cap - len(self.members)
+        members = self.members
+        room = self.set_cap - len(members)
         added: list[Formula] = []
+        by_head = self.by_head
+        bare_cap = self.bare_cap
+        bare_candidates = self.bare_candidates
         pool = self.pool
         pool_new = self.pool_new
         psize = self.psize
         for phi in batch:
             if room <= 0:
                 break
-            if phi in self.members:
+            if phi in members:
                 continue
-            self.members.add(phi)
+            members.add(phi)
             added.append(phi)
             room -= 1
             if phi.var is None:
-                self.by_head.setdefault(phi.head, []).append(phi)
-            if phi.size <= self.bare_cap:
-                self.bare_candidates.append(phi)
-            # grow the pool with small subtrees; small pool members are
-            # subformula-closed, so present ones need no descent
-            stack = [phi]
-            while stack:
-                node = stack.pop()
-                if node.size <= psize:
-                    if node in pool:
-                        continue
-                    pool.add(node)
-                    pool_new.append(node)
-                stack.extend(node.args)
-        self.pool_new.sort(key=lambda f: f.sort_key)
+                by_head.setdefault(phi.head, []).append(phi)
+            if phi.size <= bare_cap:
+                bare_candidates.append(phi)
+            # grow the pool with small subtrees: only the frontier's roots
+            # can be new, and small pool members are subformula-closed, so
+            # present ones need no descent
+            for sub in phi.frontier(psize):
+                if sub in pool:
+                    continue
+                stack = [sub]
+                while stack:
+                    node = stack.pop()
+                    if node not in pool:
+                        pool.add(node)
+                        pool_new.append(node)
+                        stack.extend(node.args)
+        pool_new.sort(key=lambda f: f.sort_key)
         return added
 
     # -- axiom instantiation
 
     def _axiom_conclusions(self, staged: set[Formula], all_sorted: list[Formula]) -> None:
+        """Stage every axiom instance whose values come from the pool and
+        whose first value from new_sorted sits at some position first_new:
+        positions before it range over old_sorted, later ones over the whole
+        pool. Every value scanned costs one unit of work, as _spend charges
+        it; the budget is kept in a local and written back when this returns
+        or raises. Instances are memoised per presentation under the flat
+        key (axiom index, value 1, ..., value n)."""
         old_sorted = self.pool_old
         new_sorted = self.pool_new
         memo = self.cal._inst_memo
         exempt = self.seed_exempt
-        for rule_idx, (schema, varlist, occs) in enumerate(self.cal._axiom_meta):
-            if not varlist:
-                if not self.emitted_closed_axioms and schema.size <= self.size_cap:
-                    self._stage(staged, schema)
-                continue
-            budget = self.size_cap - schema.size
-            if budget < 0:
-                continue
-            n = len(varlist)
-            vcap = self.psize if n <= 2 else self.wide_psize
-            chosen: list[Formula] = []
+        quota = self.stage_quota
+        stage = staged.add
+        work = self.work_left
+        try:
+            for rule_idx, (schema, varlist, occs) in enumerate(self.cal._axiom_meta):
+                if not varlist:
+                    if not self.emitted_closed_axioms and schema.size <= self.size_cap:
+                        stage(schema)
+                        if len(staged) >= quota:
+                            raise _StagingFull
+                    continue
+                budget = self.size_cap - schema.size
+                if budget < 0:
+                    continue
+                n = len(varlist)
+                last = n - 1
+                vcap = self.psize if n <= 2 else self.wide_psize
 
-            def rec(pos: int, remaining: int, first_new: int) -> None:
-                if pos == n:
-                    key = (rule_idx, tuple(chosen))
-                    concl = memo.get(key)
-                    if concl is None:
-                        concl = substitute(schema, dict(zip(varlist, chosen)))
-                        memo[key] = concl
-                    self._stage(staged, concl)
-                    return
-                if pos < first_new:
-                    source = old_sorted
-                elif pos == first_new:
-                    source = new_sorted
-                else:
-                    source = all_sorted
-                occ = occs[pos]
-                for value in source:
-                    self._spend()
-                    cost = occ * (value.size - 1)
-                    if cost > remaining:
-                        break
-                    if value.size > vcap and value not in exempt:
-                        continue
-                    chosen.append(value)
-                    rec(pos + 1, remaining - cost, first_new)
-                    chosen.pop()
+                def level(pos: int, remaining: int, first_new: int, key: tuple) -> None:
+                    nonlocal work
+                    if pos < first_new:
+                        source = old_sorted
+                    elif pos == first_new:
+                        source = new_sorted
+                    else:
+                        source = all_sorted
+                    occ = occs[pos]
+                    for value in source:
+                        work -= 1
+                        if work <= 0:
+                            work = 0
+                            raise _StagingFull
+                        size = value.size
+                        cost = occ * (size - 1)
+                        if cost > remaining:
+                            break
+                        if size > vcap and value not in exempt:
+                            continue
+                        if pos < last:
+                            level(pos + 1, remaining - cost, first_new, key + (value,))
+                            continue
+                        inst = key + (value,)
+                        concl = memo.get(inst)
+                        if concl is None:
+                            concl = memo[inst] = substitute(schema, dict(zip(varlist, inst[1:])))
+                        stage(concl)
+                        if len(staged) >= quota:
+                            raise _StagingFull
 
-            for first_new in range(n):
-                rec(0, budget, first_new)
-        self.emitted_closed_axioms = True
+                for first_new in range(n):
+                    level(0, budget, first_new, (rule_idx,))
+            self.emitted_closed_axioms = True
+        finally:
+            self.work_left = work
 
     # -- rule firing
 

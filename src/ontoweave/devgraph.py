@@ -237,6 +237,28 @@ def _acyclic(nodes: Mapping[str, Ontology], links: Sequence[Link]) -> bool:
     return all(visit(name) for name in adjacency)
 
 
+def _closes_cycle(links: Sequence[Link], link: Link) -> bool:
+    """Whether adding link to the acyclic links would close a cycle, by
+    _acyclic's rule: a reflexive theorem link closes none, any other
+    self-link does, and otherwise link closes one exactly when its target
+    already reaches its source."""
+    if link.src == link.dst:
+        return link.kind != "theorem"
+    successors: dict[str, list[str]] = {}
+    for old in links:
+        successors.setdefault(old.src, []).append(old.dst)
+    seen = {link.dst}
+    stack = [link.dst]
+    while stack:
+        for nxt in successors.get(stack.pop(), ()):
+            if nxt == link.src:
+                return True
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return False
+
+
 # ---------------------------------------------------------------------------
 # Mutations
 
@@ -291,10 +313,9 @@ def add_link(
     """
     src = g.require_node(link.src)
     dst = g.require_node(link.dst)
-    if link in g.links:
+    if link in g.evidence:
         raise DuplicateName(f"link {link.kind} {link.src} -> {link.dst} already present")
-    candidate = g.links + (link,)
-    if not _acyclic(g.nodes, candidate):
+    if _closes_cycle(g.links, link):
         raise CycleError(f"link {link.src} -> {link.dst} would close a cycle")
     if asserted:
         evidence = ASSERTED
@@ -309,7 +330,7 @@ def add_link(
     _check_link(link, g.nodes, evidence)
     ev = dict(g.evidence)
     ev[link] = evidence
-    return _grown(g.nodes, candidate, MappingProxyType(ev))
+    return _grown(g.nodes, g.links + (link,), MappingProxyType(ev))
 
 
 # ---------------------------------------------------------------------------

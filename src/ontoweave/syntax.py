@@ -12,11 +12,15 @@ formulas, or of any Interned value, visits them in no reproducible order.
 Order comes only from sort_key, the canonical total order (node count,
 structural order), where the structural order puts schema variables before
 symbol applications, orders variables by index, and orders applications by
-arity, then symbol name, then arguments. The key is (size, flat tuple): the
-preorder tokens (0, var index, "") and (1, arity, name) laid end to end in
-one tuple, so one flat tuple comparison decides the structural order.
+arity, then symbol name, then arguments. The key is (size, byte string): the
+preorder tokens encoded so that byte order is token order, laid end to end,
+so one bytes comparison (a memcmp) decides the structural order.
 Enumeration, reports and serialized artifacts all sort by it so that runs
 are reproducible.
+
+Each formula also caches its pool frontier (Formula.frontier): the distinct
+maximal subtrees of at most a given number of nodes, which is all the
+closure engine's pool admission needs to walk.
 
 The whole textual surface (documents, manifests, --phi, gamma lines,
 session dumps) goes through one lexer, tokenize, so '#' comments may stand
@@ -208,16 +212,42 @@ def signature_leq(c1: Signature, c2: Signature) -> bool:
 # Formulas
 
 
+def _length_prefixed(n: int) -> bytes:
+    """A whole number n >= 0 as its big-endian bytes behind their count.
+
+    The count is written as one byte below 255, and as 0xff then the count
+    minus 255 otherwise. Byte order on these strings is integer order, and
+    none is a prefix of another, so the bytes that follow stay apart.
+    """
+    body = n.to_bytes((n.bit_length() + 7) // 8, "big")
+    count = len(body)
+    return b"\xff" * (count // 255) + bytes((count % 255,)) + body
+
+
+# The sort-key token of each symbol applied so far: 0x01, the length-prefixed
+# arity, the UTF-8 name and a 0x00 terminator. Names are identifiers, so no
+# name holds 0x00, and the terminator sorts a name before its extensions.
+_HEAD_TOKENS: dict[Symbol, bytes] = {}
+
+
+def _head_token(sym: Symbol) -> bytes:
+    token = _HEAD_TOKENS.get(sym)
+    if token is None:
+        token = _HEAD_TOKENS[sym] = b"\x01" + _length_prefixed(sym.arity) + sym.name.encode() + b"\x00"
+    return token
+
+
 class Formula:
     """A schema variable or a symbol applied to exactly arity-many children.
 
     Do not call the constructor directly; use svar() and apply_symbol(),
     which intern every node, so equality and hashing are object identity.
     Formulas have no order of their own; sort them by sort_key, whose
-    second part is the flat token tuple described there.
+    second part is the byte string described there. A node caches its key
+    and its pool frontier (frontier), each on itself only.
     """
 
-    __slots__ = ("var", "head", "args", "size", "_skey", "_text", "_vars")
+    __slots__ = ("var", "head", "args", "size", "_skey", "_text", "_vars", "_front")
 
     var: int | None
     head: Symbol | None
@@ -229,42 +259,82 @@ class Formula:
         self.head = head
         self.args = args
         self.size = size
-        self._skey = None
+        # a leaf's key is its one token, so every key walk stops at leaves
+        if args:
+            self._skey = None
+        elif var is not None:
+            self._skey = (1, b"\x00" + _length_prefixed(var))
+        else:
+            self._skey = (1, _head_token(head))
         self._text = None
         self._vars = None
+        self._front = None
 
     @property
     def is_var(self) -> bool:
         return self.var is not None
 
     @property
-    def sort_key(self):
-        """(node count, flat token tuple); total and deterministic.
+    def sort_key(self) -> tuple[int, bytes]:
+        """(node count, token bytes); total and deterministic.
 
-        The flat tuple is the node's own token followed by its children's
-        flat tuples: the preorder token sequence, three elements per token,
-        (0, var index, "") for a variable and (1, arity, name) for an
-        application. Every token has the same width, so comparing flat
-        tuples orders formulas exactly as comparing token sequences would.
-        The key is built by a preorder walk without recursion that copies
-        in the cached tuple of every subtree that has one, and is cached on
-        this node only, so a key costs memory linear in the formula's size.
+        The bytes are the preorder token sequence: 0x00 and the
+        length-prefixed variable index for a variable, _head_token for an
+        application. Byte order on variable tokens is index order, on
+        application tokens (arity, name) order, and no token is a prefix of
+        another, so
+        comparing the byte strings orders formulas exactly as comparing
+        their token sequences would. A leaf holds its key from the start.
+        Any other key is built by a preorder walk without recursion that
+        copies in the cached bytes of every subtree that has them, and is
+        cached on this node only, so a key costs memory linear in the
+        formula's size.
         """
         key = self._skey
         if key is None:
-            flat: list = []
+            parts: list[bytes] = []
             stack = [self]
             while stack:
                 node = stack.pop()
                 if node._skey is not None:
-                    flat += node._skey[1]
-                elif node.var is not None:
-                    flat += (0, node.var, "")
+                    parts.append(node._skey[1])
                 else:
-                    flat += (1, node.head.arity, node.head.name)
+                    parts.append(_head_token(node.head))
                     stack.extend(reversed(node.args))
-            key = self._skey = (self.size, tuple(flat))
+            key = self._skey = (self.size, b"".join(parts))
         return key
+
+    def frontier(self, bound: int) -> tuple["Formula", ...]:
+        """The distinct maximal subtrees of at most bound nodes: this node
+        alone if it is that small, else those of its children, in preorder
+        of first occurrence.
+
+        Built by a preorder walk that copies in the frontier a bigger
+        subtree has cached at this bound, and cached as (bound, subtrees)
+        on this node only when it is bigger than bound; asking with another
+        bound recomputes and replaces it. The cache holds subtrees of this
+        node, so it keeps nothing alive that the node does not.
+        """
+        if self.size <= bound:
+            return (self,)
+        cached = self._front
+        if cached is not None and cached[0] == bound:
+            return cached[1]
+        found: dict[Formula, None] = {}
+        stack = list(reversed(self.args))
+        while stack:
+            node = stack.pop()
+            if node.size <= bound:
+                found[node] = None
+                continue
+            cached = node._front
+            if cached is not None and cached[0] == bound:
+                found.update(dict.fromkeys(cached[1]))
+            else:
+                stack.extend(reversed(node.args))
+        front = tuple(found)
+        self._front = (bound, front)
+        return front
 
     @property
     def text(self) -> str:

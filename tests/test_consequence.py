@@ -769,3 +769,224 @@ def test_join_matches_the_reference_on_edge_shapes():
     assert quota_cuts and work_cuts
     # a cap small enough that look-ahead arguments go over it
     _compare_joins(cal, gamma, Fuel(3, 4, 400), budgets_per_round=400)
+
+
+# -- axiom instantiation and admission against their plain forms
+#
+# The reference below is the earlier axiom loop, apart from taking the
+# engine as an argument and substituting without the instance memo: one
+# recursive call per position, one _spend per value scanned and one _stage
+# per instance. The engine's loop must stage the same set, stop (or not) at
+# the same point and leave the same work budget and closed-axiom flag, at
+# every staging quota and work budget, cut or uncut.
+
+
+def _reference_axiom_conclusions(eng, staged, all_sorted) -> None:
+    old_sorted = eng.pool_old
+    new_sorted = eng.pool_new
+    exempt = eng.seed_exempt
+    for schema, varlist, occs in eng.cal._axiom_meta:
+        if not varlist:
+            if not eng.emitted_closed_axioms and schema.size <= eng.size_cap:
+                eng._stage(staged, schema)
+            continue
+        budget = eng.size_cap - schema.size
+        if budget < 0:
+            continue
+        n = len(varlist)
+        vcap = eng.psize if n <= 2 else eng.wide_psize
+        chosen = []
+
+        def rec(pos, remaining, first_new):
+            if pos == n:
+                eng._stage(staged, substitute(schema, dict(zip(varlist, chosen))))
+                return
+            if pos < first_new:
+                source = old_sorted
+            elif pos == first_new:
+                source = new_sorted
+            else:
+                source = all_sorted
+            occ = occs[pos]
+            for value in source:
+                eng._spend()
+                cost = occ * (value.size - 1)
+                if cost > remaining:
+                    break
+                if value.size > vcap and value not in exempt:
+                    continue
+                chosen.append(value)
+                rec(pos + 1, remaining - cost, first_new)
+                chosen.pop()
+
+        for first_new in range(n):
+            rec(0, budget, first_new)
+    eng.emitted_closed_axioms = True
+
+
+def _drive_rounds(eng, gamma, each_round=lambda pool_sorted: None, each_admit=lambda: None):
+    """Close gamma round by round as _Engine.run does without a goal,
+    calling each_round with the round's sorted pool before the round
+    generates, and each_admit after every admission; returns the members."""
+
+    def admit(batch):
+        added = eng._admit(batch)
+        each_admit()
+        return added
+
+    delta = admit(_canonical(gamma))
+    for _ in range(eng.fuel.max_closure_rounds):
+        room = eng.set_cap - len(eng.members)
+        if room <= 0:
+            break
+        pool_sorted = _canonical(eng.pool)
+        each_round(pool_sorted)
+        eng.stage_quota = 4 * room + 64
+        staged = set()
+        try:
+            eng.work_left = 6 * eng.stage_quota + 4096
+            eng._rule_conclusions(delta, staged, pool_sorted)
+        except _StagingFull:
+            pass
+        try:
+            eng.work_left = 6 * eng.stage_quota + 4096
+            eng._axiom_conclusions(staged, pool_sorted)
+        except _StagingFull:
+            pass
+        eng.pool_old = pool_sorted
+        eng.pool_new = []
+        fresh = _canonical(staged - eng.members)
+        if not fresh:
+            break
+        delta = admit(fresh)
+        if not delta:
+            break
+    return frozenset(eng.members)
+
+
+def _axiom_outcome(conclusions, eng, pool_sorted, quota, budget, closed_done):
+    """Staged set, whether the loop stopped early, the budget left and the
+    closed-axiom flag, from a start with closed_done as that flag."""
+    eng.stage_quota = quota
+    eng.work_left = budget
+    eng.emitted_closed_axioms = closed_done
+    staged = set()
+    try:
+        conclusions(eng, staged, pool_sorted)
+    except _StagingFull:
+        return staged, True, eng.work_left, eng.emitted_closed_axioms
+    return staged, False, eng.work_left, eng.emitted_closed_axioms
+
+
+def _compare_axiom_loops(cal, gamma, fuel, seeds=(), budgets_per_round=40):
+    """In every round of closing gamma, compare both axiom loops uncut, at
+    every staging quota up to the staged count, and at budgets spread over
+    the work the uncut loop does. Returns the number of comparisons cut by
+    the quota and by the work budget."""
+    eng = _Engine(cal, fuel, seeds)
+    huge = 10**9
+    cuts_seen = [0, 0]
+
+    def each_round(pool_sorted):
+        closed_done = eng.emitted_closed_axioms
+        full, raised, left, _ = _axiom_outcome(
+            _reference_axiom_conclusions, eng, pool_sorted, huge, huge, closed_done
+        )
+        assert not raised
+        spent = huge - left
+        cuts = [(huge, huge), (huge, spent), (huge, spent + 1)]
+        cuts += [(q, huge) for q in range(1, len(full) + 1)]
+        step = max(1, spent // budgets_per_round)
+        cuts += [(huge, b) for b in range(1, spent + 1, step)]
+        for quota, budget in cuts:
+            want = _axiom_outcome(_reference_axiom_conclusions, eng, pool_sorted, quota, budget, closed_done)
+            got = _axiom_outcome(_Engine._axiom_conclusions, eng, pool_sorted, quota, budget, closed_done)
+            assert got == want, (quota, budget)
+            if want[1]:
+                cuts_seen[want[2] != 0] += 1
+        eng.emitted_closed_axioms = closed_done
+
+    members = _drive_rounds(eng, gamma, each_round)
+    assert members == _Engine(cal, fuel, seeds).run(_canonical(gamma))[0]
+    work_cuts, quota_cuts = cuts_seen
+    return quota_cuts, work_cuts
+
+
+@pytest.mark.parametrize("name", ["cpl", "implication_fragment"])
+def test_axiom_loop_matches_the_reference_on_the_presets(name):
+    cal = getattr(presets, name)()
+    x1, x2 = svar(1), svar(2)
+    imp = Symbol("imp", 2)
+    gamma = [apply_symbol(imp, (x1, x2)), x1]
+    goal = apply_symbol(imp, (apply_symbol(imp, (x2, x1)), apply_symbol(imp, (x1, x1))))
+    quota_cuts, work_cuts = _compare_axiom_loops(cal, gamma, Fuel(2, 16, 300), seeds=(goal,))
+    assert quota_cuts and work_cuts
+
+
+def _schema_over(n):
+    """A schema whose variables are exactly x1..xn: a pattern over them and
+    the constants, paired by f with each variable it leaves out."""
+    variables = [svar(v) for v in range(1, n + 1)]
+
+    def cover(pattern):
+        for x in variables:
+            if x.var not in pattern.variables:
+                pattern = apply_symbol(_F, (pattern, x))
+        return pattern
+
+    return _patterns(st.sampled_from(variables + [_A, _B])).map(cover)
+
+
+@st.composite
+def _axiom_calculi(draw):
+    axioms = [Rule(f"Ax{n}", (), draw(_schema_over(n))) for n in range(4)]
+    rules = [Rule("MP", (svar(1), apply_symbol(_F, (svar(1), svar(2)))), svar(2))]
+    return CalculusPresentation(_JOIN_SIG, axioms=axioms, rules=rules)
+
+
+@settings(max_examples=12, deadline=None)
+@given(_axiom_calculi(), _join_premise_sets(), st.lists(_PATTERNS, max_size=1), st.sampled_from([9, 16]))
+def test_axiom_loop_matches_the_reference(cal, gamma, seeds, size_cap):
+    # at 16 the pool holds size-2 values, and three-variable schemas draw
+    # only size-1 values unless a seed supplies them
+    _compare_axiom_loops(cal, gamma, Fuel(2, size_cap, 80), seeds=tuple(seeds))
+
+
+@pytest.mark.parametrize("name", ["cpl", "implication_fragment"])
+def test_admission_keeps_the_pool_to_small_subtrees_of_members(name):
+    cal = getattr(presets, name)()
+    fuel = Fuel(3, 24, 400)
+    imp = Symbol("imp", 2)
+    x1, x2, x3 = svar(1), svar(2), svar(3)
+    gamma = [apply_symbol(imp, (x1, apply_symbol(imp, (x2, x3)))), apply_symbol(imp, (x1, x2)), x1]
+    goal = apply_symbol(imp, (apply_symbol(imp, (x3, x3)), x2))
+    eng = _Engine(cal, fuel, (goal,))
+    seeds = set(eng.pool)
+    # the pool as _Engine.run last emptied pool_new; the engine starts
+    # with the seeds in pool_new
+    since_reset = set()
+    admissions = []
+
+    def each_round(pool_sorted):
+        since_reset.clear()
+        since_reset.update(eng.pool)
+
+    def each_admit():
+        small = {sub for phi in eng.members for sub in phi.subformulas() if sub.size <= eng.psize}
+        assert eng.pool == seeds | small
+        assert tuple(eng.pool_new) == _canonical(eng.pool_new)
+        assert set(eng.pool_new) == eng.pool - since_reset
+        admissions.append(len(eng.members))
+
+    # frontiers cached at another bound first, so admission replaces them
+    original_admit = eng._admit
+
+    def admit_after_warming(batch):
+        for phi in batch:
+            phi.frontier(eng.psize + 1)
+        return original_admit(batch)
+
+    eng._admit = admit_after_warming
+    members = _drive_rounds(eng, gamma, each_round, each_admit)
+    assert len(admissions) >= 3 and admissions[-1] > admissions[0]
+    assert members == _Engine(cal, fuel, (goal,)).run(_canonical(gamma))[0]

@@ -154,14 +154,36 @@ def test_cycle_rejected(monkeypatch):
     g, a, m = two_node_graph()
     g = add_link(g, Link("definition", "A", "M", relabel(a, m)), 1, LINK_FUEL)
     calls = []
-    acyclic = devgraph._acyclic
-    monkeypatch.setattr(devgraph, "_acyclic", lambda *args: calls.append(1) or acyclic(*args))
+    closes_cycle = devgraph._closes_cycle
+    monkeypatch.setattr(devgraph, "_closes_cycle", lambda *args: calls.append(1) or closes_cycle(*args))
     with pytest.raises(CycleError, match="^link M -> A would close a cycle$"):
         add_link(g, Link("definition", "M", "A", relabel(m, a)), 1, LINK_FUEL)
     # the cycle check runs once per add_link, and add_node needs none
     add_link(g, Link("theorem", "M", "M"), 1, LINK_FUEL)
     add_node(g, plain_ontology(a, "B"), NODE_FUEL)
     assert len(calls) == 2
+
+
+_CYCLE_NODES = dict.fromkeys("ABCDE")
+_CYCLE_EDGES = st.tuples(st.sampled_from("ABCDE"), st.sampled_from("ABCDE"), st.booleans())
+
+
+@given(st.lists(_CYCLE_EDGES, max_size=12), _CYCLE_EDGES)
+def test_cycle_check_agrees_with_the_whole_graph_search(edges, new):
+    # theorem links and splitting links, self-links among them, on acyclic
+    # graphs grown one link at a time
+    ident = SplittingMorphism.identity(make_signature([("a", 0)]))
+
+    def link(src, dst, theorem):
+        return Link("theorem", src, dst) if theorem else Link("splitting", src, dst, ident)
+
+    links = []
+    for edge in edges:
+        if devgraph._acyclic(_CYCLE_NODES, links + [link(*edge)]):
+            links.append(link(*edge))
+    candidate = link(*new)
+    whole = not devgraph._acyclic(_CYCLE_NODES, links + [candidate])
+    assert devgraph._closes_cycle(links, candidate) == whole
 
 
 def test_refuted_theorem_rejected(cpl, rule_free):

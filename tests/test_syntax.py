@@ -486,11 +486,17 @@ def test_substitution_preserves_membership(phi, psi):
 
 # -- the canonical sort key
 
-_KEY_SIG = make_signature([("a", 0), ("b", 0), ("n", 1), ("m", 1), ("f", 2), ("g", 3)])
+# names that are prefixes of one another (the terminator orders them), and
+# variable indices of one, two, 255 and 256 bytes (the length prefix orders
+# them, and writes counts of 255 and more as 0xff and the rest)
+_KEY_SIG = make_signature(
+    [("a", 0), ("aa", 0), ("b", 0), ("n", 1), ("m", 1), ("nn", 1), ("f", 2), ("fa", 2), ("ff", 2), ("g", 3)]
+)
+_KEY_VARS = [1, 2, 3, 10, 11, 255, 256, 257, 65536, 2**2032 - 1, 2**2032, 2**2040]
 
 _KEY_FORMULAS = st.recursive(
     st.one_of(
-        st.sampled_from([1, 2, 3, 10, 11]).map(svar),
+        st.sampled_from(_KEY_VARS).map(svar),
         st.sampled_from(_KEY_SIG.constants()).map(apply_symbol),
     ),
     lambda inner: st.one_of(
@@ -518,17 +524,38 @@ def _nested_token_key(phi):
     return (phi.size, tuple(tokens))
 
 
+def _count_and_bytes(n):
+    body = n.to_bytes((n.bit_length() + 7) // 8, "big")
+    count = bytes([len(body)]) if len(body) < 255 else b"\xff" + bytes([len(body) - 255])
+    return count + body
+
+
+def _token_bytes(token):
+    kind, number, name = token
+    tail = name.encode() + b"\x00" if kind else b""
+    return bytes([kind]) + _count_and_bytes(number) + tail
+
+
+def test_token_bytes_spell_the_documented_layout():
+    assert svar(1).sort_key == (1, b"\x00\x01\x01")
+    assert svar(256).sort_key == (1, b"\x00\x02\x01\x00")
+    assert svar(2**2040).sort_key == (1, b"\x00\xff\x01\x01" + bytes(255))
+    assert apply_symbol(Symbol("a", 0)).sort_key == (1, b"\x01\x00a\x00")
+    phi = apply_symbol(Symbol("ff", 2), (svar(2), apply_symbol(Symbol("a", 0))))
+    assert phi.sort_key == (3, b"\x01\x01\x02ff\x00" + b"\x00\x01\x02" + b"\x01\x00a\x00")
+
+
 @given(st.lists(_KEY_FORMULAS, min_size=2, max_size=12), st.lists(st.booleans(), min_size=12))
 def test_flat_sort_key_orders_as_nested_tokens(formulas, warm):
     # keys cached on some subtrees first, so that both ways of building a
-    # key (fresh tokens and copied cached tuples) are exercised
+    # key (fresh tokens and copied cached bytes) are exercised
     for phi, w in zip(formulas, warm):
         if w:
             for sub in list(phi.subformulas())[1::2]:
                 sub.sort_key
     for phi in formulas:
         size, tokens = _nested_token_key(phi)
-        assert phi.sort_key == (size, tuple(x for tok in tokens for x in tok))
+        assert phi.sort_key == (size, b"".join(map(_token_bytes, tokens)))
     assert sorted(formulas, key=lambda p: p.sort_key) == sorted(formulas, key=_nested_token_key)
     for phi in formulas:
         for psi in formulas:
@@ -542,5 +569,24 @@ def test_sort_key_of_a_deep_chain_needs_no_recursion():
         phi = apply_symbol(n, (phi,))
     size, flat = phi.sort_key
     assert size == 5001
-    assert flat[:3] == (1, 1, "n") and flat[-3:] == (0, 1, "")
-    assert len(flat) == 3 * 5001
+    assert flat == b"\x01\x01\x01n\x00" * 5000 + b"\x00\x01\x01"
+
+
+def _reference_frontier(phi, bound):
+    """The maximal subtrees of at most bound nodes, by recursion."""
+    if phi.size <= bound:
+        return {phi}
+    return set().union(*(_reference_frontier(a, bound) for a in phi.args))
+
+
+@given(st.lists(_KEY_FORMULAS, min_size=1, max_size=8), st.lists(st.sampled_from([1, 2, 3, 5]), min_size=8))
+def test_frontier_is_the_maximal_small_subtrees(formulas, bounds):
+    # bounds change from call to call, and subtrees come before the
+    # formulas that hold them, so cached frontiers of children are reused
+    # and cached ones at another bound are replaced
+    for phi, bound in zip(formulas, bounds):
+        for sub in sorted(set(phi.subformulas()), key=lambda g: g.sort_key):
+            front = sub.frontier(bound)
+            assert len(front) == len(set(front))
+            assert set(front) == _reference_frontier(sub, bound)
+            assert sub.frontier(bound) is front or sub.size <= bound
