@@ -41,6 +41,7 @@ from .syntax import (
     Signature,
     Symbol,
     apply_symbol,
+    by_sort_key,
     enumerate_formulas,
     formula_in_language,
     require_in_language,
@@ -238,7 +239,7 @@ class CalculusPresentation(Interned):
         """The presentation with each formula added as a premise-free rule."""
         extra = [
             Rule(f"{prefix}{i}", (), phi)
-            for i, phi in enumerate(sorted(set(formulas), key=lambda f: f.sort_key), start=1)
+            for i, phi in enumerate(sorted(set(formulas), key=by_sort_key), start=1)
         ]
         return CalculusPresentation(self.sig, self.axioms + tuple(extra), self.rules, self.negation)
 
@@ -275,7 +276,7 @@ class _Engine:
         seeds = {svar(i) for i in range(1, cal._base_var_count + 1)} | self.seed_exempt
         seeds.update(apply_symbol(c) for c in cal.sig.constants())
         self.pool: set[Formula] = set(seeds)
-        self.pool_new: list[Formula] = sorted(seeds, key=lambda f: f.sort_key)
+        self.pool_new: list[Formula] = sorted(seeds, key=by_sort_key)
         self.stage_quota = fuel.max_set_size
         self.work_left = 0
 
@@ -328,7 +329,7 @@ class _Engine:
                         pool.add(node)
                         pool_new.append(node)
                         stack.extend(node.args)
-        pool_new.sort(key=lambda f: f.sort_key)
+        pool_new.sort(key=by_sort_key)
         return added
 
     # -- axiom instantiation
@@ -529,7 +530,7 @@ class _Engine:
             # round's admission, so one sort serves the whole round.
             self.stage_quota = 4 * room + 64
             staged: set[Formula] = set()
-            pool_sorted = sorted(self.pool, key=lambda f: f.sort_key)
+            pool_sorted = sorted(self.pool, key=by_sort_key)
             try:
                 self.work_left = 6 * self.stage_quota + 4096
                 self._rule_conclusions(delta, staged, pool_sorted)
@@ -542,7 +543,7 @@ class _Engine:
                 pass
             self.pool_old = pool_sorted
             self.pool_new = []
-            fresh = sorted(staged - self.members, key=lambda f: f.sort_key)
+            fresh = sorted(staged - self.members, key=by_sort_key)
             if not fresh:
                 break
             delta = self._admit(fresh)
@@ -563,7 +564,7 @@ def _check_gamma(cal: CalculusPresentation, gamma: Iterable[Formula], fuel: Fuel
         distinct.add(phi)
     if len(distinct) > fuel.max_set_size:
         raise CapExceeded(f"premise set larger than the set cap {fuel.max_set_size}")
-    return tuple(sorted(distinct, key=lambda f: f.sort_key))
+    return tuple(sorted(distinct, key=by_sort_key))
 
 
 # The closure memo's budget in formula slots: an entry takes one slot per
@@ -620,7 +621,7 @@ def closure_bounded(
     Results are memoised process-wide (see the module docstring).
     """
     premises = _check_gamma(cal, gamma, fuel)
-    seeds = tuple(sorted(set(extra_pool), key=lambda f: f.sort_key))
+    seeds = tuple(sorted(set(extra_pool), key=by_sort_key))
     key = (cal, premises, fuel, seeds)
     stored = _CLOSURES.get(key)
     if stored is not None:
@@ -696,7 +697,7 @@ class Report:
 
 
 def _format_set(gamma: Iterable[Formula]) -> str:
-    return "{" + ", ".join(f.text for f in sorted(gamma, key=lambda f: f.sort_key)) + "}"
+    return "{" + ", ".join(f.text for f in sorted(gamma, key=by_sort_key)) + "}"
 
 
 # ---------------------------------------------------------------------------
@@ -746,7 +747,7 @@ def check_operator_laws(
         closed_delta = close(cal, delta, fuel)
 
         if "extensivity" not in failures and not gamma <= closed_gamma:
-            missing = sorted(gamma - closed_gamma, key=lambda f: f.sort_key)[0]
+            missing = sorted(gamma - closed_gamma, key=by_sort_key)[0]
             failures["extensivity"] = f"gamma={_format_set(gamma)} lost {missing.text}"
 
         if (
@@ -754,13 +755,13 @@ def check_operator_laws(
             and not capped(closed_gamma)
             and not closed_delta <= closed_gamma
         ):
-            lost = sorted(closed_delta - closed_gamma, key=lambda f: f.sort_key)[0]
+            lost = sorted(closed_delta - closed_gamma, key=by_sort_key)[0]
             failures["monotonicity"] = (
                 f"delta={_format_set(delta)} gamma={_format_set(gamma)} lost {lost.text}"
             )
 
         # cut: pick A from the closure of delta so the hypothesis is live
-        pick_from = sorted(closed_delta, key=lambda f: f.sort_key)
+        pick_from = sorted(closed_delta, key=by_sort_key)
         a = rng.choice(pick_from) if pick_from and rng.random() < 0.8 else rng.choice(corpus)
         b = rng.choice(corpus)
         seeds = (a, b)
@@ -780,7 +781,7 @@ def check_operator_laws(
             reclosed = close(cal, closed_gamma, fuel)
             widened = close(cal, gamma, fuel.doubled())
             if not capped(widened) and not reclosed <= widened:
-                lost = sorted(reclosed - widened, key=lambda f: f.sort_key)[0]
+                lost = sorted(reclosed - widened, key=by_sort_key)[0]
                 failures["idempotence"] = f"gamma={_format_set(gamma)} escapee {lost.text}"
 
     entries = []
@@ -835,9 +836,9 @@ def check_structural(
         renaming_only = rng.random() < 0.5
         sigma = _random_substitution(rng, cal, renaming_only)
         closed = closure_bounded(cal, gamma, fuel)
-        checked = sorted(set(closed) & set(corpus), key=lambda f: f.sort_key)
+        checked = sorted(set(closed) & set(corpus), key=by_sort_key)
         images = [substitute(phi, sigma) for phi in checked]
-        gamma_image = [substitute(phi, sigma) for phi in sorted(gamma, key=lambda f: f.sort_key)]
+        gamma_image = [substitute(phi, sigma) for phi in sorted(gamma, key=by_sort_key)]
         closed_image = closure_bounded(cal, gamma_image, fuel.widened(), extra_pool=images)
         tested += len(images)
         for img in images:
@@ -908,7 +909,7 @@ def transfer_scan(
         # premises transfer by extensivity; check the strict consequences
         derivable = sorted(
             (closure_bounded(src, gamma, fuel) & corpus_set) - set(gamma),
-            key=lambda f: f.sort_key,
+            key=by_sort_key,
         )
         checked += len(gamma) + len(derivable)
         if not derivable:

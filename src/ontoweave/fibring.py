@@ -24,7 +24,7 @@ from .morphisms import (
     substitute_back,
     translate,
 )
-from .syntax import Formula, Signature, formula_in_language, read_number, signature_union
+from .syntax import Formula, Signature, by_sort_key, formula_in_language, read_number, signature_union
 
 
 @dataclass
@@ -32,7 +32,10 @@ class FibringSession:
     """Two presentations joined over their union signature.
 
     Single-writer: the shared interning grows during closures, so one
-    session should not be used from several tasks at once.
+    session should not be used from several tasks at once. Each side's
+    translation memoises its back-translation (Translation), so a node
+    shared by many members, or met again in a later round or query of the
+    session, is mapped back once; the memo is dropped with the session.
     """
 
     left: CalculusPresentation
@@ -43,22 +46,29 @@ class FibringSession:
     fuel: Fuel
 
     def translation(self, side: str) -> Translation:
-        if side == "left":
-            return self.t_left
-        if side == "right":
-            return self.t_right
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        return _pick(side, self.t_left, self.t_right)
 
     def presentation(self, side: str) -> CalculusPresentation:
-        return self.left if side == "left" else self.right
+        return _pick(side, self.left, self.right)
+
+
+def _pick(side: str, left, right):
+    if side == "left":
+        return left
+    if side == "right":
+        return right
+    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
 def open_session(
     left: CalculusPresentation, right: CalculusPresentation, fuel: Fuel
 ) -> FibringSession:
     """Build the union signature and a fresh shared interning table."""
-    union = signature_union(left.sig, right.sig)
-    interning = Interning()
+    return _join(left, right, signature_union(left.sig, right.sig), Interning(), fuel)
+
+
+def _join(left, right, union: Signature, interning: Interning, fuel: Fuel) -> FibringSession:
+    """A session whose two translations share the given interning."""
     return FibringSession(
         left=left,
         right=right,
@@ -72,7 +82,7 @@ def open_session(
 def _translate_given(t: Translation, given: set[Formula]) -> list[Formula]:
     """Translate a set into one side's language in canonical order. The
     order fixes the interning index of every new foreign subtree."""
-    return [translate(t, phi) for phi in sorted(given, key=lambda f: f.sort_key)]
+    return [translate(t, phi) for phi in sorted(given, key=by_sort_key)]
 
 
 def _side_closure(
@@ -197,14 +207,12 @@ def load_session(
             break
     if fuel is None or union_decl is None or intern_at is None:
         raise FormatError("session dump is missing fuel, union, or intern sections")
-    session = open_session(left, right, fuel)
-    recorded = " ".join(str(s) for s in session.union_sig.symbols())
+    union = signature_union(left.sig, right.sig)
+    recorded = " ".join(str(s) for s in union.symbols())
     if recorded != union_decl.strip():
         raise FormatError("session dump union signature does not match the presentations")
     try:
-        table = Interning.deserialize("\n".join(lines[intern_at:]), session.union_sig)
+        table = Interning.deserialize("\n".join(lines[intern_at:]), union)
     except (ParseError, UnknownSymbol, ArityError) as exc:
         raise FormatError(f"corrupt session dump: {exc}") from exc
-    session.t_left.interning = table
-    session.t_right.interning = table
-    return session
+    return _join(left, right, union, table, fuel)

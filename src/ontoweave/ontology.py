@@ -33,6 +33,7 @@ from .syntax import (
     Formula,
     Interned,
     Signature,
+    by_sort_key,
     formula_in_language,
     is_identifier,
     signature_leq,
@@ -59,7 +60,7 @@ class Ontology(Interned):
     def _content(
         name: str, base: CalculusPresentation, onto_sig: Signature, axioms: Iterable[Formula]
     ) -> tuple:
-        return name, base, onto_sig, tuple(sorted(set(axioms), key=lambda f: f.sort_key))
+        return name, base, onto_sig, tuple(sorted(set(axioms), key=by_sort_key))
 
     def _build(self, name, base, onto_sig, axioms) -> None:
         if not is_identifier(name):
@@ -146,7 +147,7 @@ def check_ecsy_morphism(
         return Evidence("refuted", corpus_depth, fuel, f"ecsy-morphism refuted {found.render()}")
     image_axioms = {apply_signature_morphism(h, phi) for phi in a.axioms}
     if image_axioms != set(b.axioms):
-        off = min(image_axioms ^ set(b.axioms), key=lambda f: f.sort_key)
+        off = min(image_axioms ^ set(b.axioms), key=by_sort_key)
         detail = f"ecsy-morphism refuted theory mismatch at {off.text}"
         return Evidence("refuted", corpus_depth, fuel, detail)
     return Evidence("verified", corpus_depth, fuel, f"ecsy-morphism verified-up-to checked={checked}")

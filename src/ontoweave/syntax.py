@@ -31,6 +31,7 @@ reader, read_formula.
 from __future__ import annotations
 
 import re
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ArityError, CapExceeded, LanguageError, ParseError, UnknownSymbol
@@ -372,6 +373,9 @@ class Formula:
         return self.text
 
 
+# The sort key of every canonical sort: sorted(formulas, key=by_sort_key).
+by_sort_key = attrgetter("sort_key")
+
 _INTERN: dict[tuple, Formula] = {}
 
 
@@ -579,5 +583,5 @@ def enumerate_formulas(
                     args_stack = [t + (p,) for t in args_stack for p in prev]
                 nxt.extend(apply_symbol(sym, t) for t in args_stack)
         acc = nxt
-    uniq = sorted(set(acc), key=lambda f: f.sort_key)
+    uniq = sorted(set(acc), key=by_sort_key)
     return uniq

@@ -1,11 +1,13 @@
 """Fibring sessions, side closures, and the alternating fixpoint."""
 
+import gc
 import random
 import re
+import weakref
 
 import pytest
 
-from ontoweave import consequence, fibring
+from ontoweave import consequence, fibring, syntax
 from ontoweave.consequence import Derived, Fuel, NotDerivedWithin, closure_bounded, derives, weaker_than
 from ontoweave.consequence import CLOSURE_MEMO_SLOTS, _ClosureMemo
 from ontoweave.errors import CapExceeded, FormatError, LanguageError, UnknownInternIndex
@@ -36,6 +38,15 @@ def test_open_session_union_levels(cpl, conj):
     s = open_session(cpl, conj, SESSION_FUEL)
     assert s.union_sig == signature_union(cpl.sig, conj.sig)
     assert s.t_left.interning is s.t_right.interning
+
+
+def test_a_side_other_than_left_or_right_is_refused(cpl, conj):
+    s = open_session(cpl, conj, SESSION_FUEL)
+    assert s.presentation("left") is cpl and s.presentation("right") is conj
+    message = "^side must be 'left' or 'right', got 'middle'$"
+    for pick in (s.translation, s.presentation):
+        with pytest.raises(ValueError, match=message):
+            pick("middle")
 
 
 def test_open_session_empty_calculi():
@@ -285,6 +296,20 @@ def test_dump_load_bit_exact(cpl, conj):
     assert reloaded.t_left.interning == s.t_left.interning
 
 
+def test_a_loaded_session_back_translates_through_the_loaded_table(cpl, conj):
+    s = open_session(cpl, conj, SESSION_FUEL)
+    first = [union_formula(s, "and(x1, imp(x1, x1))")]
+    second = [union_formula(s, "imp(and(x2, x1), x1)")]
+    h_closure(s, "right", first)
+    expected = {side: h_closure(s, side, second) for side in ("left", "right")}
+    reloaded = load_session(dump_session(s), cpl, conj)
+    assert reloaded.t_left.interning is reloaded.t_right.interning
+    for side in ("right", "left"):
+        assert h_closure(reloaded, side, second) == expected[side]
+    # every slot the closures needed was in the loaded table already
+    assert reloaded.t_left.interning == s.t_left.interning
+
+
 def test_dump_freezes_the_session(cpl, conj):
     s = open_session(cpl, conj, SESSION_FUEL)
     dump_session(s)
@@ -323,3 +348,23 @@ def test_load_session_checks_union(cpl, conj):
     text = dump_session(s)
     with pytest.raises(FormatError):
         load_session(text, cpl, cpl)
+
+
+def test_a_warm_query_adds_no_node_and_a_dropped_session_is_collected(cpl, conj):
+    fuel = Fuel(2, 10, 3000)
+
+    def query():
+        s = open_session(cpl, conj, fuel)
+        gamma = [union_formula(s, "and(x1, x2)"), union_formula(s, "imp(x1, x3)")]
+        assert fibred_derives(s, gamma, union_formula(s, "x3")) == Derived(2)
+        return s
+
+    query()
+    nodes = len(syntax._INTERN)
+    s = query()
+    assert len(syntax._INTERN) == nodes
+    assert s.t_left._back and s.t_right._back
+    translations = [weakref.ref(s.t_left), weakref.ref(s.t_right)]
+    del s
+    gc.collect()
+    assert [ref() for ref in translations] == [None, None]

@@ -368,3 +368,103 @@ def test_registration_order_is_traversal_order():
     translate(t, phi)
     assert t.interning.formula_of(1).text == "box(x2)"
     assert t.interning.formula_of(2).text == "box(box(x1))"
+
+
+# -- the back-translation memo
+
+
+def test_translation_is_read_only():
+    t = make_translation()
+    with pytest.raises(AttributeError):
+        t.interning = Interning()
+    with pytest.raises(AttributeError):
+        t.small = MIXED
+
+
+def test_a_false_answer_turns_true_once_its_index_is_registered():
+    t = make_translation()
+    two = parse_formula("imp(x2, x3)", SMALL)
+    for _ in range(2):
+        assert not is_back_translatable(t, two)
+        with pytest.raises(UnknownInternIndex):
+            substitute_back(t, two)
+    translate(t, parse_formula("box(x1)", MIXED))  # registers index 1
+    assert is_back_translatable(t, two)
+    assert substitute_back(t, two).text == "imp(box(x1), x1)"
+    assert substitute_back(t, two) is substitute_back(t, two)
+
+
+NOT, IMP, BOX = Symbol("not", 1), Symbol("imp", 2), Symbol("box", 1)
+
+
+def formulas_over(*heads):
+    """Formulas over the given symbols and x1..x8: x1 has no preimage, and
+    an even xi names interning slot i/2, registered or not."""
+
+    def extend(children):
+        return st.one_of(
+            [
+                st.tuples(*[children] * sym.arity).map(lambda args, sym=sym: apply_symbol(sym, args))
+                for sym in heads
+            ]
+        )
+
+    return st.recursive(st.integers(1, 8).map(svar), extend, max_leaves=6)
+
+
+def reference_back(t, phi):
+    """substitute_back read off its definition, with no memo."""
+    if phi.var is not None:
+        if phi.var % 2 == 1:
+            if phi.var < 3:
+                raise UnknownInternIndex(f"x{phi.var} has no preimage")
+            return svar(phi.var // 2)
+        return t.interning.formula_of(phi.var // 2)
+    if phi.head not in t.small:
+        raise LanguageError(f"{phi.text} is not in the component language")
+    return apply_symbol(phi.head, tuple(reference_back(t, a) for a in phi.args))
+
+
+def reference_translatable(t, phi):
+    return all(t.interning.has_index(v // 2) if v % 2 == 0 else v >= 3 for v in phi.variables)
+
+
+def reference_outcome(t, phi):
+    try:
+        return reference_back(t, phi)
+    except (UnknownInternIndex, LanguageError) as exc:
+        return type(exc)
+
+
+def memoised_outcome(t, phi):
+    try:
+        return substitute_back(t, phi)
+    except (UnknownInternIndex, LanguageError) as exc:
+        return type(exc)
+
+
+_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("register"), formulas_over(BOX, IMP)),
+        st.tuples(st.just("ask"), st.one_of(formulas_over(NOT, IMP), formulas_over(NOT, IMP, BOX))),
+    ),
+    max_size=14,
+)
+
+
+@given(_STEPS)
+def test_memoised_back_translation_matches_the_reference(steps):
+    # between questions, new foreign subtrees are registered, so a False or
+    # an unregistered index may turn good; every earlier question is asked
+    # again after each step, and a failure must raise again every time
+    t = make_translation()
+    asked = []
+    for kind, phi in steps:
+        if kind == "register":
+            translate(t, phi)
+        else:
+            asked.append(phi)
+        for psi in asked:
+            for _ in range(2):
+                assert is_back_translatable(t, psi) == reference_translatable(t, psi), psi.text
+                assert memoised_outcome(t, psi) == reference_outcome(t, psi), psi.text
