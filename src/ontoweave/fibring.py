@@ -8,6 +8,9 @@ expressible: odd indices at least three, or even indices with a registered
 interning slot. Formulas whose variables fall outside that discipline (for
 example schema instances over raw x1) stay inside the side closure; they are
 never consequences of the combined set under the translation discipline.
+A member whose image would outgrow the session's formula cap stays inside
+too, and its image is not built when a lower bound on its size is already
+over the cap.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ class FibringSession:
     translation memoises its back-translation (Translation), so a node
     shared by many members, or met again in a later round or query of the
     session, is mapped back once; the memo is dropped with the session.
+    A member whose image is bound to outgrow fuel.max_formula_size is
+    never mapped back, so it adds neither a memo entry nor a formula node.
     """
 
     left: CalculusPresentation
@@ -97,14 +102,29 @@ def _side_closure(
     translated = _translate_given(t, given)
     closed = closure_bounded(cal, translated, session.fuel, extra_pool=seeds)
     size_cap = session.fuel.max_formula_size
-    out = set()
+    memo = t._back
+    entries = t.interning.entries
+    registered = len(entries)
+    # every premise is a member (closure_bounded refuses more premises than
+    # the set cap) and maps back to itself, whatever its size
+    out = set(given)
     for psi in closed:
-        if is_back_translatable(t, psi):
-            image = substitute_back(t, psi)
+        image = memo.get(psi)
+        if image is None:
             # expanding interned subtrees can outgrow the session's formula
-            # cap; such members stay inside the side closure
-            if image.size <= size_cap or image in given:
-                out.add(image)
+            # cap; such members stay inside the side closure. Each distinct
+            # even variable x(2g) occurs at least once and becomes entry g,
+            # so the image has at least bound nodes and is built only when
+            # bound fits; a repeated x(2g) can still take it past the cap
+            bound = psi.size
+            for v in psi.variables:
+                if not v & 1 and v >> 1 <= registered:
+                    bound += entries[(v >> 1) - 1].size - 1
+            if bound > size_cap or not is_back_translatable(t, psi):
+                continue
+            image = substitute_back(t, psi)
+        if image.size <= size_cap:
+            out.add(image)
     return frozenset(out)
 
 

@@ -215,6 +215,12 @@ class Interning:
     def has_index(self, index: int) -> bool:
         return 1 <= index <= len(self._by_index)
 
+    @property
+    def entries(self) -> tuple[Formula, ...]:
+        """The registered formulas in index order: index g is entries[g - 1].
+        A snapshot, so a later registration does not show in it."""
+        return tuple(self._by_index)
+
     def freeze(self) -> None:
         """Disallow further growth; reads stay safe to share."""
         self._frozen = True

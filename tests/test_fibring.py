@@ -6,9 +6,19 @@ import re
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ontoweave import consequence, fibring, syntax
-from ontoweave.consequence import Derived, Fuel, NotDerivedWithin, closure_bounded, derives, weaker_than
+from ontoweave.consequence import (
+    CalculusPresentation,
+    Derived,
+    Fuel,
+    NotDerivedWithin,
+    Rule,
+    closure_bounded,
+    derives,
+    weaker_than,
+)
 from ontoweave.consequence import CLOSURE_MEMO_SLOTS, _ClosureMemo
 from ontoweave.errors import CapExceeded, FormatError, LanguageError, UnknownInternIndex
 from ontoweave.fibring import (
@@ -18,8 +28,16 @@ from ontoweave.fibring import (
     load_session,
     open_session,
 )
-from ontoweave.morphisms import translate
-from ontoweave.syntax import enumerate_formulas, make_signature, parse_formula, signature_union
+from ontoweave.morphisms import is_back_translatable, substitute_back, translate
+from ontoweave.syntax import (
+    Symbol,
+    apply_symbol,
+    enumerate_formulas,
+    make_signature,
+    parse_formula,
+    signature_union,
+    svar,
+)
 from ontoweave import presets
 
 SESSION_FUEL = Fuel(2, 14, 20_000)
@@ -368,3 +386,163 @@ def test_a_warm_query_adds_no_node_and_a_dropped_session_is_collected(cpl, conj)
     del s
     gc.collect()
     assert [ref() for ref in translations] == [None, None]
+
+
+# -- side closures build only the images that can fit the formula cap
+
+
+def reference_side_closure(session, side, gamma, seeds):
+    """The side closure that maps back every member it can and keeps an
+    image that fits the formula cap or is a premise."""
+    t = session.translation(side)
+    given = set(gamma)
+    translated = fibring._translate_given(t, given)
+    closed = closure_bounded(session.presentation(side), translated, session.fuel, extra_pool=seeds)
+    out = set()
+    for psi in closed:
+        if is_back_translatable(t, psi):
+            image = substitute_back(t, psi)
+            if image.size <= session.fuel.max_formula_size or image in given:
+                out.add(image)
+    return frozenset(out)
+
+
+def image_bound(t, psi):
+    """psi's size plus, for each distinct registered even variable, the
+    growth of expanding it once."""
+    interning = t.interning
+    return psi.size + sum(
+        interning.formula_of(v // 2).size - 1
+        for v in psi.variables
+        if v % 2 == 0 and interning.has_index(v // 2)
+    )
+
+
+_CPL, _CONJ = presets.cpl(), presets.conj()
+_UNION = signature_union(_CPL.sig, _CONJ.sig)
+_HEADS = [Symbol("and", 2), Symbol("imp", 2), Symbol("not", 1)]
+_COMBINED = st.recursive(
+    st.sampled_from(enumerate_formulas(_CPL.sig, 2, 2) + enumerate_formulas(_CONJ.sig, 2, 2)),
+    lambda children: st.one_of(
+        [
+            st.tuples(*[children] * sym.arity).map(lambda args, sym=sym: apply_symbol(sym, args))
+            for sym in _HEADS
+        ]
+    ),
+    max_leaves=4,
+)
+_BOUND_FUEL = Fuel(2, 8, 3000)
+
+
+@settings(max_examples=40)
+@given(
+    st.lists(_COMBINED, min_size=1, max_size=3),
+    _COMBINED,
+    st.lists(_COMBINED, min_size=2, max_size=2),
+)
+def test_side_closures_match_the_build_every_image_reference(gamma, phi, extra):
+    # premises may be bigger than the formula cap; between alternation
+    # rounds the shared interning grows by an extra foreign subtree
+    s, ref = open_session(_CPL, _CONJ, _BOUND_FUEL), open_session(_CPL, _CONJ, _BOUND_FUEL)
+    for side in ("left", "right"):
+        assert h_closure(s, side, gamma) == reference_side_closure(ref, side, gamma, ())
+        assert s.t_left.interning == ref.t_left.interning
+    seeds = {side: (translate(s.translation(side), phi),) for side in ("left", "right")}
+    ref_seeds = {side: (translate(ref.translation(side), phi),) for side in ("left", "right")}
+    current = set(gamma)
+    for grow in extra:
+        grown = set(current)
+        for side in ("left", "right"):
+            got = fibring._side_closure(s, side, current, seeds[side])
+            assert got == reference_side_closure(ref, side, current, ref_seeds[side]), side
+            assert s.t_left.interning == ref.t_left.interning
+            grown |= got
+        if len(grown) > _BOUND_FUEL.max_set_size:
+            break
+        translate(s.t_left, grow)
+        translate(ref.t_left, grow)
+        assert s.t_left.interning == ref.t_left.interning
+        current = grown
+
+
+def recorded_back_translations(monkeypatch):
+    """Every member _side_closure hands to substitute_back, with its bound
+    over the interning of that moment."""
+    calls = []
+
+    def recorded(t, psi):
+        calls.append((psi, image_bound(t, psi)))
+        return substitute_back(t, psi)
+
+    monkeypatch.setattr(fibring, "substitute_back", recorded)
+    return calls
+
+
+def test_a_member_whose_bound_fits_but_whose_image_does_not_is_dropped(monkeypatch):
+    # x2 stands for and(x1, x3) on the left side, so imp(x2, x2) has a bound
+    # of 3 + 2 = 5 but an image of 7 nodes: a repeated even variable expands
+    # once per occurrence
+    sig = make_signature([("imp", 2)])
+    doubling = CalculusPresentation(
+        sig, rules=(Rule("D", (svar(1),), parse_formula("imp(x1, x1)", sig)),)
+    )
+    premise = parse_formula("and(x1, x3)", _UNION)
+    doubled = parse_formula("imp(and(x1, x3), and(x1, x3))", _UNION)
+    for cap, kept in ((4, False), (5, False), (6, False), (7, True)):
+        s = open_session(doubling, _CONJ, Fuel(1, cap, 100))
+        calls = recorded_back_translations(monkeypatch)
+        out = h_closure(s, "left", [premise])
+        assert out == ({premise, doubled} if kept else {premise}), cap
+        built = [psi.text for psi, _ in calls]
+        assert ("imp(x2, x2)" in built) == (cap >= 5), cap
+
+
+def test_a_premise_bigger_than_the_cap_comes_back(cpl, conj):
+    s = open_session(cpl, conj, Fuel(1, 5, 2000))
+    big = union_formula(s, "and(imp(x1, x2), imp(x2, and(x1, x1)))")
+    assert big.size > s.fuel.max_formula_size
+    for side in ("left", "right"):
+        assert big in h_closure(s, side, [big]), side
+
+
+def test_members_without_a_preimage_never_reach_substitute_back(cpl, conj, monkeypatch):
+    # the left side's closure holds members over raw x1 and over x4, whose
+    # interning slot 2 is not registered; neither is ever mapped back
+    s = open_session(cpl, conj, Fuel(1, 5, 2000))
+    seen = []
+    closure = fibring.closure_bounded
+
+    def recorded(*args, **kwargs):
+        seen.append(closure(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(fibring, "closure_bounded", recorded)
+    calls = recorded_back_translations(monkeypatch)
+    fibring._side_closure(s, "left", [union_formula(s, "and(x1, x2)")], (svar(4),))
+    (closed,) = seen
+    assert len(s.t_left.interning) == 1
+    assert any(1 in psi.variables for psi in closed)
+    assert any(4 in psi.variables for psi in closed)
+    assert calls
+    for psi, _ in calls:
+        assert 1 not in psi.variables and 4 not in psi.variables, psi.text
+
+
+def test_the_readme_query_builds_no_image_that_cannot_fit(cpl, conj, monkeypatch):
+    fuel = Fuel(2, 10, 3000)
+    s = open_session(cpl, conj, fuel)
+    over = []
+    closure = fibring.closure_bounded
+
+    def counted(cal, premises, fuel, extra_pool):
+        closed = closure(cal, premises, fuel, extra_pool=extra_pool)
+        t = s.translation("left" if cal is cpl else "right")
+        over.extend(psi for psi in closed if image_bound(t, psi) > fuel.max_formula_size)
+        return closed
+
+    monkeypatch.setattr(fibring, "closure_bounded", counted)
+    calls = recorded_back_translations(monkeypatch)
+    gamma = [union_formula(s, "and(x1, x2)"), union_formula(s, "imp(x1, x3)")]
+    assert fibred_derives(s, gamma, union_formula(s, "x3")) == Derived(2)
+    assert over and calls
+    assert [psi.text for psi, bound in calls if bound > fuel.max_formula_size] == []
