@@ -235,10 +235,11 @@ class CalculusPresentation(Interned):
             _axiom_meta=axiom_meta,
         )
 
-    def with_axiom_formulas(self, formulas: Iterable[Formula], prefix: str) -> "CalculusPresentation":
-        """The presentation with each formula added as a premise-free rule."""
+    def with_axiom_formulas(self, formulas: Iterable[Formula]) -> "CalculusPresentation":
+        """The presentation with each formula added as a premise-free rule,
+        named onto_1, onto_2, ... in canonical order."""
         extra = [
-            Rule(f"{prefix}{i}", (), phi)
+            Rule(f"onto_{i}", (), phi)
             for i, phi in enumerate(sorted(set(formulas), key=by_sort_key), start=1)
         ]
         return CalculusPresentation(self.sig, self.axioms + tuple(extra), self.rules, self.negation)
@@ -997,11 +998,11 @@ def check_principles(
     corpus_depth: int,
     fuel: Fuel,
     *,
-    max_var: int = 2,
     which: tuple[str, ...] = ("PNT", "PNC", "PPS"),
 ) -> Report:
     """Bounded probes of non-triviality, non-contradiction, and explosion.
 
+    The corpus is every formula of depth <= corpus_depth over x1 and x2.
     Non-triviality and non-contradiction search the corpus for witnesses;
     explosion is checked exhaustively over corpus (A, B) pairs with an empty
     side premise set, which bounded-closure monotonicity makes the hardest
@@ -1009,7 +1010,7 @@ def check_principles(
     """
     if ("PNC" in which or "PPS" in which) and cal.negation is None:
         raise ConfigError("PNC and PPS probes need a designated negation")
-    corpus = enumerate_formulas(cal.sig, corpus_depth, max_var)
+    corpus = enumerate_formulas(cal.sig, corpus_depth, 2)
     entries: list[ReportEntry] = []
     neg = cal.negation
 

@@ -300,10 +300,9 @@ def translate(t: Translation, phi: Formula) -> Formula:
 
 def is_back_translatable(t: Translation, phi: Formula) -> bool:
     """True iff every variable of phi is odd with index >= 3, or an even
-    index already registered in the interning. A formula substitute_back
-    has mapped is answered from its memo; a False is checked afresh."""
-    if phi in t._back:
-        return True
+    index already registered in the interning. So every formula in
+    substitute_back's memo passes: its variables all mapped back when it
+    was stored, and the interning never drops an index."""
     for v in phi.variables:
         if v % 2 == 1:
             if v < 3:

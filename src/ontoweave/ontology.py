@@ -78,7 +78,7 @@ class Ontology(Interned):
             onto_sig=onto_sig,
             axioms=axioms,
             # base plus the ontological axioms; with none, hash-consing makes it base
-            effective=base.with_axiom_formulas(axioms, prefix="onto_"),
+            effective=base.with_axiom_formulas(axioms),
         )
 
     def __repr__(self) -> str:

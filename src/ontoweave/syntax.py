@@ -556,18 +556,14 @@ def count_formulas(sig: Signature, max_depth: int, max_var: int) -> int:
     return total
 
 
-def enumerate_formulas(
-    sig: Signature,
-    max_depth: int,
-    max_var: int,
-    cap: int = DEFAULT_ENUM_CAP,
-) -> list[Formula]:
+def enumerate_formulas(sig: Signature, max_depth: int, max_var: int) -> list[Formula]:
     """Every formula of depth <= max_depth over x1..x(max_var), sorted
-    canonically. Deterministic; raises CapExceeded if the count outgrows cap.
+    canonically. Deterministic; raises CapExceeded if the count outgrows
+    DEFAULT_ENUM_CAP.
     """
     total = count_formulas(sig, max_depth, max_var)
-    if total > cap:
-        raise CapExceeded(f"enumeration would produce {total} formulas (cap {cap})")
+    if total > DEFAULT_ENUM_CAP:
+        raise CapExceeded(f"enumeration would produce {total} formulas (cap {DEFAULT_ENUM_CAP})")
     layer: list[Formula] = [svar(i) for i in range(1, max_var + 1)]
     layer.extend(apply_symbol(c) for c in sig.constants())
     acc = list(layer)

@@ -1,5 +1,7 @@
 """Development graphs: links with evidence, pattern verifiers, persistence."""
 
+import sys
+
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -184,6 +186,25 @@ def test_cycle_check_agrees_with_the_whole_graph_search(edges, new):
     candidate = link(*new)
     whole = not devgraph._acyclic(_CYCLE_NODES, links + [candidate])
     assert devgraph._closes_cycle(links, candidate) == whole
+
+
+def test_long_chain_round_trips_without_recursion(tmp_path, capsys):
+    # more theorem links in a row than Python's recursion limit
+    count = sys.getrecursionlimit() + 200
+    cal = binary_calculus("and")
+    names = [f"n{i}" for i in range(count)]
+    links = [Link("theorem", src, dst) for src, dst in zip(names, names[1:])]
+    g = DevGraph(
+        {name: plain_ontology(cal, name) for name in names}, links, dict.fromkeys(links, ASSERTED)
+    )
+    blob = save_graph(g)
+    assert reparse(blob) == g
+    manifest = tmp_path / "chain.dsl"
+    manifest.write_bytes(blob)
+    save_graph(DevGraph())  # the save slot no longer holds the chain's bytes
+    capsys.readouterr()
+    assert main(["graph", "--manifest", str(manifest), "load"]) == 0
+    assert capsys.readouterr().out == f"nodes={count} links={count - 1}\n"
 
 
 def test_refuted_theorem_rejected(cpl, rule_free):

@@ -451,7 +451,7 @@ def test_enumerate_sorted_and_duplicate_free():
 def test_enumerate_cap():
     sig = make_signature(CPL_DECLS)
     with pytest.raises(CapExceeded):
-        enumerate_formulas(sig, 6, 3, cap=10_000)
+        enumerate_formulas(sig, 6, 3)
 
 
 def test_enumerate_rejects_bad_bounds():
