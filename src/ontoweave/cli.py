@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .consequence import Fuel, check_operator_laws, derives
-from .devgraph import DevGraph, Link, add_link, add_node, load_graph, save_graph
+from .devgraph import DevGraph, add_link, add_node, load_graph, save_graph
 from .devgraph import verify_decomposition, verify_heterogeneous_refinement
 from .devgraph import verify_homogeneous_refinement, verify_integration
-from .dsl import Document, emit_calculus, emit_ontology, emit_signature, parse_document
+from .dsl import Document, Link, emit_calculus, emit_ontology, emit_signature, parse_document
 from .errors import (
     ArityError,
     FormatError,
@@ -332,7 +332,7 @@ def cmd_graph_save(args: argparse.Namespace) -> int:
 
 def cmd_graph_load(args: argparse.Namespace) -> int:
     ws = _workspace(args)
-    print(f"nodes={len(ws.graph.nodes)} links={len(ws.graph.links)}")
+    print(f"nodes={len(ws.graph.nodes)} links={len(ws.graph.evidence)}")
     return 0
 
 

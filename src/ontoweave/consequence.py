@@ -993,76 +993,67 @@ def weaker_than(
 # Meta-principle probes
 
 
-def check_principles(
-    cal: CalculusPresentation,
-    corpus_depth: int,
-    fuel: Fuel,
-    *,
-    which: tuple[str, ...] = ("PNT", "PNC", "PPS"),
-) -> Report:
+def check_principles(cal: CalculusPresentation, corpus_depth: int, fuel: Fuel) -> Report:
     """Bounded probes of non-triviality, non-contradiction, and explosion.
 
     The corpus is every formula of depth <= corpus_depth over x1 and x2.
     Non-triviality and non-contradiction search the corpus for witnesses;
     explosion is checked exhaustively over corpus (A, B) pairs with an empty
     side premise set, which bounded-closure monotonicity makes the hardest
-    case. PNC and PPS need a designated negation; PNT does not.
+    case. PNC and PPS need a designated negation.
     """
-    if ("PNC" in which or "PPS" in which) and cal.negation is None:
+    if cal.negation is None:
         raise ConfigError("PNC and PPS probes need a designated negation")
     corpus = enumerate_formulas(cal.sig, corpus_depth, 2)
     entries: list[ReportEntry] = []
     neg = cal.negation
 
-    if "PNT" in which:
-        # Non-triviality: some (gamma, B) with B not derivable within fuel.
-        pnt_witness = ""
-        for gamma in _gamma_candidates(corpus, 1):
-            for b in corpus:
-                if not derives(cal, gamma, b, fuel).is_derived:
-                    pnt_witness = f"gamma={_format_set(gamma)} b={b.text}"
-                    break
-            if pnt_witness:
+    # Non-triviality: some (gamma, B) with B not derivable within fuel.
+    pnt_witness = ""
+    for gamma in _gamma_candidates(corpus, 1):
+        for b in corpus:
+            if not derives(cal, gamma, b, fuel).is_derived:
+                pnt_witness = f"gamma={_format_set(gamma)} b={b.text}"
                 break
-        entries.append(
-            ReportEntry("PNT", bool(pnt_witness), pnt_witness or "no witness up to bound")
-        )
+        if pnt_witness:
+            break
+    entries.append(
+        ReportEntry("PNT", bool(pnt_witness), pnt_witness or "no witness up to bound")
+    )
 
-    if "PNC" in which:
-        # Non-contradiction: some gamma deriving neither phi nor not-phi.
-        pnc_witness = ""
-        for gamma in _gamma_candidates(corpus, 1):
-            for phi in corpus:
-                if derives(cal, gamma, phi, fuel).is_derived:
-                    continue
-                negated = apply_symbol(neg, (phi,))
-                if not derives(cal, gamma, negated, fuel).is_derived:
-                    pnc_witness = f"gamma={_format_set(gamma)} phi={phi.text}"
-                    break
-            if pnc_witness:
+    # Non-contradiction: some gamma deriving neither phi nor not-phi.
+    pnc_witness = ""
+    for gamma in _gamma_candidates(corpus, 1):
+        for phi in corpus:
+            if derives(cal, gamma, phi, fuel).is_derived:
+                continue
+            negated = apply_symbol(neg, (phi,))
+            if not derives(cal, gamma, negated, fuel).is_derived:
+                pnc_witness = f"gamma={_format_set(gamma)} phi={phi.text}"
                 break
-        entries.append(
-            ReportEntry("PNC", bool(pnc_witness), pnc_witness or "no witness up to bound")
-        )
+        if pnc_witness:
+            break
+    entries.append(
+        ReportEntry("PNC", bool(pnc_witness), pnc_witness or "no witness up to bound")
+    )
 
-    if "PPS" in which:
-        # Explosion: from A and not-A, everything in the corpus follows.
-        pps_counter = ""
-        pps_checked = 0
-        for a in corpus:
-            gamma = (a, apply_symbol(neg, (a,)))
-            for b in corpus:
-                pps_checked += 1
-                if not derives(cal, gamma, b, fuel).is_derived:
-                    pps_counter = f"gamma={{}} a={a.text} b={b.text}"
-                    break
-            if pps_counter:
+    # Explosion: from A and not-A, everything in the corpus follows.
+    pps_counter = ""
+    pps_checked = 0
+    for a in corpus:
+        gamma = (a, apply_symbol(neg, (a,)))
+        for b in corpus:
+            pps_checked += 1
+            if not derives(cal, gamma, b, fuel).is_derived:
+                pps_counter = f"gamma={{}} a={a.text} b={b.text}"
                 break
-        entries.append(
-            ReportEntry(
-                "PPS",
-                not pps_counter,
-                pps_counter or f"holds-up-to-bound pairs={pps_checked}",
-            )
+        if pps_counter:
+            break
+    entries.append(
+        ReportEntry(
+            "PPS",
+            not pps_counter,
+            pps_counter or f"holds-up-to-bound pairs={pps_checked}",
         )
+    )
     return Report(entries)

@@ -3,21 +3,24 @@ splitting links, machine-checked link evidence, and pattern verifiers for
 refinement, integration, and decomposition.
 
 Graphs are persistent values: add_node and add_link return new graphs.
-Theorem self-links are the one tolerated loop shape, because weakness is
-reflexive and a self-link defines nothing; every other cycle is rejected.
+A graph holds each link once, as a key of its evidence map in the order
+the links were added, and links is a view of those keys. Theorem
+self-links are the one tolerated loop shape, because weakness is reflexive
+and a self-link defines nothing; every other cycle is rejected.
 
 A manifest is parsed once per content. save_graph keeps the last manifest
 it wrote beside its graph, and load_graph hands that graph back when it is
 given exactly those bytes. That is exact because no graph its manifest
 cannot carry back can be built, so load_graph(save_graph(g)) == g, and
 because graphs and every part they hold are read-only. Any other input, a
-str or a manifest edited by hand included, is parsed as before.
+str or a manifest edited by hand included, is parsed by dsl.read_document,
+which builds each link with its map and evidence, and the graph is that
+document's ontologies and links.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -32,7 +35,7 @@ from .consequence import (
     weaker_than,
 )
 from .dsl import (
-    LinkRecord,
+    Link,
     emit_calculus,
     emit_link,
     emit_map,
@@ -62,26 +65,9 @@ from .ontology import Ontology, check_ecsy_morphism, validate_ontology
 from .syntax import MAX_NESTING, Formula, ReadOnly, is_identifier, within_nesting
 
 
-@dataclass(frozen=True)
-class Link:
-    kind: str  # "definition" | "theorem" | "splitting"
-    src: str
-    dst: str
-    morphism: SignatureMorphism | SplittingMorphism | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind == "definition" and not isinstance(self.morphism, SignatureMorphism):
-            raise ValueError("definition links carry a signature morphism")
-        if self.kind == "splitting" and not isinstance(self.morphism, SplittingMorphism):
-            raise ValueError("splitting links carry a splitting morphism")
-        if self.kind == "theorem" and self.morphism is not None:
-            raise ValueError("theorem links carry no morphism")
-        if self.kind not in ("definition", "theorem", "splitting"):
-            raise ValueError(f"unknown link kind {self.kind!r}")
-
-
 class DevGraph(ReadOnly):
-    """Immutable snapshot of nodes, links, and link evidence.
+    """Immutable snapshot of nodes and links, each link a key of the
+    evidence map.
 
     Each part checks itself when it is built: Signature its symbols,
     CalculusPresentation its schemas and rule shapes, Ontology its name,
@@ -91,42 +77,36 @@ class DevGraph(ReadOnly):
     a ValueError what only a manifest restricts, so that load_graph reads
     back equal whatever save_graph writes: a node not named after its key,
     rule names the parser would not read, a formula nested deeper than
-    read_formula reads (see _check_node and _check_link), a link without
-    evidence, repeated, to an absent node or closing a cycle, evidence for
-    no link, and evidence a link record cannot hold (_evidence_fault).
-    nodes and evidence are read-only mappings, and no attribute can be set.
+    read_formula reads (see _check_node and _check_link), a link to an
+    absent node or closing a cycle, and evidence a link statement cannot
+    hold (_evidence_fault). nodes and evidence are read-only mappings, and
+    no attribute can be set.
     """
 
-    __slots__ = ("nodes", "links", "evidence")
+    __slots__ = ("nodes", "evidence")
 
     def __init__(
         self,
         nodes: Mapping[str, Ontology] | None = None,
-        links: Iterable[Link] = (),
         evidence: Mapping[Link, Evidence] | None = None,
     ):
         nodes = dict(nodes or {})
-        links = tuple(links)
         evidence = dict(evidence or {})
         for name, onto in nodes.items():
             _check_node(name, onto)
-        seen: set[Link] = set()
-        for link in links:
-            if link not in evidence:
-                raise ValueError(f"link {link.kind} {link.src} -> {link.dst} lacks evidence")
-            if link in seen:
-                raise ValueError(f"link {link.kind} {link.src} -> {link.dst} is repeated")
-            _check_link(link, nodes, evidence[link])
-            seen.add(link)
-        for link in evidence:
-            if link not in seen:
-                raise ValueError(f"evidence for {link.kind} {link.src} -> {link.dst}: not a link")
-        if not _acyclic(nodes, links):
+        for link, ev in evidence.items():
+            _check_link(link, nodes, ev)
+        if not _acyclic(nodes, evidence):
             raise ValueError("the links close a cycle")
-        self._seal(nodes=MappingProxyType(nodes), links=links, evidence=MappingProxyType(evidence))
+        self._seal(nodes=MappingProxyType(nodes), evidence=MappingProxyType(evidence))
+
+    @property
+    def links(self) -> tuple[Link, ...]:
+        """Every link, in the order it was added: a view of evidence's keys."""
+        return tuple(self.evidence)
 
     def links_from(self, src: str, kind: str | None = None) -> list[Link]:
-        return [l for l in self.links if l.src == src and (kind is None or l.kind == kind)]
+        return [l for l in self.evidence if l.src == src and (kind is None or l.kind == kind)]
 
     def links_between(self, src: str, dst: str, kind: str | None = None) -> list[Link]:
         return [l for l in self.links_from(src, kind) if l.dst == dst]
@@ -138,10 +118,10 @@ class DevGraph(ReadOnly):
         return node
 
     def is_acyclic(self) -> bool:
-        return _acyclic(self.nodes, self.links)
+        return _acyclic(self.nodes, self.evidence)
 
     def __eq__(self, other: object) -> bool:
-        # the evidence keys are exactly the links, in any order
+        # the same links with the same evidence, in any order
         return (
             isinstance(other, DevGraph)
             and self.nodes == other.nodes
@@ -149,12 +129,10 @@ class DevGraph(ReadOnly):
         )
 
     def __repr__(self) -> str:
-        return f"DevGraph(nodes={sorted(self.nodes)}, links={len(self.links)})"
+        return f"DevGraph(nodes={sorted(self.nodes)}, links={len(self.evidence)})"
 
 
-def _grown(
-    nodes: Mapping[str, Ontology], links: tuple[Link, ...], evidence: Mapping[Link, Evidence]
-) -> DevGraph:
+def _grown(nodes: Mapping[str, Ontology], evidence: Mapping[Link, Evidence]) -> DevGraph:
     """A graph from read-only parts; add_node and add_link have checked
     what they added, and the rest was checked when it was built. The
     whole-graph checks of the constructor take 0.9 ms on a graph of 74
@@ -162,7 +140,7 @@ def _grown(
     add_node and add_link made the benchmark's graph commands a third
     slower."""
     g = object.__new__(DevGraph)
-    g._seal(nodes=nodes, links=links, evidence=evidence)
+    g._seal(nodes=nodes, evidence=evidence)
     return g
 
 
@@ -201,7 +179,7 @@ _DETAIL_RE = re.compile('[^"\n\ud800-\udfff]*')
 
 
 def _evidence_fault(ev: Evidence) -> str:
-    """Why a link record could not carry ev back unchanged, or "" if it
+    """Why a link statement could not carry ev back unchanged, or "" if it
     can: a manifest holds no refuted evidence, writes ASSERTED as `assert`,
     and quotes the detail on one line without '"'."""
     if ev.status == "refuted":
@@ -213,7 +191,7 @@ def _evidence_fault(ev: Evidence) -> str:
     return ""
 
 
-def _acyclic(nodes: Mapping[str, Ontology], links: Sequence[Link]) -> bool:
+def _acyclic(nodes: Mapping[str, Ontology], links: Iterable[Link]) -> bool:
     """Whether links between the nodes close no cycle, by Kahn's algorithm:
     they close none exactly when repeatedly removing a node with no
     incoming link removes every node. A reflexive theorem link defines
@@ -236,7 +214,7 @@ def _acyclic(nodes: Mapping[str, Ontology], links: Sequence[Link]) -> bool:
     return removed == len(indegree)
 
 
-def _closes_cycle(links: Sequence[Link], link: Link) -> bool:
+def _closes_cycle(links: Iterable[Link], link: Link) -> bool:
     """Whether adding link to the acyclic links would close a cycle, by
     _acyclic's rule: a reflexive theorem link closes none, any other
     self-link does, and otherwise link closes one exactly when its target
@@ -273,7 +251,7 @@ def add_node(g: DevGraph, o: Ontology, fuel: Fuel) -> DevGraph:
     nodes = dict(g.nodes)
     nodes[o.name] = o
     # a new node has no links, so it closes no cycle
-    return _grown(MappingProxyType(nodes), g.links, g.evidence)
+    return _grown(MappingProxyType(nodes), g.evidence)
 
 
 def check_splitting_morphism(
@@ -314,7 +292,7 @@ def add_link(
     dst = g.require_node(link.dst)
     if link in g.evidence:
         raise DuplicateName(f"link {link.kind} {link.src} -> {link.dst} already present")
-    if _closes_cycle(g.links, link):
+    if _closes_cycle(g.evidence, link):
         raise CycleError(f"link {link.src} -> {link.dst} would close a cycle")
     if asserted:
         evidence = ASSERTED
@@ -329,7 +307,7 @@ def add_link(
     _check_link(link, g.nodes, evidence)
     ev = dict(g.evidence)
     ev[link] = evidence
-    return _grown(g.nodes, g.links + (link,), MappingProxyType(ev))
+    return _grown(g.nodes, MappingProxyType(ev))
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +389,7 @@ def verify_decomposition(
     bad_evidence = ""
     for part in parts:
         for link in projections[part]:
-            ev = g.evidence.get(link)
-            if ev is None or ev.status != "verified":
+            if g.evidence[link].status != "verified":
                 bad_evidence = f"{o} -> {part} lacks verified evidence"
                 break
         if bad_evidence:
@@ -466,7 +443,7 @@ def _collect_names(g: DevGraph, emit):
     manifest needs, numbered in the order of their emitted texts and never
     in hash order; graph equality never depends on these names."""
     cals = dict.fromkeys(g.nodes[name].base for name in sorted(g.nodes))
-    maps = dict.fromkeys(link.morphism for link in g.links if link.morphism is not None)
+    maps = dict.fromkeys(link.morphism for link in g.evidence if link.morphism is not None)
     sigs = dict.fromkeys([cal.sig for cal in cals] + [s for m in maps for s in (m.source, m.target)])
     sigs = sorted(sigs, key=lambda s: emit(emit_signature, "_", s))
     sig_names = {sig: f"s{i}" for i, sig in enumerate(sigs)}
@@ -483,10 +460,6 @@ def _collect_names(g: DevGraph, emit):
     return sigs, sig_names, cals, cal_names, morphisms, morphism_names
 
 
-def _emit_link(link: Link, evidence: Evidence, morphism: str | None) -> str:
-    return emit_link(LinkRecord(link.kind, link.src, link.dst, morphism, evidence))
-
-
 # the bytes save_graph returned last, and the graph it wrote into them
 _last_saved: tuple[bytes, DevGraph] | None = None
 # the text of each part of that manifest, "_"-named sort texts included,
@@ -496,7 +469,7 @@ _last_texts: dict[tuple, str] = {}
 
 def save_graph(g: DevGraph) -> bytes:
     """Canonical manifest: signatures, calculi, morphisms, nodes by name,
-    links in lexicographic order, evidence embedded in the link records.
+    link statements in lexicographic order, each with its evidence.
     The manifest and g take the one slot load_graph answers from.
 
     A part whose key was in the last manifest is copied from _last_texts,
@@ -523,11 +496,11 @@ def save_graph(g: DevGraph) -> bytes:
         chunks.append(emit(emit_map, morphism_names[m], m, sig_names[m.source], sig_names[m.target]))
     for name in sorted(g.nodes):
         chunks.append(emit(emit_ontology, name, g.nodes[name], cal_names[g.nodes[name].base]))
-    # the evidence map holds every link, and the records are sorted
-    records = []
+    # the evidence map holds every link, and the statements are sorted
+    statements = []
     for link, ev in g.evidence.items():
-        records.append(emit(_emit_link, link, ev, morphism_names.get(link.morphism)))
-    chunks.extend(sorted(records))
+        statements.append(emit(emit_link, link, ev, morphism_names.get(link.morphism)))
+    chunks.extend(sorted(statements))
     data = ("\n".join(chunks) + "\n").encode("utf-8")
     _last_saved = (data, g)
     _last_texts = texts
@@ -551,24 +524,7 @@ def load_graph(data: bytes | str) -> DevGraph:
         doc = read_document(text)
     except ParseError as exc:
         raise FormatError(f"corrupt manifest: {exc}") from exc
-    nodes = dict(doc.ontologies)
-    links: list[Link] = []
-    evidence: dict[Link, Evidence] = {}
-    for record in doc.links:
-        morphism = None
-        if record.morphism is not None:
-            table = doc.splittings if record.kind == "splitting" else doc.morphisms
-            morphism = table.get(record.morphism)
-            if morphism is None:
-                raise FormatError(f"link references unknown morphism {record.morphism!r}")
-        try:
-            link = Link(record.kind, record.src, record.dst, morphism)
-        except ValueError as exc:
-            raise FormatError(str(exc)) from exc
-        links.append(link)
-        if record.evidence is not None:
-            evidence[link] = record.evidence
     try:
-        return DevGraph(nodes, links, evidence)
+        return DevGraph(doc.ontologies, doc.links)
     except ValueError as exc:
         raise FormatError(f"corrupt manifest: {exc}") from exc

@@ -26,9 +26,15 @@ files, parses each text once: it keeps the Documents of the
 DOCUMENT_MEMO_SIZE texts it read most recently, keyed by the full text
 (never a path or an mtime), so an edited file is always parsed again. A
 text that fails is not remembered, so it fails again with the same
-message. A Document is read-only throughout (mapping proxies, a tuple of
-frozen LinkRecords), so no caller can change what a later one is handed.
-Manifests go through read_document: devgraph keeps its own slot for them.
+message. A Document is read-only throughout (mapping proxies and frozen
+Links), so no caller can change what a later one is handed. Manifests go
+through read_document: devgraph keeps its own slot for them.
+
+A link statement is read into its Link and its Evidence. Its `morphism
+NAME` names a splitting block for a splitting link and a morphism block
+otherwise, declared earlier in the text. A name no such block declares, a
+map the link kind cannot carry, a statement with neither `assert` nor
+`evidence`, and a link written twice are each a ParseError.
 """
 
 from __future__ import annotations
@@ -51,27 +57,34 @@ DOCUMENT_MEMO_SIZE = 1
 
 
 @dataclass(frozen=True)
-class LinkRecord:
-    """A link statement as written, before graph assembly."""
-
-    kind: str
+class Link:
+    kind: str  # "definition" | "theorem" | "splitting"
     src: str
     dst: str
-    morphism: str | None = None
-    evidence: Evidence | None = None
+    morphism: SignatureMorphism | SplittingMorphism | None = None
+
+    def __post_init__(self) -> None:
+        if self.kind == "definition" and not isinstance(self.morphism, SignatureMorphism):
+            raise ValueError("definition links carry a signature morphism")
+        if self.kind == "splitting" and not isinstance(self.morphism, SplittingMorphism):
+            raise ValueError("splitting links carry a splitting morphism")
+        if self.kind == "theorem" and self.morphism is not None:
+            raise ValueError("theorem links carry no morphism")
+        if self.kind not in ("definition", "theorem", "splitting"):
+            raise ValueError(f"unknown link kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
 class Document:
-    """A parsed text: each block kind's table by name, and the link
-    statements in text order. Read-only."""
+    """A parsed text: each block kind's table by name, and each link
+    statement's Link and Evidence in text order. Read-only."""
 
     signatures: Mapping[str, Signature]
     calculi: Mapping[str, CalculusPresentation]
     morphisms: Mapping[str, SignatureMorphism]
     splittings: Mapping[str, SplittingMorphism]
     ontologies: Mapping[str, Ontology]
-    links: tuple[LinkRecord, ...]
+    links: Mapping[Link, Evidence]
 
 
 class _Parser:
@@ -83,7 +96,7 @@ class _Parser:
         self.morphisms: dict[str, SignatureMorphism] = {}
         self.splittings: dict[str, SplittingMorphism] = {}
         self.ontologies: dict[str, Ontology] = {}
-        self.links: list[LinkRecord] = []
+        self.links: dict[Link, Evidence] = {}
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -250,11 +263,11 @@ class _Parser:
         src = self.take_ident()
         self.take("->")
         dst = self.take_ident()
-        morphism = evidence = None
+        name = morphism = evidence = None
         while self.peek() in ("morphism", "assert", "evidence"):
             kw = self.take()
             if kw == "morphism":
-                morphism = self.take_ident()
+                name = self.take_ident()
             elif kw == "assert":
                 evidence = ASSERTED
             else:
@@ -280,7 +293,19 @@ class _Parser:
                         raise ParseError("evidence detail must be a quoted string")
                     detail = raw[1:-1]
                 evidence = Evidence("verified", fields["depth"], fuel, detail)
-        self.links.append(LinkRecord(kind, src, dst, morphism, evidence))
+        if name is not None:
+            morphism = (self.splittings if kind == "splitting" else self.morphisms).get(name)
+            if morphism is None:
+                raise ParseError(f"link references unknown morphism {name!r}")
+        try:
+            link = Link(kind, src, dst, morphism)
+        except ValueError as exc:
+            raise ParseError(str(exc)) from exc
+        if evidence is None:
+            raise ParseError(f"link {kind} {src} -> {dst} lacks evidence")
+        if link in self.links:
+            raise ParseError(f"link {kind} {src} -> {dst} is repeated")
+        self.links[link] = evidence
 
     def document(self) -> Document:
         while self.peek() is not None:
@@ -305,7 +330,7 @@ class _Parser:
             MappingProxyType(self.morphisms),
             MappingProxyType(self.splittings),
             MappingProxyType(self.ontologies),
-            tuple(self.links),
+            MappingProxyType(self.links),
         )
 
 
@@ -375,14 +400,13 @@ def emit_map(
     return "\n".join(lines)
 
 
-def emit_link(record: LinkRecord) -> str:
-    """A link statement: `assert` for asserted evidence, else the evidence
-    status, its check parameters and the detail, which DevGraph keeps to one
-    quotable line."""
-    parts = [f"link {record.kind} {record.src} -> {record.dst}"]
-    if record.morphism:
-        parts.append(f"morphism {record.morphism}")
-    ev = record.evidence
+def emit_link(link: Link, ev: Evidence, morphism_name: str | None) -> str:
+    """A link statement, its map cited as morphism_name: `assert` for
+    asserted evidence, else the evidence status, its check parameters and
+    the detail, which DevGraph keeps to one quotable line."""
+    parts = [f"link {link.kind} {link.src} -> {link.dst}"]
+    if morphism_name:
+        parts.append(f"morphism {morphism_name}")
     if ev.status == "asserted":
         parts.append("assert")
     else:

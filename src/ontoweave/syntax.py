@@ -542,12 +542,18 @@ def parse_formula(text: str, sig: Signature) -> Formula:
 
 
 def count_formulas(sig: Signature, max_depth: int, max_var: int) -> int:
-    """How many formulas enumerate_formulas would return; same recurrence."""
+    """How many formulas enumerate_formulas would return, by the same
+    recurrence; once that passes DEFAULT_ENUM_CAP, some count above it. The
+    count never falls as the depth grows, so stopping there decides
+    `> DEFAULT_ENUM_CAP` exactly, without the unbounded integers of a deep
+    recurrence."""
     if max_depth < 1 or max_var < 1:
         raise ValueError("max_depth and max_var must be >= 1")
     leaves = max_var + len(sig.constants())
     total = leaves
     for _ in range(max_depth - 1):
+        if total > DEFAULT_ENUM_CAP:
+            break
         nxt = leaves
         for arity in sig.arities():
             if arity >= 1:
@@ -561,9 +567,8 @@ def enumerate_formulas(sig: Signature, max_depth: int, max_var: int) -> list[For
     canonically. Deterministic; raises CapExceeded if the count outgrows
     DEFAULT_ENUM_CAP.
     """
-    total = count_formulas(sig, max_depth, max_var)
-    if total > DEFAULT_ENUM_CAP:
-        raise CapExceeded(f"enumeration would produce {total} formulas (cap {DEFAULT_ENUM_CAP})")
+    if count_formulas(sig, max_depth, max_var) > DEFAULT_ENUM_CAP:
+        raise CapExceeded(f"enumeration would produce more than {DEFAULT_ENUM_CAP} formulas")
     layer: list[Formula] = [svar(i) for i in range(1, max_var + 1)]
     layer.extend(apply_symbol(c) for c in sig.constants())
     acc = list(layer)

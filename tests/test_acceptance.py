@@ -26,7 +26,6 @@ from ontoweave.consequence import (
 )
 from ontoweave.devgraph import (
     DevGraph,
-    Link,
     add_link,
     add_node,
     load_graph,
@@ -35,6 +34,7 @@ from ontoweave.devgraph import (
     verify_heterogeneous_refinement,
     verify_integration,
 )
+from ontoweave.dsl import Link
 from ontoweave.errors import (
     CycleError,
     DuplicateName,
@@ -311,8 +311,7 @@ def _decomposition_fixture(node_fuel, link_fuel):
 
 
 def _delete(g, victim):
-    kept = [l for l in g.links if l != victim]
-    return DevGraph(g.nodes, kept, {l: g.evidence[l] for l in kept})
+    return DevGraph(g.nodes, {l: ev for l, ev in g.evidence.items() if l != victim})
 
 
 def test_criterion_7_graph_integrity():

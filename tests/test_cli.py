@@ -118,6 +118,30 @@ def test_bad_fuel_is_a_usage_error(defs_file, capsys, argv):
     assert "Traceback" not in err
 
 
+BAD_LINK_HEAD = """signature S { a/0; } calculus c over S { }
+ontology o { base c; onto_signature { } axioms { } }
+ontology p { base c; onto_signature { } axioms { } }
+morphism h : S -> S { a/0 -> a/0; }
+splitting f : S -> S { a/0 -> a; }
+"""
+# link statements a defs file or manifest refuses, with the refusal
+BAD_LINKS = [
+    ("no-evidence", "link theorem o -> p\n", "link theorem o -> p lacks evidence"),
+    ("repeated", "link definition o -> p morphism h assert\n" * 2,
+     "link definition o -> p is repeated"),
+    ("unknown-map", "link definition o -> p morphism g assert\n",
+     "link references unknown morphism 'g'"),
+    ("morphism-as-splitting", "link splitting o -> p morphism h assert\n",
+     "link references unknown morphism 'h'"),
+    ("splitting-as-morphism", "link definition o -> p morphism f assert\n",
+     "link references unknown morphism 'f'"),
+    ("definition-without-map", "link definition o -> p assert\n",
+     "definition links carry a signature morphism"),
+    ("theorem-with-map", "link theorem o -> p morphism h assert\n",
+     "theorem links carry no morphism"),
+]
+
+
 @pytest.mark.parametrize(
     "text, argv, prefix",
     [
@@ -140,12 +164,21 @@ def test_bad_fuel_is_a_usage_error(defs_file, capsys, argv):
         pytest.param("signature S { a/" + "1" * 5000 + "; }",
                      ["check", "{path}"], "ParseError: number with 5000 digits is too long",
                      id="long-number"),
+        *[
+            pytest.param(BAD_LINK_HEAD + link, argv, prefix + message, id=f"{name}-{command}")
+            for name, link, message in BAD_LINKS
+            for command, argv, prefix in (
+                ("check", ["check", "{path}"], "ParseError: "),
+                ("load", ["graph", "--manifest", "{path}", "load"],
+                 "FormatError: corrupt manifest: "),
+            )
+        ],
     ],
 )
 def test_unbuildable_blocks_are_usage_errors(tmp_path, capsys, text, argv, prefix):
     # each block reads well, but the morphism is partial, the onto_signature
-    # leaves its base, the evidence fuel is below 1, or a link is repeated;
-    # or an arity has more digits than int() converts
+    # leaves its base, the evidence fuel is below 1, or a link statement is
+    # refused; or an arity has more digits than int() converts
     path = tmp_path / "input.dsl"
     path.write_text(text, encoding="utf-8")
     code = main([arg.format(path=path) for arg in argv])

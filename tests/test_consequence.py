@@ -523,16 +523,14 @@ def test_principles_cpl(cpl):
 
 
 def test_principles_rule_free_pnt_witness():
-    rf = presets.rule_free(negation=None)
-    report = check_principles(rf, corpus_depth=2, fuel=Fuel(1, 10, 4000), which=("PNT",))
+    rf = presets.rule_free(negation=Symbol("not", 1))
+    report = check_principles(rf, corpus_depth=2, fuel=Fuel(1, 10, 4000))
     entry = report.entry("PNT")
     assert entry.ok
     assert "gamma={}" in entry.witness and "b=x1" in entry.witness
 
 
 def test_principles_rule_free_pps_counter():
-    from ontoweave.syntax import Symbol
-
     rf = presets.rule_free(negation=Symbol("not", 1))
     report = check_principles(rf, corpus_depth=2, fuel=Fuel(1, 10, 4000))
     pps = report.entry("PPS")

@@ -16,7 +16,6 @@ from ontoweave.consequence import (
 from ontoweave.cli import main
 from ontoweave.devgraph import (
     DevGraph,
-    Link,
     add_link,
     add_node,
     check_splitting_morphism,
@@ -27,6 +26,7 @@ from ontoweave.devgraph import (
     verify_homogeneous_refinement,
     verify_integration,
 )
+from ontoweave.dsl import Link
 from ontoweave.errors import (
     CycleError,
     DuplicateName,
@@ -194,9 +194,7 @@ def test_long_chain_round_trips_without_recursion(tmp_path, capsys):
     cal = binary_calculus("and")
     names = [f"n{i}" for i in range(count)]
     links = [Link("theorem", src, dst) for src, dst in zip(names, names[1:])]
-    g = DevGraph(
-        {name: plain_ontology(cal, name) for name in names}, links, dict.fromkeys(links, ASSERTED)
-    )
+    g = DevGraph({name: plain_ontology(cal, name) for name in names}, dict.fromkeys(links, ASSERTED))
     blob = save_graph(g)
     assert reparse(blob) == g
     manifest = tmp_path / "chain.dsl"
@@ -317,8 +315,7 @@ def test_heterogeneous_refinement_figure_shape():
 def test_heterogeneous_refinement_edge_deletions_flip():
     g = refinement_fixture()
     for drop_kind in ("theorem", "definition"):
-        kept = [l for l in g.links if l.kind != drop_kind]
-        pruned = DevGraph(g.nodes, kept, {l: g.evidence[l] for l in kept})
+        pruned = DevGraph(g.nodes, {l: ev for l, ev in g.evidence.items() if l.kind != drop_kind})
         assert not verify_heterogeneous_refinement(pruned, "O1", "O2", "O2P")
 
 
@@ -369,8 +366,7 @@ def test_integration_figure_shape():
 def test_integration_edge_deletions_flip():
     g = integration_fixture()
     for victim in g.links:
-        kept = [l for l in g.links if l != victim]
-        pruned = DevGraph(g.nodes, kept, {l: g.evidence[l] for l in kept})
+        pruned = DevGraph(g.nodes, {l: ev for l, ev in g.evidence.items() if l != victim})
         assert not verify_integration(pruned, "O", "O1", "O2", False), victim
 
 
@@ -446,16 +442,18 @@ def test_decomposition_disagreeing_mediator_reported():
 
 def test_decomposition_missing_projection():
     g = decomposition_fixture()
-    kept = [l for l in g.links if not (l.src == "W" and l.dst == "P1")]
-    pruned = DevGraph(g.nodes, kept, {l: g.evidence[l] for l in kept})
+    pruned = DevGraph(
+        g.nodes, {l: ev for l, ev in g.evidence.items() if (l.src, l.dst) != ("W", "P1")}
+    )
     with pytest.raises(MissingSplittingLink):
         verify_decomposition(pruned, "W", ["P1", "P2"], LINK_FUEL)
 
 
 def test_decomposition_deleted_mediator_flips():
     g = decomposition_fixture()
-    kept = [l for l in g.links if not (l.src == "C" and l.dst == "W")]
-    pruned = DevGraph(g.nodes, kept, {l: g.evidence[l] for l in kept})
+    pruned = DevGraph(
+        g.nodes, {l: ev for l, ev in g.evidence.items() if (l.src, l.dst) != ("C", "W")}
+    )
     report = verify_decomposition(pruned, "W", ["P1", "P2"], LINK_FUEL)
     assert not report.ok
 
@@ -554,18 +552,6 @@ def test_load_rejects_unknown_nodes():
         load_graph(b"link theorem A -> B assert\n")
 
 
-def test_links_need_evidence(cpl):
-    nodes = {"A": plain_ontology(cpl, "A"), "B": plain_ontology(cpl, "B")}
-    link = Link("theorem", "A", "B")
-    with pytest.raises(ValueError, match="lacks evidence"):
-        DevGraph(nodes, [link])
-    stray = Link("theorem", "B", "A")
-    with pytest.raises(ValueError, match="not a link"):
-        DevGraph(nodes, [link], {link: ASSERTED, stray: ASSERTED})
-    with pytest.raises(ValueError, match="is repeated"):
-        DevGraph(nodes, [link, link], {link: ASSERTED})
-
-
 def test_asserted_and_verified_links_round_trip():
     cal = binary_calculus("m")
     g = DevGraph()
@@ -633,12 +619,12 @@ def sig_node(name, sym):
 def edge_graph(evidence, nodes=("A", "B"), src="A", dst="B"):
     """DevGraph with one theorem link src -> dst carrying evidence."""
     link = Link("theorem", src, dst)
-    return DevGraph({n: plain_ontology(EDGE_CAL, n) for n in nodes}, [link], {link: evidence})
+    return DevGraph({n: plain_ontology(EDGE_CAL, n) for n in nodes}, {link: evidence})
 
 
 def link_graph(link):
     """DevGraph with nodes A and B and one asserted link."""
-    return DevGraph({n: plain_ontology(EDGE_CAL, n) for n in "AB"}, [link], {link: ASSERTED})
+    return DevGraph({n: plain_ontology(EDGE_CAL, n) for n in "AB"}, {link: ASSERTED})
 
 
 # Each shape is refused by the constructor of the part it constrains, with
@@ -683,7 +669,6 @@ EVIDENCE_PARAMS = "^verified evidence needs a whole corpus depth >= 0 and a Fuel
             ValueError, "rule names must be distinct identifiers", id="clashing-rule-names"),
         pytest.param(lambda: DevGraph(
             {n: plain_ontology(EDGE_CAL, n) for n in "AB"},
-            [Link("theorem", "A", "B"), Link("theorem", "B", "A")],
             {Link("theorem", "A", "B"): ASSERTED, Link("theorem", "B", "A"): ASSERTED},
         ), ValueError, "^the links close a cycle$", id="two-cycle"),
         pytest.param(lambda: DevGraph({"A": Ontology("A", EDGE_CAL, EDGE_CAL.sig, [DEEP])}),
@@ -858,7 +843,7 @@ _ANY_EVIDENCE = st.one_of(
               st.sampled_from(_FUELS), st.text(max_size=6)),
     st.builds(Evidence, st.just("asserted"), st.none(), st.none(), st.text(max_size=6)),
 )
-_FAULTS = [None, "node", "end", "evidence", "no-evidence", "stray-evidence", "reversed"]
+_FAULTS = [None, "node", "end", "evidence", "reversed"]
 
 
 @st.composite
@@ -866,40 +851,32 @@ def graph_parts(draw):
     """Nodes, acyclic links and their evidence, then at most one fault."""
     names = draw(st.sampled_from(["ABC", "AB", "BC", "A"]))
     nodes = {name: _NODES[name] for name in names}
-    links, evidence = [], {}
+    evidence = {}
     for _ in range(draw(st.integers(0, 4))):
         kind, morphism = draw(st.sampled_from(_LINK_SHAPES))
         src, dst = sorted(draw(st.sampled_from(names)) for _ in "12")
         link = Link(kind, src, dst, morphism) if src != dst else Link("theorem", src, dst)
         if link not in evidence:
-            links.append(link)
             evidence[link] = draw(_SOUND_EVIDENCE)
     fault = draw(st.sampled_from(_FAULTS))
     if fault == "node":
         nodes.update([draw(st.sampled_from(_BAD_NODES))])
     elif fault == "end":
-        links.append(Link("theorem", names[0], "Z"))
-        evidence[links[-1]] = ASSERTED
-    elif fault and links:
-        link = draw(st.sampled_from(links))
+        evidence[Link("theorem", names[0], "Z")] = ASSERTED
+    elif fault and evidence:
+        link = draw(st.sampled_from(list(evidence)))
         if fault == "evidence":
             evidence[link] = draw(_ANY_EVIDENCE)
-        elif fault == "no-evidence":
-            del evidence[link]
-        elif fault == "stray-evidence":
-            links.remove(link)
         elif link.src != link.dst:
-            back = Link(link.kind, link.dst, link.src, link.morphism)
-            links.append(back)
-            evidence[back] = ASSERTED
-    return nodes, links, evidence, fault
+            evidence[Link(link.kind, link.dst, link.src, link.morphism)] = ASSERTED
+    return nodes, evidence, fault
 
 
 @given(graph_parts())
 def test_every_buildable_graph_round_trips(parts):
-    nodes, links, evidence, fault = parts
+    nodes, evidence, fault = parts
     try:
-        g = DevGraph(nodes, links, evidence)
+        g = DevGraph(nodes, evidence)
     except ValueError:
         assert fault is not None
         return

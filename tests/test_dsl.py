@@ -7,7 +7,7 @@ import pytest
 
 from ontoweave.consequence import ASSERTED, Evidence, Fuel
 from ontoweave.dsl import (
-    LinkRecord,
+    Link,
     emit_calculus,
     emit_link,
     emit_map,
@@ -80,9 +80,9 @@ def test_parsed_ontology_content():
 
 def test_parsed_link_record():
     doc = parse_document(FIXTURE)
-    record = doc.links[0]
-    assert (record.kind, record.src, record.dst) == ("theorem", "efq", "efq")
-    assert record.evidence is ASSERTED
+    ((link, evidence),) = doc.links.items()
+    assert link == Link("theorem", "efq", "efq")
+    assert evidence is ASSERTED
 
 
 def test_documents_are_read_only():
@@ -90,10 +90,11 @@ def test_documents_are_read_only():
     for table in (doc.signatures, doc.calculi, doc.morphisms, doc.splittings, doc.ontologies):
         with pytest.raises(TypeError):
             table["fresh"] = None
+    (link,) = doc.links
     with pytest.raises(TypeError):
-        doc.links[0] = None
+        doc.links[link] = None
     with pytest.raises(FrozenInstanceError):
-        doc.links[0].src = "other"
+        link.src = "other"
     with pytest.raises(FrozenInstanceError):
         doc.links = ()
     assert parse_document(FIXTURE) == doc
@@ -118,9 +119,9 @@ def test_parse_verified_link_with_detail():
         + 'evidence verified depth=2 rounds=3 size=16 set=512 detail "checked=9"\n'
     )
     doc = parse_document(text)
-    record = doc.links[1]
-    assert record.morphism == "h0"
-    assert record.evidence == Evidence("verified", 2, Fuel(3, 16, 512), "checked=9")
+    link = Link("definition", "efq", "efq", doc.morphisms["h0"])
+    assert list(doc.links) == [Link("theorem", "efq", "efq"), link]
+    assert doc.links[link] == Evidence("verified", 2, Fuel(3, 16, 512), "checked=9")
 
 
 @pytest.mark.parametrize(
@@ -139,6 +140,12 @@ def test_parse_verified_link_with_detail():
         "signature T { b/0; } morphism h : S -> T { }",
         "calculus c over S { } ontology o { base c; onto_signature { b/0; } axioms { } }",
         "link theorem A -> B evidence verified depth=2 rounds=0 size=16 set=512",
+        # link statements: no evidence, repeated, an unknown map, a map of
+        # the wrong kind
+        "link theorem A -> B",
+        "link theorem A -> B assert link theorem A -> B assert",
+        "link definition A -> B morphism h assert",
+        "morphism h : S -> S { a/0 -> a/0; } link splitting A -> B morphism h assert",
     ],
 )
 def test_parse_errors(bad):
@@ -202,16 +209,10 @@ def test_emitters_round_trip():
 
 
 def test_emit_link_formats():
-    plain = LinkRecord(kind="theorem", src="A", dst="B", evidence=ASSERTED)
-    assert emit_link(plain) == "link theorem A -> B assert"
-    verified = LinkRecord(
-        kind="definition",
-        src="A",
-        dst="B",
-        morphism="h0",
-        evidence=Evidence("verified", 2, Fuel(3, 16, 512), "checked=4"),
-    )
-    assert emit_link(verified) == (
+    assert emit_link(Link("theorem", "A", "B"), ASSERTED, None) == "link theorem A -> B assert"
+    h0 = parse_document(FIXTURE).morphisms["h0"]
+    evidence = Evidence("verified", 2, Fuel(3, 16, 512), "checked=4")
+    assert emit_link(Link("definition", "A", "B", h0), evidence, "h0") == (
         "link definition A -> B morphism h0 "
         'evidence verified depth=2 rounds=3 size=16 set=512 detail "checked=4"'
     )

@@ -5,7 +5,9 @@ Graph-session scripts 0 and 1 replay whole, back to back in one process:
 every op's output and each final manifest's sha256 must equal
 perfbench/expected/graph-session.json, so the parse-, validate- and
 emit-once paths of the CLI are held byte-identical on every test run, the
-second script starting warm.
+second script starting warm. Each final manifest is then loaded as text,
+past the save slot, and saved again to the recorded sha256, so the
+manifest parser is held to both records too.
 Derive-mix replays every 15th of its 300 catalogue blocks of 20 queries:
 400 queries, among them bounded negatives at both fuels and ones where the
 set cap binds at the CLI default fuel. Fibre-alternation replays its first
@@ -23,6 +25,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from ontoweave.devgraph import load_graph, save_graph
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -51,6 +55,8 @@ def test_graph_session_scripts_0_and_1_replay_back_to_back(tmp_path, monkeypatch
     for script, manifest, _ in session.sessions:
         want = session.records["scripts"][script]["manifest_sha256"]
         assert session.manifest_digest(manifest) == want
+        parsed = load_graph(manifest.read_text(encoding="utf-8"))
+        assert workloads.sha256_text(save_graph(parsed).decode("utf-8")) == want
     assert session.finish() == []
 
 

@@ -452,6 +452,11 @@ def test_enumerate_cap():
     sig = make_signature(CPL_DECLS)
     with pytest.raises(CapExceeded):
         enumerate_formulas(sig, 6, 3)
+    # the exact count at depth 64 would take about 2**63 bits; counting
+    # stops once it passes the cap
+    tree = make_signature([("a", 0), ("f", 2)])
+    with pytest.raises(CapExceeded, match="^enumeration would produce more than 200000 formulas$"):
+        enumerate_formulas(tree, 64, 2)
 
 
 def test_enumerate_rejects_bad_bounds():
