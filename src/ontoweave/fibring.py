@@ -11,6 +11,10 @@ never consequences of the combined set under the translation discipline.
 A member whose image would outgrow the session's formula cap stays inside
 too, and its image is not built when a lower bound on its size is already
 over the cap.
+
+A side closure's result is kept in the process-wide closure memo under its
+closure key and the interning's entries, so a repeated side closure, in any
+session, is answered without running the engine or mapping anything back.
 """
 
 from __future__ import annotations
@@ -18,7 +22,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .consequence import CalculusPresentation, Derived, Fuel, NotDerivedWithin, Verdict, closure_bounded
+from .consequence import (
+    CalculusPresentation,
+    Derived,
+    Fuel,
+    NotDerivedWithin,
+    Verdict,
+    closure_bounded,
+    closure_key,
+    recall,
+    remember,
+)
 from .errors import ArityError, CapExceeded, FormatError, LanguageError, ParseError, UnknownSymbol
 from .morphisms import (
     Interning,
@@ -35,8 +49,9 @@ class FibringSession:
     """Two presentations joined over their union signature.
 
     Single-writer: the shared interning grows during closures, so one
-    session should not be used from several tasks at once. Each side's
-    translation memoises its back-translation (Translation), so a node
+    session should not be used from several tasks at once. A side closure
+    the closure memo cannot answer maps its members back through its side's
+    translation, which memoises its back-translation (Translation), so a node
     shared by many members, or met again in a later round or query of the
     session, is mapped back once; the memo is dropped with the session.
     A member whose image is bound to outgrow fuel.max_formula_size is
@@ -99,11 +114,20 @@ def _side_closure(
     t = session.translation(side)
     cal = session.presentation(side)
     given = set(gamma)
+    # translation runs on a memo hit too: it registers the same subtrees in
+    # the same order, and a frozen interning refuses a new one
     translated = _translate_given(t, given)
+    entries = t.interning.entries
+    # given is the back-image of the translated premises, and each image
+    # depends only on the side's signature and entries, so the result is a
+    # pure function of this key
+    key = closure_key(cal, translated, session.fuel, seeds) + (entries,)
+    stored = recall(key)
+    if stored is not None:
+        return stored
     closed = closure_bounded(cal, translated, session.fuel, extra_pool=seeds)
     size_cap = session.fuel.max_formula_size
     memo = t._back
-    entries = t.interning.entries
     registered = len(entries)
     # every premise is a member (closure_bounded refuses more premises than
     # the set cap) and maps back to itself, whatever its size
@@ -125,7 +149,9 @@ def _side_closure(
             image = substitute_back(t, psi)
         if image.size <= size_cap:
             out.add(image)
-    return frozenset(out)
+    out = frozenset(out)
+    remember(key, out)
+    return out
 
 
 def h_closure(session: FibringSession, side: str, gamma: Iterable[Formula]) -> frozenset[Formula]:

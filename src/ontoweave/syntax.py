@@ -558,6 +558,9 @@ def count_formulas(sig: Signature, max_depth: int, max_var: int) -> int:
         for arity in sig.arities():
             if arity >= 1:
                 nxt += len(sig.level(arity)) * total**arity
+        if nxt == total:
+            # no symbol of arity >= 1: every further step adds nothing
+            break
         total = nxt
     return total
 
@@ -584,5 +587,8 @@ def enumerate_formulas(sig: Signature, max_depth: int, max_var: int) -> list[For
                     args_stack = [t + (p,) for t in args_stack for p in prev]
                 nxt.extend(apply_symbol(sym, t) for t in args_stack)
         acc = nxt
+        if len(acc) == len(prev):
+            # each depth holds the one below, so this is the fixpoint
+            break
     uniq = sorted(set(acc), key=by_sort_key)
     return uniq

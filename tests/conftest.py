@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import settings
 
-from ontoweave import ontology, presets
-from ontoweave.consequence import CalculusPresentation, Fuel, Rule
+from ontoweave import consequence, ontology, presets
+from ontoweave.consequence import CLOSURE_MEMO_SLOTS, CalculusPresentation, Fuel, Rule, _ClosureMemo
 from ontoweave.ontology import Ontology
 from ontoweave.syntax import make_signature, parse_formula
 
@@ -51,6 +51,21 @@ def quick_fuel():
 def link_fuel():
     """Small fuel for link checkers inside graph fixtures."""
     return Fuel(max_closure_rounds=1, max_formula_size=12, max_set_size=4_000)
+
+
+@pytest.fixture
+def cold_memo(monkeypatch):
+    """An empty closure memo with the real budget in place of the shared one."""
+    memo = _ClosureMemo(CLOSURE_MEMO_SLOTS)
+    monkeypatch.setattr(consequence, "_CLOSURES", memo)
+    return memo
+
+
+def memo_slots(memo) -> int:
+    """The slots a closure memo's entries take, counted afresh: one per
+    premise, seed, further key formula (a side result's interning entries)
+    and member."""
+    return sum(len(key[1]) + len(key[3]) + sum(map(len, key[4:])) + len(m) for key, m in memo.table.items())
 
 
 @pytest.fixture

@@ -32,6 +32,7 @@ from ontoweave.syntax import (
     svar,
 )
 from ontoweave import consequence, presets
+from conftest import memo_slots
 
 
 def f(text, sig=None):
@@ -212,23 +213,23 @@ def test_conclusion_only_variable_meets_new_pool_values():
     assert goal in closure_bounded(cal, [a], Fuel(3, 31, 100_000))
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 15: the pool thresholds grow with max_formula_size, so at "
+    "size 31 the 512 set cap fills with wider instances and the lemma is truncated",
+)
+def test_a_larger_fuel_keeps_a_derived_verdict(cpl):
+    bot, goal = f("bot"), f("imp(x2, x2)")
+    assert derives(cpl, [bot], goal, Fuel(6, 16, 512)) == Derived(3)
+    assert derives(cpl, [bot], goal, Fuel(6, 31, 512)).is_derived
+
+
 # -- the closure memo
 
 
 def _canonical(formulas):
     return tuple(sorted(set(formulas), key=lambda g: g.sort_key))
-
-
-@pytest.fixture
-def cold_memo(monkeypatch):
-    """An empty closure memo with the real budget in place of the shared one."""
-    memo = _ClosureMemo(CLOSURE_MEMO_SLOTS)
-    monkeypatch.setattr(consequence, "_CLOSURES", memo)
-    return memo
-
-
-def _memo_slots(memo):
-    return sum(len(p) + len(s) + len(m) for (_, p, _, s), m in memo.table.items())
 
 
 @pytest.mark.parametrize("name", ["cpl", "implication_fragment", "conj"])
@@ -284,7 +285,7 @@ def test_memo_stays_within_its_slot_budget(cpl, monkeypatch):
     for _ in range(40):
         gamma = rng.sample(corpus, 2)
         assert closure_bounded(cpl, gamma, fuel) == _Engine(cpl, fuel, ()).run(_canonical(gamma))[0]
-        assert memo.slots == _memo_slots(memo) <= 400
+        assert memo.slots == memo_slots(memo) <= 400
     assert 0 < len(memo.table) < 40
     # an entry bigger than the whole budget is returned but not stored
     big = Fuel()
@@ -293,7 +294,7 @@ def test_memo_stays_within_its_slot_budget(cpl, monkeypatch):
     assert len(want) == 512
     held = dict(memo.table)
     assert closure_bounded(cpl, gamma, big) == want
-    assert memo.table == held and memo.slots == _memo_slots(memo)
+    assert memo.table == held and memo.slots == memo_slots(memo)
 
 
 def test_memoised_closure_still_checks_its_premises(cpl, quick_fuel, cold_memo):

@@ -39,6 +39,7 @@ from ontoweave.syntax import (
     svar,
 )
 from ontoweave import presets
+from conftest import memo_slots
 
 SESSION_FUEL = Fuel(2, 14, 20_000)
 
@@ -273,31 +274,105 @@ def test_early_round_end_still_translates_the_right_side(cpl, conj):
         fibred_derives(s, gamma, union_formula(s, "x2"))
 
 
-def test_readme_example_from_the_closure_memo(cpl, conj, monkeypatch):
-    def cold_memo():
-        memo = _ClosureMemo(CLOSURE_MEMO_SLOTS)
-        monkeypatch.setattr(consequence, "_CLOSURES", memo)
-        return memo
-
+def test_readme_example_from_the_closure_memo(cpl, conj, cold_memo, monkeypatch):
     def query(s):
         gamma = [union_formula(s, "and(x1, x2)"), union_formula(s, "imp(x1, x3)")]
         return fibred_derives(s, gamma, union_formula(s, "x3"))
 
-    # fresh sessions: the second one's side closures all hit the memo
-    memo = cold_memo()
+    def closures(table):
+        """The plain closure entries; a side result's key has a fifth part,
+        the interning's entries."""
+        return {key: members for key, members in table.items() if len(key) == 4}
+
+    # fresh sessions: the second one's side results all come from the memo
     cold, warm = open_session(cpl, conj, SESSION_FUEL), open_session(cpl, conj, SESSION_FUEL)
     assert query(cold) == Derived(2)
-    stored = dict(memo.table)
-    assert stored
+    stored = dict(cold_memo.table)
+    assert closures(stored) and len(stored) > len(closures(stored))
     assert query(warm) == Derived(2)
-    assert memo.table == stored
+    assert cold_memo.table == stored
     assert dump_session(cold) == dump_session(warm)
     # reused sessions, each asked twice, from an emptied and from a warm memo
-    memo = cold_memo()
+    memo = _ClosureMemo(CLOSURE_MEMO_SLOTS)
+    monkeypatch.setattr(consequence, "_CLOSURES", memo)
     cold, warm = open_session(cpl, conj, SESSION_FUEL), open_session(cpl, conj, SESSION_FUEL)
     assert query(cold) == query(cold) == query(warm) == query(warm) == Derived(2)
-    assert memo.table == stored
+    assert closures(memo.table) == closures(stored)
     assert dump_session(cold) == dump_session(warm)
+
+
+def test_a_repeated_side_closure_is_answered_from_the_memo(cpl, conj, cold_memo, monkeypatch):
+    fuel = Fuel(2, 10, 3000)
+    corpus = enumerate_formulas(open_session(cpl, conj, fuel).union_sig, 2, 2)
+    rng = random.Random(3)
+    queries = [(rng.sample(corpus, 2), rng.choice(corpus)) for _ in range(8)]
+    results = []
+    side_closure = fibring._side_closure
+
+    def recorded(session, side, gamma, seeds):
+        results.append(side_closure(session, side, gamma, seeds))
+        return results[-1]
+
+    monkeypatch.setattr(fibring, "_side_closure", recorded)
+
+    def run():
+        results.clear()
+        sessions = [open_session(cpl, conj, fuel) for _ in queries]
+        verdicts = [fibred_derives(s, gamma, phi) for s, (gamma, phi) in zip(sessions, queries)]
+        return verdicts, [dump_session(s) for s in sessions], list(results)
+
+    cold = run()
+    assert cold_memo.slots == memo_slots(cold_memo)
+    stored = dict(cold_memo.table)
+    engine = []
+    monkeypatch.setattr(fibring, "closure_bounded", lambda *a, **k: engine.append(1))
+    calls = recorded_back_translations(monkeypatch)
+    assert run() == cold
+    assert engine == calls == []
+    assert cold_memo.table == stored
+
+
+def test_a_side_memo_hit_raises_what_a_fresh_call_raises(cpl, conj, cold_memo):
+    gamma = ["x1", "imp(x1, x2)", "and(x1, x2)"]
+    warm = open_session(cpl, conj, SESSION_FUEL)
+    h_closure(warm, "left", [union_formula(warm, text) for text in gamma])
+    # a frozen session cannot register the foreign subtree the key needs
+    frozen = open_session(cpl, conj, SESSION_FUEL)
+    dump_session(frozen)
+    with pytest.raises(UnknownInternIndex):
+        h_closure(frozen, "left", [union_formula(frozen, text) for text in gamma])
+    # an entry under the very key an over-cap premise set would look up
+    tight = open_session(cpl, conj, Fuel(2, 14, 2))
+    premises = [union_formula(tight, text) for text in gamma]
+    t = tight.t_left
+    translated = tuple(sorted(fibring._translate_given(t, set(premises)), key=syntax.by_sort_key))
+    cold_memo.put((cpl, translated, tight.fuel, (), t.interning.entries), ())
+    with pytest.raises(CapExceeded):
+        h_closure(tight, "left", premises)
+
+
+def test_a_side_result_is_keyed_by_the_interning_too(cpl, conj, cold_memo):
+    # the same translated premises, but once x2 has a preimage in slot 1
+    plain, grown = open_session(cpl, conj, SESSION_FUEL), open_session(cpl, conj, SESSION_FUEL)
+    translate(grown.t_left, union_formula(grown, "and(x1, x1)"))
+    gamma = [union_formula(plain, "imp(x1, x2)")]
+    got = [h_closure(s, "left", gamma) for s in (plain, grown)]
+    assert got[0] != got[1]
+    for s, out in zip((plain, grown), got):
+        assert out == reference_side_closure(s, "left", gamma, ())
+
+
+def test_side_results_stay_within_the_slot_budget(cpl, conj, monkeypatch):
+    memo = _ClosureMemo(3000)
+    monkeypatch.setattr(consequence, "_CLOSURES", memo)
+    fuel = Fuel(2, 10, 3000)
+    corpus = enumerate_formulas(open_session(cpl, conj, fuel).union_sig, 2, 2)
+    rng = random.Random(4)
+    for _ in range(10):
+        gamma, phi = rng.sample(corpus, 2), rng.choice(corpus)
+        fibred_derives(open_session(cpl, conj, fuel), gamma, phi)
+        assert memo.slots == memo_slots(memo) <= 3000
+    assert any(len(key) == 5 for key in memo.table)
 
 
 # -- session persistence
@@ -381,7 +456,8 @@ def test_a_warm_query_adds_no_node_and_a_dropped_session_is_collected(cpl, conj)
     nodes = len(syntax._INTERN)
     s = query()
     assert len(syntax._INTERN) == nodes
-    assert s.t_left._back and s.t_right._back
+    # every side result came from the closure memo: nothing was mapped back
+    assert not s.t_left._back and not s.t_right._back
     translations = [weakref.ref(s.t_left), weakref.ref(s.t_right)]
     del s
     gc.collect()
@@ -478,7 +554,7 @@ def recorded_back_translations(monkeypatch):
     return calls
 
 
-def test_a_member_whose_bound_fits_but_whose_image_does_not_is_dropped(monkeypatch):
+def test_a_member_whose_bound_fits_but_whose_image_does_not_is_dropped(cold_memo, monkeypatch):
     # x2 stands for and(x1, x3) on the left side, so imp(x2, x2) has a bound
     # of 3 + 2 = 5 but an image of 7 nodes: a repeated even variable expands
     # once per occurrence
@@ -505,7 +581,7 @@ def test_a_premise_bigger_than_the_cap_comes_back(cpl, conj):
         assert big in h_closure(s, side, [big]), side
 
 
-def test_members_without_a_preimage_never_reach_substitute_back(cpl, conj, monkeypatch):
+def test_members_without_a_preimage_never_reach_substitute_back(cpl, conj, cold_memo, monkeypatch):
     # the left side's closure holds members over raw x1 and over x4, whose
     # interning slot 2 is not registered; neither is ever mapped back
     s = open_session(cpl, conj, Fuel(1, 5, 2000))
@@ -528,7 +604,7 @@ def test_members_without_a_preimage_never_reach_substitute_back(cpl, conj, monke
         assert 1 not in psi.variables and 4 not in psi.variables, psi.text
 
 
-def test_the_readme_query_builds_no_image_that_cannot_fit(cpl, conj, monkeypatch):
+def test_the_readme_query_builds_no_image_that_cannot_fit(cpl, conj, cold_memo, monkeypatch):
     fuel = Fuel(2, 10, 3000)
     s = open_session(cpl, conj, fuel)
     over = []

@@ -12,9 +12,9 @@ Derive-mix replays every 15th of its 300 catalogue blocks of 20 queries:
 400 queries, among them bounded negatives at both fuels and ones where the
 set cap binds at the CLI default fuel. Fibre-alternation replays its first
 four queries, the README query first, then replays them again with the
-closure memo warm, so that every side closure is a memo hit and the
-per-session back-translation carries the op. All are checked against their
-records.
+closure memo warm, so that every side closure, back-translation included,
+is answered from the memo and no member is mapped back. All are checked
+against their records.
 perfbench/ is only read.
 """
 
@@ -26,6 +26,7 @@ from pathlib import Path
 
 import pytest
 
+from ontoweave import fibring
 from ontoweave.devgraph import load_graph, save_graph
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -73,8 +74,19 @@ def test_catalogue_ops_replay_their_records(tmp_path, monkeypatch, name, ops, pa
     workload = workloads.WORKLOADS[name](workloads.EXPECTED_DIR, tmp_path)
     workload.setup()
     workload.load_expected()
-    for _ in range(passes):
+    mapped_back = []
+    substitute_back = fibring.substitute_back
+
+    def counted(t, phi):
+        mapped_back.append(phi)
+        return substitute_back(t, phi)
+
+    for pass_no in range(passes):
         assert [workload.execute(op) for op in ops] == [workload.expected(op) for op in ops]
+        # a repeated side closure is a memo hit, back-translation included
+        if pass_no == 0:
+            monkeypatch.setattr(fibring, "substitute_back", counted)
+    assert mapped_back == []
 
 
 def test_every_traced_name_resolves(monkeypatch):

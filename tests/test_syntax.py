@@ -459,6 +459,13 @@ def test_enumerate_cap():
         enumerate_formulas(tree, 64, 2)
 
 
+def test_enumerating_constants_only_stops_once_a_depth_adds_nothing():
+    # a step per depth would take minutes here
+    sig = make_signature([("a", 0)])
+    assert count_formulas(sig, 10**9, 2) == count_formulas(sig, 1, 2) == 3
+    assert enumerate_formulas(sig, 10**9, 2) == enumerate_formulas(sig, 1, 2) == _brute_force(sig, 2, 2)
+
+
 def test_enumerate_rejects_bad_bounds():
     sig = make_signature(CPL_DECLS)
     with pytest.raises(ValueError):
