@@ -23,9 +23,9 @@ share one axiom-instance memo within a process.
 closure_bounded is a pure function of (presentation, premise set, fuel, seed
 set), so its results are memoised in one process-wide least-recently-used
 table bounded by CLOSURE_MEMO_SLOTS formula slots. Fibring keeps its side
-results in the same table (closure_key, recall, remember). Premises are
-checked on every call, so a memoised call raises exactly what a fresh one
-would.
+results in the same table (closure_key, closure_for, recall, remember).
+Premises are checked on every call, so a memoised call raises exactly what a
+fresh one would.
 derives is not memoised: it stops at the round its goal appears.
 """
 
@@ -633,6 +633,16 @@ def remember(key: tuple, members: frozenset[Formula]) -> None:
     _CLOSURES.put(key, tuple(members))
 
 
+def closure_for(key: tuple) -> frozenset[Formula]:
+    """The closure a closure_key names: recalled, or run and remembered."""
+    members = recall(key)
+    if members is None:
+        cal, premises, fuel, seeds = key
+        members, _ = _Engine(cal, fuel, seeds).run(premises)
+        remember(key, members)
+    return members
+
+
 def closure_bounded(
     cal: CalculusPresentation,
     gamma: Iterable[Formula],
@@ -646,13 +656,7 @@ def closure_bounded(
     admitted regardless of the pool size threshold) without being premises.
     Results are memoised process-wide (see the module docstring).
     """
-    key = closure_key(cal, gamma, fuel, extra_pool)
-    members = recall(key)
-    if members is None:
-        _, premises, _, seeds = key
-        members, _ = _Engine(cal, fuel, seeds).run(premises)
-        remember(key, members)
-    return members
+    return closure_for(closure_key(cal, gamma, fuel, extra_pool))
 
 
 def derives(

@@ -28,7 +28,7 @@ from .consequence import (
     Fuel,
     NotDerivedWithin,
     Verdict,
-    closure_bounded,
+    closure_for,
     closure_key,
     recall,
     remember,
@@ -118,18 +118,19 @@ def _side_closure(
     # the same order, and a frozen interning refuses a new one
     translated = _translate_given(t, given)
     entries = t.interning.entries
+    key = closure_key(cal, translated, session.fuel, seeds)
     # given is the back-image of the translated premises, and each image
     # depends only on the side's signature and entries, so the result is a
     # pure function of this key
-    key = closure_key(cal, translated, session.fuel, seeds) + (entries,)
-    stored = recall(key)
+    side_key = key + (entries,)
+    stored = recall(side_key)
     if stored is not None:
         return stored
-    closed = closure_bounded(cal, translated, session.fuel, extra_pool=seeds)
+    closed = closure_for(key)
     size_cap = session.fuel.max_formula_size
     memo = t._back
     registered = len(entries)
-    # every premise is a member (closure_bounded refuses more premises than
+    # every premise is a member (closure_key refuses more premises than
     # the set cap) and maps back to itself, whatever its size
     out = set(given)
     for psi in closed:
@@ -150,7 +151,7 @@ def _side_closure(
         if image.size <= size_cap:
             out.add(image)
     out = frozenset(out)
-    remember(key, out)
+    remember(side_key, out)
     return out
 
 

@@ -325,7 +325,7 @@ def test_a_repeated_side_closure_is_answered_from_the_memo(cpl, conj, cold_memo,
     assert cold_memo.slots == memo_slots(cold_memo)
     stored = dict(cold_memo.table)
     engine = []
-    monkeypatch.setattr(fibring, "closure_bounded", lambda *a, **k: engine.append(1))
+    monkeypatch.setattr(fibring, "closure_for", lambda *a, **k: engine.append(1))
     calls = recorded_back_translations(monkeypatch)
     assert run() == cold
     assert engine == calls == []
@@ -349,6 +349,20 @@ def test_a_side_memo_hit_raises_what_a_fresh_call_raises(cpl, conj, cold_memo):
     cold_memo.put((cpl, translated, tight.fuel, (), t.interning.entries), ())
     with pytest.raises(CapExceeded):
         h_closure(tight, "left", premises)
+
+
+def test_a_side_memo_miss_checks_its_premises_once(cpl, conj, cold_memo, monkeypatch):
+    checks = []
+    check = consequence._check_gamma
+
+    def counted(cal, gamma, fuel):
+        checks.append(1)
+        return check(cal, gamma, fuel)
+
+    monkeypatch.setattr(consequence, "_check_gamma", counted)
+    s = open_session(cpl, conj, SESSION_FUEL)
+    h_closure(s, "left", [union_formula(s, "and(x1, x2)")])
+    assert len(checks) == 1 and len(cold_memo.table) == 2
 
 
 def test_a_side_result_is_keyed_by_the_interning_too(cpl, conj, cold_memo):
@@ -586,13 +600,13 @@ def test_members_without_a_preimage_never_reach_substitute_back(cpl, conj, cold_
     # interning slot 2 is not registered; neither is ever mapped back
     s = open_session(cpl, conj, Fuel(1, 5, 2000))
     seen = []
-    closure = fibring.closure_bounded
+    closure = fibring.closure_for
 
-    def recorded(*args, **kwargs):
-        seen.append(closure(*args, **kwargs))
+    def recorded(key):
+        seen.append(closure(key))
         return seen[-1]
 
-    monkeypatch.setattr(fibring, "closure_bounded", recorded)
+    monkeypatch.setattr(fibring, "closure_for", recorded)
     calls = recorded_back_translations(monkeypatch)
     fibring._side_closure(s, "left", [union_formula(s, "and(x1, x2)")], (svar(4),))
     (closed,) = seen
@@ -608,15 +622,16 @@ def test_the_readme_query_builds_no_image_that_cannot_fit(cpl, conj, cold_memo, 
     fuel = Fuel(2, 10, 3000)
     s = open_session(cpl, conj, fuel)
     over = []
-    closure = fibring.closure_bounded
+    closure = fibring.closure_for
 
-    def counted(cal, premises, fuel, extra_pool):
-        closed = closure(cal, premises, fuel, extra_pool=extra_pool)
+    def counted(key):
+        closed = closure(key)
+        cal, _, fuel, _ = key
         t = s.translation("left" if cal is cpl else "right")
         over.extend(psi for psi in closed if image_bound(t, psi) > fuel.max_formula_size)
         return closed
 
-    monkeypatch.setattr(fibring, "closure_bounded", counted)
+    monkeypatch.setattr(fibring, "closure_for", counted)
     calls = recorded_back_translations(monkeypatch)
     gamma = [union_formula(s, "and(x1, x2)"), union_formula(s, "imp(x1, x3)")]
     assert fibred_derives(s, gamma, union_formula(s, "x3")) == Derived(2)
