@@ -733,9 +733,6 @@ def _format_set(gamma: Iterable[Formula]) -> str:
 # ---------------------------------------------------------------------------
 # Operator-law checks
 
-ClosureFn = Callable[..., frozenset]
-
-
 def check_operator_laws(
     cal: CalculusPresentation,
     samples: int,
@@ -743,7 +740,6 @@ def check_operator_laws(
     seed: int,
     *,
     corpus_depth: int = 3,
-    closure_fn: ClosureFn | None = None,
 ) -> Report:
     """Probe extensivity, monotonicity, cut, and bounded idempotence on
     seeded random premise sets drawn from the corpus of formulas over x1, x2
@@ -752,13 +748,9 @@ def check_operator_laws(
     The laws are promised only below the set cap, so a sample's
     monotonicity, cut or idempotence comparison is skipped when the closure
     that should contain the other has reached fuel.max_set_size.
-
-    closure_fn exists so a deliberately broken closure can be checked
-    against the laws; it defaults to closure_bounded.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    close = closure_fn or closure_bounded
     rng = random.Random(seed)
     corpus = enumerate_formulas(cal.sig, corpus_depth, 2)
     failures: dict[str, str] = {}
@@ -773,8 +765,8 @@ def check_operator_laws(
         drawn = rng.sample(corpus, k=rng.randint(0, min(3, len(corpus))))
         gamma = frozenset(drawn)
         delta = frozenset(f for f in drawn if rng.random() < 0.7)
-        closed_gamma = close(cal, gamma, fuel)
-        closed_delta = close(cal, delta, fuel)
+        closed_gamma = closure_bounded(cal, gamma, fuel)
+        closed_delta = closure_bounded(cal, delta, fuel)
 
         if "extensivity" not in failures and not gamma <= closed_gamma:
             missing = sorted(gamma - closed_gamma, key=by_sort_key)[0]
@@ -795,10 +787,10 @@ def check_operator_laws(
         a = rng.choice(pick_from) if pick_from and rng.random() < 0.8 else rng.choice(corpus)
         b = rng.choice(corpus)
         seeds = (a, b)
-        if a in close(cal, delta, fuel, extra_pool=seeds):
-            hyp2 = close(cal, gamma | {a}, fuel, extra_pool=seeds)
+        if a in closure_bounded(cal, delta, fuel, extra_pool=seeds):
+            hyp2 = closure_bounded(cal, gamma | {a}, fuel, extra_pool=seeds)
             if b in hyp2:
-                concl = close(cal, delta | gamma, fuel.doubled(), extra_pool=seeds)
+                concl = closure_bounded(cal, delta | gamma, fuel.doubled(), extra_pool=seeds)
                 if not capped(concl):
                     cut_tested += 1
                     if "cut" not in failures and b not in concl:
@@ -808,8 +800,8 @@ def check_operator_laws(
                         )
 
         if "idempotence" not in failures:
-            reclosed = close(cal, closed_gamma, fuel)
-            widened = close(cal, gamma, fuel.doubled())
+            reclosed = closure_bounded(cal, closed_gamma, fuel)
+            widened = closure_bounded(cal, gamma, fuel.doubled())
             if not capped(widened) and not reclosed <= widened:
                 lost = sorted(reclosed - widened, key=by_sort_key)[0]
                 failures["idempotence"] = f"gamma={_format_set(gamma)} escapee {lost.text}"

@@ -49,13 +49,9 @@ class FibringSession:
     """Two presentations joined over their union signature.
 
     Single-writer: the shared interning grows during closures, so one
-    session should not be used from several tasks at once. A side closure
-    the closure memo cannot answer maps its members back through its side's
-    translation, which memoises its back-translation (Translation), so a node
-    shared by many members, or met again in a later round or query of the
-    session, is mapped back once; the memo is dropped with the session.
-    A member whose image is bound to outgrow fuel.max_formula_size is
-    never mapped back, so it adds neither a memo entry nor a formula node.
+    session should not be used from several tasks at once. A member whose
+    image is bound to outgrow fuel.max_formula_size is never mapped back,
+    so it adds no formula node.
     """
 
     left: CalculusPresentation
@@ -128,26 +124,23 @@ def _side_closure(
         return stored
     closed = closure_for(key)
     size_cap = session.fuel.max_formula_size
-    memo = t._back
     registered = len(entries)
     # every premise is a member (closure_key refuses more premises than
     # the set cap) and maps back to itself, whatever its size
     out = set(given)
     for psi in closed:
-        image = memo.get(psi)
-        if image is None:
-            # expanding interned subtrees can outgrow the session's formula
-            # cap; such members stay inside the side closure. Each distinct
-            # even variable x(2g) occurs at least once and becomes entry g,
-            # so the image has at least bound nodes and is built only when
-            # bound fits; a repeated x(2g) can still take it past the cap
-            bound = psi.size
-            for v in psi.variables:
-                if not v & 1 and v >> 1 <= registered:
-                    bound += entries[(v >> 1) - 1].size - 1
-            if bound > size_cap or not is_back_translatable(t, psi):
-                continue
-            image = substitute_back(t, psi)
+        # expanding interned subtrees can outgrow the session's formula
+        # cap; such members stay inside the side closure. Each distinct
+        # even variable x(2g) occurs at least once and becomes entry g,
+        # so the image has at least bound nodes and is built only when
+        # bound fits; a repeated x(2g) can still take it past the cap
+        bound = psi.size
+        for v in psi.variables:
+            if not v & 1 and v >> 1 <= registered:
+                bound += entries[(v >> 1) - 1].size - 1
+        if bound > size_cap or not is_back_translatable(t, psi):
+            continue
+        image = substitute_back(t, psi)
         if image.size <= size_cap:
             out.add(image)
     out = frozenset(out)

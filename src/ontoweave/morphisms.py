@@ -10,10 +10,7 @@ The translation machinery realizes the two mutually inverse maps between a
 combined language and a component language: variables move to odd indices
 (xi becomes x(2i+1)), foreign-headed subtrees collapse to even-indexed
 variables x(2g), and g is realized lazily as an interning table that hands
-out indices 1, 2, 3, ... at first registration. Each translation memoises
-its back-translation: every small-language node is rewritten into the
-combined language once per translation, since hash-consing makes the node
-its own key and the interning only grows by appending.
+out indices 1, 2, 3, ... at first registration.
 """
 
 from __future__ import annotations
@@ -258,21 +255,12 @@ class Translation:
     """Mediates between a combined language (big) and a component (small).
 
     small must be componentwise included in big. One interning may be shared
-    by several translations over the same big signature.
-
-    Read-only, so its interning cannot be swapped under _back, the memo of
-    substitute_back: each small-language node it has mapped back, with its
-    image. Only successes are stored, and an image stays correct because the
-    interning never renumbers a registered index. The memo lives and dies
-    with the translation.
+    by several translations over the same big signature. Read-only.
     """
 
     small: Signature
     big: Signature
     interning: Interning = field(default_factory=Interning)
-    _back: dict[Formula, Formula] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         if not signature_leq(self.small, self.big):
@@ -300,9 +288,7 @@ def translate(t: Translation, phi: Formula) -> Formula:
 
 def is_back_translatable(t: Translation, phi: Formula) -> bool:
     """True iff every variable of phi is odd with index >= 3, or an even
-    index already registered in the interning. So every formula in
-    substitute_back's memo passes: its variables all mapped back when it
-    was stored, and the interning never drops an index."""
+    index already registered in the interning."""
     for v in phi.variables:
         if v % 2 == 1:
             if v < 3:
@@ -314,13 +300,7 @@ def is_back_translatable(t: Translation, phi: Formula) -> bool:
 
 def substitute_back(t: Translation, phi: Formula) -> Formula:
     """Inverse direction: odd x(2i+1) back to xi, even x(2i) back to the
-    registered subtree, symbols of the small language kept.
-
-    Every node's image is read from, or stored in, the translation's memo;
-    a node that raises stores nothing and raises again when asked again."""
-    image = t._back.get(phi)
-    if image is not None:
-        return image
+    registered subtree, symbols of the small language kept."""
     if phi.var is not None:
         index = phi.var
         if index % 2 == 1:
@@ -329,14 +309,10 @@ def substitute_back(t: Translation, phi: Formula) -> Formula:
                 raise UnknownInternIndex(
                     f"x{index} has no preimage: odd indices start at x3"
                 )
-            image = svar(i)
-        else:
-            image = t.interning.formula_of(index // 2)
-    elif phi.head not in t.small:
+            return svar(i)
+        return t.interning.formula_of(index // 2)
+    if phi.head not in t.small:
         raise LanguageError(f"{phi.text} is not in the component language")
-    elif not phi.args:
-        image = phi
-    else:
-        image = apply_symbol(phi.head, tuple(substitute_back(t, a) for a in phi.args))
-    t._back[phi] = image
-    return image
+    if not phi.args:
+        return phi
+    return apply_symbol(phi.head, tuple(substitute_back(t, a) for a in phi.args))

@@ -431,19 +431,19 @@ def test_laws_skip_samples_truncated_by_the_set_cap(seed):
     assert report.ok, report.render()
 
 
-def test_laws_broken_closure_reports_extensivity(cpl):
+def test_laws_broken_closure_reports_extensivity(cpl, monkeypatch):
+    # the fake wraps the real closure_bounded, imported above
     def amnesiac(cal, gamma, fuel, extra_pool=()):
         return closure_bounded(cal, [], fuel, extra_pool=extra_pool)
 
-    report = check_operator_laws(
-        cpl, samples=30, fuel=Fuel(1, 10, 20000), seed=3, closure_fn=amnesiac
-    )
+    monkeypatch.setattr(consequence, "closure_bounded", amnesiac)
+    report = check_operator_laws(cpl, samples=30, fuel=Fuel(1, 10, 20000), seed=3)
     entry = report.entry("extensivity")
     assert not entry.ok
     assert entry.witness
 
 
-def test_laws_quasi_closure_reports_idempotence_without_raising(cpl):
+def test_laws_quasi_closure_reports_idempotence_without_raising(cpl, monkeypatch):
     # a quasi closure: re-closing keeps inflating, so idempotence fails but
     # the check reports a bound instead of raising
     def inflator(cal, gamma, fuel, extra_pool=()):
@@ -454,9 +454,8 @@ def test_laws_quasi_closure_reports_idempotence_without_raising(cpl):
             bump = parse_formula(f"not({bump.text})", presets.cpl_signature())
         return base | {bump}
 
-    report = check_operator_laws(
-        cpl, samples=40, fuel=Fuel(1, 10, 20000), seed=4, closure_fn=inflator
-    )
+    monkeypatch.setattr(consequence, "closure_bounded", inflator)
+    report = check_operator_laws(cpl, samples=40, fuel=Fuel(1, 10, 20000), seed=4)
     assert not report.entry("idempotence").ok
 
 

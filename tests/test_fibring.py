@@ -4,6 +4,7 @@ import gc
 import random
 import re
 import weakref
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -457,7 +458,7 @@ def test_load_session_checks_union(cpl, conj):
         load_session(text, cpl, cpl)
 
 
-def test_a_warm_query_adds_no_node_and_a_dropped_session_is_collected(cpl, conj):
+def test_a_warm_query_adds_no_node_and_a_dropped_session_is_collected(cpl, conj, monkeypatch):
     fuel = Fuel(2, 10, 3000)
 
     def query():
@@ -468,10 +469,11 @@ def test_a_warm_query_adds_no_node_and_a_dropped_session_is_collected(cpl, conj)
 
     query()
     nodes = len(syntax._INTERN)
+    # every side result comes from the closure memo: nothing is mapped back
+    calls = recorded_back_translations(monkeypatch)
     s = query()
     assert len(syntax._INTERN) == nodes
-    # every side result came from the closure memo: nothing was mapped back
-    assert not s.t_left._back and not s.t_right._back
+    assert calls == []
     translations = [weakref.ref(s.t_left), weakref.ref(s.t_right)]
     del s
     gc.collect()
@@ -637,3 +639,28 @@ def test_the_readme_query_builds_no_image_that_cannot_fit(cpl, conj, cold_memo, 
     assert fibred_derives(s, gamma, union_formula(s, "x3")) == Derived(2)
     assert over and calls
     assert [psi.text for psi, bound in calls if bound > fuel.max_formula_size] == []
+
+
+def test_every_member_whose_bound_fits_is_checked_once(cpl, conj, cold_memo, monkeypatch):
+    # --trace 1's morphisms.back.translatable_ratio counts these checks
+    fuel = Fuel(2, 10, 3000)
+    s = open_session(cpl, conj, fuel)
+    fitting, checked = [], []
+    closure, check = fibring.closure_for, fibring.is_back_translatable
+
+    def counted(key):
+        closed = closure(key)
+        t = s.translation("left" if key[0] is cpl else "right")
+        fitting.extend(psi for psi in closed if image_bound(t, psi) <= fuel.max_formula_size)
+        return closed
+
+    def recorded(t, psi):
+        checked.append(psi)
+        return check(t, psi)
+
+    monkeypatch.setattr(fibring, "closure_for", counted)
+    monkeypatch.setattr(fibring, "is_back_translatable", recorded)
+    gamma = [union_formula(s, "and(x1, x2)"), union_formula(s, "imp(x1, x3)")]
+    assert fibred_derives(s, gamma, union_formula(s, "x3")) == Derived(2)
+    assert len(checked) == 512
+    assert Counter(checked) == Counter(fitting)

@@ -370,7 +370,7 @@ def test_registration_order_is_traversal_order():
     assert t.interning.formula_of(2).text == "box(box(x1))"
 
 
-# -- the back-translation memo
+# -- back-translation against its definition
 
 
 def test_translation_is_read_only():
@@ -413,7 +413,7 @@ def formulas_over(*heads):
 
 
 def reference_back(t, phi):
-    """substitute_back read off its definition, with no memo."""
+    """substitute_back read off its definition."""
     if phi.var is not None:
         if phi.var % 2 == 1:
             if phi.var < 3:
@@ -436,7 +436,7 @@ def reference_outcome(t, phi):
         return type(exc)
 
 
-def memoised_outcome(t, phi):
+def back_outcome(t, phi):
     try:
         return substitute_back(t, phi)
     except (UnknownInternIndex, LanguageError) as exc:
@@ -453,7 +453,7 @@ _STEPS = st.lists(
 
 
 @given(_STEPS)
-def test_memoised_back_translation_matches_the_reference(steps):
+def test_back_translation_matches_the_reference(steps):
     # between questions, new foreign subtrees are registered, so a False or
     # an unregistered index may turn good; every earlier question is asked
     # again after each step, and a failure must raise again every time
@@ -467,4 +467,4 @@ def test_memoised_back_translation_matches_the_reference(steps):
         for psi in asked:
             for _ in range(2):
                 assert is_back_translatable(t, psi) == reference_translatable(t, psi), psi.text
-                assert memoised_outcome(t, psi) == reference_outcome(t, psi), psi.text
+                assert back_outcome(t, psi) == reference_outcome(t, psi), psi.text
