@@ -22,10 +22,8 @@ share one axiom-instance memo within a process.
 
 closure_bounded is a pure function of (presentation, premise set, fuel, seed
 set), so its results are memoised in one process-wide least-recently-used
-table bounded by CLOSURE_MEMO_SLOTS formula slots. Fibring keeps its side
-results in the same table (closure_key, closure_for, recall, remember).
-Premises are checked on every call, so a memoised call raises exactly what a
-fresh one would.
+table bounded by CLOSURE_MEMO_SLOTS formula slots. Premises are checked on
+every call, so a memoised call raises exactly what a fresh one would.
 derives is not memoised: it stops at the round its goal appears.
 """
 
@@ -571,19 +569,15 @@ def _check_gamma(cal: CalculusPresentation, gamma: Iterable[Formula], fuel: Fuel
 
 
 # The closure memo's budget in formula slots: an entry takes one slot per
-# premise, seed and member, and a fibring side result one more per interning
-# entry in its key. One pass of the graph-session scripts needs about 105k
-# slots; one fibre-alternation pass about 131k for closures and 20k for side
-# results.
+# premise, seed and member. One pass of the graph-session scripts needs about
+# 105k slots and one fibre-alternation pass about 131k.
 CLOSURE_MEMO_SLOTS = 1 << 18
 
 
 class _ClosureMemo:
     """Closures by (presentation, premises, fuel, seeds), least recently used
-    first; fibring's side results share the table under that key extended
-    by further tuples of formulas. Members are stored as tuples, which take
-    less memory than frozensets; an entry bigger than the whole budget is
-    not stored."""
+    first. Members are stored as tuples, which take less memory than
+    frozensets; an entry bigger than the whole budget is not stored."""
 
     def __init__(self, slots: int):
         self.budget = slots
@@ -598,8 +592,8 @@ class _ClosureMemo:
 
     @staticmethod
     def _size(key: tuple, members: tuple[Formula, ...]) -> int:
-        _, premises, _, seeds, *rest = key
-        return len(premises) + len(seeds) + sum(map(len, rest)) + len(members)
+        _, premises, _, seeds = key
+        return len(premises) + len(seeds) + len(members)
 
     def put(self, key: tuple, members: tuple[Formula, ...]) -> None:
         size = self._size(key, members)
@@ -612,35 +606,6 @@ class _ClosureMemo:
 
 
 _CLOSURES = _ClosureMemo(CLOSURE_MEMO_SLOTS)
-
-
-def closure_key(
-    cal: CalculusPresentation, gamma: Iterable[Formula], fuel: Fuel, extra_pool: Iterable[Formula]
-) -> tuple:
-    """closure_bounded's memo key, (presentation, premises, fuel, seeds),
-    with both sets sorted. Raises what closure_bounded raises on gamma."""
-    premises = _check_gamma(cal, gamma, fuel)
-    return (cal, premises, fuel, tuple(sorted(set(extra_pool), key=by_sort_key)))
-
-
-def recall(key: tuple) -> frozenset[Formula] | None:
-    """The memoised set under key, or None."""
-    stored = _CLOSURES.get(key)
-    return None if stored is None else frozenset(stored)
-
-
-def remember(key: tuple, members: frozenset[Formula]) -> None:
-    _CLOSURES.put(key, tuple(members))
-
-
-def closure_for(key: tuple) -> frozenset[Formula]:
-    """The closure a closure_key names: recalled, or run and remembered."""
-    members = recall(key)
-    if members is None:
-        cal, premises, fuel, seeds = key
-        members, _ = _Engine(cal, fuel, seeds).run(premises)
-        remember(key, members)
-    return members
 
 
 def closure_bounded(
@@ -656,7 +621,15 @@ def closure_bounded(
     admitted regardless of the pool size threshold) without being premises.
     Results are memoised process-wide (see the module docstring).
     """
-    return closure_for(closure_key(cal, gamma, fuel, extra_pool))
+    premises = _check_gamma(cal, gamma, fuel)
+    seeds = tuple(sorted(set(extra_pool), key=by_sort_key))
+    key = (cal, premises, fuel, seeds)
+    stored = _CLOSURES.get(key)
+    if stored is not None:
+        return frozenset(stored)
+    members, _ = _Engine(cal, fuel, seeds).run(premises)
+    _CLOSURES.put(key, tuple(members))
+    return members
 
 
 def derives(

@@ -34,7 +34,8 @@ A link statement is read into its Link and its Evidence. Its `morphism
 NAME` names a splitting block for a splitting link and a morphism block
 otherwise, declared earlier in the text. A name no such block declares, a
 map the link kind cannot carry, a statement with neither `assert` nor
-`evidence`, and a link written twice are each a ParseError.
+`evidence`, a statement with two `morphism` clauses or two evidence clauses
+(`assert` or `evidence`), and a link written twice are each a ParseError.
 """
 
 from __future__ import annotations
@@ -264,8 +265,13 @@ class _Parser:
         self.take("->")
         dst = self.take_ident()
         name = morphism = evidence = None
+        clauses = set()
         while self.peek() in ("morphism", "assert", "evidence"):
             kw = self.take()
+            clause = "morphism" if kw == "morphism" else "evidence"
+            if clause in clauses:
+                raise ParseError(f"link {kind} {src} -> {dst} has more than one {clause} clause")
+            clauses.add(clause)
             if kw == "morphism":
                 name = self.take_ident()
             elif kw == "assert":

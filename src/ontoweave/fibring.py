@@ -12,27 +12,18 @@ A member whose image would outgrow the session's formula cap stays inside
 too, and its image is not built when a lower bound on its size is already
 over the cap.
 
-A side closure's result is kept in the process-wide closure memo under its
-closure key and the interning's entries, so a repeated side closure, in any
-session, is answered without running the engine or mapping anything back.
+fibred_derives remembers its answers in one process-wide least-recently-used
+table of QUERY_MEMO_SIZE queries, so a repeated query, in any session, runs
+no side closure.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable
 
-from .consequence import (
-    CalculusPresentation,
-    Derived,
-    Fuel,
-    NotDerivedWithin,
-    Verdict,
-    closure_for,
-    closure_key,
-    recall,
-    remember,
-)
+from .consequence import CalculusPresentation, Derived, Fuel, NotDerivedWithin, Verdict, closure_bounded
 from .errors import ArityError, CapExceeded, FormatError, LanguageError, ParseError, UnknownSymbol
 from .morphisms import (
     Interning,
@@ -108,24 +99,13 @@ def _side_closure(
     seeds: tuple[Formula, ...],
 ) -> frozenset[Formula]:
     t = session.translation(side)
-    cal = session.presentation(side)
     given = set(gamma)
-    # translation runs on a memo hit too: it registers the same subtrees in
-    # the same order, and a frozen interning refuses a new one
     translated = _translate_given(t, given)
-    entries = t.interning.entries
-    key = closure_key(cal, translated, session.fuel, seeds)
-    # given is the back-image of the translated premises, and each image
-    # depends only on the side's signature and entries, so the result is a
-    # pure function of this key
-    side_key = key + (entries,)
-    stored = recall(side_key)
-    if stored is not None:
-        return stored
-    closed = closure_for(key)
+    closed = closure_bounded(session.presentation(side), translated, session.fuel, extra_pool=seeds)
     size_cap = session.fuel.max_formula_size
+    entries = t.interning.entries
     registered = len(entries)
-    # every premise is a member (closure_key refuses more premises than
+    # every premise is a member (closure_bounded refuses more premises than
     # the set cap) and maps back to itself, whatever its size
     out = set(given)
     for psi in closed:
@@ -143,9 +123,7 @@ def _side_closure(
         image = substitute_back(t, psi)
         if image.size <= size_cap:
             out.add(image)
-    out = frozenset(out)
-    remember(side_key, out)
-    return out
+    return frozenset(out)
 
 
 def h_closure(session: FibringSession, side: str, gamma: Iterable[Formula]) -> frozenset[Formula]:
@@ -158,6 +136,17 @@ def h_closure(session: FibringSession, side: str, gamma: Iterable[Formula]) -> f
     return _side_closure(session, side, gamma, ())
 
 
+# How many queries fibred_derives remembers. An entry holds references
+# only: to the premises, the goal, the interning's entries at entry and the
+# entries the run registered, formulas the hash-consing table keeps anyway.
+# A fresh-session query of the fibre-alternation catalogue takes about
+# 1 KiB, so a full table stays near 4 MiB; a reused session's keys also
+# carry its interning entries.
+QUERY_MEMO_SIZE = 4096
+
+_QUERIES: OrderedDict[tuple, tuple[Verdict, tuple[Formula, ...]]] = OrderedDict()
+
+
 def fibred_derives(session: FibringSession, gamma: Iterable[Formula], phi: Formula) -> Verdict:
     """Alternating fixpoint membership: each round adds both side closures
     of the current set. Verdicts are monotone in the round count; the round
@@ -167,6 +156,13 @@ def fibred_derives(session: FibringSession, gamma: Iterable[Formula], phi: Formu
     goal. The right side's translation of the current set still runs, so the
     shared interning registers the same subtrees in the same order as a full
     round: verdicts, depths and session dumps are those of the full round.
+
+    The answer is a pure function of both presentations, the fuel, the
+    premise set, the goal and the interning's entries at entry, and is
+    memoised under exactly that key. A hit registers the entries the first
+    run registered, in the same order, so the session ends as a cold run
+    leaves it, and a frozen session raises what a cold run raises. A run
+    that raises is not remembered.
     """
     gamma = list(gamma)
     current = set(gamma)
@@ -175,6 +171,24 @@ def fibred_derives(session: FibringSession, gamma: Iterable[Formula], phi: Formu
             raise LanguageError(f"{f.text} is outside the combined language")
     if phi in current:
         return Derived(0)
+    interning = session.t_left.interning
+    before = interning.entries
+    key = (session.left, session.right, session.fuel, frozenset(current), phi, before)
+    stored = _QUERIES.get(key)
+    if stored is not None:
+        _QUERIES.move_to_end(key)
+        verdict, registered = stored
+        for entry in registered:
+            interning.register(entry)
+        return verdict
+    verdict = _alternate(session, current, phi)
+    _QUERIES[key] = verdict, interning.entries[len(before):]
+    if len(_QUERIES) > QUERY_MEMO_SIZE:
+        _QUERIES.popitem(last=False)
+    return verdict
+
+
+def _alternate(session: FibringSession, current: set[Formula], phi: Formula) -> Verdict:
     seeds_left = (translate(session.t_left, phi),)
     seeds_right = (translate(session.t_right, phi),)
     for round_no in range(1, session.fuel.max_closure_rounds + 1):

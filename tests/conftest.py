@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 from hypothesis import settings
 
-from ontoweave import consequence, ontology, presets
+from collections import OrderedDict
+
+from ontoweave import consequence, fibring, ontology, presets
 from ontoweave.consequence import CLOSURE_MEMO_SLOTS, CalculusPresentation, Fuel, Rule, _ClosureMemo
 from ontoweave.ontology import Ontology
 from ontoweave.syntax import make_signature, parse_formula
@@ -55,17 +57,18 @@ def link_fuel():
 
 @pytest.fixture
 def cold_memo(monkeypatch):
-    """An empty closure memo with the real budget in place of the shared one."""
+    """An empty closure memo with the real budget in place of the shared one,
+    and an empty fibring query table."""
     memo = _ClosureMemo(CLOSURE_MEMO_SLOTS)
     monkeypatch.setattr(consequence, "_CLOSURES", memo)
+    monkeypatch.setattr(fibring, "_QUERIES", OrderedDict())
     return memo
 
 
 def memo_slots(memo) -> int:
     """The slots a closure memo's entries take, counted afresh: one per
-    premise, seed, further key formula (a side result's interning entries)
-    and member."""
-    return sum(len(key[1]) + len(key[3]) + sum(map(len, key[4:])) + len(m) for key, m in memo.table.items())
+    premise, seed and member."""
+    return sum(len(key[1]) + len(key[3]) + len(m) for key, m in memo.table.items())
 
 
 @pytest.fixture

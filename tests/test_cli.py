@@ -127,6 +127,10 @@ splitting f : S -> S { a/0 -> a; }
 # link statements a defs file or manifest refuses, with the refusal
 BAD_LINKS = [
     ("no-evidence", "link theorem o -> p\n", "link theorem o -> p lacks evidence"),
+    ("two-evidence-clauses", "link theorem o -> p assert evidence verified depth=2 rounds=1 size=2 set=3\n",
+     "link theorem o -> p has more than one evidence clause"),
+    ("two-morphism-clauses", "link definition o -> p morphism h morphism h assert\n",
+     "link definition o -> p has more than one morphism clause"),
     ("repeated", "link definition o -> p morphism h assert\n" * 2,
      "link definition o -> p is repeated"),
     ("unknown-map", "link definition o -> p morphism g assert\n",

@@ -14,6 +14,7 @@ from ontoweave.dsl import (
     emit_ontology,
     emit_signature,
     parse_document,
+    read_document,
 )
 from ontoweave.errors import ParseError
 from ontoweave.syntax import (
@@ -110,6 +111,21 @@ def test_each_text_is_parsed_once():
     for _ in range(2):
         with pytest.raises(ParseError, match="unexpected end of input"):
             parse_document(bad)
+
+
+@pytest.mark.parametrize(
+    "clauses, clause",
+    [
+        ("assert evidence verified depth=2 rounds=1 size=2 set=3", "evidence"),
+        ("evidence verified depth=2 rounds=1 size=2 set=3 assert", "evidence"),
+        ("assert assert", "evidence"),
+        ("morphism h0 assert morphism h0", "morphism"),
+    ],
+)
+def test_a_link_statement_states_each_clause_once(clauses, clause):
+    # without the check, the last evidence clause would silently win
+    with pytest.raises(ParseError, match=f"^link definition efq -> efq has more than one {clause} clause$"):
+        read_document(FIXTURE + f"\nlink definition efq -> efq {clauses}\n")
 
 
 def test_parse_verified_link_with_detail():

@@ -4,7 +4,7 @@ import gc
 import random
 import re
 import weakref
-from collections import Counter
+from collections import Counter, OrderedDict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,8 +20,8 @@ from ontoweave.consequence import (
     derives,
     weaker_than,
 )
-from ontoweave.consequence import CLOSURE_MEMO_SLOTS, _ClosureMemo
-from ontoweave.errors import CapExceeded, FormatError, LanguageError, UnknownInternIndex
+from ontoweave.consequence import _ClosureMemo
+from ontoweave.errors import CapExceeded, FormatError, LanguageError, OntoweaveError, UnknownInternIndex
 from ontoweave.fibring import (
     dump_session,
     fibred_derives,
@@ -230,7 +230,7 @@ def counting_side_closures(monkeypatch):
     return calls
 
 
-def test_early_round_end_matches_full_rounds(cpl, conj, monkeypatch):
+def test_early_round_end_matches_full_rounds(cpl, conj, cold_memo, monkeypatch):
     calls = counting_side_closures(monkeypatch)
     fuel = Fuel(2, 10, 3000)
     corpus = enumerate_formulas(open_session(cpl, conj, fuel).union_sig, 2, 2)
@@ -257,11 +257,20 @@ def test_early_round_end_matches_full_rounds(cpl, conj, monkeypatch):
     assert early_calls < full_calls
 
 
-def test_readme_example_skips_the_last_right_side(cpl, conj, monkeypatch):
-    calls = counting_side_closures(monkeypatch)
-    s = open_session(cpl, conj, Fuel(2, 12, 8000))
+def readme_query(cpl, conj, fuel=SESSION_FUEL, session=None):
+    """The README example, {and(x1, x2), imp(x1, x3)} |- x3, asked of the
+    given session or of a fresh one."""
+    s = open_session(cpl, conj, fuel) if session is None else session
     gamma = [union_formula(s, "and(x1, x2)"), union_formula(s, "imp(x1, x3)")]
-    assert fibred_derives(s, gamma, union_formula(s, "x3")) == Derived(2)
+    return fibred_derives(s, gamma, union_formula(s, "x3"))
+
+
+def test_readme_example_skips_the_last_right_side(cpl, conj, cold_memo, monkeypatch):
+    calls = counting_side_closures(monkeypatch)
+    assert readme_query(cpl, conj, Fuel(2, 12, 8000)) == Derived(2)
+    assert calls == ["left", "right", "left"]
+    # asked again, in a fresh session, it is answered from the query memo
+    assert readme_query(cpl, conj, Fuel(2, 12, 8000)) == Derived(2)
     assert calls == ["left", "right", "left"]
 
 
@@ -276,83 +285,83 @@ def test_early_round_end_still_translates_the_right_side(cpl, conj):
 
 
 def test_readme_example_from_the_closure_memo(cpl, conj, cold_memo, monkeypatch):
-    def query(s):
-        gamma = [union_formula(s, "and(x1, x2)"), union_formula(s, "imp(x1, x3)")]
-        return fibred_derives(s, gamma, union_formula(s, "x3"))
-
-    def closures(table):
-        """The plain closure entries; a side result's key has a fifth part,
-        the interning's entries."""
-        return {key: members for key, members in table.items() if len(key) == 4}
-
-    # fresh sessions: the second one's side results all come from the memo
+    # fresh sessions: the second one is answered from the query memo, and
+    # the closure memo stays as the first run left it
     cold, warm = open_session(cpl, conj, SESSION_FUEL), open_session(cpl, conj, SESSION_FUEL)
-    assert query(cold) == Derived(2)
+    assert readme_query(cpl, conj, session=cold) == Derived(2)
     stored = dict(cold_memo.table)
-    assert closures(stored) and len(stored) > len(closures(stored))
-    assert query(warm) == Derived(2)
-    assert cold_memo.table == stored
+    assert stored and len(fibring._QUERIES) == 1
+    assert readme_query(cpl, conj, session=warm) == Derived(2)
+    assert cold_memo.table == stored and len(fibring._QUERIES) == 1
     assert dump_session(cold) == dump_session(warm)
-    # reused sessions, each asked twice, from an emptied and from a warm memo
-    memo = _ClosureMemo(CLOSURE_MEMO_SLOTS)
-    monkeypatch.setattr(consequence, "_CLOSURES", memo)
+    # reused sessions, each asked twice: the second ask starts from the
+    # entries the first registered, so it is a query of its own
+    monkeypatch.setattr(fibring, "_QUERIES", OrderedDict())
     cold, warm = open_session(cpl, conj, SESSION_FUEL), open_session(cpl, conj, SESSION_FUEL)
-    assert query(cold) == query(cold) == query(warm) == query(warm) == Derived(2)
-    assert closures(memo.table) == closures(stored)
+    answers = [readme_query(cpl, conj, session=s) for s in (cold, cold, warm, warm)]
+    assert answers == [Derived(2)] * 4
+    assert len(fibring._QUERIES) == 2
     assert dump_session(cold) == dump_session(warm)
 
 
 def test_a_repeated_side_closure_is_answered_from_the_memo(cpl, conj, cold_memo, monkeypatch):
+    # a repeated query, in fresh sessions, runs none of its side closures
+    # and maps nothing back
     fuel = Fuel(2, 10, 3000)
     corpus = enumerate_formulas(open_session(cpl, conj, fuel).union_sig, 2, 2)
     rng = random.Random(3)
     queries = [(rng.sample(corpus, 2), rng.choice(corpus)) for _ in range(8)]
-    results = []
-    side_closure = fibring._side_closure
-
-    def recorded(session, side, gamma, seeds):
-        results.append(side_closure(session, side, gamma, seeds))
-        return results[-1]
-
-    monkeypatch.setattr(fibring, "_side_closure", recorded)
 
     def run():
-        results.clear()
         sessions = [open_session(cpl, conj, fuel) for _ in queries]
         verdicts = [fibred_derives(s, gamma, phi) for s, (gamma, phi) in zip(sessions, queries)]
-        return verdicts, [dump_session(s) for s in sessions], list(results)
+        return verdicts, [dump_session(s) for s in sessions]
 
     cold = run()
-    assert cold_memo.slots == memo_slots(cold_memo)
-    stored = dict(cold_memo.table)
-    engine = []
-    monkeypatch.setattr(fibring, "closure_for", lambda *a, **k: engine.append(1))
-    calls = recorded_back_translations(monkeypatch)
+    stored = dict(cold_memo.table), dict(fibring._QUERIES)
+    calls = counting_side_closures(monkeypatch)
+    mapped_back = recorded_back_translations(monkeypatch)
     assert run() == cold
-    assert engine == calls == []
-    assert cold_memo.table == stored
+    assert calls == mapped_back == []
+    assert (dict(cold_memo.table), dict(fibring._QUERIES)) == stored
 
 
 def test_a_side_memo_hit_raises_what_a_fresh_call_raises(cpl, conj, cold_memo):
-    gamma = ["x1", "imp(x1, x2)", "and(x1, x2)"]
-    warm = open_session(cpl, conj, SESSION_FUEL)
-    h_closure(warm, "left", [union_formula(warm, text) for text in gamma])
-    # a frozen session cannot register the foreign subtree the key needs
-    frozen = open_session(cpl, conj, SESSION_FUEL)
-    dump_session(frozen)
-    with pytest.raises(UnknownInternIndex):
-        h_closure(frozen, "left", [union_formula(frozen, text) for text in gamma])
-    # an entry under the very key an over-cap premise set would look up
-    tight = open_session(cpl, conj, Fuel(2, 14, 2))
-    premises = [union_formula(tight, text) for text in gamma]
-    t = tight.t_left
-    translated = tuple(sorted(fibring._translate_given(t, set(premises)), key=syntax.by_sort_key))
-    cold_memo.put((cpl, translated, tight.fuel, (), t.interning.entries), ())
-    with pytest.raises(CapExceeded):
-        h_closure(tight, "left", premises)
+    # the left side alone derives x2; the right side's translation then
+    # registers imp(x1, x2), which a frozen session refuses
+    def ask(s):
+        gamma = [union_formula(s, "x1"), union_formula(s, "imp(x1, x2)")]
+        return fibred_derives(s, gamma, union_formula(s, "x2"))
+
+    def frozen():
+        s = open_session(cpl, conj, SESSION_FUEL)
+        dump_session(s)
+        return s
+
+    with pytest.raises(UnknownInternIndex) as cold:
+        ask(frozen())
+    assert not fibring._QUERIES
+    assert ask(open_session(cpl, conj, SESSION_FUEL)) == Derived(1)
+    assert len(fibring._QUERIES) == 1
+    with pytest.raises(UnknownInternIndex) as warm:
+        ask(frozen())
+    assert str(warm.value) == str(cold.value)
+    # a run that raises is not remembered, so every ask raises again: one
+    # premise set over the set cap, one combined set that outgrows it
+    tight = Fuel(2, 14, 2)
+    over_cap = [union_formula(open_session(cpl, conj, tight), text) for text in ("x1", "x2", "and(x1, x2)")]
+    grows = [union_formula(open_session(cpl, conj, SESSION_FUEL), text) for text in ("x1", "x2")]
+    for fuel, gamma, phi in ((tight, over_cap, "x3"), (Fuel(2, 14, 40), grows, "bot")):
+        for _ in range(2):
+            s = open_session(cpl, conj, fuel)
+            with pytest.raises(CapExceeded):
+                fibred_derives(s, gamma, union_formula(s, phi))
+    assert len(fibring._QUERIES) == 1
 
 
 def test_a_side_memo_miss_checks_its_premises_once(cpl, conj, cold_memo, monkeypatch):
+    # a query memo miss checks each side closure's premises once; a hit
+    # checks none
     checks = []
     check = consequence._check_gamma
 
@@ -361,9 +370,10 @@ def test_a_side_memo_miss_checks_its_premises_once(cpl, conj, cold_memo, monkeyp
         return check(cal, gamma, fuel)
 
     monkeypatch.setattr(consequence, "_check_gamma", counted)
-    s = open_session(cpl, conj, SESSION_FUEL)
-    h_closure(s, "left", [union_formula(s, "and(x1, x2)")])
-    assert len(checks) == 1 and len(cold_memo.table) == 2
+    calls = counting_side_closures(monkeypatch)
+    for _ in range(2):
+        assert readme_query(cpl, conj) == Derived(2)
+        assert len(checks) == len(calls) == 3
 
 
 def test_a_side_result_is_keyed_by_the_interning_too(cpl, conj, cold_memo):
@@ -378,8 +388,12 @@ def test_a_side_result_is_keyed_by_the_interning_too(cpl, conj, cold_memo):
 
 
 def test_side_results_stay_within_the_slot_budget(cpl, conj, monkeypatch):
+    # the closure memo keeps to its slot budget and holds closures only; the
+    # query memo keeps to QUERY_MEMO_SIZE queries
     memo = _ClosureMemo(3000)
     monkeypatch.setattr(consequence, "_CLOSURES", memo)
+    monkeypatch.setattr(fibring, "_QUERIES", OrderedDict())
+    monkeypatch.setattr(fibring, "QUERY_MEMO_SIZE", 4)
     fuel = Fuel(2, 10, 3000)
     corpus = enumerate_formulas(open_session(cpl, conj, fuel).union_sig, 2, 2)
     rng = random.Random(4)
@@ -387,7 +401,62 @@ def test_side_results_stay_within_the_slot_budget(cpl, conj, monkeypatch):
         gamma, phi = rng.sample(corpus, 2), rng.choice(corpus)
         fibred_derives(open_session(cpl, conj, fuel), gamma, phi)
         assert memo.slots == memo_slots(memo) <= 3000
-    assert any(len(key) == 5 for key in memo.table)
+        assert len(fibring._QUERIES) <= 4
+    assert len(fibring._QUERIES) == 4
+    assert all(len(key) == 4 for key in memo.table)
+
+
+def outcome(session, gamma, phi):
+    """A query's verdict, or the type and message of what it raised."""
+    try:
+        return fibred_derives(session, gamma, phi)
+    except OntoweaveError as exc:
+        return type(exc), str(exc)
+
+
+def test_a_memo_answer_equals_a_cold_run(cpl, conj, cold_memo, monkeypatch):
+    fuel = Fuel(2, 10, 3000)
+    corpus = enumerate_formulas(open_session(cpl, conj, fuel).union_sig, 2, 2)
+    rng = random.Random(6)
+    queries = [(rng.sample(corpus, 2), rng.choice(corpus)) for _ in range(12)]
+    calls = counting_side_closures(monkeypatch)
+
+    def cold_run(session, gamma, phi):
+        with monkeypatch.context() as m:
+            m.setattr(fibring, "_QUERIES", OrderedDict())
+            return outcome(session, gamma, phi)
+
+    def frozen():
+        s = open_session(cpl, conj, fuel)
+        dump_session(s)
+        return s
+
+    # one reused session fills the memo with the queries in order, and
+    # fresh sessions with each query from no entries; a run that raised is
+    # not remembered, so only the others are answered from the memo below
+    filler = open_session(cpl, conj, fuel)
+    stored = []
+    for gamma, phi in queries:
+        from_reused = outcome(filler, gamma, phi)
+        from_fresh = outcome(open_session(cpl, conj, fuel), gamma, phi)
+        stored.append((not isinstance(from_fresh, tuple), not isinstance(from_reused, tuple)))
+    reused, reused_cold = open_session(cpl, conj, fuel), open_session(cpl, conj, fuel)
+    answers = []
+    for (gamma, phi), (fresh_hit, reused_hit) in zip(queries, stored):
+        for make in (lambda: open_session(cpl, conj, fuel), frozen):
+            s, s_cold = make(), make()
+            ran = len(calls)
+            answers.append(outcome(s, gamma, phi))
+            assert (len(calls) == ran) == fresh_hit, (gamma, phi)
+            assert answers[-1] == cold_run(s_cold, gamma, phi), (gamma, phi)
+            assert dump_session(s) == dump_session(s_cold), (gamma, phi)
+        ran = len(calls)
+        got = outcome(reused, gamma, phi)
+        assert (len(calls) == ran) == reused_hit, (gamma, phi)
+        assert got == cold_run(reused_cold, gamma, phi), (gamma, phi)
+    assert dump_session(reused) == dump_session(reused_cold) == dump_session(filler)
+    verdicts = Counter(type(a).__name__ for a in answers)
+    assert verdicts["Derived"] and verdicts["NotDerivedWithin"] and verdicts["tuple"]
 
 
 # -- session persistence
@@ -463,13 +532,12 @@ def test_a_warm_query_adds_no_node_and_a_dropped_session_is_collected(cpl, conj,
 
     def query():
         s = open_session(cpl, conj, fuel)
-        gamma = [union_formula(s, "and(x1, x2)"), union_formula(s, "imp(x1, x3)")]
-        assert fibred_derives(s, gamma, union_formula(s, "x3")) == Derived(2)
+        assert readme_query(cpl, conj, session=s) == Derived(2)
         return s
 
     query()
     nodes = len(syntax._INTERN)
-    # every side result comes from the closure memo: nothing is mapped back
+    # the query memo answers: nothing is mapped back
     calls = recorded_back_translations(monkeypatch)
     s = query()
     assert len(syntax._INTERN) == nodes
@@ -602,13 +670,13 @@ def test_members_without_a_preimage_never_reach_substitute_back(cpl, conj, cold_
     # interning slot 2 is not registered; neither is ever mapped back
     s = open_session(cpl, conj, Fuel(1, 5, 2000))
     seen = []
-    closure = fibring.closure_for
+    closure = fibring.closure_bounded
 
-    def recorded(key):
-        seen.append(closure(key))
+    def recorded(*args, **kwargs):
+        seen.append(closure(*args, **kwargs))
         return seen[-1]
 
-    monkeypatch.setattr(fibring, "closure_for", recorded)
+    monkeypatch.setattr(fibring, "closure_bounded", recorded)
     calls = recorded_back_translations(monkeypatch)
     fibring._side_closure(s, "left", [union_formula(s, "and(x1, x2)")], (svar(4),))
     (closed,) = seen
@@ -624,16 +692,15 @@ def test_the_readme_query_builds_no_image_that_cannot_fit(cpl, conj, cold_memo, 
     fuel = Fuel(2, 10, 3000)
     s = open_session(cpl, conj, fuel)
     over = []
-    closure = fibring.closure_for
+    closure = fibring.closure_bounded
 
-    def counted(key):
-        closed = closure(key)
-        cal, _, fuel, _ = key
+    def counted(cal, gamma, fuel, **kwargs):
+        closed = closure(cal, gamma, fuel, **kwargs)
         t = s.translation("left" if cal is cpl else "right")
         over.extend(psi for psi in closed if image_bound(t, psi) > fuel.max_formula_size)
         return closed
 
-    monkeypatch.setattr(fibring, "closure_for", counted)
+    monkeypatch.setattr(fibring, "closure_bounded", counted)
     calls = recorded_back_translations(monkeypatch)
     gamma = [union_formula(s, "and(x1, x2)"), union_formula(s, "imp(x1, x3)")]
     assert fibred_derives(s, gamma, union_formula(s, "x3")) == Derived(2)
@@ -646,11 +713,11 @@ def test_every_member_whose_bound_fits_is_checked_once(cpl, conj, cold_memo, mon
     fuel = Fuel(2, 10, 3000)
     s = open_session(cpl, conj, fuel)
     fitting, checked = [], []
-    closure, check = fibring.closure_for, fibring.is_back_translatable
+    closure, check = fibring.closure_bounded, fibring.is_back_translatable
 
-    def counted(key):
-        closed = closure(key)
-        t = s.translation("left" if key[0] is cpl else "right")
+    def counted(cal, *args, **kwargs):
+        closed = closure(cal, *args, **kwargs)
+        t = s.translation("left" if cal is cpl else "right")
         fitting.extend(psi for psi in closed if image_bound(t, psi) <= fuel.max_formula_size)
         return closed
 
@@ -658,7 +725,7 @@ def test_every_member_whose_bound_fits_is_checked_once(cpl, conj, cold_memo, mon
         checked.append(psi)
         return check(t, psi)
 
-    monkeypatch.setattr(fibring, "closure_for", counted)
+    monkeypatch.setattr(fibring, "closure_bounded", counted)
     monkeypatch.setattr(fibring, "is_back_translatable", recorded)
     gamma = [union_formula(s, "and(x1, x2)"), union_formula(s, "imp(x1, x3)")]
     assert fibred_derives(s, gamma, union_formula(s, "x3")) == Derived(2)

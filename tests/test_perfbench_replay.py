@@ -11,10 +11,9 @@ manifest parser is held to both records too.
 Derive-mix replays every 15th of its 300 catalogue blocks of 20 queries:
 400 queries, among them bounded negatives at both fuels and ones where the
 set cap binds at the CLI default fuel. Fibre-alternation replays its first
-four queries, the README query first, then replays them again with the
-closure memo warm, so that every side closure, back-translation included,
-is answered from the memo and no member is mapped back. All are checked
-against their records.
+four queries, the README query first, then replays them again, so that
+every query is answered from fibring's query memo: no side closure runs
+and no member is mapped back. All are checked against their records.
 perfbench/ is only read.
 """
 
@@ -74,8 +73,12 @@ def test_catalogue_ops_replay_their_records(tmp_path, monkeypatch, name, ops, pa
     workload = workloads.WORKLOADS[name](workloads.EXPECTED_DIR, tmp_path)
     workload.setup()
     workload.load_expected()
-    mapped_back = []
-    substitute_back = fibring.substitute_back
+    side_closures, mapped_back = [], []
+    side_closure, substitute_back = fibring._side_closure, fibring.substitute_back
+
+    def counted_side_closure(*args):
+        side_closures.append(args[1])
+        return side_closure(*args)
 
     def counted(t, phi):
         mapped_back.append(phi)
@@ -83,10 +86,11 @@ def test_catalogue_ops_replay_their_records(tmp_path, monkeypatch, name, ops, pa
 
     for pass_no in range(passes):
         assert [workload.execute(op) for op in ops] == [workload.expected(op) for op in ops]
-        # a repeated side closure is a memo hit, back-translation included
+        # a repeated query is a memo hit: no side closure runs
         if pass_no == 0:
+            monkeypatch.setattr(fibring, "_side_closure", counted_side_closure)
             monkeypatch.setattr(fibring, "substitute_back", counted)
-    assert mapped_back == []
+    assert side_closures == mapped_back == []
 
 
 def test_every_traced_name_resolves(monkeypatch):
