@@ -19,7 +19,8 @@ and link blocks, plus canonical emitters for bit-exact round trips.
 
 Comments run from '#' to end of line. Whitespace is insignificant. The
 tokens come from syntax.tokenize, the one lexer of every textual input, and
-every formula from syntax.read_formula.
+are read through syntax.TokenReader, so every formula through
+syntax.read_formula.
 
 read_document parses a text afresh. parse_document, the reader of defs
 files, parses each text once: it keeps the Documents of the
@@ -46,10 +47,10 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .consequence import ASSERTED, CalculusPresentation, Evidence, Fuel, Rule
-from .errors import ArityError, OntoSigError, ParseError, SignatureError, UnknownSymbol
+from .errors import OntoSigError, ParseError, SignatureError
 from .morphisms import SignatureMorphism, SplittingMorphism
 from .ontology import Ontology
-from .syntax import Formula, Signature, Symbol, is_identifier, make_signature, read_formula, read_number, tokenize
+from .syntax import Signature, Symbol, TokenReader, is_identifier, make_signature, tokenize
 
 
 # how many texts parse_document remembers: a CLI command reads one defs
@@ -88,10 +89,9 @@ class Document:
     links: Mapping[Link, Evidence]
 
 
-class _Parser:
+class _Parser(TokenReader):
     def __init__(self, tokens: list[str]):
-        self.tokens = tokens
-        self.pos = 0
+        super().__init__(tokens)
         self.signatures: dict[str, Signature] = {}
         self.calculi: dict[str, CalculusPresentation] = {}
         self.morphisms: dict[str, SignatureMorphism] = {}
@@ -99,26 +99,11 @@ class _Parser:
         self.ontologies: dict[str, Ontology] = {}
         self.links: dict[Link, Evidence] = {}
 
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self, expected: str | None = None) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input")
-        if expected is not None and tok != expected:
-            raise ParseError(f"expected {expected!r}, found {tok!r}")
-        self.pos += 1
-        return tok
-
     def take_ident(self) -> str:
         tok = self.take()
         if not is_identifier(tok):
             raise ParseError(f"expected an identifier, found {tok!r}")
         return tok
-
-    def take_number(self) -> int:
-        return read_number(self.take())
 
     # -- shared pieces
 
@@ -137,15 +122,6 @@ class _Parser:
                 self.take(";")
         self.take("}")
         return decls
-
-    def formula(self, sig: Signature) -> Formula:
-        """One formula through syntax.read_formula; an undeclared symbol is a
-        ParseError here, like every other fault in a document."""
-        try:
-            phi, self.pos = read_formula(self.tokens, self.pos, sig)
-        except (UnknownSymbol, ArityError) as exc:
-            raise ParseError(str(exc)) from exc
-        return phi
 
     def symbol_ref(self, sig: Signature) -> Symbol:
         name, arity = self.name_arity()

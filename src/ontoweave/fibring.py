@@ -15,16 +15,19 @@ over the cap.
 fibred_derives remembers its answers in one process-wide least-recently-used
 table of QUERY_MEMO_SIZE queries, so a repeated query, in any session, runs
 no side closure.
+
+Session dumps are this module's alone: one token stream (syntax.tokenize)
+of `session fuel N N N union (name / arity)* intern (N formula)*`.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Iterable
 
 from .consequence import CalculusPresentation, Derived, Fuel, NotDerivedWithin, Verdict, closure_bounded
-from .errors import ArityError, CapExceeded, FormatError, LanguageError, ParseError, UnknownSymbol
+from .errors import CapExceeded, FormatError, LanguageError, ParseError
 from .morphisms import (
     Interning,
     Translation,
@@ -32,7 +35,15 @@ from .morphisms import (
     substitute_back,
     translate,
 )
-from .syntax import Formula, Signature, by_sort_key, formula_in_language, read_number, signature_union
+from .syntax import (
+    Formula,
+    Signature,
+    TokenReader,
+    by_sort_key,
+    formula_in_language,
+    signature_union,
+    tokenize,
+)
 
 
 @dataclass
@@ -71,11 +82,8 @@ def open_session(
     left: CalculusPresentation, right: CalculusPresentation, fuel: Fuel
 ) -> FibringSession:
     """Build the union signature and a fresh shared interning table."""
-    return _join(left, right, signature_union(left.sig, right.sig), Interning(), fuel)
-
-
-def _join(left, right, union: Signature, interning: Interning, fuel: Fuel) -> FibringSession:
-    """A session whose two translations share the given interning."""
+    union = signature_union(left.sig, right.sig)
+    interning = Interning()
     return FibringSession(
         left=left,
         right=right,
@@ -223,50 +231,47 @@ def dump_session(session: FibringSession) -> str:
     session.t_left.interning.freeze()
     lines = [
         "session",
-        "fuel\t{}\t{}\t{}".format(
-            session.fuel.max_closure_rounds,
-            session.fuel.max_formula_size,
-            session.fuel.max_set_size,
-        ),
-        "union\t" + " ".join(str(s) for s in session.union_sig.symbols()),
+        "fuel\t" + "\t".join(map(str, astuple(session.fuel))),
+        "union\t" + " ".join(map(str, session.union_sig.symbols())),
         "intern",
+        *(f"{i}\t{phi.text}" for i, phi in enumerate(session.t_left.interning.entries, start=1)),
     ]
-    return "\n".join(lines) + "\n" + session.t_left.interning.serialize()
+    return "\n".join(lines) + "\n"
 
 
 def load_session(
     text: str, left: CalculusPresentation, right: CalculusPresentation
 ) -> FibringSession:
-    """Rebuild a session from a dump; the dump's union signature must match
-    the union of the given presentations."""
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != "session":
-        raise FormatError("not a session dump")
-    fuel = None
-    union_decl = None
-    intern_at = None
-    for i, line in enumerate(lines[1:], start=1):
-        if line.startswith("fuel\t"):
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise FormatError(f"bad fuel line: {line!r}")
-            try:
-                fuel = Fuel(*map(read_number, parts[1:]))
-            except (ParseError, ValueError) as exc:
-                raise FormatError(str(exc)) from exc
-        elif line.startswith("union\t"):
-            union_decl = line.split("\t", 1)[1]
-        elif line.strip() == "intern":
-            intern_at = i + 1
-            break
-    if fuel is None or union_decl is None or intern_at is None:
-        raise FormatError("session dump is missing fuel, union, or intern sections")
-    union = signature_union(left.sig, right.sig)
-    recorded = " ".join(str(s) for s in union.symbols())
-    if recorded != union_decl.strip():
-        raise FormatError("session dump union signature does not match the presentations")
+    """Rebuild a session from a dump whose union is that of the given
+    presentations, read as one token stream of the grammar
+
+        session fuel N N N union (name / arity)* intern (N formula)*
+
+    The union list ends where the token after next is not '/', and entry k
+    is index k. Anything else raises FormatError: "not a session dump", or
+    "corrupt session dump: ..." once the first token is `session`.
+    """
     try:
-        table = Interning.deserialize("\n".join(lines[intern_at:]), union)
-    except (ParseError, UnknownSymbol, ArityError) as exc:
+        reader = TokenReader(tokenize(text))
+        if reader.peek() != "session":
+            raise FormatError("not a session dump")
+        reader.take()
+        reader.take("fuel")
+        fuel = Fuel(reader.take_number(), reader.take_number(), reader.take_number())
+        session = open_session(left, right, fuel)
+        reader.take("union")
+        declared = []
+        while reader.tokens[reader.pos + 1 : reader.pos + 2] == ["/"]:
+            name, _, arity = reader.take(), reader.take("/"), reader.take_number()
+            declared.append((name, arity))
+        reader.take("intern")
+        if declared != list(session.union_sig.symbols()):
+            raise ParseError("union signature does not match the presentations")
+        while reader.peek() is not None:
+            index = reader.take_number()
+            phi = reader.formula(session.union_sig)
+            if session.t_left.interning.register(phi) != index:
+                raise ParseError(f"entry {index} ({phi.text}) is out of order")
+    except (ParseError, ValueError) as exc:
         raise FormatError(f"corrupt session dump: {exc}") from exc
-    return _join(left, right, union, table, fuel)
+    return session

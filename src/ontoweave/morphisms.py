@@ -22,7 +22,6 @@ from typing import Mapping
 from .errors import (
     CompositionError,
     LanguageError,
-    ParseError,
     SignatureError,
     UnknownInternIndex,
     UnknownSymbol,
@@ -33,8 +32,6 @@ from .syntax import (
     Signature,
     Symbol,
     apply_symbol,
-    parse_formula,
-    read_number,
     signature_leq,
     substitute,
     svar,
@@ -221,30 +218,6 @@ class Interning:
     def freeze(self) -> None:
         """Disallow further growth; reads stay safe to share."""
         self._frozen = True
-
-    def serialize(self) -> str:
-        """Line-based dump: index, a tab, the canonical formula text."""
-        return "".join(f"{i}\t{f.text}\n" for i, f in enumerate(self._by_index, start=1))
-
-    @classmethod
-    def deserialize(cls, text: str, sig: Signature) -> "Interning":
-        table = cls()
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                index_str, formula_str = line.split("\t", 1)
-                index = read_number(index_str)
-            except (ValueError, ParseError) as exc:
-                raise ParseError(f"bad interning line {lineno}: {raw!r}") from exc
-            phi = parse_formula(formula_str, sig)
-            got = table.register(phi)
-            if got != index:
-                raise ParseError(
-                    f"interning line {lineno} expects index {index}, table has {got}"
-                )
-        return table
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Interning) and self._by_index == other._by_index

@@ -49,9 +49,9 @@ class Ontology(Interned):
     ParseError for a name that is not an identifier, so nodes stay
     serializable, OntoSigError for an ontological signature not included in
     the base one, and LanguageError for an axiom outside the base language
-    (the first in canonical order). Every axiom becomes derivable from the
-    empty theory at depth one because the effective calculus carries it as
-    a premise-free rule. No attribute can be set.
+    (the first in canonical order). The effective calculus carries each
+    axiom as a premise-free rule: derivable at depth one if it has at most
+    max_formula_size nodes, and never otherwise. No attribute can be set.
     """
 
     __slots__ = ("name", "base", "onto_sig", "axioms", "effective")

@@ -1,15 +1,19 @@
-"""Ready-made signatures and calculi used in tests, docs, and demos."""
+"""Ready-made signatures and calculi, built once per process."""
 
 from __future__ import annotations
+
+from functools import cache
 
 from .consequence import CalculusPresentation, Rule
 from .syntax import Signature, Symbol, make_signature, parse_formula
 
 
+@cache
 def cpl_signature() -> Signature:
     return make_signature([("bot", 0), ("not", 1), ("imp", 2)])
 
 
+@cache
 def cpl() -> CalculusPresentation:
     """Classical propositional logic, implication/negation presentation.
 
@@ -29,6 +33,7 @@ def cpl() -> CalculusPresentation:
     return CalculusPresentation(sig, axioms, rules, negation=Symbol("not", 1))
 
 
+@cache
 def implication_fragment() -> CalculusPresentation:
     """The implication-only fragment: A1, A2 and modus ponens."""
     sig = make_signature([("imp", 2)])
@@ -41,6 +46,7 @@ def implication_fragment() -> CalculusPresentation:
     return CalculusPresentation(sig, axioms, rules)
 
 
+@cache
 def conj() -> CalculusPresentation:
     """Conjunction logic: introduction and both eliminations, no axioms."""
     sig = make_signature([("and", 2)])

@@ -510,6 +510,39 @@ def read_formula(tokens: Sequence[str], pos: int, sig: Signature) -> tuple[Formu
     return phi, pos
 
 
+class TokenReader:
+    """A position in a token list, read left to right: the cursor of the
+    document parser and of the session-dump reader."""
+
+    def __init__(self, tokens: list[str]):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self) -> str | None:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def take(self, expected: str | None = None) -> str:
+        tok = self.peek()
+        if tok is None:
+            raise ParseError("unexpected end of input")
+        if expected is not None and tok != expected:
+            raise ParseError(f"expected {expected!r}, found {tok!r}")
+        self.pos += 1
+        return tok
+
+    def take_number(self) -> int:
+        return read_number(self.take())
+
+    def formula(self, sig: Signature) -> Formula:
+        """One formula through read_formula; an undeclared symbol is a
+        ParseError here, like every other fault in the text."""
+        try:
+            phi, self.pos = read_formula(self.tokens, self.pos, sig)
+        except (UnknownSymbol, ArityError) as exc:
+            raise ParseError(str(exc)) from exc
+        return phi
+
+
 def within_nesting(phi: Formula) -> bool:
     """Whether read_formula can read phi back: phi nests at most MAX_NESTING
     deep, counting a variable or a constant as depth 1."""

@@ -1,13 +1,18 @@
 """Command-line behavior: exit codes, reports, and workspace round trips."""
 
+import hashlib
 import os
 import shlex
 from pathlib import Path
 
 import pytest
 
-from ontoweave import cli
+from ontoweave import cli, presets
 from ontoweave.cli import build_parser, main
+from ontoweave.consequence import Fuel
+from ontoweave.errors import FormatError
+from ontoweave.fibring import dump_session, h_closure, load_session, open_session
+from ontoweave.syntax import make_signature, parse_formula, tokenize
 
 DEFS = """
 signature CPL { bot/0; not/1; imp/2; }
@@ -250,6 +255,100 @@ def test_fibre_worked_example(defs_file, tmp_path, capsys):
     assert dump.read_text().startswith("session\n")
 
 
+def test_readme_fibre_dump_bytes_are_pinned(defs_file, tmp_path, capsys):
+    # the README's fibre command, run on this file's DEFS; the digest pins
+    # the bytes that earlier releases wrote for it
+    premises = tmp_path / "premises.txt"
+    premises.write_text("and(x1, x2)\nimp(x1, x3)\n")
+    dump = tmp_path / "session.txt"
+    code = main([
+        "fibre", "--defs", str(defs_file), "--left", "cpl", "--right", "conj",
+        "--gamma", str(premises), "--phi", "x3", "--rounds", "2", "--dump", str(dump),
+    ])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[0] == "DERIVED depth=2"
+    data = dump.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == (
+        "ea7d7f3db959cf94559b1bae086dd416a8b14403b5027c394b6ace86b65d67df"
+    )
+    assert dump_session(load_session(data.decode(), presets.cpl(), presets.conj())) == data.decode()
+
+
+# a comment among whitespace, as it may stand between any two tokens
+SPACER = "  # a comment\n\t \n"
+
+
+def spaced(text: str) -> str:
+    """text with SPACER before, between and after all of its tokens"""
+    return SPACER + SPACER.join(tokenize(text)) + SPACER
+
+
+def test_every_input_takes_a_comment_wherever_whitespace_may(tmp_path, capsys):
+    runs = {}
+    for name, spread in (("plain", str), ("spread", spaced)):
+        home = tmp_path / name
+        home.mkdir()
+        defs, gamma, dump = home / "defs.dsl", home / "gamma.txt", home / "session.txt"
+        defs.write_text(spread(DEFS))
+        # a gamma file holds one formula per line, so its whitespace within a
+        # line has no newline; comment lines and blank lines may stand between
+        lines = ["and(x1, x2)", "imp(x1, x3)"]
+        if spread is spaced:
+            lines = ["# premises", *(" \t".join(tokenize(line)) + "\t # c\n" for line in lines)]
+        gamma.write_text("\n".join(lines) + "\n")
+        code = main([
+            "fibre", "--defs", str(defs), "--left", "cpl", "--right", "conj", "--gamma", str(gamma),
+            "--phi", spread("x3"), "--rounds", "2", *FAST[2:], "--dump", str(dump),
+        ])
+        assert code == 0
+        manifest = home / "graph.dsl"
+        assert graph_cmd(manifest, "add-node", "--defs", str(defs), "--name", "efq") == 0
+        assert graph_cmd(manifest, "add-link", "--kind", "theorem", "--from", "efq", "--to", "efq") == 0
+        runs[name] = capsys.readouterr().out.splitlines()[0], dump.read_text(), manifest.read_bytes()
+    assert runs["spread"] == runs["plain"]
+    verdict, text, manifest_bytes = runs["plain"]
+    assert verdict == "DERIVED depth=2"
+
+    # a manifest read back from its spread form saves the same bytes
+    spread_manifest, saved = tmp_path / "spread.dsl", tmp_path / "saved.dsl"
+    spread_manifest.write_text(spaced(manifest_bytes.decode()))
+    assert graph_cmd(spread_manifest, "save", "--to", str(saved)) == 0
+    assert saved.read_bytes() == manifest_bytes
+
+    # a session dump loads to the same session however it is spaced
+    cpl, conj = presets.cpl(), presets.conj()
+    assert "\n3\t" in text
+    for variant in (
+        spaced(text),
+        text.replace("session\n", "session  # a session\n"),
+        text.replace("\nunion", "  # the fuel\nunion"),
+        text.replace("\n3\t", "\n# the entries go on\n3\t"),
+        text.replace("\t", "   "),
+    ):
+        assert dump_session(load_session(variant, cpl, conj)) == text
+    # a junk line, a missing section, a repeated section
+    union_line = next(line for line in text.splitlines() if line.startswith("union"))
+    for bad, message in (
+        (text.replace("\nfuel", "\njunk\nfuel"), "expected 'fuel', found 'junk'"),
+        (text.replace(union_line + "\n", ""), "expected 'union', found 'intern'"),
+        (text.replace("\nunion", "\nfuel 1 2 3\nunion"), "expected 'union', found 'fuel'"),
+        (text.replace("\nintern", "\nunion\nintern"), "expected 'intern', found 'union'"),
+    ):
+        with pytest.raises(FormatError) as caught:
+            load_session(bad, cpl, conj)
+        assert str(caught.value) == f"corrupt session dump: {message}"
+
+    # a union whose symbols are named like the dump's keywords round-trips
+    keywords = presets.rule_free(make_signature([("session", 0), ("fuel", 1), ("union", 2), ("intern", 2)]))
+    session = open_session(keywords, conj, Fuel(1, 8, 100))
+    u = lambda t: parse_formula(t, session.union_sig)
+    h_closure(session, "left", [u("intern(and(x1, session), fuel(x2))")])
+    h_closure(session, "right", [u("and(union(x1, session), x2)")])
+    text = dump_session(session)
+    assert "union\tsession/0 fuel/1 and/2 intern/2 union/2\nintern\n1\t" in text
+    assert dump_session(load_session(spaced(text), keywords, conj)) == text
+
+
 def test_fibre_rounds_is_fuel_rounds(defs_file, capsys):
     # an UNKNOWN answer prints its round bound, so the two spellings must agree
     runs = []
@@ -315,6 +414,37 @@ def test_graph_workflow(defs_file, tmp_path, capsys):
     capsys.readouterr()
     assert graph_cmd(manifest, "load") == 0
     assert capsys.readouterr().out.strip() == "nodes=2 links=1"
+
+
+BIG_AXIOM_DEFS = """
+signature CPL { bot/0; not/1; imp/2; }
+calculus cpl over CPL {
+  axiom A1: imp(x1, imp(x2, x1));
+  rule MP: x1, imp(x1, x2) |- x2;
+}
+ontology big {
+  base cpl;
+  onto_signature { bot/0; }
+  axioms { imp(imp(imp(x1, x2), imp(x2, x3)), imp(not(x1), imp(x3, x1))); }
+}
+"""
+
+
+def test_an_axiom_over_the_size_cap_fails_validation(tmp_path, capsys):
+    # the axiom has 14 nodes: within the default fuel it is derived, at
+    # --fuel-size 12 no closure admits it
+    defs = tmp_path / "defs.dsl"
+    defs.write_text(BIG_AXIOM_DEFS)
+    add = ["add-node", "--defs", str(defs), "--name", "big"]
+    code = main(["graph", "--manifest", str(tmp_path / "small.dsl"), "--fuel-size", "12", *add])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == (
+        "ValidationFailed: big: axioms-derivable failed: "
+        "imp(imp(imp(x1, x2), imp(x2, x3)), imp(not(x1), imp(x3, x1)))\n"
+    )
+    assert main(["graph", "--manifest", str(tmp_path / "default.dsl"), *add]) == 0
+    assert capsys.readouterr().out == "added node big\n"
 
 
 def test_graph_duplicate_node(defs_file, tmp_path, capsys):

@@ -496,28 +496,32 @@ def test_dump_freezes_the_session(cpl, conj):
 
 
 def test_load_session_rejects_garbage(cpl, conj):
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="^not a session dump$"):
         load_session("not a dump", cpl, conj)
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="^corrupt session dump: unexpected end of input$"):
         load_session("session\nfuel\t1\t2\n", cpl, conj)
     header = dump_session(open_session(cpl, conj, SESSION_FUEL))
-    # a line without a tab, an undeclared symbol, an index out of order, a
-    # signed index
+    # a lone token, an undeclared symbol, an index out of order, a signed
+    # index
     for intern in ("garbage", "1\tzz", "5\tbot", "+1\tbot"):
         with pytest.raises(FormatError, match="^corrupt session dump: "):
             load_session(header + intern + "\n", cpl, conj)
-    # every number is the lexer's ASCII digit token: int() would read these
-    # as 12, 2 and 2
+    # every number is the lexer's ASCII digit token, where int() would read
+    # these as 12, 2 and 2: 1_2 lexes as the number 1 and the name _2, and
+    # neither + nor a non-ASCII digit starts a token
     fuel_line = "fuel\t2\t14\t20000\n"
     assert fuel_line in header
-    for rounds in ("1_2", "+2", "\u0662"):
+    refusals = {
+        "1_2": "expected a number, found '_2'",
+        "+2": "bad token at '+2\\t14\\t20000\\n'",
+        "\u0662": "bad token at '\u0662\\t14\\t20000\\nu'",
+        # more digits than int() converts
+        "1" * 5000: "number with 5000 digits is too long",
+    }
+    for rounds, message in refusals.items():
         bad = header.replace(fuel_line, f"fuel\t{rounds}\t14\t20000\n")
-        with pytest.raises(FormatError, match="^" + re.escape(f"expected a number, found '{rounds}'") + "$"):
+        with pytest.raises(FormatError, match="^" + re.escape(f"corrupt session dump: {message}") + "$"):
             load_session(bad, cpl, conj)
-    # more digits than int() converts
-    bad = header.replace(fuel_line, "fuel\t" + "1" * 5000 + "\t14\t20000\n")
-    with pytest.raises(FormatError, match="^number with 5000 digits is too long$"):
-        load_session(bad, cpl, conj)
 
 
 def test_load_session_checks_union(cpl, conj):

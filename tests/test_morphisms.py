@@ -3,6 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from ontoweave import presets
+from ontoweave.consequence import Fuel
 from ontoweave.errors import (
     CompositionError,
     LanguageError,
@@ -24,6 +26,7 @@ from ontoweave.morphisms import (
     substitute_back,
     translate,
 )
+from ontoweave.fibring import dump_session, load_session, open_session
 from ontoweave.syntax import (
     Symbol,
     apply_symbol,
@@ -253,14 +256,16 @@ def test_interning_freeze():
 
 
 def test_interning_serialization_round_trip():
-    table = Interning()
+    # the table is serialized as the entry lines of a session dump
+    session = open_session(presets.cpl(), presets.rule_free(), Fuel(1, 8, 100))
+    table = session.t_left.interning
     table.register(f("imp(x1, bot)"))
     table.register(f("not(x2)"))
-    text = table.serialize()
-    assert text == "1\timp(x1, bot)\n2\tnot(x2)\n"
-    reloaded = Interning.deserialize(text, CPL)
-    assert reloaded == table
-    assert reloaded.serialize() == text
+    text = dump_session(session)
+    assert text.endswith("\nintern\n1\timp(x1, bot)\n2\tnot(x2)\n")
+    reloaded = load_session(text, presets.cpl(), presets.rule_free())
+    assert reloaded.t_left.interning == table
+    assert dump_session(reloaded) == text
 
 
 # -- translations

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from ontoweave.consequence import CalculusPresentation, Fuel, Rule, derives
+from ontoweave.consequence import CalculusPresentation, Derived, Fuel, NotDerivedWithin, Rule, derives
 from ontoweave.errors import LanguageError, OntoSigError, SignatureError
 from ontoweave.morphisms import SignatureMorphism
 from ontoweave.ontology import (
@@ -71,6 +71,19 @@ def test_validate_catches_underivable_axiom(cpl):
     assert report.entry("consequence-laws").ok
     assert not report.entry("axioms-derivable").ok
     assert report.entry("axioms-derivable").witness == big.text
+
+
+def test_an_axiom_is_derivable_exactly_when_it_fits_the_size_cap(cpl):
+    # the effective calculus carries the axiom as a premise-free rule, but a
+    # closure admits no formula over max_formula_size nodes
+    axiom = f("imp(imp(imp(x1, x2), imp(x2, x3)), imp(not(x1), imp(x3, x1)))")
+    assert axiom.size == 14
+    o = Ontology("big", cpl, make_signature([("bot", 0)]), [axiom])
+    fits, short = Fuel(2, 14, 20_000), Fuel(2, 13, 20_000)
+    assert derives(o.effective, (), axiom, fits) == Derived(1)
+    assert validate_ontology(o, fits).entry("axioms-derivable").ok
+    assert derives(o.effective, (), axiom, short) == NotDerivedWithin(short)
+    assert validate_ontology(o, short).entry("axioms-derivable").witness == axiom.text
 
 
 def test_validate_empty_over_empty():
