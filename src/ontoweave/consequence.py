@@ -21,19 +21,19 @@ table (the Interned base): equal presentations are one object, so they
 share one axiom-instance memo within a process.
 
 closure_bounded is a pure function of (presentation, premise set, fuel, seed
-set), so its results are memoised in one process-wide least-recently-used
-table bounded by CLOSURE_MEMO_SLOTS formula slots. Premises are checked on
-every call, so a memoised call raises exactly what a fresh one would.
-derives is not memoised: it stops at the round its goal appears.
+set), so its results are kept in the one memo (syntax.MEMO), one slot per
+premise, seed and member. Premises are checked on every call, so a memoised
+call raises exactly what a fresh one would. derives is not memoised: it
+stops at the round its goal appears.
 """
 
 from __future__ import annotations
 
 import random
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
+from . import syntax
 from .errors import CapExceeded, ConfigError, LanguageError, SignatureError
 from .syntax import (
     Formula,
@@ -568,46 +568,6 @@ def _check_gamma(cal: CalculusPresentation, gamma: Iterable[Formula], fuel: Fuel
     return tuple(sorted(distinct, key=by_sort_key))
 
 
-# The closure memo's budget in formula slots: an entry takes one slot per
-# premise, seed and member. One pass of the graph-session scripts needs about
-# 105k slots and one fibre-alternation pass about 131k.
-CLOSURE_MEMO_SLOTS = 1 << 18
-
-
-class _ClosureMemo:
-    """Closures by (presentation, premises, fuel, seeds), least recently used
-    first. Members are stored as tuples, which take less memory than
-    frozensets; an entry bigger than the whole budget is not stored."""
-
-    def __init__(self, slots: int):
-        self.budget = slots
-        self.slots = 0
-        self.table: OrderedDict[tuple, tuple[Formula, ...]] = OrderedDict()
-
-    def get(self, key: tuple) -> tuple[Formula, ...] | None:
-        members = self.table.get(key)
-        if members is not None:
-            self.table.move_to_end(key)
-        return members
-
-    @staticmethod
-    def _size(key: tuple, members: tuple[Formula, ...]) -> int:
-        _, premises, _, seeds = key
-        return len(premises) + len(seeds) + len(members)
-
-    def put(self, key: tuple, members: tuple[Formula, ...]) -> None:
-        size = self._size(key, members)
-        if size > self.budget:
-            return
-        self.table[key] = members
-        self.slots += size
-        while self.slots > self.budget:
-            self.slots -= self._size(*self.table.popitem(last=False))
-
-
-_CLOSURES = _ClosureMemo(CLOSURE_MEMO_SLOTS)
-
-
 def closure_bounded(
     cal: CalculusPresentation,
     gamma: Iterable[Formula],
@@ -623,12 +583,12 @@ def closure_bounded(
     """
     premises = _check_gamma(cal, gamma, fuel)
     seeds = tuple(sorted(set(extra_pool), key=by_sort_key))
-    key = (cal, premises, fuel, seeds)
-    stored = _CLOSURES.get(key)
+    key = (closure_bounded, cal, premises, fuel, seeds)
+    stored = syntax.MEMO.get(key)
     if stored is not None:
         return frozenset(stored)
     members, _ = _Engine(cal, fuel, seeds).run(premises)
-    _CLOSURES.put(key, tuple(members))
+    syntax.MEMO.put(key, tuple(members), len(premises) + len(seeds) + len(members))
     return members
 
 
@@ -718,9 +678,10 @@ def check_operator_laws(
     seeded random premise sets drawn from the corpus of formulas over x1, x2
     up to corpus_depth.
 
-    The laws are promised only below the set cap, so a sample's
-    monotonicity, cut or idempotence comparison is skipped when the closure
-    that should contain the other has reached fuel.max_set_size.
+    The laws are promised only below the set cap, so a comparison is
+    skipped when a premise set is over fuel.max_set_size (never at a cap of
+    4 or more), or when the closure that should contain the other has
+    reached it.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -738,6 +699,8 @@ def check_operator_laws(
         drawn = rng.sample(corpus, k=rng.randint(0, min(3, len(corpus))))
         gamma = frozenset(drawn)
         delta = frozenset(f for f in drawn if rng.random() < 0.7)
+        if len(gamma) > fuel.max_set_size:
+            continue
         closed_gamma = closure_bounded(cal, gamma, fuel)
         closed_delta = closure_bounded(cal, delta, fuel)
 
@@ -760,7 +723,7 @@ def check_operator_laws(
         a = rng.choice(pick_from) if pick_from and rng.random() < 0.8 else rng.choice(corpus)
         b = rng.choice(corpus)
         seeds = (a, b)
-        if a in closure_bounded(cal, delta, fuel, extra_pool=seeds):
+        if len(gamma | {a}) <= fuel.max_set_size and a in closure_bounded(cal, delta, fuel, extra_pool=seeds):
             hyp2 = closure_bounded(cal, gamma | {a}, fuel, extra_pool=seeds)
             if b in hyp2:
                 concl = closure_bounded(cal, delta | gamma, fuel.doubled(), extra_pool=seeds)
@@ -819,7 +782,7 @@ def check_structural(
 
     Substitution values are kept leaf-sized so image derivations stay inside
     the doubled pool threshold; both renamings and general substitutions are
-    drawn.
+    drawn. A sample whose premise set is over the set cap is skipped.
     """
     rng = random.Random(seed)
     corpus = enumerate_formulas(cal.sig, 2, 2)
@@ -830,6 +793,8 @@ def check_structural(
         gamma = frozenset(rng.sample(corpus, k=rng.randint(0, 2)))
         renaming_only = rng.random() < 0.5
         sigma = _random_substitution(rng, cal, renaming_only)
+        if len(gamma) > fuel.max_set_size:
+            continue
         closed = closure_bounded(cal, gamma, fuel)
         checked = sorted(set(closed) & set(corpus), key=by_sort_key)
         images = [substitute(phi, sigma) for phi in checked]

@@ -12,9 +12,8 @@ A member whose image would outgrow the session's formula cap stays inside
 too, and its image is not built when a lower bound on its size is already
 over the cap.
 
-fibred_derives remembers its answers in one process-wide least-recently-used
-table of QUERY_MEMO_SIZE queries, so a repeated query, in any session, runs
-no side closure.
+fibred_derives keeps its answers in the one memo (syntax.MEMO), so a
+repeated query, in any session, runs no side closure.
 
 Session dumps are this module's alone: one token stream (syntax.tokenize)
 of `session fuel N N N union (name / arity)* intern (N formula)*`.
@@ -22,10 +21,10 @@ of `session fuel N N N union (name / arity)* intern (N formula)*`.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import astuple, dataclass
 from typing import Iterable
 
+from . import syntax
 from .consequence import CalculusPresentation, Derived, Fuel, NotDerivedWithin, Verdict, closure_bounded
 from .errors import CapExceeded, FormatError, LanguageError, ParseError
 from .morphisms import (
@@ -144,17 +143,6 @@ def h_closure(session: FibringSession, side: str, gamma: Iterable[Formula]) -> f
     return _side_closure(session, side, gamma, ())
 
 
-# How many queries fibred_derives remembers. An entry holds references
-# only: to the premises, the goal, the interning's entries at entry and the
-# entries the run registered, formulas the hash-consing table keeps anyway.
-# A fresh-session query of the fibre-alternation catalogue takes about
-# 1 KiB, so a full table stays near 4 MiB; a reused session's keys also
-# carry its interning entries.
-QUERY_MEMO_SIZE = 4096
-
-_QUERIES: OrderedDict[tuple, tuple[Verdict, tuple[Formula, ...]]] = OrderedDict()
-
-
 def fibred_derives(session: FibringSession, gamma: Iterable[Formula], phi: Formula) -> Verdict:
     """Alternating fixpoint membership: each round adds both side closures
     of the current set. Verdicts are monotone in the round count; the round
@@ -181,18 +169,15 @@ def fibred_derives(session: FibringSession, gamma: Iterable[Formula], phi: Formu
         return Derived(0)
     interning = session.t_left.interning
     before = interning.entries
-    key = (session.left, session.right, session.fuel, frozenset(current), phi, before)
-    stored = _QUERIES.get(key)
+    key = (fibred_derives, session.left, session.right, session.fuel, frozenset(current), phi, before)
+    stored = syntax.MEMO.get(key)
     if stored is not None:
-        _QUERIES.move_to_end(key)
         verdict, registered = stored
-        for entry in registered:
-            interning.register(entry)
+        interning.extend(registered)
         return verdict
     verdict = _alternate(session, current, phi)
-    _QUERIES[key] = verdict, interning.entries[len(before):]
-    if len(_QUERIES) > QUERY_MEMO_SIZE:
-        _QUERIES.popitem(last=False)
+    # one slot per premise, the goal, and each entry at entry or registered
+    syntax.MEMO.put(key, (verdict, interning.entries[len(before):]), len(current) + 1 + len(interning))
     return verdict
 
 

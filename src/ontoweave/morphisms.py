@@ -198,6 +198,15 @@ class Interning:
         self._by_formula[phi] = idx
         return idx
 
+    def extend(self, new: tuple[Formula, ...]) -> None:
+        """Register new, distinct formulas none of which is registered, in
+        one step; frozen, raise what register raises at new[0]."""
+        if new and self._frozen:
+            raise UnknownInternIndex(f"interning is frozen; {new[0].text} unregistered")
+        start = len(self._by_index) + 1
+        self._by_index.extend(new)
+        self._by_formula.update(zip(new, range(start, start + len(new))))
+
     def index_of(self, phi: Formula) -> int | None:
         return self._by_formula.get(phi)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from . import syntax
 from .consequence import (
     CalculusPresentation,
     Evidence,
@@ -85,12 +86,6 @@ class Ontology(Interned):
         return f"Ontology({self.name!r}, axioms={[f.text for f in self.axioms]})"
 
 
-# every report validate_ontology has made, by all that it reads: the
-# effective calculus, the axioms and the fuel. The values in a key are held
-# by the value table anyway, so this adds one report per key.
-_REPORTS: dict[tuple[CalculusPresentation, tuple[Formula, ...], Fuel], Report] = {}
-
-
 def validate_ontology(o: Ontology, fuel: Fuel) -> Report:
     """Re-check the defining conditions with bounded evidence: the operator
     laws on 20 samples (seed 17) from the depth-2 corpus and the
@@ -98,30 +93,29 @@ def validate_ontology(o: Ontology, fuel: Fuel) -> Report:
     constructor's to refuse, so its entry always passes; it stays so that
     every report has the same three entries.
 
-    The check is deterministic and its report read-only, so it runs once
-    per key of _REPORTS in a process: ontologies that differ only in name
-    share one report, failing or not."""
-    key = (o.effective, o.axioms, fuel)
-    report = _REPORTS.get(key)
-    if report is None:
-        report = _REPORTS[key] = _validate(*key)
-    return report
-
-
-def _validate(effective: CalculusPresentation, axioms: tuple[Formula, ...], fuel: Fuel) -> Report:
-    laws = check_operator_laws(effective, samples=20, fuel=fuel, seed=17, corpus_depth=2)
+    The check is deterministic and its report read-only, so the report is
+    memoised (syntax.MEMO) under all that the check reads, at one slot per
+    axiom plus one: ontologies that differ only in name share one report,
+    failing or not."""
+    key = (validate_ontology, o.effective, o.axioms, fuel)
+    report = syntax.MEMO.get(key)
+    if report is not None:
+        return report
+    laws = check_operator_laws(o.effective, samples=20, fuel=fuel, seed=17, corpus_depth=2)
     bad_law = laws.failure
     entries = [
         ReportEntry("consequence-laws", laws.ok, bad_law.witness if bad_law else ""),
         ReportEntry("onto-signature-inclusion", True, ""),
     ]
     bad = ""
-    for phi in axioms:
-        if not derives(effective, (), phi, fuel).is_derived:
+    for phi in o.axioms:
+        if not derives(o.effective, (), phi, fuel).is_derived:
             bad = phi.text
             break
     entries.append(ReportEntry("axioms-derivable", not bad, bad))
-    return Report(entries)
+    report = Report(entries)
+    syntax.MEMO.put(key, report, len(o.axioms) + 1)
+    return report
 
 
 # ---------------------------------------------------------------------------

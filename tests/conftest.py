@@ -5,12 +5,11 @@ from __future__ import annotations
 import pytest
 from hypothesis import settings
 
-from collections import OrderedDict
-
-from ontoweave import consequence, fibring, ontology, presets
-from ontoweave.consequence import CLOSURE_MEMO_SLOTS, CalculusPresentation, Fuel, Rule, _ClosureMemo
-from ontoweave.ontology import Ontology
-from ontoweave.syntax import make_signature, parse_formula
+from ontoweave import ontology, presets, syntax
+from ontoweave.consequence import CalculusPresentation, Fuel, Rule, closure_bounded
+from ontoweave.fibring import fibred_derives
+from ontoweave.ontology import Ontology, validate_ontology
+from ontoweave.syntax import MEMO_SLOTS, Memo, make_signature, parse_formula, signature_union
 
 # Property tests draw the same examples on every run and have no deadline,
 # so a slow shared host cannot turn them into timing failures.
@@ -57,28 +56,40 @@ def link_fuel():
 
 @pytest.fixture
 def cold_memo(monkeypatch):
-    """An empty closure memo with the real budget in place of the shared one,
-    and an empty fibring query table."""
-    memo = _ClosureMemo(CLOSURE_MEMO_SLOTS)
-    monkeypatch.setattr(consequence, "_CLOSURES", memo)
-    monkeypatch.setattr(fibring, "_QUERIES", OrderedDict())
+    """An empty memo with the real budget in place of the shared one."""
+    memo = Memo(MEMO_SLOTS)
+    monkeypatch.setattr(syntax, "MEMO", memo)
     return memo
 
 
+def entry_slots(key: tuple, answer) -> int:
+    """The slots one memo entry takes, counted afresh from its key and
+    answer: one per formula it references, and one for a report or a
+    signature union besides."""
+    function = key[0]
+    if function is closure_bounded:
+        _, _, premises, _, seeds = key
+        return len(premises) + len(seeds) + len(answer)
+    if function is fibred_derives:
+        premises, goal, before = key[4:]
+        return len(premises) + 1 + len(before) + len(answer[1])
+    if function is validate_ontology:
+        return len(key[2]) + 1
+    assert function is signature_union, key
+    return 1
+
+
 def memo_slots(memo) -> int:
-    """The slots a closure memo's entries take, counted afresh: one per
-    premise, seed and member."""
-    return sum(len(key[1]) + len(key[3]) + len(m) for key, m in memo.table.items())
+    """The slots a memo's entries take, counted afresh."""
+    return sum(entry_slots(key, answer) for key, (answer, _) in memo.table.items())
 
 
 @pytest.fixture
-def law_checks(monkeypatch):
-    """One entry per law check validate_ontology runs, from an empty report
-    table."""
+def law_checks(monkeypatch, cold_memo):
+    """One entry per law check validate_ontology runs, from an empty memo."""
     calls = []
     laws = ontology.check_operator_laws
     monkeypatch.setattr(ontology, "check_operator_laws", lambda *a, **k: calls.append(1) or laws(*a, **k))
-    monkeypatch.setattr(ontology, "_REPORTS", {})
     return calls
 
 

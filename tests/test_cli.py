@@ -60,6 +60,33 @@ def test_check_passes(defs_file, capsys):
     assert "ontology efq\taxioms-derivable\tpass" in out
 
 
+SMALL_CAP_DEFS = """
+signature CPL { bot/0; not/1; imp/2; }
+calculus cpl over CPL { axiom A1: imp(x1, imp(x2, x1)); }
+signature CONJ { and/2; }
+calculus conj over CONJ {
+  rule AndE1: and(x1, x2) |- x1;
+  rule AndI: x1, x2 |- and(x1, x2);
+}
+ontology conj_onto { base conj; onto_signature { and/2; } axioms { } }
+"""
+
+
+def test_law_probes_run_below_a_set_cap_of_four(tmp_path, capsys):
+    # the probes draw up to three premises, and cut up to four: those over
+    # the cap are skipped, not refused
+    defs = tmp_path / "defs.dsl"
+    defs.write_text(SMALL_CAP_DEFS, encoding="utf-8")
+    assert main(["check", str(defs), "--fuel-set", "3"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 11 and all(line.split("\t")[3] == "pass" for line in out)
+    assert f"{defs}\tcalculus conj\tcut\tpass\tinstances=0" in out
+    manifest = tmp_path / "graph.dsl"
+    argv = ["graph", "--manifest", str(manifest), "--fuel-set", "3"]
+    assert main([*argv, "add-node", "--defs", str(defs), "--name", "conj_onto"]) == 0
+    assert capsys.readouterr().out == "added node conj_onto\n"
+
+
 def test_check_reports_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.dsl"
     bad.write_text("signature S { imp/2; }\ncalculus c over S { axiom A: imp(x1); }")

@@ -20,9 +20,11 @@ from ontoweave.consequence import (
     transfer_scan,
     weaker_than,
 )
-from ontoweave.consequence import CLOSURE_MEMO_SLOTS, _ClosureMemo, _Engine, _StagingFull
+from ontoweave.consequence import _Engine, _StagingFull
 from ontoweave.errors import CapExceeded, ConfigError, LanguageError
 from ontoweave.syntax import (
+    MEMO_SLOTS,
+    Memo,
     Symbol,
     apply_symbol,
     enumerate_formulas,
@@ -31,7 +33,7 @@ from ontoweave.syntax import (
     substitute,
     svar,
 )
-from ontoweave import consequence, presets
+from ontoweave import consequence, presets, syntax
 from conftest import memo_slots
 
 
@@ -272,13 +274,13 @@ def test_checkers_agree_with_a_cold_and_a_warm_memo(cpl, imp_fragment, rule_free
     assert stored and cold[1][1] is None and cold[2][1] is not None
     assert check() == cold
     assert len(cold_memo.table) == stored  # every closure was a hit
-    monkeypatch.setattr(consequence, "_CLOSURES", _ClosureMemo(CLOSURE_MEMO_SLOTS))
+    monkeypatch.setattr(syntax, "MEMO", Memo(MEMO_SLOTS))
     assert check() == cold
 
 
 def test_memo_stays_within_its_slot_budget(cpl, monkeypatch):
-    memo = _ClosureMemo(400)
-    monkeypatch.setattr(consequence, "_CLOSURES", memo)
+    memo = Memo(400)
+    monkeypatch.setattr(syntax, "MEMO", memo)
     rng = random.Random(5)
     corpus = enumerate_formulas(cpl.sig, 2, 2)
     fuel = Fuel(1, 10, 200)
@@ -300,10 +302,10 @@ def test_memo_stays_within_its_slot_budget(cpl, monkeypatch):
 def test_memoised_closure_still_checks_its_premises(cpl, quick_fuel, cold_memo):
     # entries for the very keys a bad call would look up do not stop it raising
     box = parse_formula("box(x1)", make_signature([("box", 1)]))
-    cold_memo.put((cpl, (box,), quick_fuel, ()), (box,))
+    cold_memo.put((closure_bounded, cpl, (box,), quick_fuel, ()), (box,), 2)
     three = [f("x1"), f("x2"), f("bot")]
     tiny = Fuel(1, 9, 2)
-    cold_memo.put((cpl, _canonical(three), tiny, ()), tuple(three))
+    cold_memo.put((closure_bounded, cpl, _canonical(three), tiny, ()), tuple(three), 6)
     for _ in range(2):
         with pytest.raises(LanguageError):
             closure_bounded(cpl, [box], quick_fuel)
@@ -429,6 +431,18 @@ def test_laws_skip_samples_truncated_by_the_set_cap(seed):
         presets.conj(), samples=30, fuel=Fuel(), seed=seed, corpus_depth=2
     )
     assert report.ok, report.render()
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_probes_skip_premise_sets_over_the_set_cap(cap, cpl, conj):
+    # the law probes draw up to four premises and the structurality probe
+    # two; a comparison over the cap is skipped, and every entry is reported
+    for cal in (cpl, conj):
+        laws = check_operator_laws(cal, samples=30, fuel=Fuel(2, 10, cap), seed=3, corpus_depth=2)
+        assert [e.label for e in laws.entries] == ["extensivity", "monotonicity", "cut", "idempotence"]
+        assert laws.ok, laws.render()
+        structural = check_structural(cal, samples=12, fuel=Fuel(2, 10, cap), seed=5)
+        assert structural.ok, structural.render()
 
 
 def test_laws_broken_closure_reports_extensivity(cpl, monkeypatch):

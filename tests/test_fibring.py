@@ -4,7 +4,7 @@ import gc
 import random
 import re
 import weakref
-from collections import Counter, OrderedDict
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +20,6 @@ from ontoweave.consequence import (
     derives,
     weaker_than,
 )
-from ontoweave.consequence import _ClosureMemo
 from ontoweave.errors import CapExceeded, FormatError, LanguageError, OntoweaveError, UnknownInternIndex
 from ontoweave.fibring import (
     dump_session,
@@ -31,6 +30,8 @@ from ontoweave.fibring import (
 )
 from ontoweave.morphisms import is_back_translatable, substitute_back, translate
 from ontoweave.syntax import (
+    MEMO_SLOTS,
+    Memo,
     Symbol,
     apply_symbol,
     enumerate_formulas,
@@ -284,23 +285,29 @@ def test_early_round_end_still_translates_the_right_side(cpl, conj):
         fibred_derives(s, gamma, union_formula(s, "x2"))
 
 
+def query_entries(memo):
+    """The memo's fibring query entries."""
+    return [key for key in memo.table if key[0] is fibred_derives]
+
+
 def test_readme_example_from_the_closure_memo(cpl, conj, cold_memo, monkeypatch):
-    # fresh sessions: the second one is answered from the query memo, and
-    # the closure memo stays as the first run left it
+    # fresh sessions: the second one is answered from its query entry, and
+    # the memo stays as the first run left it
     cold, warm = open_session(cpl, conj, SESSION_FUEL), open_session(cpl, conj, SESSION_FUEL)
     assert readme_query(cpl, conj, session=cold) == Derived(2)
     stored = dict(cold_memo.table)
-    assert stored and len(fibring._QUERIES) == 1
+    assert len(stored) > 1 and len(query_entries(cold_memo)) == 1
     assert readme_query(cpl, conj, session=warm) == Derived(2)
-    assert cold_memo.table == stored and len(fibring._QUERIES) == 1
+    assert cold_memo.table == stored
     assert dump_session(cold) == dump_session(warm)
     # reused sessions, each asked twice: the second ask starts from the
     # entries the first registered, so it is a query of its own
-    monkeypatch.setattr(fibring, "_QUERIES", OrderedDict())
+    memo = Memo(MEMO_SLOTS)
+    monkeypatch.setattr(syntax, "MEMO", memo)
     cold, warm = open_session(cpl, conj, SESSION_FUEL), open_session(cpl, conj, SESSION_FUEL)
     answers = [readme_query(cpl, conj, session=s) for s in (cold, cold, warm, warm)]
     assert answers == [Derived(2)] * 4
-    assert len(fibring._QUERIES) == 2
+    assert len(query_entries(memo)) == 2
     assert dump_session(cold) == dump_session(warm)
 
 
@@ -318,12 +325,12 @@ def test_a_repeated_side_closure_is_answered_from_the_memo(cpl, conj, cold_memo,
         return verdicts, [dump_session(s) for s in sessions]
 
     cold = run()
-    stored = dict(cold_memo.table), dict(fibring._QUERIES)
+    stored = dict(cold_memo.table)
     calls = counting_side_closures(monkeypatch)
     mapped_back = recorded_back_translations(monkeypatch)
     assert run() == cold
     assert calls == mapped_back == []
-    assert (dict(cold_memo.table), dict(fibring._QUERIES)) == stored
+    assert cold_memo.table == stored
 
 
 def test_a_side_memo_hit_raises_what_a_fresh_call_raises(cpl, conj, cold_memo):
@@ -340,9 +347,9 @@ def test_a_side_memo_hit_raises_what_a_fresh_call_raises(cpl, conj, cold_memo):
 
     with pytest.raises(UnknownInternIndex) as cold:
         ask(frozen())
-    assert not fibring._QUERIES
+    assert not query_entries(cold_memo)
     assert ask(open_session(cpl, conj, SESSION_FUEL)) == Derived(1)
-    assert len(fibring._QUERIES) == 1
+    assert len(query_entries(cold_memo)) == 1
     with pytest.raises(UnknownInternIndex) as warm:
         ask(frozen())
     assert str(warm.value) == str(cold.value)
@@ -356,7 +363,7 @@ def test_a_side_memo_hit_raises_what_a_fresh_call_raises(cpl, conj, cold_memo):
             s = open_session(cpl, conj, fuel)
             with pytest.raises(CapExceeded):
                 fibred_derives(s, gamma, union_formula(s, phi))
-    assert len(fibring._QUERIES) == 1
+    assert len(query_entries(cold_memo)) == 1
 
 
 def test_a_side_memo_miss_checks_its_premises_once(cpl, conj, cold_memo, monkeypatch):
@@ -388,22 +395,20 @@ def test_a_side_result_is_keyed_by_the_interning_too(cpl, conj, cold_memo):
 
 
 def test_side_results_stay_within_the_slot_budget(cpl, conj, monkeypatch):
-    # the closure memo keeps to its slot budget and holds closures only; the
-    # query memo keeps to QUERY_MEMO_SIZE queries
-    memo = _ClosureMemo(3000)
-    monkeypatch.setattr(consequence, "_CLOSURES", memo)
-    monkeypatch.setattr(fibring, "_QUERIES", OrderedDict())
-    monkeypatch.setattr(fibring, "QUERY_MEMO_SIZE", 4)
+    # closures, queries and the union signature share one slot budget, and
+    # a query entry is evicted like any other
+    memo = Memo(3000)
+    monkeypatch.setattr(syntax, "MEMO", memo)
     fuel = Fuel(2, 10, 3000)
     corpus = enumerate_formulas(open_session(cpl, conj, fuel).union_sig, 2, 2)
     rng = random.Random(4)
+    stored = set()
     for _ in range(10):
         gamma, phi = rng.sample(corpus, 2), rng.choice(corpus)
         fibred_derives(open_session(cpl, conj, fuel), gamma, phi)
         assert memo.slots == memo_slots(memo) <= 3000
-        assert len(fibring._QUERIES) <= 4
-    assert len(fibring._QUERIES) == 4
-    assert all(len(key) == 4 for key in memo.table)
+        stored.update(query_entries(memo))
+    assert 0 < len(query_entries(memo)) < len(stored)
 
 
 def outcome(session, gamma, phi):
@@ -423,7 +428,7 @@ def test_a_memo_answer_equals_a_cold_run(cpl, conj, cold_memo, monkeypatch):
 
     def cold_run(session, gamma, phi):
         with monkeypatch.context() as m:
-            m.setattr(fibring, "_QUERIES", OrderedDict())
+            m.setattr(syntax, "MEMO", Memo(MEMO_SLOTS))
             return outcome(session, gamma, phi)
 
     def frozen():

@@ -255,6 +255,31 @@ def test_interning_freeze():
         table.register(f("not(bot)"))
 
 
+def test_interning_extend_registers_as_register_does():
+    new = (f("not(x2)"), f("imp(x1, bot)"), f("x3"))
+    one_by_one, at_once = Interning(), Interning()
+    for table in (one_by_one, at_once):
+        table.register(f("bot"))
+    for phi in new:
+        one_by_one.register(phi)
+    at_once.extend(new)
+    assert at_once == one_by_one
+    assert [at_once.index_of(phi) for phi in new] == [2, 3, 4]
+    at_once.extend(())
+    assert at_once == one_by_one
+    # frozen, it raises what register raises at the first new formula
+    for table in (one_by_one, at_once):
+        table.freeze()
+    at_once.extend(())
+    later = (f("not(bot)"), f("not(not(bot))"))
+    with pytest.raises(UnknownInternIndex) as cold:
+        one_by_one.register(later[0])
+    with pytest.raises(UnknownInternIndex) as warm:
+        at_once.extend(later)
+    assert str(warm.value) == str(cold.value)
+    assert len(at_once) == 4
+
+
 def test_interning_serialization_round_trip():
     # the table is serialized as the entry lines of a session dump
     session = open_session(presets.cpl(), presets.rule_free(), Fuel(1, 8, 100))

@@ -1,6 +1,7 @@
 """Ontologies: construction, validation, morphism checks, and connection."""
 
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -16,10 +17,10 @@ from ontoweave.ontology import (
     merge_presentations,
     validate_ontology,
 )
-from ontoweave.syntax import Symbol, make_signature, parse_formula, signature_union
-from ontoweave import presets
+from ontoweave.syntax import Memo, Symbol, make_signature, parse_formula, signature_union
+from ontoweave import presets, syntax
 
-from conftest import binary_calculus, plain_ontology
+from conftest import binary_calculus, memo_slots, plain_ontology
 
 FUEL = Fuel(2, 16, 20_000)
 
@@ -104,6 +105,24 @@ def test_validation_runs_once_per_content(cpl, law_checks):
     other_fuel = Fuel(FUEL.max_closure_rounds, FUEL.max_formula_size, FUEL.max_set_size + 1)
     assert validate_ontology(Ontology("once_a", cpl, sig, [f("imp(bot, x1)")]), other_fuel).ok
     assert len(law_checks) == 2
+
+
+def test_a_thousand_distinct_validations_keep_the_memo_within_its_budget(monkeypatch):
+    # each ontology has an axiom of its own, so each is a report of its own;
+    # the memo forgets the oldest instead of growing
+    budget = 4000
+    memo = Memo(budget)
+    monkeypatch.setattr(syntax, "MEMO", memo)
+    sig = make_signature([("a", 0), ("s", 1), ("t", 1)])
+    base = presets.rule_free(sig)
+    fuel = Fuel(1, 4, 20)
+    words = itertools.product("st", repeat=10)
+    for i, word in zip(range(1000), words):
+        axiom = parse_formula("(".join(word) + "(a" + ")" * 10, sig)
+        assert not validate_ontology(Ontology(f"o{i}", base, sig, [axiom]), fuel).ok
+        assert memo.slots <= budget
+    assert memo.slots == memo_slots(memo)
+    assert 0 < sum(key[0] is validate_ontology for key in memo.table) < 1000
 
 
 def test_reports_are_read_only(cpl):
