@@ -25,12 +25,16 @@ set), so its results are kept in the one memo (syntax.MEMO), one slot per
 premise, seed and member. Premises are checked on every call, so a memoised
 call raises exactly what a fresh one would. derives is not memoised: it
 stops at the round its goal appears.
+
+Every link check's evidence comes from one kernel, transfer_evidence: one
+transfer_scan over the corpus premise sets that fit the set cap.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import syntax
@@ -822,14 +826,10 @@ def check_structural(
 
 
 def _gamma_candidates(corpus: Sequence[Formula], max_premises: int):
-    yield ()
-    if max_premises >= 1:
-        for f in corpus:
-            yield (f,)
-    if max_premises >= 2:
-        for i, f in enumerate(corpus):
-            for g in corpus[i + 1 :]:
-                yield (f, g)
+    """Every premise set of at most max_premises corpus formulas, smallest
+    first, each size in corpus order."""
+    for n in range(max_premises + 1):
+        yield from combinations(corpus, n)
 
 
 @dataclass(frozen=True)
@@ -854,18 +854,18 @@ def transfer_scan(
     """Bounded check that consequence transfers from src to dst along image.
 
     Scans every premise set of at most two corpus formulas over src's
-    language (variables x1, x2) in canonical order. Each strict corpus
-    consequence src derives within fuel must have its image derived by dst
-    from the imaged premises within fuel; images still missing get one retry
-    at escalated fuel. Returns the number of premises and consequences
-    checked, and the first failure (the first missing image in canonical
-    order of its preimage), or None when everything transferred.
+    language (variables x1, x2) within the set cap, in canonical order.
+    Each strict corpus consequence src derives within fuel must have its
+    image derived by dst from the imaged premises within fuel; missing
+    images get one retry at escalated fuel. Returns the number of premises
+    and consequences checked, and the first failure (the first missing image
+    in canonical order of its preimage), or None when everything transferred.
     """
     corpus = enumerate_formulas(src.sig, corpus_depth, 2)
     corpus_set = set(corpus)
     escalation = fuel.escalated()
     checked = 0
-    for gamma in _gamma_candidates(corpus, 2):
+    for gamma in _gamma_candidates(corpus, min(2, fuel.max_set_size)):
         # premises transfer by extensivity; check the strict consequences
         derivable = sorted(
             (closure_bounded(src, gamma, fuel) & corpus_set) - set(gamma),
@@ -924,6 +924,23 @@ class Evidence:
 ASSERTED = Evidence("asserted", None, None, "asserted without machine check")
 
 
+def transfer_evidence(
+    check: str,
+    src: CalculusPresentation,
+    dst: CalculusPresentation,
+    image: Callable[[Formula], Formula],
+    corpus_depth: int,
+    fuel: Fuel,
+    scope: str = "",
+) -> Evidence:
+    """transfer_scan's answer as link evidence. check names the link check
+    in the detail; scope, when given, states the bound before the count."""
+    checked, witness = transfer_scan(src, dst, image, corpus_depth, fuel)
+    if witness:
+        return Evidence("refuted", corpus_depth, fuel, f"{check} refuted {witness.render()}")
+    return Evidence("verified", corpus_depth, fuel, f"{check} verified-up-to {scope}checked={checked}")
+
+
 # ---------------------------------------------------------------------------
 # Weakness relation
 
@@ -934,18 +951,14 @@ def weaker_than(
     corpus_depth: int,
     fuel: Fuel,
 ) -> Evidence:
-    """Bounded evidence for "cal1 is weaker than cal2": transfer_scan along
-    the identity, so everything cal1 derives on the corpus premise sets must
-    be derivable by cal2. The first failure is the refutation witness.
+    """Bounded evidence for "cal1 is weaker than cal2": transfer_evidence
+    along the identity, so everything cal1 derives on the corpus premise
+    sets must be derivable by cal2. The first failure is the witness.
     """
     if not signature_leq(cal1.sig, cal2.sig):
         raise SignatureError("weaker-than needs the left language inside the right one")
-    checked, witness = transfer_scan(cal1, cal2, lambda phi: phi, corpus_depth, fuel)
-    if witness:
-        return Evidence("refuted", corpus_depth, fuel, f"weaker-than refuted {witness.render()}")
-    rounds = fuel.max_closure_rounds
-    detail = f"weaker-than verified-up-to depth={corpus_depth} rounds={rounds} checked={checked}"
-    return Evidence("verified", corpus_depth, fuel, detail)
+    scope = f"depth={corpus_depth} rounds={fuel.max_closure_rounds} "
+    return transfer_evidence("weaker-than", cal1, cal2, lambda phi: phi, corpus_depth, fuel, scope=scope)
 
 
 # ---------------------------------------------------------------------------

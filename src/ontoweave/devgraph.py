@@ -31,7 +31,7 @@ from .consequence import (
     Report,
     ReportEntry,
     check_structural,
-    transfer_scan,
+    transfer_evidence,
     weaker_than,
 )
 from .dsl import (
@@ -262,17 +262,14 @@ def check_splitting_morphism(
     fuel: Fuel,
 ) -> Evidence:
     """Entailment preservation along the induced unfolding, checked by
-    transfer_scan from a's effective calculus to b's: whatever the source
-    derives, the image must derive."""
+    transfer_evidence from a's effective calculus to b's: whatever the
+    source derives, the image must derive."""
     if f.source != a.base.sig or f.target != b.base.sig:
         raise SignatureError("splitting endpoints do not match the ontologies")
-    checked, found = transfer_scan(
-        a.effective, b.effective, lambda phi: apply_splitting(f, phi), corpus_depth, fuel
+    return transfer_evidence(
+        "splitting-morphism", a.effective, b.effective,
+        lambda phi: apply_splitting(f, phi), corpus_depth, fuel,
     )
-    if found:
-        return Evidence("refuted", corpus_depth, fuel, f"splitting-morphism refuted {found.render()}")
-    detail = f"splitting-morphism verified-up-to checked={checked}"
-    return Evidence("verified", corpus_depth, fuel, detail)
 
 
 def add_link(

@@ -107,6 +107,13 @@ class _Parser(TokenReader):
 
     # -- shared pieces
 
+    def new_name(self, kind: str, table: Mapping[str, object]) -> str:
+        """The name a block declares; refused when table already holds it."""
+        name = self.take_ident()
+        if name in table:
+            raise ParseError(f"duplicate {kind} {name!r}")
+        return name
+
     def name_arity(self) -> tuple[str, int]:
         name = self.take_ident()
         self.take("/")
@@ -133,15 +140,11 @@ class _Parser(TokenReader):
     # -- blocks
 
     def signature_block(self) -> None:
-        name = self.take_ident()
-        if name in self.signatures:
-            raise ParseError(f"duplicate signature {name!r}")
+        name = self.new_name("signature", self.signatures)
         self.signatures[name] = make_signature(self.symbol_decls())
 
     def calculus_block(self) -> None:
-        name = self.take_ident()
-        if name in self.calculi:
-            raise ParseError(f"duplicate calculus {name!r}")
+        name = self.new_name("calculus", self.calculi)
         self.take("over")
         sig_name = self.take_ident()
         sig = self.signatures.get(sig_name)
@@ -183,9 +186,7 @@ class _Parser(TokenReader):
         self.calculi[name] = CalculusPresentation(sig, axioms, rules, negation)
 
     def ontology_block(self) -> None:
-        name = self.take_ident()
-        if name in self.ontologies:
-            raise ParseError(f"duplicate ontology {name!r}")
+        name = self.new_name("ontology", self.ontologies)
         self.take("{")
         self.take("base")
         cal_name = self.take_ident()
@@ -211,9 +212,7 @@ class _Parser(TokenReader):
     def map_block(self, kind: str, table: dict, cls: type, read_image) -> None:
         """`name : S -> T { sym -> image; ... }` for a morphism (symbol
         images) or a splitting (formula images) block."""
-        name = self.take_ident()
-        if name in table:
-            raise ParseError(f"duplicate {kind} {name!r}")
+        name = self.new_name(kind, table)
         self.take(":")
         src = self.signatures.get(self.take_ident())
         self.take("->")

@@ -207,9 +207,6 @@ class Interning:
         self._by_index.extend(new)
         self._by_formula.update(zip(new, range(start, start + len(new))))
 
-    def index_of(self, phi: Formula) -> int | None:
-        return self._by_formula.get(phi)
-
     def formula_of(self, index: int) -> Formula:
         if index < 1 or index > len(self._by_index):
             raise UnknownInternIndex(f"no formula registered at index {index}")
@@ -227,9 +224,6 @@ class Interning:
     def freeze(self) -> None:
         """Disallow further growth; reads stay safe to share."""
         self._frozen = True
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Interning) and self._by_index == other._by_index
 
 
 @dataclass(frozen=True)

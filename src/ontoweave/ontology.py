@@ -25,7 +25,7 @@ from .consequence import (
     Rule,
     check_operator_laws,
     derives,
-    transfer_scan,
+    transfer_evidence,
 )
 from .errors import LanguageError, OntoSigError, ParseError, SignatureError
 from .fibring import fibred_derives, open_session
@@ -129,22 +129,21 @@ def check_ecsy_morphism(
     corpus_depth: int,
     fuel: Fuel,
 ) -> Evidence:
-    """The consequence-morphism condition, checked by transfer_scan from a's
-    effective calculus to b's along h, plus the exact equality of the
-    translated ontological theory."""
+    """The consequence-morphism condition, checked by transfer_evidence from
+    a's effective calculus to b's along h, then, unless that refutes, the
+    exact equality of the translated ontological theory."""
     if h.source != a.base.sig or h.target != b.base.sig:
         raise SignatureError("morphism endpoints do not match the ontologies")
-    checked, found = transfer_scan(
-        a.effective, b.effective, lambda phi: apply_signature_morphism(h, phi), corpus_depth, fuel
+    evidence = transfer_evidence(
+        "ecsy-morphism", a.effective, b.effective,
+        lambda phi: apply_signature_morphism(h, phi), corpus_depth, fuel,
     )
-    if found:
-        return Evidence("refuted", corpus_depth, fuel, f"ecsy-morphism refuted {found.render()}")
     image_axioms = {apply_signature_morphism(h, phi) for phi in a.axioms}
-    if image_axioms != set(b.axioms):
+    if evidence.ok and image_axioms != set(b.axioms):
         off = min(image_axioms ^ set(b.axioms), key=by_sort_key)
         detail = f"ecsy-morphism refuted theory mismatch at {off.text}"
         return Evidence("refuted", corpus_depth, fuel, detail)
-    return Evidence("verified", corpus_depth, fuel, f"ecsy-morphism verified-up-to checked={checked}")
+    return evidence
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ through one value table (Interned).
 Hash-consing makes any pure function of interned values safe to memoise, so
 closures, fibring queries, ontology reports and signature unions share one
 least-recently-used memo, MEMO, bounded by MEMO_SLOTS formula slots.
+Signature content is canonical (sorted, deduplicated, no empty level), so
+signature inclusion reads the memoised union: c1 <= c2 iff it is c2.
 
 Identity hashes differ from process to process, so iterating a set of
 formulas, or of any Interned value, visits them in no reproducible order.
@@ -220,9 +222,6 @@ class Signature(Interned):
     def has_name(self, name: str) -> bool:
         return any(sym.name == name for sym in self.symbols())
 
-    def is_empty(self) -> bool:
-        return not self._levels
-
     def __repr__(self) -> str:
         decls = "; ".join(str(s) for s in self.symbols())
         return f"Signature({decls})"
@@ -247,12 +246,9 @@ def signature_union(c1: Signature, c2: Signature) -> Signature:
 
 
 def signature_leq(c1: Signature, c2: Signature) -> bool:
-    """Componentwise inclusion: every level of c1 is a subset of c2's."""
-    for arity in c1.arities():
-        lvl2 = set(c2.level(arity))
-        if not set(c1.level(arity)) <= lvl2:
-            return False
-    return True
+    """Componentwise inclusion, as one memo lookup: content is canonical
+    and interned, so c1 <= c2 exactly when their union is c2 itself."""
+    return signature_union(c1, c2) is c2
 
 
 # ---------------------------------------------------------------------------

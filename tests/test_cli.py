@@ -87,6 +87,19 @@ def test_law_probes_run_below_a_set_cap_of_four(tmp_path, capsys):
     assert capsys.readouterr().out == "added node conj_onto\n"
 
 
+def test_graph_links_check_at_a_set_cap_of_one(tmp_path, capsys):
+    # the transfer scan skips the premise pairs over the cap, not the link
+    defs = tmp_path / "defs.dsl"
+    defs.write_text(SMALL_CAP_DEFS, encoding="utf-8")
+    argv = ["graph", "--manifest", str(tmp_path / "graph.dsl"), "--fuel-set", "1"]
+    assert main([*argv, "add-node", "--defs", str(defs), "--name", "conj_onto"]) == 0
+    link = ["add-link", "--kind", "theorem", "--from", "conj_onto", "--to", "conj_onto"]
+    assert main([*argv, *link]) == 0
+    out = capsys.readouterr()
+    assert out.out == "added node conj_onto\nadded link theorem conj_onto -> conj_onto [verified]\n"
+    assert out.err == ""
+
+
 def test_check_reports_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.dsl"
     bad.write_text("signature S { imp/2; }\ncalculus c over S { axiom A: imp(x1); }")

@@ -46,6 +46,7 @@ from ontoweave.syntax import (
     Signature,
     Symbol,
     apply_symbol,
+    enumerate_formulas,
     make_signature,
     parse_formula,
     svar,
@@ -264,6 +265,26 @@ def test_link_checkers_share_one_transfer_scan(cpl, rule_free):
     assert refuted_definition.status == refuted_splitting.status == "refuted"
     assert refuted_definition.detail == f"ecsy-morphism refuted {witness}"
     assert refuted_splitting.detail == f"splitting-morphism refuted {witness}"
+
+
+def test_link_checkers_scan_only_premise_sets_within_the_set_cap(conj):
+    # at a set cap of 1 the pairs are skipped and every corpus formula is
+    # checked alone; from a cap of 2 the pairs are scanned too
+    o = plain_ontology(conj, "o")
+    corpus = enumerate_formulas(conj.sig, 2, 2)
+    for cap, checked in ((1, len(corpus)), (2, 42)):
+        fuel = Fuel(1, 12, cap)
+        evidence = (
+            weaker_than(o.effective, o.effective, 2, fuel),
+            check_ecsy_morphism(SignatureMorphism.identity(conj.sig), o, o, 2, fuel),
+            check_splitting_morphism(SplittingMorphism.identity(conj.sig), o, o, 2, fuel),
+        )
+        assert [ev.detail for ev in evidence] == [
+            f"weaker-than verified-up-to depth=2 rounds=1 checked={checked}",
+            f"ecsy-morphism verified-up-to checked={checked}",
+            f"splitting-morphism verified-up-to checked={checked}",
+        ]
+        assert all(ev.status == "verified" and ev.fuel == fuel for ev in evidence)
 
 
 def test_theory_mismatch_refutes_definition_link(cpl):

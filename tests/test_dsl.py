@@ -170,6 +170,23 @@ def test_parse_errors(bad):
         parse_document(prefix + bad)
 
 
+@pytest.mark.parametrize(
+    "kind, block",
+    [
+        ("signature", "signature D { b/0; }"),
+        ("calculus", "calculus D over S { }"),
+        ("ontology", "ontology D { base c; onto_signature { } axioms { } }"),
+        ("morphism", "morphism D : S -> S { a/0 -> a/0; }"),
+        ("splitting", "splitting D : S -> S { a/0 -> a; }"),
+    ],
+)
+def test_every_block_refuses_a_duplicate_name(kind, block):
+    text = "signature S { a/0; } calculus c over S { }\n" + block
+    parse_document(text)
+    with pytest.raises(ParseError, match=f"^duplicate {kind} 'D'$"):
+        parse_document(text + "\n" + block)
+
+
 def test_both_parsers_share_the_nesting_cap():
     sig = make_signature([("not", 1)])
 

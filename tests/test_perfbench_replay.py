@@ -14,6 +14,10 @@ set cap binds at the CLI default fuel. Fibre-alternation replays its first
 four queries, the README query first, then replays them again, so that
 every query is answered from fibring's query memo: no side closure runs
 and no member is mapped back. All are checked against their records.
+A traced replay installs the benchmark's tracer and replays graph-session
+script 0 and fibre-alternation's first four queries from an empty memo:
+every op must still equal its record, and every checker and engine span
+must be entered, so a checker that gets bypassed shows as zero calls.
 perfbench/ is only read.
 """
 
@@ -105,3 +109,46 @@ def test_every_traced_name_resolves(monkeypatch):
     # counted where fibring looks it up
     check = getattr(mods["morphisms"], "is_back_translatable")
     assert getattr(mods["fibring"], "is_back_translatable") is check
+
+
+# spans a traced replay must enter; a bypassed checker reads zero calls
+REPLAYED_SPANS = (
+    "consequence.weaker_than",
+    "ontology.ecsy",
+    "devgraph.splitting_check",
+    "consequence.closure",
+    "fibring.side_closure",
+    "morphisms.translate",
+)
+
+
+def test_a_traced_replay_enters_every_checker(tmp_path, monkeypatch, cold_memo):
+    tracing = load_perfbench(monkeypatch, "tracing")
+    workloads = load_perfbench(monkeypatch, "workloads")
+    mods = {m: importlib.import_module(f"ontoweave.{m}") for m in tracing.MODULES}
+    # register every binding the tracer replaces, so teardown restores it
+    for _, func, _ in tracing.FUNCTIONS:
+        for mod in mods.values():
+            if hasattr(mod, func):
+                monkeypatch.setattr(mod, func, getattr(mod, func))
+    for home, cls, meth, _ in tracing.METHODS:
+        owner = getattr(mods[home], cls)
+        monkeypatch.setattr(owner, meth, getattr(owner, meth))
+    monkeypatch.setattr(mods["fibring"], "is_back_translatable", mods["fibring"].is_back_translatable)
+    monkeypatch.setattr(mods["cli"], "load_graph", mods["cli"].load_graph)
+    tracer = tracing.Tracer()
+    tracer.install()
+
+    session = workloads.GraphSession(workloads.EXPECTED_DIR, tmp_path)
+    session.setup()
+    session.load_expected()
+    ops = list(itertools.islice(session.all_ops(), len(session.scripts[0])))
+    assert [session.execute(op) for op in ops] == [session.expected(op) for op in ops]
+    assert session.finish() == []
+    fibre = workloads.FibreAlternation(workloads.EXPECTED_DIR, tmp_path)
+    fibre.setup()
+    fibre.load_expected()
+    assert [fibre.execute(op) for op in range(4)] == [fibre.expected(op) for op in range(4)]
+
+    metrics = tracer.metrics()
+    assert [name for name in REPLAYED_SPANS if not metrics[f"{name}.calls"]] == []

@@ -37,7 +37,7 @@ CPL_DECLS = [("bot", 0), ("not", 1), ("imp", 2)]
 
 def test_make_signature_empty():
     sig = make_signature([])
-    assert sig.is_empty()
+    assert sig.arities() == ()
     assert list(sig.symbols()) == []
 
 
@@ -82,6 +82,34 @@ def test_signature_leq():
     assert signature_leq(small, big)
     assert signature_leq(big, big)
     assert not signature_leq(make_signature([("and", 2)]), make_signature([("or", 2)]))
+
+
+def reference_leq(c1, c2):
+    """Componentwise inclusion as a per-level subset loop."""
+    for arity in c1.arities():
+        lvl2 = set(c2.level(arity))
+        if not set(c1.level(arity)) <= lvl2:
+            return False
+    return True
+
+
+_DECLS = st.lists(st.tuples(st.sampled_from(["a", "b", "not", "imp"]), st.integers(0, 3)), max_size=6)
+
+
+@given(_DECLS, _DECLS, st.sampled_from(["drawn", "empty", "equal", "disjoint", "superset"]))
+def test_signature_leq_matches_the_per_level_subset_loop(left, right, shape):
+    c1, c2 = make_signature(left), make_signature(right)
+    if shape == "empty":
+        c1 = make_signature([])
+    elif shape == "equal":
+        # the same content, built from the declarations in another order
+        c2 = make_signature(reversed(left))
+    elif shape == "disjoint":
+        c2 = make_signature([(name.upper(), arity) for name, arity in right])
+    elif shape == "superset":
+        c2 = make_signature(left + right)
+    for x, y in ((c1, c2), (c2, c1)):
+        assert signature_leq(x, y) == reference_leq(x, y)
 
 
 def test_union_is_join_for_leq():
