@@ -12,9 +12,12 @@ round adds (a) every axiom-schema instance whose values come from the pool
 (subformulas of the current set up to a size threshold, the schema variables
 x1..xm of the presentation, the signature constants, and any caller-supplied
 seed formulas) and (b) every rule instance whose premise instances are all
-present. Because closure is literally F iterated, extensivity, monotonicity,
-cut at doubled fuel, and bounded idempotence hold by construction whenever
-the set cap does not bind.
+present, its conclusion-only variables filled from the pool by the same loop
+and tiers as axiom variables. For every calculus the DSL accepts, closure is
+literally F iterated whenever no round is cut by the set cap, the staging
+quota or the work budget, so extensivity, monotonicity, cut at doubled fuel,
+and bounded idempotence then hold by construction. A round the work budget
+cuts is never retried: instances its delta would have driven stay missing.
 
 Presentations are hash-consed like formulas, through syntax's one value
 table (the Interned base): equal presentations are one object, so they
@@ -78,7 +81,8 @@ class Fuel:
 
     @property
     def wide_pool_size(self) -> int:
-        """Tighter value threshold for schemas with three or more variables,
+        """Tighter value threshold for schemas with three or more variables
+        filled from the pool (an axiom's, or a rule's conclusion-only ones),
         whose instantiation space grows cubically."""
         return max(1, self.max_formula_size // 16)
 
@@ -152,6 +156,15 @@ class Rule:
         yield self.conclusion
 
 
+def _pool_variables(rule: Rule) -> tuple[list[int], list[int]]:
+    """The conclusion's variables in no premise, which the pool fills,
+    sorted, and how often each occurs."""
+    bound = frozenset().union(*(p.variables for p in rule.premises))
+    occurrences = [n.var for n in rule.conclusion.subformulas() if n.var is not None and n.var not in bound]
+    varlist = sorted(set(occurrences))
+    return varlist, [occurrences.count(v) for v in varlist]
+
+
 def _lookahead_position(pats: Sequence[Formula], i: int) -> int | None:
     """The first k with pats[i].args[k] the bare variable pats[i + 1]."""
     if i + 1 < len(pats) and pats[i + 1].var is not None:
@@ -183,6 +196,7 @@ class CalculusPresentation(Interned):
         "_plans",
         "_lookahead",
         "_axiom_meta",
+        "_rule_meta",
     )
 
     @staticmethod
@@ -215,12 +229,6 @@ class CalculusPresentation(Interned):
             tuple(sorted(range(len(r.premises)), key=lambda i: r.premises[i].var is not None))
             for r in rules
         )
-        # each axiom schema with its variables and their occurrence counts
-        axiom_meta = []
-        for rule in axioms:
-            occurrences = [n.var for n in rule.conclusion.subformulas() if n.var is not None]
-            varlist = sorted(set(occurrences))
-            axiom_meta.append((rule.conclusion, varlist, [occurrences.count(v) for v in varlist]))
         self._seal(
             sig=sig,
             axioms=axioms,
@@ -236,7 +244,10 @@ class CalculusPresentation(Interned):
                 tuple(_lookahead_position([r.premises[j] for j in plan], i) for i in range(len(plan)))
                 for r, plan in zip(rules, plans)
             ),
-            _axiom_meta=axiom_meta,
+            # each axiom schema with its variables and their occurrence
+            # counts, and each rule's conclusion-only variables with theirs
+            _axiom_meta=[(r.conclusion, *_pool_variables(r)) for r in axioms],
+            _rule_meta=[_pool_variables(r) for r in rules],
         )
 
     def with_axiom_formulas(self, formulas: Iterable[Formula]) -> "CalculusPresentation":
@@ -337,74 +348,82 @@ class _Engine:
         pool_new.sort(key=by_sort_key)
         return added
 
-    # -- axiom instantiation
+    # -- pool instantiation
 
-    def _axiom_conclusions(self, staged: set[Formula], all_sorted: list[Formula]) -> None:
-        """Stage every axiom instance whose values come from the pool and
-        whose first value from new_sorted sits at some position first_new:
-        positions before it range over old_sorted, later ones over the whole
-        pool. Every value scanned costs one unit of work, as _spend charges
-        it; the budget is kept in a local and written back when this returns
-        or raises. Instances are memoised per presentation under the flat
-        key (axiom index, value 1, ..., value n)."""
+    def _fill(
+        self, staged: set[Formula], schema: Formula, varlist: Sequence[int], occs: Sequence[int],
+        budget: int, first_new: int, all_sorted: list[Formula],
+        key: tuple = (), bind: Mapping[int, Formula] | None = None,
+    ) -> None:
+        """Stage every instance of schema whose variables varlist, occurring
+        occs[i] times each, take pool values that add at most budget nodes.
+        Positions before first_new range over the old pool, the one at it
+        over the new pool, later ones over the whole pool (all_sorted), so
+        -1 means the whole pool everywhere. A scan stops at its first value
+        over the budget (values come smallest first) and skips values over
+        the tier threshold (pool_size for up to two variables,
+        wide_pool_size for more) that no seed supplied. Every value scanned
+        costs one unit of work, as _spend charges it. An axiom passes key =
+        (its index,), under which its instances are memoised; a rule passes
+        its premise bindings as bind, and its instances are not memoised."""
+        if budget < 0:
+            return
         old_sorted = self.pool_old
         new_sorted = self.pool_new
         memo = self.cal._inst_memo
         exempt = self.seed_exempt
         quota = self.stage_quota
         stage = staged.add
+        last = len(varlist) - 1
+        vcap = self.psize if last < 2 else self.wide_psize
         work = self.work_left
+
+        def level(pos: int, remaining: int, values: tuple) -> None:
+            nonlocal work
+            source = old_sorted if pos < first_new else new_sorted if pos == first_new else all_sorted
+            occ = occs[pos]
+            for value in source:
+                work -= 1
+                if work <= 0:
+                    work = 0
+                    raise _StagingFull
+                size = value.size
+                cost = occ * (size - 1)
+                if cost > remaining:
+                    break
+                if size > vcap and value not in exempt:
+                    continue
+                if pos < last:
+                    level(pos + 1, remaining - cost, values + (value,))
+                    continue
+                inst = values + (value,)
+                if bind is None:
+                    concl = memo.get(inst)
+                    if concl is None:
+                        concl = memo[inst] = substitute(schema, dict(zip(varlist, inst[1:])))
+                else:
+                    concl = substitute(schema, {**bind, **dict(zip(varlist, inst))})
+                stage(concl)
+                if len(staged) >= quota:
+                    raise _StagingFull
+
         try:
-            for rule_idx, (schema, varlist, occs) in enumerate(self.cal._axiom_meta):
-                if not varlist:
-                    if not self.emitted_closed_axioms and schema.size <= self.size_cap:
-                        stage(schema)
-                        if len(staged) >= quota:
-                            raise _StagingFull
-                    continue
-                budget = self.size_cap - schema.size
-                if budget < 0:
-                    continue
-                n = len(varlist)
-                last = n - 1
-                vcap = self.psize if n <= 2 else self.wide_psize
-
-                def level(pos: int, remaining: int, first_new: int, key: tuple) -> None:
-                    nonlocal work
-                    if pos < first_new:
-                        source = old_sorted
-                    elif pos == first_new:
-                        source = new_sorted
-                    else:
-                        source = all_sorted
-                    occ = occs[pos]
-                    for value in source:
-                        work -= 1
-                        if work <= 0:
-                            work = 0
-                            raise _StagingFull
-                        size = value.size
-                        cost = occ * (size - 1)
-                        if cost > remaining:
-                            break
-                        if size > vcap and value not in exempt:
-                            continue
-                        if pos < last:
-                            level(pos + 1, remaining - cost, first_new, key + (value,))
-                            continue
-                        inst = key + (value,)
-                        concl = memo.get(inst)
-                        if concl is None:
-                            concl = memo[inst] = substitute(schema, dict(zip(varlist, inst[1:])))
-                        stage(concl)
-                        if len(staged) >= quota:
-                            raise _StagingFull
-
-                for first_new in range(n):
-                    level(0, budget, first_new, (rule_idx,))
-            self.emitted_closed_axioms = True
+            level(0, budget, key)
         finally:
             self.work_left = work
+
+    def _axiom_conclusions(self, staged: set[Formula], all_sorted: list[Formula]) -> None:
+        """Stage every axiom instance with a value from the new pool, and
+        each closed axiom in the first round."""
+        for index, (schema, varlist, occs) in enumerate(self.cal._axiom_meta):
+            if not varlist:
+                if not self.emitted_closed_axioms and schema.size <= self.size_cap:
+                    self._stage(staged, schema)
+                continue
+            budget = self.size_cap - schema.size
+            for first_new in range(len(varlist)):
+                self._fill(staged, schema, varlist, occs, budget, first_new, all_sorted, (index,))
+        self.emitted_closed_axioms = True
 
     # -- rule firing
 
@@ -426,15 +445,19 @@ class _Engine:
     def _rule_conclusions(
         self, delta: Sequence[Formula], staged: set[Formula], pool_sorted: list[Formula]
     ) -> None:
-        """Stage every rule instance with a premise in delta.
+        """Stage every rule instance with a premise in delta, or with a
+        conclusion-only variable filled from the new pool.
 
         Each premise in turn drives: it ranges over delta, every other
-        premise over the members. Every candidate scanned costs one unit of
-        work, in enumeration order. A candidate over the size cap, or one
-        that the plan's look-ahead rules out before matching (its argument
-        for the next, bare premise is not in that premise's set), would
-        match nothing further, so a run of them is charged in one bulk
-        spend before the next candidate that is matched.
+        premise over the members. Conclusion-only variables go through
+        _fill: over the whole pool in those joins, then, if the pool grew,
+        once per first-new position in one join over the members only.
+        Every candidate scanned costs one unit of work, in enumeration
+        order. A candidate over the size cap, or one that the plan's
+        look-ahead rules out before matching (its argument for the next,
+        bare premise is not in that premise's set), would match nothing
+        further, so a run of them is charged in one bulk spend before the
+        next candidate that is matched.
         """
         if not delta or not self.cal.rules:
             return
@@ -452,27 +475,24 @@ class _Engine:
         size_cap = self.size_cap
         spend = self._spend
         match = self._match
+        fill = self._fill
 
-        for rule, plan, lookahead in zip(self.cal.rules, self.cal._plans, self.cal._lookahead):
+        rules = zip(self.cal.rules, self.cal._plans, self.cal._lookahead, self.cal._rule_meta)
+        for rule, plan, lookahead, (free, occs) in rules:
             n = len(plan)
             pats = [rule.premises[j] for j in plan]
-            concl_vars = sorted(rule.conclusion.variables)
-
-            def emit(bind: dict[int, Formula], free: list[int], i: int) -> None:
-                # conclusion-only variables free[i:] range over the pool
-                if i == len(free):
-                    concl = substitute(rule.conclusion, bind)
-                    if concl.size <= size_cap:
-                        self._stage(staged, concl)
-                    return
-                for value in pool_sorted:
-                    bind[free[i]] = value
-                    emit(bind, free, i + 1)
-                    del bind[free[i]]
 
             def join(i: int, drive: int, bind: dict[int, Formula]) -> None:
                 if i == n:
-                    emit(bind, [v for v in concl_vars if v not in bind], 0)
+                    concl = substitute(rule.conclusion, bind)
+                    if not free:
+                        if concl.size <= size_cap:
+                            self._stage(staged, concl)
+                        return
+                    # concl still holds free; the members-only join is drive -1
+                    budget = size_cap - concl.size
+                    for first_new in range(len(free)) if drive < 0 else (-1,):
+                        fill(staged, rule.conclusion, free, occs, budget, first_new, pool_sorted, bind=bind)
                     return
                 pat = pats[i]
                 from_delta = plan[i] == drive
@@ -511,6 +531,8 @@ class _Engine:
 
             for drive in range(n):
                 join(0, drive, {})
+            if free and self.pool_new:
+                join(0, -1, {})
 
     # -- rounds
 

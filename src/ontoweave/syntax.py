@@ -8,8 +8,8 @@ composite values other modules build on them, are hash-consed the same way
 through one value table (Interned).
 
 Hash-consing makes any pure function of interned values safe to memoise, so
-closures, fibring queries, ontology reports and signature unions share one
-least-recently-used memo, MEMO, bounded by MEMO_SLOTS formula slots.
+closures, fibring queries and signature unions share one least-recently-used
+memo, MEMO, bounded by MEMO_SLOTS formula slots.
 Signature content is canonical (sorted, deduplicated, no empty level), so
 signature inclusion reads the memoised union: c1 <= c2 iff it is c2.
 
@@ -129,7 +129,7 @@ class Interned(ReadOnly):
 
 
 # The memo's budget in formula slots. One pass of the graph-session scripts
-# needs about 115k slots and one fibre-alternation pass about 133k.
+# needs about 61k slots and one fibre-alternation pass about 133k.
 MEMO_SLOTS = 1 << 18
 
 

@@ -5,10 +5,10 @@ from __future__ import annotations
 import pytest
 from hypothesis import settings
 
-from ontoweave import ontology, presets, syntax
+from ontoweave import presets, syntax
 from ontoweave.consequence import CalculusPresentation, Fuel, Rule, closure_bounded
 from ontoweave.fibring import fibred_derives
-from ontoweave.ontology import Ontology, validate_ontology
+from ontoweave.ontology import Ontology
 from ontoweave.syntax import MEMO_SLOTS, Memo, make_signature, parse_formula, signature_union
 
 # Property tests draw the same examples on every run and have no deadline,
@@ -64,8 +64,7 @@ def cold_memo(monkeypatch):
 
 def entry_slots(key: tuple, answer) -> int:
     """The slots one memo entry takes, counted afresh from its key and
-    answer: one per formula it references, and one for a report or a
-    signature union besides."""
+    answer: one per formula it references, and one for a signature union."""
     function = key[0]
     if function is closure_bounded:
         _, _, premises, _, seeds = key
@@ -73,8 +72,6 @@ def entry_slots(key: tuple, answer) -> int:
     if function is fibred_derives:
         premises, goal, before = key[4:]
         return len(premises) + 1 + len(before) + len(answer[1])
-    if function is validate_ontology:
-        return len(key[2]) + 1
     assert function is signature_union, key
     return 1
 
@@ -82,15 +79,6 @@ def entry_slots(key: tuple, answer) -> int:
 def memo_slots(memo) -> int:
     """The slots a memo's entries take, counted afresh."""
     return sum(entry_slots(key, answer) for key, (answer, _) in memo.table.items())
-
-
-@pytest.fixture
-def law_checks(monkeypatch, cold_memo):
-    """One entry per law check validate_ontology runs, from an empty memo."""
-    calls = []
-    laws = ontology.check_operator_laws
-    monkeypatch.setattr(ontology, "check_operator_laws", lambda *a, **k: calls.append(1) or laws(*a, **k))
-    return calls
 
 
 def binary_calculus(symbol: str) -> CalculusPresentation:

@@ -79,12 +79,40 @@ def test_law_probes_run_below_a_set_cap_of_four(tmp_path, capsys):
     defs.write_text(SMALL_CAP_DEFS, encoding="utf-8")
     assert main(["check", str(defs), "--fuel-set", "3"]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert len(out) == 11 and all(line.split("\t")[3] == "pass" for line in out)
+    assert len(out) == 9 and all(line.split("\t")[3] == "pass" for line in out)
     assert f"{defs}\tcalculus conj\tcut\tpass\tinstances=0" in out
     manifest = tmp_path / "graph.dsl"
     argv = ["graph", "--manifest", str(manifest), "--fuel-set", "3"]
     assert main([*argv, "add-node", "--defs", str(defs), "--name", "conj_onto"]) == 0
     assert capsys.readouterr().out == "added node conj_onto\n"
+
+
+ORI_DEFS = """
+signature S { a/0; or/2; }
+calculus ori over S { rule OrI: x1 |- or(x1, x2); }
+ontology ori_onto { base ori; onto_signature { } axioms { a; } }
+"""
+
+
+def test_a_conclusion_only_variable_passes_the_law_probes(tmp_path, capsys):
+    # OrI fills x2 from the pool, so a premise from an earlier round must
+    # meet the pool values that arrive later for closure to be iterated F
+    defs = tmp_path / "ori.dsl"
+    defs.write_text(ORI_DEFS, encoding="utf-8")
+    assert main(["check", str(defs)]) == 0
+    out = [line.split("\t")[1:4] for line in capsys.readouterr().out.splitlines()]
+    laws = ("extensivity", "monotonicity", "cut", "idempotence")
+    assert out == [["calculus ori", law, "pass"] for law in laws] + [
+        ["ontology ori_onto", "axioms-derivable", "pass"]
+    ]
+
+
+def test_graph_adds_an_ontology_over_a_conclusion_only_variable(tmp_path, capsys):
+    defs = tmp_path / "ori.dsl"
+    defs.write_text(ORI_DEFS, encoding="utf-8")
+    argv = ["graph", "--manifest", str(tmp_path / "graph.dsl"), "--fuel-set", "100000"]
+    assert main([*argv, "add-node", "--defs", str(defs), "--name", "ori_onto"]) == 0
+    assert capsys.readouterr().out == "added node ori_onto\n"
 
 
 def test_graph_links_check_at_a_set_cap_of_one(tmp_path, capsys):
@@ -411,7 +439,7 @@ def test_connect_emits_loadable_snippet(defs_file, capsys):
     assert code == 0
     from ontoweave.dsl import parse_document
 
-    blocks = out.split("consequence-laws")[0]
+    blocks = out.split("axioms-derivable")[0]
     doc = parse_document(blocks)
     assert "merged" in doc.ontologies
     assert [a.text for a in doc.ontologies["merged"].axioms] == ["imp(bot, x1)"]
@@ -432,7 +460,7 @@ def test_connect_renames_across_axioms_and_rules(tmp_path, capsys):
     out = capsys.readouterr().out
     from ontoweave.dsl import parse_document
 
-    cal = parse_document(out.split("consequence-laws")[0]).calculi["connected_cal"]
+    cal = parse_document(out.split("axioms-derivable")[0]).calculi["connected_cal"]
     assert [r.name for r in cal.axioms] == ["X", "X_2", "Y_2"]
     assert [r.name for r in cal.rules] == ["X_3", "Y"]
 

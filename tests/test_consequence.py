@@ -2,9 +2,10 @@
 structurality, weakness, and the meta-principle probes."""
 
 import random
+from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ontoweave.consequence import (
     CalculusPresentation,
@@ -198,12 +199,6 @@ def test_closure_monotone_in_fuel(cpl):
         assert lo <= closure_bounded(cpl, gamma, bigger)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP item 1: a conclusion-only variable is filled from the pool, "
-    "but an old premise is never paired with a pool value that has just arrived",
-)
 def test_conclusion_only_variable_meets_new_pool_values():
     sig = make_signature([("a", 0), ("or", 2)])
     g = lambda text: parse_formula(text, sig)
@@ -562,9 +557,14 @@ def test_principles_missing_negation():
 #
 # The reference below is the earlier join, kept verbatim apart from taking
 # the engine as an argument: every candidate goes through the matcher and
-# costs one unit of work on its own. The engine's join must stage the same
-# set, stop (or not) at the same point and leave the same work budget, at
-# every staging quota and work budget, cut or uncut.
+# costs one unit of work on its own. Its conclusion-only variables are
+# filled as the pool-instantiation kernel (_Engine._fill) documents: one
+# unit of work per pool value scanned, the old/new pool split, the tier
+# thresholds, the break at the first value over the size budget, and, after
+# the delta-driven joins, one join over the members only that fills them
+# with a new pool value at each position in turn. The engine's join must
+# stage the same set, stop (or not) at the same point and leave the same
+# work budget, at every staging quota and work budget, cut or uncut.
 
 
 def _reference_spend(eng) -> None:
@@ -603,28 +603,43 @@ def _reference_rule_conclusions(eng, delta, staged, pool_sorted) -> None:
 
     for rule, plan in zip(eng.cal.rules, eng.cal._plans):
         n = len(plan)
-        concl_vars = sorted(rule.conclusion.variables)
+        free = sorted(rule.conclusion.variables - set().union(*(p.variables for p in rule.premises)))
+        occs = [sum(node.var == v for node in rule.conclusion.subformulas()) for v in free]
+        vcap = eng.psize if len(free) <= 2 else eng.wide_psize
 
-        def emit(bind):
-            free = [v for v in concl_vars if v not in bind]
+        def emit(bind, drive):
+            concl = substitute(rule.conclusion, bind)
             if not free:
-                concl = substitute(rule.conclusion, bind)
                 if concl.size <= eng.size_cap:
                     eng._stage(staged, concl)
                 return
+            chosen = []
 
-            def fill(i):
+            def fill(i, remaining, first_new):
                 if i == len(free):
-                    concl = substitute(rule.conclusion, bind)
-                    if concl.size <= eng.size_cap:
-                        eng._stage(staged, concl)
+                    eng._stage(staged, substitute(rule.conclusion, {**bind, **dict(zip(free, chosen))}))
                     return
-                for value in pool_sorted:
-                    bind[free[i]] = value
-                    fill(i + 1)
-                    del bind[free[i]]
+                if i < first_new:
+                    source = eng.pool_old
+                elif i == first_new:
+                    source = eng.pool_new
+                else:
+                    source = pool_sorted
+                for value in source:
+                    _reference_spend(eng)
+                    cost = occs[i] * (value.size - 1)
+                    if cost > remaining:
+                        break
+                    if value.size > vcap and value not in eng.seed_exempt:
+                        continue
+                    chosen.append(value)
+                    fill(i + 1, remaining - cost, first_new)
+                    chosen.pop()
 
-            fill(0)
+            budget = eng.size_cap - concl.size
+            if budget >= 0:
+                for first_new in range(len(free)) if drive < 0 else (-1,):
+                    fill(0, budget, first_new)
 
         def candidates(pat, from_delta, bind):
             if pat.var is not None and pat.var in bind:
@@ -641,7 +656,7 @@ def _reference_rule_conclusions(eng, delta, staged, pool_sorted) -> None:
 
         def join(i, drive, bind):
             if i == n:
-                emit(bind)
+                emit(bind, drive)
                 return
             pat = rule.premises[plan[i]]
             for cand in candidates(pat, plan[i] == drive, bind):
@@ -656,6 +671,8 @@ def _reference_rule_conclusions(eng, delta, staged, pool_sorted) -> None:
 
         for drive in range(n):
             join(0, drive, {})
+        if free and eng.pool_new:
+            join(0, -1, {})
 
 
 def _join_outcome(join, eng, delta, pool_sorted, quota, budget):
@@ -779,8 +796,9 @@ def test_join_matches_the_nested_loop_reference(cal, gamma, size_cap):
 
 
 def test_join_matches_the_reference_on_edge_shapes():
-    # constants, a repeated variable, a variable at depth 2 and a
-    # three-premise rule, each beside a bare premise the look-ahead uses
+    # constants, a repeated variable, a variable at depth 2, a three-premise
+    # rule and a conclusion-only variable, each beside a bare premise the
+    # look-ahead uses
     p = lambda text: parse_formula(text, _JOIN_SIG)
     cal = CalculusPresentation(
         _JOIN_SIG,
@@ -790,6 +808,7 @@ def test_join_matches_the_reference_on_edge_shapes():
             Rule("Deep", (p("f(n(x1), x2)"), p("x2")), p("f(x2, x1)")),
             Rule("Three", (p("n(x3)"), p("f(x1, x2)"), p("x2")), p("f(x3, a)")),
             Rule("Const", (p("f(a, x1)"), p("x1")), p("n(b)")),
+            Rule("Pool", (p("n(x1)"), p("x1")), p("f(x2, x1)")),
         ),
     )
     assert all(any(k is not None for k in levels) for levels in cal._lookahead)
@@ -798,6 +817,24 @@ def test_join_matches_the_reference_on_edge_shapes():
     assert quota_cuts and work_cuts
     # a cap small enough that look-ahead arguments go over it
     _compare_joins(cal, gamma, Fuel(3, 4, 400), budgets_per_round=400)
+
+
+def test_join_matches_the_reference_as_the_pool_grows():
+    # at size 16 the pool takes size-2 values: N adds n(b) in round 1, so in
+    # round 2 the old premise n(a) of Pool meets it in the members-only
+    # join, and Wide's three conclusion-only variables skip it (tier 1)
+    p = lambda text: parse_formula(text, _JOIN_SIG)
+    cal = CalculusPresentation(
+        _JOIN_SIG,
+        rules=(
+            Rule("N", (p("f(x1, b)"),), p("n(x1)")),
+            Rule("Pool", (p("n(x1)"),), p("f(x2, x1)")),
+            Rule("Wide", (p("f(b, a)"),), p("f(x1, f(x2, x3))")),
+        ),
+    )
+    gamma = [p("n(a)"), p("f(b, b)"), p("f(b, a)")]
+    quota_cuts, work_cuts = _compare_joins(cal, gamma, Fuel(2, 16, 2000))
+    assert quota_cuts and work_cuts
 
 
 # -- axiom instantiation and admission against their plain forms
@@ -1019,3 +1056,111 @@ def test_admission_keeps_the_pool_to_small_subtrees_of_members(name):
     members = _drive_rounds(eng, gamma, each_round, each_admit)
     assert len(admissions) >= 3 and admissions[-1] > admissions[0]
     assert members == _Engine(cal, fuel, (goal,)).run(_canonical(gamma))[0]
+
+
+# -- the engine against the round operator it promises
+#
+# The reference applies F literally: no delta, no memo and no old/new pool
+# split, only the restrictions the engine documents. The pool is every
+# subformula of at most pool_size nodes, the base variables, the constants
+# and the seeds' subformulas; a schema with three or more pool-filled
+# variables draws values of at most wide_pool_size nodes, seeds exempt;
+# premise instances and instances have at most max_formula_size nodes, and a
+# bare premise whose variable is in no structured premise at most bare_size.
+
+
+def _literal_match(pat, phi, bind):
+    """bind extended so that pat under it is phi, or None."""
+    if pat.var is not None:
+        if pat.var in bind:
+            return bind if bind[pat.var] is phi else None
+        return {**bind, pat.var: phi}
+    if phi.var is not None or phi.head != pat.head:
+        return None
+    for p_child, child in zip(pat.args, phi.args):
+        bind = _literal_match(p_child, child, bind)
+        if bind is None:
+            return None
+    return bind
+
+
+def _literal_round(cal, fuel, seeds, current):
+    """F(current): current with every axiom and rule instance it admits."""
+    size_cap = fuel.max_formula_size
+    exempt = {node for phi in seeds for node in phi.subformulas()}
+    schemas = [s for r in cal.axioms + cal.rules for s in r.schemas()]
+    base = max((2, *(v for s in schemas for v in s.variables)))
+    pool = {node for phi in current for node in phi.subformulas() if node.size <= fuel.pool_size}
+    pool |= exempt | {svar(i) for i in range(1, base + 1)}
+    pool |= {apply_symbol(c) for c in cal.sig.constants()}
+
+    tiers = (fuel.pool_size, fuel.wide_pool_size)
+    narrow, wide = ([v for v in pool if v.size <= tier or v in exempt] for tier in tiers)
+
+    def instances(schema, bind, free):
+        for chosen in product(narrow if len(free) <= 2 else wide, repeat=len(free)):
+            inst = substitute(schema, {**bind, **dict(zip(free, chosen))})
+            if inst.size <= size_cap:
+                yield inst
+
+    out = set(current)
+    for axiom in cal.axioms:
+        out.update(instances(axiom.conclusion, {}, sorted(axiom.conclusion.variables)))
+    premise_instances = [phi for phi in current if phi.size <= size_cap]
+    for rule in cal.rules:
+        structured = set().union(*(p.variables for p in rule.premises if p.var is None))
+        binds = [{}]
+        for pat in rule.premises:
+            if pat.var is not None and pat.var not in structured:
+                cands = [phi for phi in premise_instances if phi.size <= fuel.bare_size]
+            else:
+                cands = premise_instances
+            matches = (_literal_match(pat, phi, bind) for bind in binds for phi in cands)
+            binds = [bind for bind in matches if bind is not None]
+        free = sorted(rule.conclusion.variables - set().union(*(p.variables for p in rule.premises)))
+        for bind in binds:
+            out.update(instances(rule.conclusion, bind, free))
+    return out
+
+
+@st.composite
+def _oracle_calculi(draw):
+    widths = draw(st.lists(st.integers(0, 3), max_size=2))
+    axioms = [Rule(f"Ax{i}", (), draw(_schema_over(n))) for i, n in enumerate(widths)]
+    rules = []
+    for i in range(draw(st.integers(1, 2))):
+        premises = tuple(draw(st.lists(_PATTERNS, min_size=1, max_size=2)))
+        # conclusion variables outside the premises range over the pool
+        concl = draw(_schema_over(draw(st.integers(0, 4))))
+        rules.append(Rule(f"R{i}", premises, concl))
+    return CalculusPresentation(_JOIN_SIG, axioms=axioms, rules=rules)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    _oracle_calculi(),
+    st.lists(_PATTERNS, min_size=1, max_size=3),
+    st.lists(_PATTERNS, max_size=1),
+    st.sampled_from([(16, 2), (16, 3), (24, 2)]),
+)
+def test_closure_is_the_iterated_round_operator(cal, gamma, seeds, caps):
+    # below size 9 the pool holds leaves only and never grows; three
+    # rounds at size 24 take seconds where a pool-filled rule meets a
+    # two-variable axiom
+    size_cap, rounds = caps
+    fuel = Fuel(rounds, size_cap, 100_000)
+    cuts = []
+
+    class Counted(_StagingFull):
+        def __init__(self):
+            cuts.append(1)
+
+    with pytest.MonkeyPatch.context() as m:
+        # the raise and the except both look the name up at run time
+        m.setattr(consequence, "_StagingFull", Counted)
+        members, _ = _Engine(cal, fuel, seeds).run(_canonical(gamma))
+    assume(not cuts and len(members) < fuel.max_set_size)
+    want = set(gamma)
+    for _ in range(rounds):
+        want = _literal_round(cal, fuel, seeds, want)
+    assert members == want

@@ -91,7 +91,7 @@ def test_add_node_validation_failure(cpl):
         add_node(DevGraph(), bad, NODE_FUEL)
 
 
-def test_failing_node_fails_alike_twice(cpl, law_checks):
+def test_failing_node_fails_alike_twice(cpl):
     big = parse_formula("imp(bot, " * 8 + "x1" + ")" * 8, cpl.sig)
     bad = Ontology("bad", cpl, make_signature([]), [big])
     raised = []
@@ -99,8 +99,7 @@ def test_failing_node_fails_alike_twice(cpl, law_checks):
         with pytest.raises(ValidationFailed) as info:
             add_node(DevGraph(), bad, NODE_FUEL)
         raised.append(str(info.value))
-    assert raised[0] == raised[1] and raised[0].startswith("bad: axioms-derivable failed: ")
-    assert len(law_checks) == 1
+    assert raised[0] == raised[1] == f"bad: axioms-derivable failed: {big.text}"
 
 
 # -- link insertion

@@ -1,5 +1,5 @@
-"""The one memo: closures, fibring queries, ontology reports and signature
-unions share one slot budget, and every answer from it is a cold one."""
+"""The one memo: closures, fibring queries and signature unions share one
+slot budget, and every answer from it is a cold one."""
 
 import random
 
@@ -7,7 +7,6 @@ from ontoweave import syntax
 from ontoweave.consequence import Fuel, closure_bounded, transfer_scan
 from ontoweave.errors import OntoweaveError
 from ontoweave.fibring import dump_session, fibred_derives, open_session
-from ontoweave.ontology import Ontology, validate_ontology
 from ontoweave.syntax import MEMO_SLOTS, Memo, enumerate_formulas, make_signature, signature_union
 
 from conftest import memo_slots
@@ -43,21 +42,15 @@ def test_every_kind_of_entry_shares_one_budget_and_answers_as_a_cold_run(
     union = open_session(cpl, conj, FUEL).union_sig
     corpus = enumerate_formulas(union, 2, 2)
     catalogue = [(rng.sample(corpus, 2), rng.choice(corpus)) for _ in range(6)]
-    cpl_corpus = enumerate_formulas(cpl.sig, 2, 1)
     bot = make_signature([("bot", 0)])
-    ontologies = [
-        Ontology(f"o{i}", cpl, bot, axioms)
-        for i, axioms in enumerate([[], cpl_corpus[3:4], cpl_corpus[5:7], cpl_corpus[:2]])
-    ]
     signatures = [cpl.sig, conj.sig, imp_fragment.sig, bot, union]
     scans = [(imp_fragment, cpl), (cpl, rule_free), (conj, conj)]
     # (warm, cold) session pairs, each asked in turn; a reused session is
     # dumped only at the end, because dumping freezes it
     sessions = {"fresh": [], "frozen": [], "reused": []}
     kinds, held = set(), set()
-    reports_seen, recomputed = set(), 0
     for _ in range(60):
-        kind = rng.choice(["scan", "fresh", "reused", "frozen", "report", "union"])
+        kind = rng.choice(["scan", "fresh", "reused", "frozen", "union"])
         kinds.add(kind)
         if kind == "scan":
             src, dst = rng.choice(scans)
@@ -71,14 +64,6 @@ def test_every_kind_of_entry_shares_one_budget_and_answers_as_a_cold_run(
             warm_session, cold_session = pairs[-1]
             gamma, phi = rng.choice(catalogue)
             assert answer(warm_session, gamma, phi) == cold(lambda: answer(cold_session, gamma, phi))
-        elif kind == "report":
-            o = rng.choice(ontologies)
-            key = (validate_ontology, o.effective, o.axioms, FUEL)
-            evicted = key in reports_seen and key not in memo.table
-            report = validate_ontology(o, FUEL)
-            assert report.entries == cold(lambda: validate_ontology(o, FUEL)).entries
-            recomputed += evicted
-            reports_seen.add(key)
         else:
             a, b = rng.choice(signatures), rng.choice(signatures)
             assert signature_union(a, b) is cold(lambda: signature_union(a, b))
@@ -86,6 +71,5 @@ def test_every_kind_of_entry_shares_one_budget_and_answers_as_a_cold_run(
         held.update(key[0] for key in memo.table)
     for warm_session, cold_session in sum(sessions.values(), []):
         assert dump_session(warm_session) == dump_session(cold_session)
-    assert kinds == {"scan", "fresh", "reused", "frozen", "report", "union"}
-    assert held == {closure_bounded, fibred_derives, validate_ontology, signature_union}
-    assert recomputed >= 1
+    assert kinds == {"scan", "fresh", "reused", "frozen", "union"}
+    assert held == {closure_bounded, fibred_derives, signature_union}
