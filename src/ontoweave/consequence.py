@@ -17,7 +17,8 @@ and tiers as axiom variables. For every calculus the DSL accepts, closure is
 literally F iterated whenever no round is cut by the set cap, the staging
 quota or the work budget, so extensivity, monotonicity, cut at doubled fuel,
 and bounded idempotence then hold by construction. A round the work budget
-cuts is never retried: instances its delta would have driven stay missing.
+or the staging quota cuts is never retried: instances it did not reach over
+its delta or its pool stay missing, even an axiom that fits the size cap.
 
 Presentations are hash-consed like formulas, through syntax's one value
 table (the Interned base): equal presentations are one object, so they
@@ -310,7 +311,8 @@ class _Engine:
     # -- membership bookkeeping
 
     def _admit(self, batch: Sequence[Formula]) -> list[Formula]:
-        """Add a canonically sorted batch, respecting the set cap."""
+        """Add a canonically sorted batch, distinct and disjoint from the
+        members (as premises and fresh formulas are), up to the set cap."""
         members = self.members
         room = self.set_cap - len(members)
         added: list[Formula] = []
@@ -323,8 +325,6 @@ class _Engine:
         for phi in batch:
             if room <= 0:
                 break
-            if phi in members:
-                continue
             members.add(phi)
             added.append(phi)
             room -= 1
@@ -450,8 +450,9 @@ class _Engine:
 
         Each premise in turn drives: it ranges over delta, every other
         premise over the members. Conclusion-only variables go through
-        _fill: over the whole pool in those joins, then, if the pool grew,
-        once per first-new position in one join over the members only.
+        _fill: over the whole pool in those joins, then, from round 2 on and
+        if the pool grew, once per first-new position in one join over the
+        members only (in round 1 the members are the delta).
         Every candidate scanned costs one unit of work, in enumeration
         order. A candidate over the size cap, or one that the plan's
         look-ahead rules out before matching (its argument for the next,
@@ -531,7 +532,7 @@ class _Engine:
 
             for drive in range(n):
                 join(0, drive, {})
-            if free and self.pool_new:
+            if free and self.pool_old and self.pool_new:
                 join(0, -1, {})
 
     # -- rounds
@@ -576,8 +577,6 @@ class _Engine:
             delta = self._admit(fresh)
             if watch is not None and watch in self.members:
                 return frozenset(self.members), round_no
-            if not delta:
-                break
         return frozenset(self.members), None
 
 

@@ -515,6 +515,40 @@ def test_an_axiom_over_the_size_cap_fails_validation(tmp_path, capsys):
     assert capsys.readouterr().out == "added node big\n"
 
 
+ZOO_DEFS = """
+signature Z {
+  bot/0; not/1; imp/2;
+  dog/0; cat/0; bird/0; fish/0; mammal/0; animal/0; pet/0; wild/0; tame/0; alive/0;
+}
+calculus zc over Z {
+  axiom A1: imp(x1, imp(x2, x1));
+  axiom A2: imp(imp(x1, imp(x2, x3)), imp(imp(x1, x2), imp(x1, x3)));
+  axiom A3: imp(imp(not(x1), not(x2)), imp(x2, x1));
+  axiom DS: imp(not(x1), imp(x1, x2));
+  rule MP: x1, imp(x1, x2) |- x2;
+  negation not;
+}
+ontology zoo {
+  base zc;
+  onto_signature { dog/0; mammal/0; animal/0; }
+  axioms { imp(dog, mammal); imp(mammal, animal); imp(bot, x1); }
+}
+"""
+
+
+def test_axioms_within_the_size_cap_pass_at_the_default_fuel(tmp_path, capsys):
+    # every axiom fits the size cap, so validation passes, although a
+    # closure at the default fuel fills round 1 with A1 and A2 instances
+    # before it stages imp(bot, x1)
+    defs = tmp_path / "defs.dsl"
+    defs.write_text(ZOO_DEFS)
+    add = ["add-node", "--defs", str(defs), "--name", "zoo"]
+    code = main(["graph", "--manifest", str(tmp_path / "graph.dsl"), *add])
+    assert (code, capsys.readouterr().out) == (0, "added node zoo\n")
+    assert main(["check", str(defs), "--samples", "4"]) == 0
+    assert "ontology zoo\taxioms-derivable\tpass" in capsys.readouterr().out
+
+
 def test_graph_duplicate_node(defs_file, tmp_path, capsys):
     manifest = tmp_path / "graph.dsl"
     graph_cmd(manifest, "add-node", "--defs", str(defs_file), "--name", "efq")

@@ -222,6 +222,28 @@ def test_a_larger_fuel_keeps_a_derived_verdict(cpl):
     assert derives(cpl, [bot], goal, Fuel(6, 31, 512)).is_derived
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 4: with six constants, round 1 stages 169 A1 and 1943 A2 "
+    "instances, which fill the staging quota before DS runs; admission then fills the "
+    "set cap, so no later round stages the calculus's own DS axiom",
+)
+def test_an_axiom_of_the_calculus_is_derived_beside_six_constants(cpl):
+    def over(constants):
+        """cpl's presentation over its signature plus c1..c<constants>, and DS."""
+        sig = make_signature(
+            [("bot", 0), ("not", 1), ("imp", 2)] + [(f"c{i}", 0) for i in range(1, constants + 1)]
+        )
+        cal = CalculusPresentation(sig, cpl.axioms, cpl.rules, cpl.negation)
+        return cal, f("imp(not(x1), imp(x1, x2))", sig)
+
+    cal, ds = over(5)
+    assert derives(cal, (), ds, Fuel()) == Derived(1)
+    cal, ds = over(6)
+    assert derives(cal, (), ds, Fuel()).is_derived
+
+
 # -- the closure memo
 
 
@@ -671,7 +693,7 @@ def _reference_rule_conclusions(eng, delta, staged, pool_sorted) -> None:
 
         for drive in range(n):
             join(0, drive, {})
-        if free and eng.pool_new:
+        if free and eng.pool_old and eng.pool_new:
             join(0, -1, {})
 
 
@@ -925,8 +947,6 @@ def _drive_rounds(eng, gamma, each_round=lambda pool_sorted: None, each_admit=la
         if not fresh:
             break
         delta = admit(fresh)
-        if not delta:
-            break
     return frozenset(eng.members)
 
 

@@ -258,6 +258,16 @@ def test_early_round_end_matches_full_rounds(cpl, conj, cold_memo, monkeypatch):
     assert early_calls < full_calls
 
 
+def test_the_alternation_stops_at_its_fixpoint(conj, cold_memo, monkeypatch):
+    # round 1 leaves a set that both side closures keep as it is, so round
+    # 2 ends at the fixpoint and rounds 3 and 4 never run
+    calls = counting_side_closures(monkeypatch)
+    s = open_session(presets.rule_free(), conj, Fuel(4, 12, 8000))
+    verdict = fibred_derives(s, [union_formula(s, "and(x1, bot)")], union_formula(s, "x2"))
+    assert verdict == NotDerivedWithin(s.fuel)
+    assert calls == ["left", "right"] * 2
+
+
 def readme_query(cpl, conj, fuel=SESSION_FUEL, session=None):
     """The README example, {and(x1, x2), imp(x1, x3)} |- x3, asked of the
     given session or of a fresh one."""

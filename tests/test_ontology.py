@@ -7,6 +7,7 @@ import random
 import pytest
 
 from ontoweave.consequence import CalculusPresentation, Derived, Fuel, NotDerivedWithin, Rule, derives
+from ontoweave.devgraph import DevGraph, add_node
 from ontoweave.errors import LanguageError, OntoSigError, SignatureError
 from ontoweave.morphisms import SignatureMorphism
 from ontoweave.ontology import (
@@ -18,7 +19,7 @@ from ontoweave.ontology import (
     validate_ontology,
 )
 from ontoweave.syntax import Symbol, make_signature, parse_formula, signature_union
-from ontoweave import presets
+from ontoweave import consequence, presets
 
 from conftest import binary_calculus, plain_ontology
 
@@ -87,6 +88,29 @@ def test_an_axiom_is_derivable_exactly_when_it_fits_the_size_cap(cpl):
     assert validate_ontology(o, short).entry("axioms-derivable").witness == axiom.text
 
 
+def zoo_ontology(cpl):
+    """Three small axioms over cpl's presentation with ten more constants:
+    at the default fuel, round 1 of a closure fills the staging quota with
+    A1 and A2 instances before the ontological axioms are staged."""
+    animals = ("dog", "cat", "bird", "fish", "mammal", "animal", "pet", "wild", "tame", "alive")
+    sig = make_signature([("bot", 0), ("not", 1), ("imp", 2)] + [(c, 0) for c in animals])
+    base = CalculusPresentation(sig, cpl.axioms, cpl.rules, cpl.negation)
+    axioms = [f(t, sig) for t in ("imp(dog, mammal)", "imp(mammal, animal)", "imp(bot, x1)")]
+    return Ontology("zoo", base, make_signature([("dog", 0), ("mammal", 0), ("animal", 0)]), axioms)
+
+
+def test_validation_runs_no_closure(cpl, monkeypatch):
+    def no_closure(*args, **kwargs):
+        raise AssertionError("validation ran a closure")
+
+    monkeypatch.setattr(consequence._Engine, "run", no_closure)
+    zoo = zoo_ontology(cpl)
+    assert validate_ontology(zoo, Fuel()).ok
+    failed = validate_ontology(zoo, Fuel(6, 2, 512)).failure
+    assert (failed.label, failed.witness) == ("axioms-derivable", "imp(bot, x1)")
+    assert "zoo" in add_node(DevGraph(), zoo, Fuel()).nodes
+
+
 def test_validate_empty_over_empty():
     empty = presets.rule_free(make_signature([]))
     o = Ontology("void", empty, make_signature([]), [])
@@ -109,8 +133,8 @@ def test_validation_runs_once_per_content(cpl):
 
 
 def test_a_thousand_distinct_validations_keep_the_memo_within_its_budget(cold_memo):
-    # a report is one derives per axiom, and derives is not memoised, so
-    # validation leaves no entry in the memo
+    # a report compares each axiom's size with the fuel and runs no
+    # closure, so validation leaves no entry in the memo
     sig = make_signature([("a", 0), ("s", 1), ("t", 1)])
     base = presets.rule_free(sig)
     fuel = Fuel(1, 4, 20)
