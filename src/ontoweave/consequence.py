@@ -31,7 +31,7 @@ call raises exactly what a fresh one would. derives is not memoised: it
 stops at the round its goal appears.
 
 Every link check's evidence comes from one kernel, transfer_evidence: one
-transfer_scan over the corpus premise sets that fit the set cap.
+bounded scan of the corpus premise sets that fit the set cap.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from .syntax import (
     by_sort_key,
     enumerate_formulas,
     formula_in_language,
-    require_in_language,
     signature_leq,
     substitute,
     svar,
@@ -221,7 +220,8 @@ class CalculusPresentation(Interned):
         maxvar = 2
         for rule in axioms + rules:
             for schema in rule.schemas():
-                require_in_language(schema, sig, f"schema of {rule.name!r}")
+                if not formula_in_language(schema, sig):
+                    raise LanguageError(f"schema of {rule.name!r} {schema.text} is not in the given language")
                 maxvar = max((maxvar, *schema.variables))
         if negation is not None and (negation.arity != 1 or negation not in sig):
             raise ConfigError(f"designated negation {negation} must be unary in the signature")
@@ -854,60 +854,6 @@ def _gamma_candidates(corpus: Sequence[Formula], max_premises: int):
 
 
 @dataclass(frozen=True)
-class TransferWitness:
-    """A corpus consequence phi of gamma whose image the target misses."""
-
-    gamma: tuple[Formula, ...]
-    phi: Formula
-    image: Formula
-
-    def render(self) -> str:
-        return f"gamma={_format_set(self.gamma)} phi={self.phi.text} image={self.image.text}"
-
-
-def transfer_scan(
-    src: CalculusPresentation,
-    dst: CalculusPresentation,
-    image: Callable[[Formula], Formula],
-    corpus_depth: int,
-    fuel: Fuel,
-) -> tuple[int, TransferWitness | None]:
-    """Bounded check that consequence transfers from src to dst along image.
-
-    Scans every premise set of at most two corpus formulas over src's
-    language (variables x1, x2) within the set cap, in canonical order.
-    Each strict corpus consequence src derives within fuel must have its
-    image derived by dst from the imaged premises within fuel; missing
-    images get one retry at escalated fuel. Returns the number of premises
-    and consequences checked, and the first failure (the first missing image
-    in canonical order of its preimage), or None when everything transferred.
-    """
-    corpus = enumerate_formulas(src.sig, corpus_depth, 2)
-    corpus_set = set(corpus)
-    escalation = fuel.escalated()
-    checked = 0
-    for gamma in _gamma_candidates(corpus, min(2, fuel.max_set_size)):
-        # premises transfer by extensivity; check the strict consequences
-        derivable = sorted(
-            (closure_bounded(src, gamma, fuel) & corpus_set) - set(gamma),
-            key=by_sort_key,
-        )
-        checked += len(gamma) + len(derivable)
-        if not derivable:
-            continue
-        image_gamma = [image(g) for g in gamma]
-        images = [image(phi) for phi in derivable]
-        transferred = closure_bounded(dst, image_gamma, fuel, extra_pool=images)
-        missing = [i for i, img in enumerate(images) if img not in transferred]
-        if missing:
-            transferred = closure_bounded(dst, image_gamma, escalation, extra_pool=images)
-            missing = [i for i in missing if images[i] not in transferred]
-        if missing:
-            return checked, TransferWitness(gamma, derivable[missing[0]], images[missing[0]])
-    return checked, None
-
-
-@dataclass(frozen=True)
 class Evidence:
     """What is known about a link, from its checker to the manifest.
 
@@ -954,11 +900,42 @@ def transfer_evidence(
     fuel: Fuel,
     scope: str = "",
 ) -> Evidence:
-    """transfer_scan's answer as link evidence. check names the link check
-    in the detail; scope, when given, states the bound before the count."""
-    checked, witness = transfer_scan(src, dst, image, corpus_depth, fuel)
-    if witness:
-        return Evidence("refuted", corpus_depth, fuel, f"{check} refuted {witness.render()}")
+    """Bounded evidence that consequence transfers from src to dst along
+    image; check names the link check in the detail, and scope, when given,
+    states the bound before the count.
+
+    Scans every premise set of at most two corpus formulas over src's
+    language (variables x1, x2) within the set cap, in canonical order.
+    Each strict corpus consequence src derives within fuel must have its
+    image derived by dst from the imaged premises within fuel; missing
+    images get one retry at escalated fuel. The first missing image, in
+    canonical order of its preimage, refutes; otherwise the detail counts
+    the premises and consequences checked.
+    """
+    corpus = enumerate_formulas(src.sig, corpus_depth, 2)
+    corpus_set = set(corpus)
+    escalation = fuel.escalated()
+    checked = 0
+    for gamma in _gamma_candidates(corpus, min(2, fuel.max_set_size)):
+        # premises transfer by extensivity; check the strict consequences
+        derivable = sorted(
+            (closure_bounded(src, gamma, fuel) & corpus_set) - set(gamma),
+            key=by_sort_key,
+        )
+        checked += len(gamma) + len(derivable)
+        if not derivable:
+            continue
+        image_gamma = [image(g) for g in gamma]
+        images = [image(phi) for phi in derivable]
+        transferred = closure_bounded(dst, image_gamma, fuel, extra_pool=images)
+        missing = [i for i, img in enumerate(images) if img not in transferred]
+        if missing:
+            transferred = closure_bounded(dst, image_gamma, escalation, extra_pool=images)
+            missing = [i for i in missing if images[i] not in transferred]
+        if missing:
+            phi, img = derivable[missing[0]], images[missing[0]]
+            witness = f"gamma={_format_set(gamma)} phi={phi.text} image={img.text}"
+            return Evidence("refuted", corpus_depth, fuel, f"{check} refuted {witness}")
     return Evidence("verified", corpus_depth, fuel, f"{check} verified-up-to {scope}checked={checked}")
 
 

@@ -41,7 +41,7 @@ from collections import OrderedDict
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import ArityError, CapExceeded, LanguageError, ParseError, UnknownSymbol
+from .errors import ArityError, CapExceeded, ParseError, UnknownSymbol
 
 # The identifier grammar of every name in the textual surface: symbols,
 # signatures, calculi, ontologies, maps, and the schema variables among them.
@@ -72,17 +72,6 @@ class Symbol(NamedTuple):
 
 def is_identifier(text: str) -> bool:
     return _IDENT_RE.match(text) is not None
-
-
-def read_number(token: str) -> int:
-    """The number a number token spells; ParseError for '+2', '1_2', non-ASCII
-    digits, or more digits than int() converts (sys.get_int_max_str_digits)."""
-    if not _NUMBER_RE.match(token):
-        raise ParseError(f"expected a number, found {token!r}")
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(f"number with {len(token)} digits is too long") from None
 
 
 class ReadOnly:
@@ -450,11 +439,6 @@ def formula_in_language(phi: Formula, sig: Signature) -> bool:
     return all(node.var is not None or node.head in sig for node in phi.subformulas())
 
 
-def require_in_language(phi: Formula, sig: Signature, what: str = "formula") -> None:
-    if not formula_in_language(phi, sig):
-        raise LanguageError(f"{what} {phi.text} is not in the given language")
-
-
 # ---------------------------------------------------------------------------
 # Substitution
 
@@ -573,7 +557,16 @@ class TokenReader:
         return tok
 
     def take_number(self) -> int:
-        return read_number(self.take())
+        """The number the next token spells; ParseError for '+2', '1_2',
+        non-ASCII digits, or more digits than int() converts
+        (sys.get_int_max_str_digits)."""
+        token = self.take()
+        if not _NUMBER_RE.match(token):
+            raise ParseError(f"expected a number, found {token!r}")
+        try:
+            return int(token)
+        except ValueError:
+            raise ParseError(f"number with {len(token)} digits is too long") from None
 
     def formula(self, sig: Signature) -> Formula:
         """One formula through read_formula; an undeclared symbol is a
@@ -616,54 +609,35 @@ def parse_formula(text: str, sig: Signature) -> Formula:
 # Bounded enumeration
 
 
-def count_formulas(sig: Signature, max_depth: int, max_var: int) -> int:
-    """How many formulas enumerate_formulas would return, by the same
-    recurrence; once that passes DEFAULT_ENUM_CAP, some count above it. The
-    count never falls as the depth grows, so stopping there decides
-    `> DEFAULT_ENUM_CAP` exactly, without the unbounded integers of a deep
-    recurrence."""
-    if max_depth < 1 or max_var < 1:
-        raise ValueError("max_depth and max_var must be >= 1")
-    leaves = max_var + len(sig.constants())
-    total = leaves
-    for _ in range(max_depth - 1):
-        if total > DEFAULT_ENUM_CAP:
-            break
-        nxt = leaves
-        for arity in sig.arities():
-            if arity >= 1:
-                nxt += len(sig.level(arity)) * total**arity
-        if nxt == total:
-            # no symbol of arity >= 1: every further step adds nothing
-            break
-        total = nxt
-    return total
-
-
 def enumerate_formulas(sig: Signature, max_depth: int, max_var: int) -> list[Formula]:
     """Every formula of depth <= max_depth over x1..x(max_var), sorted
-    canonically. Deterministic; raises CapExceeded if the count outgrows
-    DEFAULT_ENUM_CAP.
+    canonically. Deterministic; raises CapExceeded, before building any
+    depth, if one would hold more than DEFAULT_ENUM_CAP formulas.
     """
-    if count_formulas(sig, max_depth, max_var) > DEFAULT_ENUM_CAP:
+    if max_depth < 1 or max_var < 1:
+        raise ValueError("max_depth and max_var must be >= 1")
+    arities = [arity for arity in sig.arities() if arity >= 1]
+    leaves = max_var + len(sig.constants())
+    # count the depths first: each holds the leaves plus every symbol over
+    # the one below, so the count never falls and stopping at the first one
+    # over the cap, or at the first that adds nothing, decides the cap exactly
+    depths, size = 1, leaves
+    while size <= DEFAULT_ENUM_CAP and depths < max_depth:
+        nxt = leaves + sum(len(sig.level(arity)) * size**arity for arity in arities)
+        if nxt == size:
+            break  # no symbol of arity >= 1: this is the fixpoint
+        depths, size = depths + 1, nxt
+    if size > DEFAULT_ENUM_CAP:
         raise CapExceeded(f"enumeration would produce more than {DEFAULT_ENUM_CAP} formulas")
-    layer: list[Formula] = [svar(i) for i in range(1, max_var + 1)]
-    layer.extend(apply_symbol(c) for c in sig.constants())
-    acc = list(layer)
-    for _ in range(max_depth - 1):
+    acc: list[Formula] = []
+    for _ in range(depths):
         prev = acc
-        nxt = list(layer)
-        for arity in sig.arities():
-            if arity < 1:
-                continue
+        acc = [svar(i) for i in range(1, max_var + 1)]
+        acc.extend(apply_symbol(c) for c in sig.constants())
+        for arity in arities:
             for sym in sig.level(arity):
                 args_stack = [()]
                 for _slot in range(arity):
                     args_stack = [t + (p,) for t in args_stack for p in prev]
-                nxt.extend(apply_symbol(sym, t) for t in args_stack)
-        acc = nxt
-        if len(acc) == len(prev):
-            # each depth holds the one below, so this is the fixpoint
-            break
-    uniq = sorted(set(acc), key=by_sort_key)
-    return uniq
+                acc.extend(apply_symbol(sym, t) for t in args_stack)
+    return sorted(set(acc), key=by_sort_key)

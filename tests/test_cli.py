@@ -216,6 +216,12 @@ BAD_LINKS = [
      "definition links carry a signature morphism"),
     ("theorem-with-map", "link theorem o -> p morphism h assert\n",
      "theorem links carry no morphism"),
+    ("unknown-status", "link theorem o -> p evidence refuted depth=2 rounds=1 size=2 set=3\n",
+     "unknown evidence status 'refuted'"),
+    ("wrong-field", "link theorem o -> p evidence verified rounds=1 depth=2 size=2 set=3\n",
+     "expected evidence field 'depth', found 'rounds'"),
+    ("unquoted-detail", "link theorem o -> p evidence verified depth=2 rounds=1 size=2 set=3 detail plain\n",
+     "evidence detail must be a quoted string"),
 ]
 
 
@@ -241,6 +247,18 @@ BAD_LINKS = [
         pytest.param("signature S { a/" + "1" * 5000 + "; }",
                      ["check", "{path}"], "ParseError: number with 5000 digits is too long",
                      id="long-number"),
+        pytest.param("signature 3 { a/0; }",
+                     ["check", "{path}"], "ParseError: expected an identifier, found '3'\n",
+                     id="not-an-identifier"),
+        pytest.param("signature S { a/0; } signature T { b/0; } morphism h : S -> T { b/0 -> b/0; }",
+                     ["check", "{path}"], "ParseError: symbol b/0 is not in the signature\n",
+                     id="symbol-outside-signature"),
+        pytest.param("signature S { a/0; } calculus c over S { lemma A: a; }",
+                     ["check", "{path}"], "ParseError: unexpected 'lemma' in calculus block\n",
+                     id="calculus-keyword"),
+        pytest.param("theory T { }",
+                     ["check", "{path}"], "ParseError: expected a block keyword, found 'theory'\n",
+                     id="block-keyword"),
         *[
             pytest.param(BAD_LINK_HEAD + link, argv, prefix + message, id=f"{name}-{command}")
             for name, link, message in BAD_LINKS
@@ -255,7 +273,8 @@ BAD_LINKS = [
 def test_unbuildable_blocks_are_usage_errors(tmp_path, capsys, text, argv, prefix):
     # each block reads well, but the morphism is partial, the onto_signature
     # leaves its base, the evidence fuel is below 1, or a link statement is
-    # refused; or an arity has more digits than int() converts
+    # refused; or an arity has more digits than int() converts; or the text
+    # breaks the grammar: a name, symbol, keyword or evidence clause is wrong
     path = tmp_path / "input.dsl"
     path.write_text(text, encoding="utf-8")
     code = main([arg.format(path=path) for arg in argv])
@@ -482,6 +501,18 @@ def test_graph_workflow(defs_file, tmp_path, capsys):
     capsys.readouterr()
     assert graph_cmd(manifest, "load") == 0
     assert capsys.readouterr().out.strip() == "nodes=2 links=1"
+    # the heterogeneous shape: a theorem link efq -> efq and a monomorphic
+    # definition link conj_onto -> efq
+    maps = tmp_path / "maps.dsl"
+    maps.write_text(DEFS + "morphism m : CONJ -> CPL { and/2 -> imp/2; }\n", encoding="utf-8")
+    assert graph_cmd(manifest, "add-link", "--kind", "definition", "--from", "conj_onto",
+                     "--to", "efq", "--defs", str(maps), "--morphism", "m", "--assert") == 0
+    capsys.readouterr()
+    via = ["verify-refinement", "--to", "conj_onto", "--via", "efq"]
+    assert graph_cmd(manifest, *via, "--from", "efq") == 0
+    assert capsys.readouterr().out == "refinement\theterogeneous\tholds\n"
+    assert graph_cmd(manifest, *via, "--from", "conj_onto") == 1
+    assert capsys.readouterr().out == "refinement\theterogeneous\tfails\n"
 
 
 BIG_AXIOM_DEFS = """

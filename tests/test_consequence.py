@@ -18,7 +18,7 @@ from ontoweave.consequence import (
     check_structural,
     closure_bounded,
     derives,
-    transfer_scan,
+    transfer_evidence,
     weaker_than,
 )
 from ontoweave.consequence import _Engine, _StagingFull
@@ -56,7 +56,7 @@ def test_axiom_with_premises_rejected():
 
 def test_schema_outside_language_rejected():
     sig = make_signature([("imp", 2)])
-    with pytest.raises(LanguageError):
+    with pytest.raises(LanguageError, match=r"^schema of 'A' not\(x1\) is not in the given language$"):
         CalculusPresentation(sig, axioms=(Rule("A", (), f("not(x1)")),))
 
 
@@ -282,13 +282,13 @@ def test_checkers_agree_with_a_cold_and_a_warm_memo(cpl, imp_fragment, rule_free
     def check():
         return (
             check_operator_laws(cpl, 8, fuel, seed=3, corpus_depth=2).render(),
-            transfer_scan(imp_fragment, cpl, lambda phi: phi, 2, fuel),
-            transfer_scan(cpl, rule_free, lambda phi: phi, 2, fuel),
+            transfer_evidence("scan", imp_fragment, cpl, lambda phi: phi, 2, fuel),
+            transfer_evidence("scan", cpl, rule_free, lambda phi: phi, 2, fuel),
         )
 
     cold = check()
     stored = len(cold_memo.table)
-    assert stored and cold[1][1] is None and cold[2][1] is not None
+    assert stored and cold[1].status == "verified" and cold[2].status == "refuted"
     assert check() == cold
     assert len(cold_memo.table) == stored  # every closure was a hit
     monkeypatch.setattr(syntax, "MEMO", Memo(MEMO_SLOTS))
@@ -345,6 +345,12 @@ def test_derives_two_mp_steps(cpl, quick_fuel):
 def test_derives_bounded_negative(cpl, quick_fuel):
     v = derives(cpl, [], f("x1"), quick_fuel)
     assert v == NotDerivedWithin(quick_fuel)
+
+
+def test_derives_refuses_a_goal_outside_the_language(cpl, quick_fuel):
+    box = parse_formula("box(x1)", make_signature([("box", 1)]))
+    with pytest.raises(LanguageError, match=r"^goal box\(x1\) is outside the calculus language$"):
+        derives(cpl, [f("x1")], box, quick_fuel)
 
 
 def test_derives_agrees_with_seeded_closure(cpl, quick_fuel):

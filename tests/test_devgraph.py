@@ -243,6 +243,14 @@ def test_splitting_morphism_refutation(cpl, rule_free):
     assert "x2" in ev.detail
 
 
+def test_splitting_check_needs_matching_endpoints(cpl, conj):
+    ident = SplittingMorphism.identity(cpl.sig)
+    o, other = plain_ontology(cpl, "o"), plain_ontology(conj, "other")
+    for a, b in ((o, other), (other, o)):
+        with pytest.raises(SignatureError, match="^splitting endpoints do not match the ontologies$"):
+            check_splitting_morphism(ident, a, b, 2, LINK_FUEL)
+
+
 def test_link_checkers_share_one_transfer_scan(cpl, rule_free):
     o = plain_ontology(cpl, "o")
     theorem = weaker_than(o.effective, o.effective, 2, LINK_FUEL)
@@ -467,6 +475,12 @@ def test_decomposition_missing_projection():
     )
     with pytest.raises(MissingSplittingLink):
         verify_decomposition(pruned, "W", ["P1", "P2"], LINK_FUEL)
+
+
+def test_decomposition_needs_a_part():
+    g = decomposition_fixture()
+    with pytest.raises(MissingSplittingLink, match="^decomposition needs at least one part$"):
+        verify_decomposition(g, "W", [], LINK_FUEL)
 
 
 def test_decomposition_deleted_mediator_flips():

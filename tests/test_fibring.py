@@ -108,6 +108,17 @@ def test_h_closure_rejects_foreign_formulas(cpl, conj):
         h_closure(s, "left", [box])
 
 
+def test_fibred_derives_refuses_foreign_formulas_and_remembers_nothing(cpl, conj, cold_memo):
+    s = open_session(cpl, conj, SESSION_FUEL)
+    a = union_formula(s, "x1")
+    box = parse_formula("box(x1)", make_signature([("box", 1)]))
+    before = list(cold_memo.table.items())
+    for gamma, phi in (([box], a), ([a], box)):
+        with pytest.raises(LanguageError, match=r"^box\(x1\) is outside the combined language$"):
+            fibred_derives(s, gamma, phi)
+    assert list(cold_memo.table.items()) == before
+
+
 def test_h_closure_bad_side(cpl, conj):
     s = open_session(cpl, conj, SESSION_FUEL)
     with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ slot budget, and every answer from it is a cold one."""
 import random
 
 from ontoweave import syntax
-from ontoweave.consequence import Fuel, closure_bounded, transfer_scan
+from ontoweave.consequence import Fuel, closure_bounded, transfer_evidence
 from ontoweave.errors import OntoweaveError
 from ontoweave.fibring import dump_session, fibred_derives, open_session
 from ontoweave.syntax import MEMO_SLOTS, Memo, enumerate_formulas, make_signature, signature_union
@@ -54,7 +54,7 @@ def test_every_kind_of_entry_shares_one_budget_and_answers_as_a_cold_run(
         kinds.add(kind)
         if kind == "scan":
             src, dst = rng.choice(scans)
-            scan = lambda: transfer_scan(src, dst, lambda phi: phi, 1, FUEL)
+            scan = lambda: transfer_evidence("scan", src, dst, lambda phi: phi, 1, FUEL)
             assert scan() == cold(scan)
         elif kind in sessions:
             pairs = sessions[kind]

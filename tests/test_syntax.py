@@ -14,12 +14,12 @@ from ontoweave.errors import ArityError, CapExceeded, ParseError, SignatureError
 from ontoweave.morphisms import SignatureMorphism, SplittingMorphism
 from ontoweave.ontology import Ontology
 from ontoweave.syntax import (
+    DEFAULT_ENUM_CAP,
     IDENT_PATTERN,
     Interned,
     Signature,
     Symbol,
     apply_symbol,
-    count_formulas,
     enumerate_formulas,
     formula_in_language,
     make_signature,
@@ -463,11 +463,6 @@ def test_enumerate_matches_brute_force_oracle():
     assert enumerate_formulas(small, 3, 1) == _brute_force(small, 3, 1)
 
 
-def test_enumerate_count_agrees():
-    sig = make_signature(CPL_DECLS)
-    assert len(enumerate_formulas(sig, 3, 2)) == count_formulas(sig, 3, 2)
-
-
 def test_enumerate_sorted_and_duplicate_free():
     sig = make_signature(CPL_DECLS)
     out = enumerate_formulas(sig, 3, 2)
@@ -485,12 +480,19 @@ def test_enumerate_cap():
     tree = make_signature([("a", 0), ("f", 2)])
     with pytest.raises(CapExceeded, match="^enumeration would produce more than 200000 formulas$"):
         enumerate_formulas(tree, 64, 2)
+    # too many leaves: refused before any is built
+    with pytest.raises(CapExceeded, match="^enumeration would produce more than 200000 formulas$"):
+        enumerate_formulas(sig, 1, DEFAULT_ENUM_CAP + 1)
+    # one unary symbol passes the cap only after 10**5 depths; the count
+    # refuses at once, where building each depth first would take hours
+    chain = make_signature([("f", 1)])
+    with pytest.raises(CapExceeded, match="^enumeration would produce more than 200000 formulas$"):
+        enumerate_formulas(chain, 10**9, 2)
 
 
 def test_enumerating_constants_only_stops_once_a_depth_adds_nothing():
     # a step per depth would take minutes here
     sig = make_signature([("a", 0)])
-    assert count_formulas(sig, 10**9, 2) == count_formulas(sig, 1, 2) == 3
     assert enumerate_formulas(sig, 10**9, 2) == enumerate_formulas(sig, 1, 2) == _brute_force(sig, 2, 2)
 
 
