@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .consequence import Fuel, check_operator_laws, derives
+from .consequence import Fuel, Verdict, check_operator_laws, derives
 from .devgraph import DevGraph, add_link, add_node, load_graph, save_graph
 from .devgraph import verify_decomposition, verify_heterogeneous_refinement
 from .devgraph import verify_homogeneous_refinement, verify_integration
@@ -191,6 +191,15 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_verdict(verdict: Verdict) -> None:
+    """A derived verdict's depth, or every bound of a bounded negative."""
+    if verdict.is_derived:
+        print(f"DERIVED depth={verdict.depth}")
+    else:
+        b = verdict.bound
+        print(f"UNKNOWN bound=rounds:{b.max_closure_rounds},size:{b.max_formula_size},set:{b.max_set_size}")
+
+
 def cmd_derive(args: argparse.Namespace) -> int:
     doc = _load_defs(args.defs)
     cal = doc.calculi.get(args.calculus)
@@ -199,15 +208,7 @@ def cmd_derive(args: argparse.Namespace) -> int:
     fuel = _fuel_from_args(args)
     gamma = _read_gamma(args.gamma, cal.sig)
     phi = parse_formula(args.phi, cal.sig)
-    verdict = derives(cal, gamma, phi, fuel)
-    if verdict.is_derived:
-        print(f"DERIVED depth={verdict.depth}")
-    else:
-        print(
-            "UNKNOWN bound=rounds:{},size:{},set:{}".format(
-                fuel.max_closure_rounds, fuel.max_formula_size, fuel.max_set_size
-            )
-        )
+    _print_verdict(derives(cal, gamma, phi, fuel))
     return 0
 
 
@@ -221,11 +222,7 @@ def cmd_fibre(args: argparse.Namespace) -> int:
     session = open_session(left, right, fuel)
     gamma = _read_gamma(args.gamma, session.union_sig)
     phi = parse_formula(args.phi, session.union_sig)
-    verdict = fibred_derives(session, gamma, phi)
-    if verdict.is_derived:
-        print(f"DERIVED depth={verdict.depth}")
-    else:
-        print(f"UNKNOWN bound=rounds:{fuel.max_closure_rounds}")
+    _print_verdict(fibred_derives(session, gamma, phi))
     if args.dump:
         _write_atomically(Path(args.dump), dump_session(session).encode("utf-8"))
         print(f"session dumped to {args.dump}")

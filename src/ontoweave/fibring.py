@@ -1,8 +1,9 @@
 """Fibring of consequence systems: sessions, side closures, and the
 alternating fixpoint over the combined language.
 
-A session owns the union signature and one shared interning table. Closing a
-set against one side means translating into that side's language, running the
+A session holds both presentations, the fuel, their union signature and the
+one interning table that both sides' translations share. Closing a set
+against one side means translating into that side's language, running the
 bounded closure there, and mapping back everything whose variables are
 expressible: odd indices at least three, or even indices with a registered
 interning slot. Formulas whose variables fall outside that discipline (for
@@ -27,13 +28,7 @@ from typing import Iterable
 from . import syntax
 from .consequence import CalculusPresentation, Derived, Fuel, NotDerivedWithin, Verdict, closure_bounded
 from .errors import CapExceeded, FormatError, LanguageError, ParseError
-from .morphisms import (
-    Interning,
-    Translation,
-    is_back_translatable,
-    substitute_back,
-    translate,
-)
+from .morphisms import Interning, Translation, is_back_translatable, substitute_back, translate
 from .syntax import (
     Formula,
     Signature,
@@ -45,9 +40,11 @@ from .syntax import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class FibringSession:
-    """Two presentations joined over their union signature.
+    """Two presentations over their union signature, with the fuel and the
+    interning both sides share. Frozen: only the interning grows, and a
+    dump holds it with the fuel and the union.
 
     Single-writer: the shared interning grows during closures, so one
     session should not be used from several tasks at once. A member whose
@@ -57,40 +54,28 @@ class FibringSession:
 
     left: CalculusPresentation
     right: CalculusPresentation
-    union_sig: Signature
-    t_left: Translation
-    t_right: Translation
     fuel: Fuel
-
-    def translation(self, side: str) -> Translation:
-        return _pick(side, self.t_left, self.t_right)
-
-    def presentation(self, side: str) -> CalculusPresentation:
-        return _pick(side, self.left, self.right)
+    union_sig: Signature
+    interning: Interning
 
 
-def _pick(side: str, left, right):
-    if side == "left":
-        return left
-    if side == "right":
-        return right
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-
-
-def open_session(
-    left: CalculusPresentation, right: CalculusPresentation, fuel: Fuel
-) -> FibringSession:
+def open_session(left: CalculusPresentation, right: CalculusPresentation, fuel: Fuel) -> FibringSession:
     """Build the union signature and a fresh shared interning table."""
-    union = signature_union(left.sig, right.sig)
-    interning = Interning()
-    return FibringSession(
-        left=left,
-        right=right,
-        union_sig=union,
-        t_left=Translation(left.sig, union, interning),
-        t_right=Translation(right.sig, union, interning),
-        fuel=fuel,
-    )
+    return FibringSession(left, right, fuel, signature_union(left.sig, right.sig), Interning())
+
+
+def _side(session: FibringSession, side: str) -> tuple[CalculusPresentation, Translation]:
+    """One side's presentation and its translation from the union."""
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    cal = session.left if side == "left" else session.right
+    return cal, Translation(cal.sig, session.union_sig, session.interning)
+
+
+def _check_language(session: FibringSession, formulas: list[Formula]) -> None:
+    for phi in formulas:
+        if not formula_in_language(phi, session.union_sig):
+            raise LanguageError(f"{phi.text} is outside the combined language")
 
 
 def _translate_given(t: Translation, given: set[Formula]) -> list[Formula]:
@@ -105,10 +90,10 @@ def _side_closure(
     gamma: Iterable[Formula],
     seeds: tuple[Formula, ...],
 ) -> frozenset[Formula]:
-    t = session.translation(side)
+    cal, t = _side(session, side)
     given = set(gamma)
     translated = _translate_given(t, given)
-    closed = closure_bounded(session.presentation(side), translated, session.fuel, extra_pool=seeds)
+    closed = closure_bounded(cal, translated, session.fuel, extra_pool=seeds)
     size_cap = session.fuel.max_formula_size
     entries = t.interning.entries
     registered = len(entries)
@@ -137,9 +122,7 @@ def h_closure(session: FibringSession, side: str, gamma: Iterable[Formula]) -> f
     """One side's closure of a combined-language set: translate, close
     with the session fuel, map back."""
     gamma = list(gamma)
-    for phi in gamma:
-        if not formula_in_language(phi, session.union_sig):
-            raise LanguageError(f"{phi.text} is outside the combined language")
+    _check_language(session, gamma)
     return _side_closure(session, side, gamma, ())
 
 
@@ -161,13 +144,11 @@ def fibred_derives(session: FibringSession, gamma: Iterable[Formula], phi: Formu
     that raises is not remembered.
     """
     gamma = list(gamma)
+    _check_language(session, gamma + [phi])
     current = set(gamma)
-    for f in gamma + [phi]:
-        if not formula_in_language(f, session.union_sig):
-            raise LanguageError(f"{f.text} is outside the combined language")
     if phi in current:
         return Derived(0)
-    interning = session.t_left.interning
+    interning = session.interning
     before = interning.entries
     key = (fibred_derives, session.left, session.right, session.fuel, frozenset(current), phi, before)
     stored = syntax.MEMO.get(key)
@@ -182,13 +163,14 @@ def fibred_derives(session: FibringSession, gamma: Iterable[Formula], phi: Formu
 
 
 def _alternate(session: FibringSession, current: set[Formula], phi: Formula) -> Verdict:
-    seeds_left = (translate(session.t_left, phi),)
-    seeds_right = (translate(session.t_right, phi),)
+    right = _side(session, "right")[1]
+    seeds_left = (translate(_side(session, "left")[1], phi),)
+    seeds_right = (translate(right, phi),)
     for round_no in range(1, session.fuel.max_closure_rounds + 1):
         grown = set(current)
         grown |= _side_closure(session, "left", current, seeds_left)
         if phi in grown:
-            _translate_given(session.t_right, current)
+            _translate_given(right, current)
             return Derived(round_no)
         grown |= _side_closure(session, "right", current, seeds_right)
         if phi in grown:
@@ -213,13 +195,13 @@ def dump_session(session: FibringSession) -> str:
     Serializing freezes the shared interning: the dump stays faithful, and
     the session becomes safe to share read-only.
     """
-    session.t_left.interning.freeze()
+    session.interning.freeze()
     lines = [
         "session",
         "fuel\t" + "\t".join(map(str, astuple(session.fuel))),
         "union\t" + " ".join(map(str, session.union_sig.symbols())),
         "intern",
-        *(f"{i}\t{phi.text}" for i, phi in enumerate(session.t_left.interning.entries, start=1)),
+        *(f"{i}\t{phi.text}" for i, phi in enumerate(session.interning.entries, start=1)),
     ]
     return "\n".join(lines) + "\n"
 
@@ -255,7 +237,7 @@ def load_session(
         while reader.peek() is not None:
             index = reader.take_number()
             phi = reader.formula(session.union_sig)
-            if session.t_left.interning.register(phi) != index:
+            if session.interning.register(phi) != index:
                 raise ParseError(f"entry {index} ({phi.text}) is out of order")
     except (ParseError, ValueError) as exc:
         raise FormatError(f"corrupt session dump: {exc}") from exc

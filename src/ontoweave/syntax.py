@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import re
 from collections import OrderedDict
+from itertools import product
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -629,15 +630,17 @@ def enumerate_formulas(sig: Signature, max_depth: int, max_var: int) -> list[For
         depths, size = depths + 1, nxt
     if size > DEFAULT_ENUM_CAP:
         raise CapExceeded(f"enumeration would produce more than {DEFAULT_ENUM_CAP} formulas")
-    acc: list[Formula] = []
-    for _ in range(depths):
-        prev = acc
-        acc = [svar(i) for i in range(1, max_var + 1)]
-        acc.extend(apply_symbol(c) for c in sig.constants())
+    # each formula is built once: one new at depth d+1 has its first
+    # argument new at depth d at some k, older ones before k, any after it
+    old: list[Formula] = []
+    new = [svar(i) for i in range(1, max_var + 1)]
+    new.extend(apply_symbol(c) for c in sig.constants())
+    for _ in range(depths - 1):
+        both, fresh = old + new, []
         for arity in arities:
-            for sym in sig.level(arity):
-                args_stack = [()]
-                for _slot in range(arity):
-                    args_stack = [t + (p,) for t in args_stack for p in prev]
-                acc.extend(apply_symbol(sym, t) for t in args_stack)
-    return sorted(set(acc), key=by_sort_key)
+            for k in range(arity):
+                pools = [old] * k + [new] + [both] * (arity - k - 1)
+                for sym in sig.level(arity):
+                    fresh.extend(apply_symbol(sym, args) for args in product(*pools))
+        old, new = both, fresh
+    return sorted(old + new, key=by_sort_key)

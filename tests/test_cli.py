@@ -327,6 +327,28 @@ def test_derive_unknown_calculus(defs_file, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["fibre", "--defs", "{defs}", "--left", "zzz", "--right", "conj", "--phi", "x1"],
+         "UnknownSymbol: unknown calculus name for --left or --right"),
+        (["fibre", "--defs", "{defs}", "--left", "cpl", "--right", "efq", "--phi", "x1"],
+         "UnknownSymbol: unknown calculus name for --left or --right"),
+        (["connect", "--defs", "{defs}", "--left", "zzz", "--right", "conj_onto", "--as", "m"],
+         "UnknownSymbol: unknown ontology name for --left or --right"),
+        (["connect", "--defs", "{defs}", "--left", "efq", "--right", "cpl", "--as", "m"],
+         "UnknownSymbol: unknown ontology name for --left or --right"),
+        (["graph", "--manifest", "{manifest}", "add-node", "--defs", "{defs}", "--name", "zzz"],
+         "UnknownSymbol: unknown ontology 'zzz' in {defs}"),
+    ],
+)
+def test_unknown_names_are_usage_errors(defs_file, capsys, argv, line):
+    paths = {"defs": defs_file, "manifest": defs_file.with_name("graph.dsl")}
+    code = main([arg.format(**paths) for arg in argv])
+    assert (code, capsys.readouterr().err) == (2, line.format(**paths) + "\n")
+    assert not paths["manifest"].exists()
+
+
 def test_fibre_worked_example(defs_file, tmp_path, capsys):
     gamma = tmp_path / "gamma.txt"
     gamma.write_text("and(x1, x2)\nimp(x1, x3)\n")
@@ -437,7 +459,7 @@ def test_every_input_takes_a_comment_wherever_whitespace_may(tmp_path, capsys):
 
 
 def test_fibre_rounds_is_fuel_rounds(defs_file, capsys):
-    # an UNKNOWN answer prints its round bound, so the two spellings must agree
+    # an UNKNOWN answer prints its bounds, so the two spellings must agree
     runs = []
     for flag in ("--rounds", "--fuel-rounds"):
         code = main([
@@ -446,7 +468,7 @@ def test_fibre_rounds_is_fuel_rounds(defs_file, capsys):
         ])
         runs.append((code, capsys.readouterr()))
     assert runs[0] == runs[1]
-    assert runs[0][1].out == "UNKNOWN bound=rounds:2\n"
+    assert runs[0][1].out == "UNKNOWN bound=rounds:2,size:12,set:4000\n"
 
 
 def test_connect_emits_loadable_snippet(defs_file, capsys):
@@ -544,6 +566,12 @@ def test_an_axiom_over_the_size_cap_fails_validation(tmp_path, capsys):
     )
     assert main(["graph", "--manifest", str(tmp_path / "default.dsl"), *add]) == 0
     assert capsys.readouterr().out == "added node big\n"
+    # check reports the failure and names its first witness on stderr
+    assert main(["check", str(defs), "--samples", "4", "--fuel-size", "12"]) == 1
+    out, err = capsys.readouterr()
+    axiom = "imp(imp(imp(x1, x2), imp(x2, x3)), imp(not(x1), imp(x3, x1)))"
+    assert out.splitlines()[-1] == f"{defs}\tontology big\taxioms-derivable\tfail\t{axiom}"
+    assert err == axiom + "\n"
 
 
 ZOO_DEFS = """

@@ -2,6 +2,7 @@
 structurality, weakness, and the meta-principle probes."""
 
 import random
+import re
 from itertools import product
 
 import pytest
@@ -480,6 +481,26 @@ def test_laws_broken_closure_reports_extensivity(cpl, monkeypatch):
     assert entry.witness
 
 
+def test_laws_broken_conclusion_reports_a_cut_witness(cpl, monkeypatch):
+    # the fake derives nothing at doubled fuel, where the cut probe closes
+    # delta | gamma, so a b that gamma | {a} derives goes missing
+    def forgetful(cal, gamma, fuel, extra_pool=()):
+        if fuel != base:
+            return frozenset()
+        return closure_bounded(cal, gamma, fuel, extra_pool=extra_pool)
+
+    base = Fuel(1, 10, 20000)
+    monkeypatch.setattr(consequence, "closure_bounded", forgetful)
+    entry = check_operator_laws(cpl, samples=30, fuel=base, seed=3).entry("cut")
+    assert not entry.ok
+    assert re.fullmatch(r"delta=\{.*\} gamma=\{.*\} a=\S.* b=\S.*", entry.witness), entry.witness
+
+
+def test_laws_refuse_zero_samples(cpl):
+    with pytest.raises(ValueError, match="^samples must be >= 1$"):
+        check_operator_laws(cpl, samples=0, fuel=Fuel(1, 10, 20000), seed=0)
+
+
 def test_laws_quasi_closure_reports_idempotence_without_raising(cpl, monkeypatch):
     # a quasi closure: re-closing keeps inflating, so idempotence fails but
     # the check reports a bound instead of raising
@@ -502,6 +523,23 @@ def test_laws_quasi_closure_reports_idempotence_without_raising(cpl, monkeypatch
 def test_structural_identity_passes(cpl):
     report = check_structural(cpl, samples=10, fuel=Fuel(2, 12, 20000), seed=6)
     assert report.ok, report.render()
+
+
+def test_structural_reports_an_image_that_is_not_rederived(cpl, monkeypatch):
+    # the fake derives nothing at widened fuel, where the substituted
+    # premises are closed, so every image goes missing
+    def forgetful(cal, gamma, fuel, extra_pool=()):
+        if fuel != base:
+            return frozenset()
+        return closure_bounded(cal, gamma, fuel, extra_pool=extra_pool)
+
+    base = Fuel(2, 12, 20000)
+    monkeypatch.setattr(consequence, "closure_bounded", forgetful)
+    report = check_structural(cpl, samples=10, fuel=base, seed=6)
+    for label in ("renaming-substitutions", "general-substitutions"):
+        entry = report.entry(label)
+        assert not entry.ok
+        assert re.fullmatch(r"gamma=\{.+\} sigma-image \S.* not rederived", entry.witness), entry.witness
 
 
 def test_structural_swap_renaming_example(cpl):
@@ -573,6 +611,15 @@ def test_principles_rule_free_pps_counter():
     pps = report.entry("PPS")
     assert not pps.ok
     assert "a=x1" in pps.witness and "b=x2" in pps.witness
+
+
+def test_principles_trivial_calculus_has_no_pnc_witness():
+    # the axiom x1 derives every formula and its negation
+    sig = make_signature([("not", 1)])
+    trivial = CalculusPresentation(sig, axioms=[Rule("T", (), svar(1))], negation=Symbol("not", 1))
+    report = check_principles(trivial, corpus_depth=2, fuel=Fuel(1, 10, 4000))
+    assert [(e.label, e.ok) for e in report.entries] == [("PNT", False), ("PNC", False), ("PPS", True)]
+    assert report.entry("PNC").witness == "no witness up to bound"
 
 
 def test_principles_missing_negation():

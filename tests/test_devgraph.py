@@ -686,6 +686,15 @@ EVIDENCE_PARAMS = "^verified evidence needs a whole corpus depth >= 0 and a Fuel
         pytest.param(lambda: edge_graph(Evidence("asserted", 2, Fuel(), "mine")),
                      ValueError, "^asserted evidence carries no corpus depth or fuel$",
                      id="asserted-with-parameters"),
+        pytest.param(lambda: edge_graph(Evidence("bogus")),
+                     ValueError, "^unknown evidence status 'bogus'$", id="unknown-status"),
+        pytest.param(lambda: edge_graph(Evidence("asserted", detail=3)),
+                     ValueError, "^the evidence detail must be a str$", id="non-str-detail"),
+        pytest.param(lambda: link_graph(Link("splitting", "A", "B")),
+                     ValueError, "^splitting links carry a splitting morphism$",
+                     id="splitting-without-map"),
+        pytest.param(lambda: link_graph(Link("bogus", "A", "B")),
+                     ValueError, "^unknown link kind 'bogus'$", id="unknown-link-kind"),
         pytest.param(lambda: edge_graph(ASSERTED, nodes=("A",)),
                      ValueError, "an endpoint is not a node", id="absent-node"),
         pytest.param(lambda: DevGraph({"x": plain_ontology(EDGE_CAL, "a")}),

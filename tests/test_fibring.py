@@ -1,5 +1,6 @@
 """Fibring sessions, side closures, and the alternating fixpoint."""
 
+import dataclasses
 import gc
 import random
 import re
@@ -28,7 +29,7 @@ from ontoweave.fibring import (
     load_session,
     open_session,
 )
-from ontoweave.morphisms import is_back_translatable, substitute_back, translate
+from ontoweave.morphisms import Translation, is_back_translatable, substitute_back, translate
 from ontoweave.syntax import (
     MEMO_SLOTS,
     Memo,
@@ -50,6 +51,12 @@ def union_formula(session, text):
     return parse_formula(text, session.union_sig)
 
 
+def to_side(session, side):
+    """The translation from the union into one side, built from the
+    session's own state."""
+    return Translation(getattr(session, side).sig, session.union_sig, session.interning)
+
+
 def test_open_session_idempotent_union(cpl):
     s = open_session(cpl, cpl, SESSION_FUEL)
     assert s.union_sig == cpl.sig
@@ -58,14 +65,38 @@ def test_open_session_idempotent_union(cpl):
 def test_open_session_union_levels(cpl, conj):
     s = open_session(cpl, conj, SESSION_FUEL)
     assert s.union_sig == signature_union(cpl.sig, conj.sig)
-    assert s.t_left.interning is s.t_right.interning
+    assert to_side(s, "left").interning is to_side(s, "right").interning is s.interning
+
+
+def test_a_session_is_a_frozen_value(cpl, conj):
+    s = open_session(cpl, conj, SESSION_FUEL)
+    assert [f.name for f in dataclasses.fields(s)] == ["left", "right", "fuel", "union_sig", "interning"]
+    for name in ("left", "right", "fuel", "union_sig", "interning"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(s, name, getattr(s, name))
+
+
+def test_opening_a_session_builds_no_translation(cpl, conj, monkeypatch):
+    built = []
+    translation = fibring.Translation
+
+    def counted(*args):
+        built.append(args)
+        return translation(*args)
+
+    monkeypatch.setattr(fibring, "Translation", counted)
+    s = open_session(cpl, conj, SESSION_FUEL)
+    assert built == []
+    # a side closure builds its side's translation from the session
+    h_closure(s, "right", [])
+    assert built == [(conj.sig, s.union_sig, s.interning)]
 
 
 def test_a_side_other_than_left_or_right_is_refused(cpl, conj):
     s = open_session(cpl, conj, SESSION_FUEL)
-    assert s.presentation("left") is cpl and s.presentation("right") is conj
+    assert fibring._side(s, "left")[0] is cpl and fibring._side(s, "right")[0] is conj
     message = "^side must be 'left' or 'right', got 'middle'$"
-    for pick in (s.translation, s.presentation):
+    for pick in (lambda side: fibring._side(s, side), lambda side: h_closure(s, side, [])):
         with pytest.raises(ValueError, match=message):
             pick("middle")
 
@@ -214,8 +245,8 @@ def full_round_derives(session, gamma, phi):
     current = set(gamma)
     if phi in current:
         return Derived(0)
-    seeds_left = tuple(translate(session.t_left, phi).subformulas())
-    seeds_right = tuple(translate(session.t_right, phi).subformulas())
+    seeds_left = tuple(translate(to_side(session, "left"), phi).subformulas())
+    seeds_right = tuple(translate(to_side(session, "right"), phi).subformulas())
     for round_no in range(1, session.fuel.max_closure_rounds + 1):
         grown = set(current)
         grown |= fibring._side_closure(session, "left", current, seeds_left)
@@ -407,7 +438,7 @@ def test_a_side_memo_miss_checks_its_premises_once(cpl, conj, cold_memo, monkeyp
 def test_a_side_result_is_keyed_by_the_interning_too(cpl, conj, cold_memo):
     # the same translated premises, but once x2 has a preimage in slot 1
     plain, grown = open_session(cpl, conj, SESSION_FUEL), open_session(cpl, conj, SESSION_FUEL)
-    translate(grown.t_left, union_formula(grown, "and(x1, x1)"))
+    translate(to_side(grown, "left"), union_formula(grown, "and(x1, x1)"))
     gamma = [union_formula(plain, "imp(x1, x2)")]
     got = [h_closure(s, "left", gamma) for s in (plain, grown)]
     assert got[0] != got[1]
@@ -496,7 +527,7 @@ def test_dump_load_bit_exact(cpl, conj):
     reloaded = load_session(text, cpl, conj)
     assert dump_session(reloaded) == text
     assert reloaded.fuel == s.fuel
-    assert reloaded.t_left.interning.entries == s.t_left.interning.entries
+    assert reloaded.interning.entries == s.interning.entries
 
 
 def test_a_loaded_session_back_translates_through_the_loaded_table(cpl, conj):
@@ -506,11 +537,11 @@ def test_a_loaded_session_back_translates_through_the_loaded_table(cpl, conj):
     h_closure(s, "right", first)
     expected = {side: h_closure(s, side, second) for side in ("left", "right")}
     reloaded = load_session(dump_session(s), cpl, conj)
-    assert reloaded.t_left.interning is reloaded.t_right.interning
+    assert to_side(reloaded, "left").interning is to_side(reloaded, "right").interning is reloaded.interning
     for side in ("right", "left"):
         assert h_closure(reloaded, side, second) == expected[side]
     # every slot the closures needed was in the loaded table already
-    assert reloaded.t_left.interning.entries == s.t_left.interning.entries
+    assert reloaded.interning.entries == s.interning.entries
 
 
 def test_dump_freezes_the_session(cpl, conj):
@@ -518,7 +549,7 @@ def test_dump_freezes_the_session(cpl, conj):
     dump_session(s)
     # registering a new foreign subtree must fail once the table is frozen
     with pytest.raises(UnknownInternIndex):
-        translate(s.t_left, union_formula(s, "and(bot, bot)"))
+        translate(to_side(s, "left"), union_formula(s, "and(bot, bot)"))
 
 
 def test_load_session_rejects_garbage(cpl, conj):
@@ -572,10 +603,10 @@ def test_a_warm_query_adds_no_node_and_a_dropped_session_is_collected(cpl, conj,
     s = query()
     assert len(syntax._INTERN) == nodes
     assert calls == []
-    translations = [weakref.ref(s.t_left), weakref.ref(s.t_right)]
+    state = [weakref.ref(s), weakref.ref(s.interning)]
     del s
     gc.collect()
-    assert [ref() for ref in translations] == [None, None]
+    assert [ref() for ref in state] == [None, None]
 
 
 # -- side closures build only the images that can fit the formula cap
@@ -584,10 +615,10 @@ def test_a_warm_query_adds_no_node_and_a_dropped_session_is_collected(cpl, conj,
 def reference_side_closure(session, side, gamma, seeds):
     """The side closure that maps back every member it can and keeps an
     image that fits the formula cap or is a premise."""
-    t = session.translation(side)
+    cal, t = getattr(session, side), to_side(session, side)
     given = set(gamma)
     translated = fibring._translate_given(t, given)
-    closed = closure_bounded(session.presentation(side), translated, session.fuel, extra_pool=seeds)
+    closed = closure_bounded(cal, translated, session.fuel, extra_pool=seeds)
     out = set()
     for psi in closed:
         if is_back_translatable(t, psi):
@@ -636,22 +667,22 @@ def test_side_closures_match_the_build_every_image_reference(gamma, phi, extra):
     s, ref = open_session(_CPL, _CONJ, _BOUND_FUEL), open_session(_CPL, _CONJ, _BOUND_FUEL)
     for side in ("left", "right"):
         assert h_closure(s, side, gamma) == reference_side_closure(ref, side, gamma, ())
-        assert s.t_left.interning.entries == ref.t_left.interning.entries
-    seeds = {side: (translate(s.translation(side), phi),) for side in ("left", "right")}
-    ref_seeds = {side: (translate(ref.translation(side), phi),) for side in ("left", "right")}
+        assert s.interning.entries == ref.interning.entries
+    seeds = {side: (translate(to_side(s, side), phi),) for side in ("left", "right")}
+    ref_seeds = {side: (translate(to_side(ref, side), phi),) for side in ("left", "right")}
     current = set(gamma)
     for grow in extra:
         grown = set(current)
         for side in ("left", "right"):
             got = fibring._side_closure(s, side, current, seeds[side])
             assert got == reference_side_closure(ref, side, current, ref_seeds[side]), side
-            assert s.t_left.interning.entries == ref.t_left.interning.entries
+            assert s.interning.entries == ref.interning.entries
             grown |= got
         if len(grown) > _BOUND_FUEL.max_set_size:
             break
-        translate(s.t_left, grow)
-        translate(ref.t_left, grow)
-        assert s.t_left.interning.entries == ref.t_left.interning.entries
+        translate(to_side(s, "left"), grow)
+        translate(to_side(ref, "left"), grow)
+        assert s.interning.entries == ref.interning.entries
         current = grown
 
 
@@ -710,7 +741,7 @@ def test_members_without_a_preimage_never_reach_substitute_back(cpl, conj, cold_
     calls = recorded_back_translations(monkeypatch)
     fibring._side_closure(s, "left", [union_formula(s, "and(x1, x2)")], (svar(4),))
     (closed,) = seen
-    assert len(s.t_left.interning) == 1
+    assert len(s.interning) == 1
     assert any(1 in psi.variables for psi in closed)
     assert any(4 in psi.variables for psi in closed)
     assert calls
@@ -726,7 +757,7 @@ def test_the_readme_query_builds_no_image_that_cannot_fit(cpl, conj, cold_memo, 
 
     def counted(cal, gamma, fuel, **kwargs):
         closed = closure(cal, gamma, fuel, **kwargs)
-        t = s.translation("left" if cal is cpl else "right")
+        t = to_side(s, "left" if cal is cpl else "right")
         over.extend(psi for psi in closed if image_bound(t, psi) > fuel.max_formula_size)
         return closed
 
@@ -747,7 +778,7 @@ def test_every_member_whose_bound_fits_is_checked_once(cpl, conj, cold_memo, mon
 
     def counted(cal, *args, **kwargs):
         closed = closure(cal, *args, **kwargs)
-        t = s.translation("left" if cal is cpl else "right")
+        t = to_side(s, "left" if cal is cpl else "right")
         fitting.extend(psi for psi in closed if image_bound(t, psi) <= fuel.max_formula_size)
         return closed
 

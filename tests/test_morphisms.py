@@ -80,13 +80,22 @@ def test_morphism_must_be_total_and_arity_preserving():
         SignatureMorphism(
             make_signature([("f", 1)]), dst, {Symbol("f", 1): Symbol("or", 2)}
         )
+    # an image outside the target, a mapped symbol outside the source
+    c, z = Symbol("c", 0), Symbol("z", 0)
+    consts = make_signature([("c", 0)])
+    with pytest.raises(SignatureError, match="^image c/0 missing from target signature$"):
+        SignatureMorphism(consts, dst, {c: c})
+    with pytest.raises(SignatureError, match="^mapped symbol z/0 not in source signature$"):
+        SignatureMorphism(consts, consts, {c: c, z: c})
 
 
 def test_apply_outside_source():
     src = make_signature([("and", 2)])
     h = SignatureMorphism(src, src, {Symbol("and", 2): Symbol("and", 2)})
-    with pytest.raises(UnknownSymbol):
+    with pytest.raises(UnknownSymbol, match="^not/1 is outside the morphism source$"):
         apply_signature_morphism(h, f("not(x1)"))
+    with pytest.raises(UnknownSymbol, match="^g/1 is outside the splitting source$"):
+        apply_splitting(nand_splitting(), f("g(x1)", make_signature([("g", 1)])))
 
 
 def test_is_monomorphic():
@@ -163,6 +172,20 @@ def test_splitting_requires_exact_variable_set():
     dst = make_signature([("not", 1), ("and", 2)])
     with pytest.raises(SignatureError):
         SplittingMorphism(src, dst, {Symbol("nand", 2): parse_formula("not(x1)", dst)})
+
+
+def test_splitting_must_be_total_and_inside_its_target():
+    src = make_signature([("f", 1)])
+    dst = make_signature([("not", 1), ("and", 2)])
+    body = parse_formula("not(x1)", dst)
+    foreign = parse_formula("h(x1)", make_signature([("h", 1)]))
+    for assign, message in (
+        ({}, "splitting is not total: f/1 unmapped"),
+        ({Symbol("f", 1): foreign}, "image of f/1 uses foreign symbol h/1"),
+        ({Symbol("f", 1): body, Symbol("z", 0): body}, "mapped symbol z/0 not in source signature"),
+    ):
+        with pytest.raises(SignatureError, match=f"^{message}$"):
+            SplittingMorphism(src, dst, assign)
 
 
 def test_splitting_variable_set_contained():
@@ -283,13 +306,13 @@ def test_interning_extend_registers_as_register_does():
 def test_interning_serialization_round_trip():
     # the table is serialized as the entry lines of a session dump
     session = open_session(presets.cpl(), presets.rule_free(), Fuel(1, 8, 100))
-    table = session.t_left.interning
+    table = session.interning
     table.register(f("imp(x1, bot)"))
     table.register(f("not(x2)"))
     text = dump_session(session)
     assert text.endswith("\nintern\n1\timp(x1, bot)\n2\tnot(x2)\n")
     reloaded = load_session(text, presets.cpl(), presets.rule_free())
-    assert reloaded.t_left.interning.entries == table.entries
+    assert reloaded.interning.entries == table.entries
     assert dump_session(reloaded) == text
 
 
@@ -355,6 +378,12 @@ def test_substitute_back_x1_has_no_preimage():
     assert not is_back_translatable(t, svar(1))
     with pytest.raises(UnknownInternIndex):
         substitute_back(t, svar(1))
+
+
+def test_translate_rejects_a_formula_outside_the_combined_language():
+    t = make_translation()
+    with pytest.raises(LanguageError, match=r"^g\(b\) is not in the combined language$"):
+        translate(t, parse_formula("g(b)", make_signature([("g", 1), ("b", 0)])))
 
 
 def test_substitute_back_rejects_foreign_symbols():

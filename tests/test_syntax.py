@@ -7,7 +7,7 @@ import string
 import pytest
 from hypothesis import given, strategies as st
 
-from ontoweave import consequence
+from ontoweave import consequence, syntax
 from ontoweave.consequence import CalculusPresentation, Rule
 from ontoweave.dsl import read_document
 from ontoweave.errors import ArityError, CapExceeded, ParseError, SignatureError, UnknownSymbol
@@ -60,6 +60,15 @@ def test_make_signature_rejects_bad_identifiers():
         make_signature([("", 0)])
     with pytest.raises(ParseError):
         make_signature([("x1", 0)])  # reserved variable spelling
+
+
+def test_constructors_refuse_malformed_parts():
+    with pytest.raises(ArityError, match="^symbol f/1 stored at level 0$"):
+        Signature({0: [Symbol("f", 1)]})
+    with pytest.raises(ValueError, match="^schema variable index must be >= 1, got 0$"):
+        svar(0)
+    with pytest.raises(ArityError, match=r"^f/1 applied to 0 argument\(s\)$"):
+        apply_symbol(Symbol("f", 1), ())
 
 
 def test_symbol_identity_is_name_and_arity():
@@ -234,6 +243,13 @@ def test_parse_bad_token():
         parse_formula("imp(x1, %)", sig)
     with pytest.raises(ParseError):
         parse_formula("imp(x1, x2) x3", sig)
+    for text, message in (
+        ("imp(x1,", "unexpected end of formula"),
+        ("imp(x1, )", "expected a formula, found ')'"),
+        ("imp(x1 x2)", "expected ')', found 'x2'"),
+    ):
+        with pytest.raises(ParseError, match="^" + re.escape(message) + "$"):
+            parse_formula(text, sig)
 
 
 def test_whitespace_insignificant():
@@ -488,6 +504,25 @@ def test_enumerate_cap():
     chain = make_signature([("f", 1)])
     with pytest.raises(CapExceeded, match="^enumeration would produce more than 200000 formulas$"):
         enumerate_formulas(chain, 10**9, 2)
+
+
+def test_enumeration_builds_each_formula_once(monkeypatch):
+    # {f/1} adds two formulas per depth, so building every depth from
+    # scratch would apply f about 500**2 times
+    calls = []
+    build = syntax.apply_symbol
+
+    def counted(sym, args=()):
+        calls.append(sym)
+        return build(sym, args)
+
+    monkeypatch.setattr(syntax, "apply_symbol", counted)
+    # depth 3 over {a/0, f/1, g/2}: 15 formulas below, so 3 + 15 + 15**2
+    # in all, of which the two variables are no application
+    for decls, depth, built in (([("f", 1)], 500, 2 * 499), ([("a", 0), ("f", 1), ("g", 2)], 3, 241)):
+        calls.clear()
+        out = enumerate_formulas(make_signature(decls), depth, 2)
+        assert len([phi for phi in out if phi.var is None]) == len(calls) == built
 
 
 def test_enumerating_constants_only_stops_once_a_depth_adds_nothing():
