@@ -31,7 +31,7 @@ from .errors import (
 )
 from .fibring import dump_session, fibred_derives, open_session
 from .ontology import connect, validate_ontology
-from .syntax import parse_formula
+from .syntax import MAX_NESTING, parse_formula
 
 _USAGE_ERRORS = (
     ParseError,
@@ -119,11 +119,15 @@ def _exchange(a: Path, b: Path) -> bool:
 
 def _fuel_from_args(args: argparse.Namespace) -> Fuel:
     """The command's fuel. Also rejects the non-positive --corpus-depth and
-    --samples the checks need."""
+    --samples the checks need, and a --corpus-depth over MAX_NESTING: no
+    deeper formula can be read back, and enumerating one takes memory
+    quadratic in the depth."""
     for flag in ("corpus_depth", "samples"):
         value = getattr(args, flag, 1)
         if value < 1:
             raise ParseError(f"bad --{flag.replace('_', '-')}: must be >= 1, got {value}")
+    if getattr(args, "corpus_depth", 1) > MAX_NESTING:
+        raise ParseError(f"bad --corpus-depth: must be <= {MAX_NESTING}, got {args.corpus_depth}")
     try:
         return Fuel(
             max_closure_rounds=args.fuel_rounds,

@@ -6,16 +6,18 @@ Graphs are persistent values: add_node and add_link return new graphs.
 A graph holds each link once, as a key of its evidence map in the order
 the links were added, and links is a view of those keys. Theorem
 self-links are the one tolerated loop shape, because weakness is reflexive
-and a self-link defines nothing; every other cycle is rejected.
+and a self-link defines nothing; every other cycle is rejected, by the
+constructor and by add_link, so every graph is acyclic.
 
-A manifest is parsed once per content. save_graph keeps the last manifest
-it wrote beside its graph, and load_graph hands that graph back when it is
-given exactly those bytes. That is exact because no graph its manifest
-cannot carry back can be built, so load_graph(save_graph(g)) == g, and
-because graphs and every part they hold are read-only. Any other input, a
-str or a manifest edited by hand included, is parsed by dsl.read_document,
-which builds each link with its map and evidence, and the graph is that
-document's ontologies and links.
+A manifest is written in one pass and parsed once per content. save_graph
+emits every part afresh and keeps only the last manifest it wrote beside
+its graph, and load_graph hands that graph back when it is given exactly
+those bytes. That is exact because no graph its manifest cannot carry back
+can be built, so load_graph(save_graph(g)) == g, and because graphs and
+every part they hold are read-only. Any other input, a str or a manifest
+edited by hand included, is parsed by dsl.read_document, which builds each
+link with its map and evidence, and the graph is that document's
+ontologies and links.
 """
 
 from __future__ import annotations
@@ -116,9 +118,6 @@ class DevGraph(ReadOnly):
         if node is None:
             raise UnknownNode(f"no node named {name!r}")
         return node
-
-    def is_acyclic(self) -> bool:
-        return _acyclic(self.nodes, self.evidence)
 
     def __eq__(self, other: object) -> bool:
         # the same links with the same evidence, in any order
@@ -248,7 +247,7 @@ def add_node(g: DevGraph, o: Ontology, fuel: Fuel) -> DevGraph:
     bad = validate_ontology(o, fuel).failure
     if bad:
         raise ValidationFailed(f"{o.name}: {bad.label} failed: {bad.witness}")
-    nodes = dict(g.nodes)
+    nodes = g.nodes.copy()
     nodes[o.name] = o
     # a new node has no links, so it closes no cycle
     return _grown(MappingProxyType(nodes), g.evidence)
@@ -302,7 +301,7 @@ def add_link(
     if not evidence.ok:
         raise EvidenceRefuted(f"{link.kind} link: {evidence.detail}")
     _check_link(link, g.nodes, evidence)
-    ev = dict(g.evidence)
+    ev = g.evidence.copy()
     ev[link] = evidence
     return _grown(g.nodes, MappingProxyType(ev))
 
@@ -435,72 +434,44 @@ def verify_decomposition(
 # Serialization
 
 
-def _collect_names(g: DevGraph, emit):
-    """Deterministic names for the signatures, calculi, and morphisms a
-    manifest needs, numbered in the order of their emitted texts and never
-    in hash order; graph equality never depends on these names."""
-    cals = dict.fromkeys(g.nodes[name].base for name in sorted(g.nodes))
-    maps = dict.fromkeys(link.morphism for link in g.evidence if link.morphism is not None)
-    sigs = dict.fromkeys([cal.sig for cal in cals] + [s for m in maps for s in (m.source, m.target)])
-    sigs = sorted(sigs, key=lambda s: emit(emit_signature, "_", s))
-    sig_names = {sig: f"s{i}" for i, sig in enumerate(sigs)}
-    cals = sorted(cals, key=lambda c: emit(emit_calculus, "_", c, sig_names[c.sig]))
-    cal_names = {cal: f"c{i}" for i, cal in enumerate(cals)}
-    # definition links carry morphisms, named h<i>; splitting links carry
-    # splittings, named f<i>
-    morphisms = sorted(
-        maps, key=lambda m: emit(emit_map, "_", m, sig_names[m.source], sig_names[m.target])
-    )
-    morphism_names = {
-        m: f"{'h' if isinstance(m, SignatureMorphism) else 'f'}{i}" for i, m in enumerate(morphisms)
-    }
-    return sigs, sig_names, cals, cal_names, morphisms, morphism_names
-
-
 # the bytes save_graph returned last, and the graph it wrote into them
 _last_saved: tuple[bytes, DevGraph] | None = None
-# the text of each part of that manifest, "_"-named sort texts included,
-# keyed by (emitter, *arguments): the value and every name its text holds
-_last_texts: dict[tuple, str] = {}
 
 
 def save_graph(g: DevGraph) -> bytes:
     """Canonical manifest: signatures, calculi, morphisms, nodes by name,
     link statements in lexicographic order, each with its evidence.
-    The manifest and g take the one slot load_graph answers from.
 
-    A part whose key was in the last manifest is copied from _last_texts,
-    and only the others are emitted; the table then holds this manifest's
-    parts alone. A renumbered name changes the key, so that part is emitted
-    again."""
-    global _last_saved, _last_texts
-    last, texts = _last_texts, {}
-
-    def emit(*key) -> str:
-        text = last.get(key)
-        if text is None:
-            text = key[0](*key[1:])
-        texts[key] = text
-        return text
-
-    sigs, sig_names, cals, cal_names, morphisms, morphism_names = _collect_names(g, emit)
-    chunks: list[str] = []
-    for sig in sigs:
-        chunks.append(emit(emit_signature, sig_names[sig], sig))
+    Signatures are named s<i>, calculi c<i>, and the maps of definition and
+    splitting links h<i> and f<i>, numbered in the order of their texts
+    under the name "_" and never in hash order; graph equality never
+    depends on these names. Every part is emitted afresh, and the manifest
+    and g take the one slot load_graph answers from."""
+    global _last_saved
+    cals = dict.fromkeys(g.nodes[name].base for name in sorted(g.nodes))
+    maps = dict.fromkeys(link.morphism for link in g.evidence if link.morphism is not None)
+    sigs = dict.fromkeys([cal.sig for cal in cals] + [s for m in maps for s in (m.source, m.target)])
+    sigs = sorted(sigs, key=lambda s: emit_signature("_", s))
+    sig_names = {sig: f"s{i}" for i, sig in enumerate(sigs)}
+    cals = sorted(cals, key=lambda c: emit_calculus("_", c, sig_names[c.sig]))
+    cal_names = {cal: f"c{i}" for i, cal in enumerate(cals)}
+    maps = sorted(maps, key=lambda m: emit_map("_", m, sig_names[m.source], sig_names[m.target]))
+    map_names = {
+        m: f"{'h' if isinstance(m, SignatureMorphism) else 'f'}{i}" for i, m in enumerate(maps)
+    }
+    chunks = [emit_signature(sig_names[sig], sig) for sig in sigs]
     for cal in cals:
-        chunks.append(emit(emit_calculus, cal_names[cal], cal, sig_names[cal.sig]))
-    for m in morphisms:
-        chunks.append(emit(emit_map, morphism_names[m], m, sig_names[m.source], sig_names[m.target]))
+        chunks.append(emit_calculus(cal_names[cal], cal, sig_names[cal.sig]))
+    for m in maps:
+        chunks.append(emit_map(map_names[m], m, sig_names[m.source], sig_names[m.target]))
     for name in sorted(g.nodes):
-        chunks.append(emit(emit_ontology, name, g.nodes[name], cal_names[g.nodes[name].base]))
+        chunks.append(emit_ontology(name, g.nodes[name], cal_names[g.nodes[name].base]))
     # the evidence map holds every link, and the statements are sorted
-    statements = []
-    for link, ev in g.evidence.items():
-        statements.append(emit(emit_link, link, ev, morphism_names.get(link.morphism)))
-    chunks.extend(sorted(statements))
+    chunks.extend(
+        sorted(emit_link(link, ev, map_names.get(link.morphism)) for link, ev in g.evidence.items())
+    )
     data = ("\n".join(chunks) + "\n").encode("utf-8")
     _last_saved = (data, g)
-    _last_texts = texts
     return data
 
 

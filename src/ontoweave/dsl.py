@@ -371,14 +371,12 @@ def emit_map(
 ) -> str:
     """A morphism block (symbol images) or a splitting block (formula
     images), one line per source symbol in signature order."""
+    # maps and assign hold the source symbols in signature order
     if isinstance(m, SignatureMorphism):
-        kind, images = "morphism", {sym: str(image) for sym, image in m.maps.items()}
+        kind, lines = "morphism", [f"  {sym} -> {image};" for sym, image in m.maps.items()]
     else:
-        kind, images = "splitting", {sym: body.text for sym, body in m.assign.items()}
-    lines = [f"{kind} {name} : {src_name} -> {dst_name} {{"]
-    lines.extend(f"  {sym} -> {images[sym]};" for sym in m.source.symbols())
-    lines.append("}")
-    return "\n".join(lines)
+        kind, lines = "splitting", [f"  {sym} -> {body.text};" for sym, body in m.assign.items()]
+    return "\n".join([f"{kind} {name} : {src_name} -> {dst_name} {{", *lines, "}"])
 
 
 def emit_link(link: Link, ev: Evidence, morphism_name: str | None) -> str:

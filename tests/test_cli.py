@@ -179,6 +179,7 @@ def test_derive_unknown_within_bound(defs_file, capsys):
          "add-link", "--kind", "theorem", "--from", "efq", "--to", "efq"],
         ["graph", "--manifest", "{manifest}", "--corpus-depth", "0",
          "verify-decomposition", "--node", "efq", "--parts", "efq"],
+        ["check", "{defs}", "--corpus-depth", "257"],
     ],
 )
 def test_bad_fuel_is_a_usage_error(defs_file, capsys, argv):
@@ -191,7 +192,23 @@ def test_bad_fuel_is_a_usage_error(defs_file, capsys, argv):
     assert "Traceback" not in err
 
 
-BAD_LINK_HEAD = """signature S { a/0; } calculus c over S { }
+# no formula deeper than MAX_NESTING reads back, and over a unary symbol a
+# corpus needs memory quadratic in its depth
+@pytest.mark.parametrize(
+    "depth, code, out, err",
+    [
+        ("256", 0, "nodes=0 links=0\n", ""),
+        ("257", 2, "", "ParseError: bad --corpus-depth: must be <= 256, got 257\n"),
+    ],
+    ids=["256", "257"],
+)
+def test_a_graph_corpus_depth_is_at_most_max_nesting(tmp_path, capsys, depth, code, out, err):
+    manifest = tmp_path / "graph.dsl"
+    assert main(["graph", "--manifest", str(manifest), "--corpus-depth", depth, "load"]) == code
+    assert capsys.readouterr() == (out, err)
+
+
+BAD_LINK_HEAD ="""signature S { a/0; } calculus c over S { }
 ontology o { base c; onto_signature { } axioms { } }
 ontology p { base c; onto_signature { } axioms { } }
 morphism h : S -> S { a/0 -> a/0; }

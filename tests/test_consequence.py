@@ -13,6 +13,8 @@ from ontoweave.consequence import (
     Derived,
     Fuel,
     NotDerivedWithin,
+    Report,
+    ReportEntry,
     Rule,
     check_operator_laws,
     check_principles,
@@ -479,6 +481,13 @@ def test_laws_broken_closure_reports_extensivity(cpl, monkeypatch):
     entry = report.entry("extensivity")
     assert not entry.ok
     assert entry.witness
+
+
+def test_a_report_has_no_entry_under_an_absent_label():
+    report = Report([ReportEntry("extensivity", True, "")])
+    assert report.entry("extensivity").ok
+    with pytest.raises(KeyError, match="cut"):
+        report.entry("cut")
 
 
 def test_laws_broken_conclusion_reports_a_cut_witness(cpl, monkeypatch):
@@ -1237,3 +1246,77 @@ def test_closure_is_the_iterated_round_operator(cal, gamma, seeds, caps):
     for _ in range(rounds):
         want = _literal_round(cal, fuel, seeds, want)
     assert members == want
+
+
+# -- the engine against the logic: every answer it gives must be sound
+
+
+def _falsified(gamma, formulas):
+    """The formulas false under some valuation that makes every member of
+    gamma true, by truth tables over not and imp. cpl does not axiomatize
+    bot, so bot is a free atom. The table is evaluated once per formula: a
+    formula's value is an int whose bit v is its value under valuation v."""
+    atoms = [0, *sorted(set().union(*(phi.variables for phi in (*gamma, *formulas))))]
+    rows = 1 << len(atoms)
+    full = (1 << rows) - 1
+    column = {
+        atom: sum(1 << v for v in range(rows) if v >> k & 1) for k, atom in enumerate(atoms)
+    }
+    table = {}
+
+    def value(phi):
+        got = table.get(phi)
+        if got is None:
+            if phi.var is not None:
+                got = column[phi.var]
+            elif phi.head.name == "bot":
+                got = column[0]
+            elif phi.head.name == "not":
+                got = full & ~value(phi.args[0])
+            else:
+                got = (full & ~value(phi.args[0])) | value(phi.args[1])
+            table[phi] = got
+        return got
+
+    models = full
+    for premise in gamma:
+        models &= value(premise)
+    return [phi for phi in formulas if models & ~value(phi)]
+
+
+def _unsound(name, gamma, formulas):
+    """The formulas that do not follow from gamma in the logic that preset
+    name presents. cpl is complete for truth tables, and the implication
+    fragment presents intuitionistic implication, whose theorems are
+    classical ones; over conj, phi follows exactly when gamma holds every
+    variable of phi."""
+    if name == "conj":
+        own = frozenset().union(*(premise.variables for premise in gamma))
+        return [phi for phi in formulas if not phi.variables <= own]
+    return _falsified(gamma, formulas)
+
+
+@pytest.mark.parametrize("name", ["cpl", "implication_fragment", "conj"])
+@settings(max_examples=40)
+@given(data=st.data())
+def test_every_member_and_derived_goal_follows_in_the_logic(name, data):
+    # the CLI default fuel, whose set cap binds over cpl, and a small fuel
+    cal = getattr(presets, name)()
+    corpus = enumerate_formulas(cal.sig, 2, 2)
+    gamma = data.draw(st.lists(st.sampled_from(corpus), max_size=2, unique=True), "gamma")
+    fuel = data.draw(st.sampled_from([Fuel(), Fuel(3, 12, 64)]), "fuel")
+    assert _unsound(name, gamma, closure_bounded(cal, gamma, fuel)) == []
+    derived = [phi for phi in corpus if derives(cal, gamma, phi, fuel).is_derived]
+    assert _unsound(name, gamma, derived) == []
+
+
+def test_the_soundness_deciders_refuse_what_does_not_follow():
+    cpl_sig, conj_sig = presets.cpl_signature(), presets.conj().sig
+    f = lambda text: parse_formula(text, cpl_sig)
+    assert _unsound("cpl", [], [f("imp(x1, x1)"), f("x1"), f("imp(bot, x1)")]) == [
+        f("x1"), f("imp(bot, x1)")
+    ]
+    assert _unsound("cpl", [f("bot"), f("not(bot)")], [f("x2")]) == []
+    assert _unsound("cpl", [f("x1"), f("imp(x1, x2)")], [f("x2"), f("not(x2)")]) == [f("not(x2)")]
+    g = lambda text: parse_formula(text, conj_sig)
+    assert _unsound("conj", [g("and(x1, x2)")], [g("and(x2, x1)"), g("x3")]) == [g("x3")]

@@ -63,6 +63,18 @@ def test_single_relabel():
     assert apply_signature_morphism(h, phi).text == "or(x1, x2)"
 
 
+def test_maps_repr_their_images_by_symbol():
+    src = make_signature([("and", 2), ("top", 0)])
+    dst = make_signature([("or", 2), ("top", 0)])
+    and2, top = Symbol("and", 2), Symbol("top", 0)
+    h = SignatureMorphism(src, dst, {and2: Symbol("or", 2), top: top})
+    assert repr(h) == "SignatureMorphism(and/2->or/2, top/0->top/0)"
+    f = SplittingMorphism(
+        src, dst, {and2: parse_formula("or(x2, x1)", dst), top: parse_formula("top", dst)}
+    )
+    assert repr(f) == "SplittingMorphism(and/2->or(x2, x1), top/0->top)"
+
+
 def test_homomorphic_recursion():
     src = make_signature([("not", 1)])
     dst = make_signature([("neg", 1)])

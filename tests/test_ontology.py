@@ -39,6 +39,11 @@ def test_make_ontology_empty_theory(cpl):
     assert o.effective is cpl
 
 
+def test_an_ontology_reprs_its_name_and_axioms(cpl):
+    o = Ontology("efq", cpl, make_signature([("bot", 0)]), [f("imp(bot, x1)")])
+    assert repr(o) == "Ontology('efq', axioms=['imp(bot, x1)'])"
+
+
 def test_make_ontology_axiom_becomes_rule(cpl):
     o = Ontology("efq", cpl, make_signature([("bot", 0)]), [f("imp(bot, x1)")])
     assert f("imp(bot, x1)") in {r.conclusion for r in o.effective.axioms}
@@ -274,6 +279,13 @@ def test_connect_axioms_fibred_derivable(cpl, conj):
     assert rounds
     for image, round_no in rounds:
         assert round_no <= 2, image.text
+
+
+def test_an_axiom_not_fibred_derivable_is_refused(cpl, conj):
+    o1 = Ontology("efq", cpl, make_signature([("bot", 0)]), [f("imp(bot, x1)")])
+    o2 = Ontology("conj", conj, conj.sig, [])
+    with pytest.raises(LanguageError, match=r"^axiom imp\(bot, x1\) not fibred-derivable$"):
+        connection_axiom_rounds(o1, o2, Fuel(1, 2, 512))
 
 
 def test_connect_shared_symbols(cpl):

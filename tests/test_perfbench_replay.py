@@ -1,13 +1,14 @@
 """Replay part of each benchmark workload's records in-process, and check
 that every name the benchmark's tracer wraps still exists.
 
-Graph-session scripts 0 and 1 replay whole, back to back in one process:
-every op's output and each final manifest's sha256 must equal
-perfbench/expected/graph-session.json, so the parse-, validate- and
-emit-once paths of the CLI are held byte-identical on every test run, the
-second script starting warm. Each final manifest is then loaded as text,
-past the save slot, and saved again to the recorded sha256, so the
-manifest parser is held to both records too.
+Graph-session scripts 0 and 1, then 2 and 3, replay whole, back to back in
+one process: every op's output and each final manifest's sha256 must equal
+perfbench/expected/graph-session.json, so the parse- and validate-once paths
+of the CLI and the manifest writer are held byte-identical to all four
+records on every test run, the second script of each pair starting warm.
+Each final manifest is then loaded as text, past the save slot, and saved
+again to the recorded sha256, so the manifest parser is held to all four
+records too.
 Derive-mix replays every 15th of its 300 catalogue blocks of 20 queries:
 400 queries, among them bounded negatives at both fuels and ones where the
 set cap binds at the CLI default fuel. Fibre-alternation replays its first
@@ -44,24 +45,33 @@ def load_perfbench(monkeypatch, name):
     return module
 
 
-def test_graph_session_scripts_0_and_1_replay_back_to_back(tmp_path, monkeypatch):
+def replay_back_to_back(tmp_path, monkeypatch, first, second):
+    """Replay two graph-session scripts whole in one process, each in a new
+    directory, the second starting with the tables and the save slot the
+    first one's last manifest left."""
     workloads = load_perfbench(monkeypatch, "workloads")
     session = workloads.GraphSession(workloads.EXPECTED_DIR, tmp_path)
     session.setup()
     session.load_expected()
-    steps = [len(session.scripts[0]), len(session.scripts[1])]
-    # all_ops runs script 0, then script 1, each in a new directory; script 1
-    # starts with the tables and the save slot script 0's last manifest left
-    ops = list(itertools.islice(session.all_ops(), sum(steps)))
+    ops = [*session._session_ops(first), *session._session_ops(second)]
     got = [session.execute(op) for op in ops]
     assert got == [session.expected(op) for op in ops]
-    assert [(script, ran) for script, _, ran in session.sessions] == [(0, steps[0]), (1, steps[1])]
+    ran = [(first, len(session.scripts[first])), (second, len(session.scripts[second]))]
+    assert [(script, steps) for script, _, steps in session.sessions] == ran
     for script, manifest, _ in session.sessions:
         want = session.records["scripts"][script]["manifest_sha256"]
         assert session.manifest_digest(manifest) == want
         parsed = load_graph(manifest.read_text(encoding="utf-8"))
         assert workloads.sha256_text(save_graph(parsed).decode("utf-8")) == want
     assert session.finish() == []
+
+
+def test_graph_session_scripts_0_and_1_replay_back_to_back(tmp_path, monkeypatch):
+    replay_back_to_back(tmp_path, monkeypatch, 0, 1)
+
+
+def test_graph_session_scripts_2_and_3_replay_back_to_back(tmp_path, monkeypatch):
+    replay_back_to_back(tmp_path, monkeypatch, 2, 3)
 
 
 DERIVE_MIX_SPREAD = [i for block in range(0, 300, 15) for i in range(20 * block, 20 * block + 20)]

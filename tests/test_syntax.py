@@ -41,6 +41,10 @@ def test_make_signature_empty():
     assert list(sig.symbols()) == []
 
 
+def test_a_signature_reprs_its_symbols_in_order():
+    assert repr(make_signature(CPL_DECLS)) == "Signature(bot/0; not/1; imp/2)"
+
+
 def test_make_signature_levels():
     sig = make_signature(CPL_DECLS)
     assert sig.level(0) == (Symbol("bot", 0),)
