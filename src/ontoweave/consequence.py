@@ -28,7 +28,11 @@ closure_bounded is a pure function of (presentation, premise set, fuel, seed
 set), so its results are kept in the one memo (syntax.MEMO), one slot per
 premise, seed and member. Premises are checked on every call, so a memoised
 call raises exactly what a fresh one would. derives is not memoised: it
-stops at the round its goal appears.
+stops at the round its goal appears. Before it runs the engine, it asks
+the two-valued matrices sound for its presentation, searched once per
+presentation and kept in the memo at one slot; a goal one of them
+separates from the premises is a bounded negative at every fuel, so it is
+answered without a closure.
 
 Every link check's evidence comes from one kernel, transfer_evidence: one
 bounded scan of the corpus premise sets that fit the set cap.
@@ -38,7 +42,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cache
+from itertools import combinations, product
+from math import prod
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import syntax
@@ -617,6 +623,143 @@ def closure_bounded(
     return members
 
 
+# ---------------------------------------------------------------------------
+# Sound two-valued matrices
+
+# The most candidate matrices the search may range over, and the most
+# valuations a schema or a query may; beyond it no matrix is used.
+MATRIX_CAP = 1 << 12
+
+# A matrix over the values {0, 1} with 1 designated: each symbol some schema
+# mentions, with its table, whose entry at sum(a_i << (n - i)) is the value
+# at arguments a_1..a_n.
+Matrix = tuple[tuple[Symbol, tuple[int, ...]], ...]
+
+
+@cache
+def _columns(n: int) -> tuple[int, ...]:
+    """The values of n atoms over all 2**n valuations: bit v of column k is
+    atom k's value under valuation v, which is bit k of v."""
+    return tuple(sum(1 << v for v in range(1 << n) if v >> k & 1) for k in range(n))
+
+
+def _evaluate(phi: Formula, tables: Mapping[Symbol, tuple[int, ...]], values: dict[Formula, int], full: int) -> int:
+    """phi's value under every valuation at once, as a column; values holds
+    each atom's column and keeps every node's. Iterative at any depth."""
+    stack = [phi]
+    while stack:
+        node = stack[-1]
+        if node in values:
+            stack.pop()
+            continue
+        todo = [a for a in node.args if a not in values]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        args = [values[a] for a in reversed(node.args)]
+        got = 0
+        for row, out in enumerate(tables[node.head]):
+            if out:
+                term = full
+                for k, arg in enumerate(args):
+                    term &= arg if row >> k & 1 else full ^ arg
+                got |= term
+        values[node] = got
+    return values[phi]
+
+
+def _separates(
+    tables: Mapping[Symbol, tuple[int, ...]], atoms: Sequence[Formula], gamma: Iterable[Formula], phi: Formula
+) -> int:
+    """The valuations of atoms, as a column, that designate every member of
+    gamma but not phi."""
+    full = (1 << (1 << len(atoms))) - 1
+    values = dict(zip(atoms, _columns(len(atoms))))
+    held = full
+    for premise in gamma:
+        held &= _evaluate(premise, tables, values, full)
+    return held & ~_evaluate(phi, tables, values, full)
+
+
+def sound_matrices(cal: CalculusPresentation) -> tuple[Matrix, ...]:
+    """Every matrix sound for cal, in table order: each axiom is designated
+    under every valuation, and each rule carries designated premises to a
+    designated conclusion. A symbol no schema mentions constrains nothing,
+    so it has no table. () when there are more candidates than MATRIX_CAP,
+    or a rule with more valuations. Memoised in MEMO at one slot.
+
+    The search assigns tables symbol by symbol and checks each rule as soon
+    as every symbol it mentions has one."""
+    key = (sound_matrices, cal)
+    found = syntax.MEMO.get(key)
+    if found is not None:
+        return found
+    rules = cal.axioms + cal.rules
+    heads = [{node.head for s in r.schemas() for node in s.subformulas() if node.var is None} for r in rules]
+    symbols = sorted(set().union(*heads))
+    variables = [[svar(v) for v in sorted(frozenset().union(*(s.variables for s in r.schemas())))] for r in rules]
+    due: list[list[int]] = [[] for _ in range(len(symbols) + 1)]
+    for i, used in enumerate(heads):
+        due[max((symbols.index(sym) + 1 for sym in used), default=0)].append(i)
+    matrices: list[Matrix] = []
+
+    def extend(tables: dict[Symbol, tuple[int, ...]]) -> None:
+        level = len(tables)
+        for i in due[level]:
+            if _separates(tables, variables[i], rules[i].premises, rules[i].conclusion):
+                return
+        if level == len(symbols):
+            matrices.append(tuple(tables.items()))
+            return
+        sym = symbols[level]
+        for table in product((0, 1), repeat=1 << sym.arity):
+            extend({**tables, sym: table})
+
+    candidates = prod(1 << (1 << sym.arity) for sym in symbols)
+    if candidates <= MATRIX_CAP and all(1 << len(v) <= MATRIX_CAP for v in variables):
+        extend({})
+    found = tuple(matrices)
+    syntax.MEMO.put(key, found, 1)
+    return found
+
+
+def separating_matrix(
+    cal: CalculusPresentation, gamma: Iterable[Formula], phi: Formula
+) -> tuple[Matrix, dict[Formula, int]] | None:
+    """The first sound matrix of cal with the first valuation under it that
+    designates every member of gamma but not phi, or None.
+
+    The atoms a valuation assigns are the variables and the formulas whose
+    head has no table, such as an unmentioned constant; None when there
+    are more valuations than MATRIX_CAP. Each formula the engine admits is
+    a premise or an instance of an axiom or a rule, so it is designated
+    wherever gamma is: a separated phi is derived at no fuel.
+    """
+    matrices = sound_matrices(cal)
+    if not matrices:
+        return None
+    gamma = tuple(gamma)
+    mentioned = dict(matrices[0])
+    found: dict[Formula, None] = {}
+    stack = [*gamma, phi]
+    while stack:
+        node = stack.pop()
+        if node.var is None and node.head in mentioned:
+            stack.extend(node.args)
+        else:
+            found[node] = None
+    if 1 << len(found) > MATRIX_CAP:
+        return None
+    atoms = sorted(found, key=by_sort_key)
+    for matrix in matrices:
+        missed = _separates(dict(matrix), atoms, gamma, phi)
+        if missed:
+            row = (missed & -missed).bit_length() - 1
+            return matrix, {atom: row >> k & 1 for k, atom in enumerate(atoms)}
+    return None
+
+
 def derives(
     cal: CalculusPresentation,
     gamma: Iterable[Formula],
@@ -630,10 +773,15 @@ def derives(
     Derived verdicts are definitive, but not stable under fuel increase: the
     pool thresholds grow with max_formula_size, and when the set cap binds
     the wider instantiation can crowd out a lemma the derivation needs.
+    A goal that a sound matrix separates from gamma (separating_matrix) is
+    answered NotDerivedWithin(fuel) without running the engine, which
+    would answer the same at any fuel.
     """
     if not formula_in_language(phi, cal.sig):
         raise LanguageError(f"goal {phi.text} is outside the calculus language")
     checked = _check_gamma(cal, gamma, fuel)
+    if separating_matrix(cal, checked, phi) is not None:
+        return NotDerivedWithin(fuel)
     engine = _Engine(cal, fuel, (phi,))
     _, found = engine.run(checked, watch=phi)
     if found is None:

@@ -8,8 +8,9 @@ composite values other modules build on them, are hash-consed the same way
 through one value table (Interned).
 
 Hash-consing makes any pure function of interned values safe to memoise, so
-closures, fibring queries and signature unions share one least-recently-used
-memo, MEMO, bounded by MEMO_SLOTS formula slots.
+closures, fibring queries, signature unions and each presentation's sound
+matrices share one least-recently-used memo, MEMO, bounded by MEMO_SLOTS
+formula slots.
 Signature content is canonical (sorted, deduplicated, no empty level), so
 signature inclusion reads the memoised union: c1 <= c2 iff it is c2.
 

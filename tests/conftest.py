@@ -6,7 +6,7 @@ import pytest
 from hypothesis import settings
 
 from ontoweave import presets, syntax
-from ontoweave.consequence import CalculusPresentation, Fuel, Rule, closure_bounded
+from ontoweave.consequence import CalculusPresentation, Fuel, Rule, closure_bounded, sound_matrices
 from ontoweave.fibring import fibred_derives
 from ontoweave.ontology import Ontology
 from ontoweave.syntax import MEMO_SLOTS, Memo, make_signature, parse_formula, signature_union
@@ -64,7 +64,8 @@ def cold_memo(monkeypatch):
 
 def entry_slots(key: tuple, answer) -> int:
     """The slots one memo entry takes, counted afresh from its key and
-    answer: one per formula it references, and one for a signature union."""
+    answer: one per formula it references, and one for a signature union
+    or a presentation's matrices."""
     function = key[0]
     if function is closure_bounded:
         _, _, premises, _, seeds = key
@@ -72,7 +73,7 @@ def entry_slots(key: tuple, answer) -> int:
     if function is fibred_derives:
         premises, goal, before = key[4:]
         return len(premises) + 1 + len(before) + len(answer[1])
-    assert function is signature_union, key
+    assert function in (signature_union, sound_matrices), key
     return 1
 
 

@@ -6,7 +6,7 @@ import re
 from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 from ontoweave.consequence import (
     CalculusPresentation,
@@ -1320,3 +1320,243 @@ def test_the_soundness_deciders_refuse_what_does_not_follow():
     assert _unsound("cpl", [f("x1"), f("imp(x1, x2)")], [f("x2"), f("not(x2)")]) == [f("not(x2)")]
     g = lambda text: parse_formula(text, conj_sig)
     assert _unsound("conj", [g("and(x1, x2)")], [g("and(x2, x1)"), g("x3")]) == [g("x3")]
+
+
+# -- sound two-valued matrices: derives answers what they separate without
+# running the engine
+
+
+def _literal_value(phi, tables, env):
+    """phi's value: a variable's or an atom's from env, otherwise its head's
+    table at the row its arguments' values spell in binary, first argument
+    first."""
+    if phi in env:
+        return env[phi]
+    row = "".join(str(_literal_value(a, tables, env)) for a in phi.args)
+    return tables[phi.head][int(row or "0", 2)]
+
+
+def _literally_sound(rules, tables):
+    """Whether every valuation that designates a rule's premises designates
+    its conclusion, for every rule, tried one valuation at a time."""
+    for rule in rules:
+        variables = sorted(set().union(*(s.variables for s in rule.schemas())))
+        for values in product((0, 1), repeat=len(variables)):
+            env = {svar(v): value for v, value in zip(variables, values)}
+            if all(_literal_value(p, tables, env) for p in rule.premises):
+                if not _literal_value(rule.conclusion, tables, env):
+                    return False
+    return True
+
+
+def _literal_matrices(cal):
+    """Every candidate over the symbols cal's schemas mention, in table
+    order, that is literally sound."""
+    rules = cal.axioms + cal.rules
+    symbols = sorted({n.head for r in rules for s in r.schemas() for n in s.subformulas() if n.var is None})
+    found = []
+    for chosen in product(*(product((0, 1), repeat=2**sym.arity) for sym in symbols)):
+        tables = dict(zip(symbols, chosen))
+        if _literally_sound(rules, tables):
+            found.append(tuple(tables.items()))
+    return tuple(found)
+
+
+_IMP, _NOT = Symbol("imp", 2), Symbol("not", 1)
+
+
+def test_the_presets_get_their_classical_tables(cpl, imp_fragment, conj):
+    # cpl does not axiomatize bot, so bot gets no table and stays an atom
+    assert consequence.sound_matrices(cpl) == (((_IMP, (1, 1, 0, 1)), (_NOT, (1, 0))),)
+    assert consequence.sound_matrices(imp_fragment) == (((_IMP, (1, 1, 0, 1)),),)
+    assert consequence.sound_matrices(conj) == (((Symbol("and", 2), (0, 0, 0, 1)),),)
+    for cal in (cpl, imp_fragment, conj):
+        assert consequence.sound_matrices(cal) == _literal_matrices(cal)
+
+
+def test_an_axiom_that_is_a_bare_variable_leaves_no_matrix(cpl):
+    ex_falso = CalculusPresentation(cpl.sig, [Rule("X", (), f("x1"))], cpl.rules)
+    assert consequence.sound_matrices(ex_falso) == ()
+    assert consequence.separating_matrix(ex_falso, (), f("x1")) is None
+    # a calculus with neither axioms nor rules has one matrix, with no table
+    assert consequence.sound_matrices(presets.rule_free()) == ((),)
+
+
+@settings(max_examples=40)
+@given(_oracle_calculi())
+def test_the_search_finds_exactly_the_literally_sound_matrices(cal):
+    found = consequence.sound_matrices(cal)
+    assert found == _literal_matrices(cal)
+    for matrix in found:
+        assert _literally_sound(cal.axioms + cal.rules, dict(matrix))
+
+
+def _check_separation(cal, gamma, phi, separation):
+    """The matrix is literally sound, and the valuation names every atom
+    of the query and designates gamma but not phi."""
+    matrix, valuation = separation
+    tables = dict(matrix)
+    assert _literally_sound(cal.axioms + cal.rules, tables)
+    assert all(_literal_value(g, tables, valuation) for g in gamma)
+    assert not _literal_value(phi, tables, valuation)
+
+
+_PRESET_CORPORA = {
+    name: enumerate_formulas(getattr(presets, name)().sig, 2, 2)
+    for name in ("cpl", "implication_fragment", "conj")
+}
+
+
+@st.composite
+def _queries(draw):
+    """A calculus from the oracle's draw or a preset, premises, a goal."""
+    name = draw(st.sampled_from(["random", "cpl", "implication_fragment", "conj"]))
+    if name == "random":
+        cal = draw(_oracle_calculi())
+        return cal, draw(st.lists(_PATTERNS, max_size=3)), draw(_PATTERNS)
+    corpus = st.sampled_from(_PRESET_CORPORA[name])
+    return getattr(presets, name)(), draw(st.lists(corpus, max_size=2)), draw(corpus)
+
+
+@settings(max_examples=120)
+@given(
+    _queries(),
+    st.builds(Fuel, st.integers(1, 2), st.integers(4, 12), st.sampled_from([8, 24, 64])),
+)
+def test_derives_is_the_engine_with_separated_goals_unreached(query, fuel):
+    cal, gamma, phi = query
+    checked = consequence._check_gamma(cal, gamma, fuel)
+    _, found = _Engine(cal, fuel, (phi,)).run(checked, watch=phi)
+    assert derives(cal, gamma, phi, fuel) == (NotDerivedWithin(fuel) if found is None else Derived(found))
+    separation = consequence.separating_matrix(cal, checked, phi)
+    event(f"derived={found is not None} separated={separation is not None}")
+    if separation is not None:
+        _check_separation(cal, checked, phi, separation)
+        assert _Engine(cal, fuel.escalated(), (phi,)).run(checked, watch=phi)[1] is None
+
+
+@pytest.fixture
+def engine_runs(monkeypatch):
+    """The number of _Engine.run calls made so far."""
+    runs = []
+    run = _Engine.run
+
+    def counted(self, *args, **kwargs):
+        runs.append(1)
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(_Engine, "run", counted)
+    return runs
+
+
+def test_a_separated_goal_runs_no_engine(cpl, engine_runs):
+    assert derives(cpl, (), f("x1"), Fuel()) == NotDerivedWithin(Fuel())
+    # bot is an atom: no sound matrix fixes its value
+    assert derives(cpl, [f("x1")], f("imp(bot, x2)"), Fuel()) == NotDerivedWithin(Fuel())
+    assert not engine_runs
+    matrix, valuation = consequence.separating_matrix(cpl, [f("x1")], f("imp(bot, x2)"))
+    assert valuation == {f("x1"): 1, f("x2"): 0, f("bot"): 1}
+
+
+def test_a_formula_whose_head_no_schema_mentions_is_an_atom(cpl, fuel, engine_runs):
+    sig = make_signature([("bot", 0), ("not", 1), ("imp", 2), ("box", 1)])
+    cal = CalculusPresentation(sig, cpl.axioms, cpl.rules, cpl.negation)
+    g = lambda text: parse_formula(text, sig)
+    assert consequence.sound_matrices(cal) == consequence.sound_matrices(cpl)
+    _, valuation = consequence.separating_matrix(cal, [g("box(imp(x1, x1))")], g("box(x1)"))
+    assert valuation == {g("box(x1)"): 0, g("box(imp(x1, x1))"): 1}
+    assert derives(cal, [g("box(imp(x1, x1))")], g("box(x1)"), fuel) == NotDerivedWithin(fuel)
+    assert not engine_runs
+    goal = g("imp(box(not(x2)), x1)")
+    assert consequence.separating_matrix(cal, [g("x1")], goal) is None
+    assert derives(cal, [g("x1")], goal, fuel) == Derived(2)
+    assert len(engine_runs) == 1
+
+
+def test_a_goal_deeper_than_the_recursion_limit_is_checked(cpl):
+    phi = svar(1)
+    for _ in range(3000):
+        phi = apply_symbol(_NOT, (phi,))
+    fuel = Fuel(2, 12, 64)
+    assert consequence.separating_matrix(cpl, [], phi) is not None
+    assert derives(cpl, [], phi, fuel) == NotDerivedWithin(fuel)
+    assert derives(cpl, [phi], phi, fuel) == Derived(0)
+
+
+def test_a_goal_no_matrix_separates_runs_the_engine(cpl, fuel, engine_runs):
+    gamma = [f("x1"), f("not(x1)")]
+    assert consequence.separating_matrix(cpl, gamma, f("x2")) is None
+    assert derives(cpl, gamma, f("x2"), fuel).is_derived
+    assert len(engine_runs) == 1
+
+
+def _over_the_cap():
+    """A presentation whose candidates, one whose rule's valuations, and
+    one with a matrix but a query whose valuations, exceed MATRIX_CAP;
+    each with a goal a matrix within the cap would separate."""
+    sig = make_signature([("g", 4), ("h", 1)])
+    x = [svar(i) for i in range(1, 14)]
+    g = lambda *args: apply_symbol(Symbol("g", 4), args)
+    h = lambda arg: apply_symbol(Symbol("h", 1), (arg,))
+    wide = CalculusPresentation(sig, rules=[Rule("G", (g(*x[:4]),), x[0])])
+    chain = x[0]
+    for v in x[1:]:
+        chain = g(chain, v, v, v)
+    many = CalculusPresentation(make_signature([("g", 4)]), rules=[Rule("M", (chain,), x[0])])
+    plain = CalculusPresentation(sig, rules=[Rule("H", (h(x[0]),), x[0])])
+    return [(wide, [], x[1]), (many, [], x[1]), (plain, x[1:], x[0])]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_over_the_matrix_cap_derives_runs_the_engine(case, engine_runs):
+    cal, gamma, phi = _over_the_cap()[case]
+    assert consequence.separating_matrix(cal, gamma, phi) is None
+    fuel = Fuel(2, 12, 64)
+    want, _ = _Engine(cal, fuel, (phi,)).run(consequence._check_gamma(cal, gamma, fuel), watch=phi)
+    engine_runs.clear()
+    assert derives(cal, gamma, phi, fuel) == NotDerivedWithin(fuel)
+    assert len(engine_runs) == 1
+    # h(x1) |- x1 leaves h(0) = 0 and h(1) free
+    h = Symbol("h", 1)
+    assert consequence.sound_matrices(cal) == (() if case < 2 else (((h, (0, 0)),), ((h, (0, 1)),)))
+
+
+def test_the_strict_xfail_goals_are_valid_so_no_matrix_separates_them(cpl):
+    assert consequence.separating_matrix(cpl, [f("bot")], f("imp(x2, x2)")) is None
+    sig = make_signature([("bot", 0), ("not", 1), ("imp", 2)] + [(f"c{i}", 0) for i in range(1, 7)])
+    six = CalculusPresentation(sig, cpl.axioms, cpl.rules, cpl.negation)
+    assert consequence.sound_matrices(six) == consequence.sound_matrices(cpl)
+    assert consequence.separating_matrix(six, (), f("imp(not(x1), imp(x1, x2))", sig)) is None
+
+
+def test_a_thousand_distinct_presentations_keep_the_memo_within_its_budget(monkeypatch):
+    memo = Memo(100)
+    monkeypatch.setattr(syntax, "MEMO", memo)
+    sig = presets.implication_fragment().sig
+    mp = Rule("MP", (f("x1", sig), f("imp(x1, x2)", sig)), f("x2", sig))
+    fuel = Fuel(2, 8, 16)
+    for i in range(1000):
+        cal = CalculusPresentation(sig, [Rule(f"K{i}", (), f("imp(x1, imp(x2, x1))", sig))], [mp])
+        assert derives(cal, (), f("x1", sig), fuel) == NotDerivedWithin(fuel)
+        assert derives(cal, [f("x2", sig)], f("imp(x1, x2)", sig), fuel) == Derived(2)
+        assert memo.slots == memo_slots(memo) <= 100
+    assert (consequence.sound_matrices, cal) in memo.table
+
+
+def test_derives_answers_alike_from_a_cold_and_a_warm_memo(cold_memo, monkeypatch):
+    rng = random.Random(12)
+    queries = []
+    for name, corpus in _PRESET_CORPORA.items():
+        cal = getattr(presets, name)()
+        queries += [(cal, rng.sample(corpus, rng.randint(0, 2)), rng.choice(corpus)) for _ in range(30)]
+    fuel = Fuel(2, 12, 64)
+
+    def answers():
+        return [derives(cal, gamma, phi, fuel) for cal, gamma, phi in queries]
+
+    cold = answers()
+    assert len(cold_memo.table) == 3  # one search per presentation
+    assert any(v.is_derived for v in cold) and not all(v.is_derived for v in cold)
+    assert answers() == cold
+    monkeypatch.setattr(syntax, "MEMO", Memo(MEMO_SLOTS))
+    assert answers() == cold
