@@ -27,12 +27,15 @@ share one axiom-instance memo within a process.
 closure_bounded is a pure function of (presentation, premise set, fuel, seed
 set), so its results are kept in the one memo (syntax.MEMO), one slot per
 premise, seed and member. Premises are checked on every call, so a memoised
-call raises exactly what a fresh one would. derives is not memoised: it
-stops at the round its goal appears. Before it runs the engine, it asks
-the two-valued matrices sound for its presentation, searched once per
-presentation and kept in the memo at one slot; a goal one of them
-separates from the premises is a bounded negative at every fuel, so it is
-answered without a closure.
+call raises exactly what a fresh one would. derives is not memoised, and
+stops as soon as its answer is fixed: it decides the round its goal
+appears in, or the last round it could appear in, without admitting that
+round, and ends a round at the goal's staging once a count of the
+formulas that could sort before the goal shows it will be admitted
+(_Engine.run). Before it runs the engine, it asks the two-valued matrices
+sound for its presentation, searched once per presentation and kept in
+the memo at one slot; a goal one of them separates from the premises is a
+bounded negative at every fuel, so it is answered without a closure.
 
 Every link check's evidence comes from one kernel, transfer_evidence: one
 bounded scan of the corpus premise sets that fit the set cap.
@@ -281,6 +284,32 @@ class _StagingFull(Exception):
     """Internal: the per-round staging budget is exhausted."""
 
 
+class _GoalStaged(Exception):
+    """Internal: the watched goal was staged in a round it is certain to be
+    admitted in."""
+
+
+def _formula_count(sig: Signature, leaves: int, size: int, cap: int) -> int:
+    """The number of formulas of at most size nodes over sig's symbols of
+    arity >= 1 and leaves leaves (variables and constants), or cap if that
+    is smaller. Counted size by size, so it stops once cap is reached:
+    exact[m] is the number of formulas of exactly m nodes, and tuples[k][m]
+    (k >= 2) the number of k-tuples of formulas with m nodes in all."""
+    arities = [arity for arity in sig.arities() if arity >= 1]
+    exact = [0, leaves]
+    tuples = {1: exact, **{k: [0] for k in range(2, max(arities, default=1) + 1)}}
+    total, m = leaves, 1
+    while total < cap and m < size:
+        for k in range(2, len(tuples) + 1):
+            shorter = tuples[k - 1]
+            tuples[k].append(sum(exact[a] * shorter[m - a] for a in range(1, m)))
+        count = sum(len(sig.level(arity)) * tuples[arity][m] for arity in arities)
+        exact.append(count)
+        total += count
+        m += 1
+    return min(total, cap)
+
+
 class _Engine:
     def __init__(self, cal: CalculusPresentation, fuel: Fuel, extra_pool: Iterable[Formula]):
         self.cal = cal
@@ -302,9 +331,13 @@ class _Engine:
         self.pool_new: list[Formula] = sorted(seeds, key=by_sort_key)
         self.stage_quota = fuel.max_set_size
         self.work_left = 0
+        # the goal whose staging ends the round (run sets it), or None
+        self.stop_at: Formula | None = None
 
     def _stage(self, staged: set[Formula], phi: Formula) -> None:
         staged.add(phi)
+        if phi is self.stop_at:
+            raise _GoalStaged
         if len(staged) >= self.stage_quota:
             raise _StagingFull
 
@@ -369,7 +402,8 @@ class _Engine:
         over the budget (values come smallest first) and skips values over
         the tier threshold (pool_size for up to two variables,
         wide_pool_size for more) that no seed supplied. Every value scanned
-        costs one unit of work, as _spend charges it. An axiom passes key =
+        costs one unit of work, as _spend charges it, and staging stop_at
+        raises _GoalStaged, as _stage does. An axiom passes key =
         (its index,), under which its instances are memoised; a rule passes
         its premise bindings as bind, and its instances are not memoised."""
         if budget < 0:
@@ -379,6 +413,7 @@ class _Engine:
         memo = self.cal._inst_memo
         exempt = self.seed_exempt
         quota = self.stage_quota
+        goal = self.stop_at
         stage = staged.add
         last = len(varlist) - 1
         vcap = self.psize if last < 2 else self.wide_psize
@@ -410,6 +445,8 @@ class _Engine:
                 else:
                     concl = substitute(schema, {**bind, **dict(zip(varlist, inst))})
                 stage(concl)
+                if concl is goal:
+                    raise _GoalStaged
                 if len(staged) >= quota:
                     raise _StagingFull
 
@@ -547,14 +584,40 @@ class _Engine:
         self,
         gamma: Sequence[Formula],
         watch: Formula | None = None,
-    ) -> tuple[frozenset[Formula], int | None]:
-        """Close gamma, distinct premises in canonical order (_check_gamma)."""
+    ) -> tuple[set[Formula], int | None]:
+        """Close gamma, distinct premises in canonical order (_check_gamma).
+
+        Returns the engine's own member set, not a copy, and, when watch is
+        given, the round that admits it (0 for a premise), or None if none
+        does. With watch, the run stops as soon as that answer is fixed,
+        and the members it returns are those admitted by then:
+        - a goal over the size cap that is not a premise is never staged;
+        - once a round has generated, the goal is admitted exactly when it
+          is fresh and fewer than room fresh formulas sort before it, and
+          no later round starts after the last one or one whose fresh
+          formulas fill the room, so that round is decided unadmitted;
+        - every staged formula is over the signature, with variables among
+          x1..x<base>, the premises' and the goal's, and one that sorts
+          before the goal has at most as many nodes; when there are no
+          more such formulas than room, staging the goal admits it in this
+          round whatever else is staged (staged never shrinks), so
+          _GoalStaged ends the round there.
+        """
+        members = self.members
         delta = self._admit(gamma)
-        found = 0 if watch is not None and watch in self.members else None
-        if found is not None:
-            return frozenset(self.members), found
-        for round_no in range(1, self.fuel.max_closure_rounds + 1):
-            room = self.set_cap - len(self.members)
+        certain = self.set_cap + 1  # over every room: no goal ends a round
+        if watch is not None:
+            if watch in members:
+                return members, 0
+            if watch.size > self.size_cap:
+                return members, None
+            variables = {*range(1, self.cal._base_var_count + 1), *watch.variables}
+            variables = variables.union(*(phi.variables for phi in gamma))
+            leaves = len(variables) + len(self.cal.sig.constants())
+            certain = _formula_count(self.cal.sig, leaves, watch.size, self.set_cap + 1)
+        last = self.fuel.max_closure_rounds
+        for round_no in range(1, last + 1):
+            room = self.set_cap - len(members)
             if room <= 0:
                 break
             # generation stops once nothing more could be admitted anyway;
@@ -563,27 +626,37 @@ class _Engine:
             # of the round's work budget. The pool stays fixed until the
             # round's admission, so one sort serves the whole round.
             self.stage_quota = 4 * room + 64
+            self.stop_at = watch if certain <= room else None
             staged: set[Formula] = set()
             pool_sorted = sorted(self.pool, key=by_sort_key)
             try:
-                self.work_left = 6 * self.stage_quota + 4096
-                self._rule_conclusions(delta, staged, pool_sorted)
-            except _StagingFull:
-                pass
-            try:
-                self.work_left = 6 * self.stage_quota + 4096
-                self._axiom_conclusions(staged, pool_sorted)
-            except _StagingFull:
-                pass
+                try:
+                    self.work_left = 6 * self.stage_quota + 4096
+                    self._rule_conclusions(delta, staged, pool_sorted)
+                except _StagingFull:
+                    pass
+                try:
+                    self.work_left = 6 * self.stage_quota + 4096
+                    self._axiom_conclusions(staged, pool_sorted)
+                except _StagingFull:
+                    pass
+            except _GoalStaged:
+                return members, round_no
             self.pool_old = pool_sorted
             self.pool_new = []
-            fresh = sorted(staged - self.members, key=by_sort_key)
+            fresh = staged - members
+            if watch in fresh:
+                if len(fresh) > room:
+                    size, key = watch.size, watch.sort_key
+                    if sum(1 for phi in fresh if phi.size <= size and phi.sort_key < key) >= room:
+                        return members, None
+                return members, round_no
+            if watch is not None and (round_no == last or len(fresh) >= room):
+                return members, None
             if not fresh:
                 break
-            delta = self._admit(fresh)
-            if watch is not None and watch in self.members:
-                return frozenset(self.members), round_no
-        return frozenset(self.members), None
+            delta = self._admit(sorted(fresh, key=by_sort_key))
+        return members, None
 
 
 def _check_gamma(cal: CalculusPresentation, gamma: Iterable[Formula], fuel: Fuel) -> tuple[Formula, ...]:
@@ -618,7 +691,7 @@ def closure_bounded(
     stored = syntax.MEMO.get(key)
     if stored is not None:
         return frozenset(stored)
-    members, _ = _Engine(cal, fuel, seeds).run(premises)
+    members = frozenset(_Engine(cal, fuel, seeds).run(premises)[0])
     syntax.MEMO.put(key, tuple(members), len(premises) + len(seeds) + len(members))
     return members
 
@@ -775,7 +848,10 @@ def derives(
     the wider instantiation can crowd out a lemma the derivation needs.
     A goal that a sound matrix separates from gamma (separating_matrix) is
     answered NotDerivedWithin(fuel) without running the engine, which
-    would answer the same at any fuel.
+    would answer the same at any fuel. Otherwise the engine stops as soon
+    as the answer is fixed (_Engine.run): before round 1 for a goal over
+    the size cap that is not a premise, and otherwise within the round
+    that decides the answer, without admitting that round.
     """
     if not formula_in_language(phi, cal.sig):
         raise LanguageError(f"goal {phi.text} is outside the calculus language")

@@ -6,7 +6,7 @@ import re
 from itertools import product
 
 import pytest
-from hypothesis import assume, event, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
 from ontoweave.consequence import (
     CalculusPresentation,
@@ -1560,3 +1560,180 @@ def test_derives_answers_alike_from_a_cold_and_a_warm_memo(cold_memo, monkeypatc
     assert answers() == cold
     monkeypatch.setattr(syntax, "MEMO", Memo(MEMO_SLOTS))
     assert answers() == cold
+
+
+# -- derives stops at its goal: the deciding round is decided unadmitted,
+# and ends where the goal is staged once the count of formulas that could
+# sort before it fits the room
+
+
+def _formulas_up_to(sig, variables, n):
+    """Every formula of at most n nodes over sig and x1..x<variables>,
+    built size by size."""
+    by_size = {1: [svar(v) for v in range(1, variables + 1)] + [apply_symbol(c) for c in sig.constants()]}
+    for size in range(2, n + 1):
+        made = []
+        for sym in sig.symbols():
+            for parts in product(range(1, size), repeat=sym.arity):
+                if sum(parts) == size - 1:
+                    made += [apply_symbol(sym, args) for args in product(*(by_size[p] for p in parts))]
+        by_size[size] = made
+    return {phi for made in by_size.values() for phi in made}
+
+
+@pytest.mark.parametrize(
+    "decls",
+    [
+        [("a", 0)],
+        [("n", 1)],
+        [("bot", 0), ("not", 1), ("imp", 2)],
+        [("h", 3)],
+        [("a", 0), ("b", 0), ("n", 1), ("h", 3)],
+        [("a", 0), ("n", 1), ("f", 2), ("h", 3)],
+    ],
+)
+def test_the_formula_count_is_the_number_of_formulas_enumerated(decls):
+    sig = make_signature(decls)
+    for variables in (1, 2, 3):
+        leaves = variables + len(sig.constants())
+        for n in range(1, 7):
+            want = len(_formulas_up_to(sig, variables, n))
+            assert consequence._formula_count(sig, leaves, n, 10**9) == want
+            # saturated at the cap, whether it is below, at or above the count
+            for cap in (1, want - 1, want, want + 1):
+                if cap >= 1:
+                    assert consequence._formula_count(sig, leaves, n, cap) == min(want, cap)
+
+
+def test_the_formula_count_stops_at_its_cap_on_a_large_goal(cpl):
+    # a 3000-node goal over cpl's signature: binary imp passes 50,001 within
+    # a few sizes, and one unary symbol adds the leaves at every size
+    assert consequence._formula_count(cpl.sig, 4, 3000, 50_001) == 50_001
+    unary = make_signature([("n", 1)])
+    assert consequence._formula_count(unary, 3, 3000, 50_001) == 9000
+
+
+_STOP_PATHS = ("mid-round stop", "fresh and fits", "rank admitted", "rank overflow", "last round", "full round")
+
+
+def _stop_path(cal, gamma, phi, fuel):
+    """Checks that derives and the watched engine answer with the first
+    round in which the unwatched loop (_drive_rounds) admits phi, and
+    returns the path by which the watched run stopped."""
+    checked = consequence._check_gamma(cal, gamma, fuel)
+    eng = _Engine(cal, fuel, (phi,))
+    batches = []  # (room, batch) per admission, the premises first
+    admit = eng._admit
+
+    def recorded(batch):
+        batches.append((eng.set_cap - len(eng.members), batch))
+        return admit(batch)
+
+    held = []
+    eng._admit = recorded
+    _drive_rounds(eng, checked, each_admit=lambda: held.append(phi in eng.members))
+    depth = held.index(True) if True in held else None
+    want = NotDerivedWithin(fuel) if depth is None else Derived(depth)
+    assert derives(cal, gamma, phi, fuel) == want
+    stops = []
+
+    class Counted(consequence._GoalStaged):
+        def __init__(self):
+            stops.append(1)
+
+    with pytest.MonkeyPatch.context() as m:
+        # the raise and the except both look the name up at run time
+        m.setattr(consequence, "_GoalStaged", Counted)
+        _, found = _Engine(cal, fuel, (phi,)).run(checked, watch=phi)
+    assert found == depth
+    if depth == 0:
+        return "premise"
+    if phi.size > fuel.max_formula_size:
+        return "over the size cap"
+    if stops:
+        return "mid-round stop"
+    last = fuel.max_closure_rounds
+    for round_no, (room, batch) in enumerate(batches[1:], start=1):
+        if phi in batch:
+            if len(batch) <= room:
+                return "fresh and fits"
+            return "rank admitted" if depth else "rank overflow"
+        if round_no == last or len(batch) >= room:
+            return "last round" if round_no == last else "full round"
+    return "no fresh formula"
+
+
+_FUELS_THE_SET_CAP_BINDS = st.builds(Fuel, st.integers(1, 3), st.integers(4, 12), st.sampled_from([8, 24, 64]))
+
+
+def test_derives_stops_at_the_round_the_unwatched_loop_admits_its_goal():
+    reached = set()
+    conj, cpl = presets.conj(), presets.cpl()
+    g = lambda text: f(text, conj.sig)
+
+    # one query per path, in _STOP_PATHS order, each found by a seeded
+    # search over these draws
+    @settings(max_examples=150, deadline=None)
+    @given(_queries(), _FUELS_THE_SET_CAP_BINDS)
+    @example((conj, [g("and(x1, x2)")], g("x1")), Fuel(2, 12, 64))
+    @example((cpl, [f("not(x1)")], f("imp(x1, x1)")), Fuel(3, 8, 64))
+    @example((cpl, [f("x2")], f("imp(x2, x2)")), Fuel(3, 9, 64))
+    @example((cpl, [f("x1"), f("x2")], f("imp(bot, x2)")), Fuel(2, 9, 64))
+    # exactly room fresh formulas sort before the goal in round 2
+    @example((cpl, [f("x1")], f("imp(bot, x1)")), Fuel(2, 9, 64))
+    @example((cpl, [], f("bot")), Fuel(1, 9, 64))
+    @example((cpl, [], f("x1")), Fuel(3, 12, 8))
+    def check(query, fuel):
+        path = _stop_path(*query, fuel)
+        event(path)
+        reached.add(path)
+
+    check()
+    assert reached >= set(_STOP_PATHS)
+
+
+def _calls(monkeypatch, name):
+    """The argument tuples of every _Engine.<name> call made so far."""
+    calls = []
+    method = getattr(_Engine, name)
+
+    def counted(self, *args):
+        calls.append(args)
+        return method(self, *args)
+
+    monkeypatch.setattr(_Engine, name, counted)
+    return calls
+
+
+def test_a_goal_a_rule_stages_ends_its_round(cpl, monkeypatch):
+    axiom_rounds, admissions = _calls(monkeypatch, "_axiom_conclusions"), _calls(monkeypatch, "_admit")
+    gamma = [f("x1"), f("imp(x1, x2)")]
+    assert derives(cpl, gamma, f("x2"), Fuel()) == Derived(1)
+    # modus ponens stages x2 before any axiom is instantiated, and round 1
+    # is decided without admitting it
+    assert axiom_rounds == []
+    assert admissions == [(tuple(gamma),)]
+
+
+def test_a_bounded_negative_admits_nothing_in_its_last_round(cpl, monkeypatch):
+    fuel = Fuel(2, 16, 50_000)
+    admissions = _calls(monkeypatch, "_admit")
+    assert consequence.separating_matrix(cpl, [f("bot")], f("imp(x2, x2)")) is None
+    assert derives(cpl, [f("bot")], f("imp(x2, x2)"), fuel) == NotDerivedWithin(fuel)
+    # the premises, then round 1: round 2 is the last
+    assert len(admissions) == 2
+    assert derives(cpl, [f("bot")], f("imp(x2, x2)"), Fuel(6, 16, 50_000)) == Derived(3)
+
+
+def test_a_goal_over_the_size_cap_is_answered_before_round_1(cpl, monkeypatch):
+    k = f("imp(x1, imp(x2, x1))")
+    fuel = Fuel(3, 4, 64)
+    assert consequence.separating_matrix(cpl, (), k) is None
+    rounds = _calls(monkeypatch, "_rule_conclusions")
+    assert derives(cpl, (), k, fuel) == NotDerivedWithin(fuel)
+    assert rounds == []
+    # a premise is a member whatever its size; at a size cap the goal
+    # fits, it is an A1 instance of round 1
+    assert derives(cpl, [k], k, fuel) == Derived(0)
+    assert derives(cpl, (), k, Fuel(3, 5, 64)) == Derived(1)
+    assert len(rounds) == 1
