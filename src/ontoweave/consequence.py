@@ -32,10 +32,12 @@ stops as soon as its answer is fixed: it decides the round its goal
 appears in, or the last round it could appear in, without admitting that
 round, and ends a round at the goal's staging once a count of the
 formulas that could sort before the goal shows it will be admitted
-(_Engine.run). Before it runs the engine, it asks the two-valued matrices
-sound for its presentation, searched once per presentation and kept in
-the memo at one slot; a goal one of them separates from the premises is a
-bounded negative at every fuel, so it is answered without a closure.
+(_Engine.run). Before it builds an engine, it answers a goal among its
+premises at depth 0, and asks the two-valued matrices sound for its
+presentation, searched once per presentation and kept in the memo at one
+slot; a goal one of them separates from the premises is a bounded
+negative at every fuel, so it is answered without a closure. Fibring asks
+the same question of the union presentation (fibring.fibred_derives).
 
 Every link check's evidence comes from one kernel, transfer_evidence: one
 bounded scan of the corpus premise sets that fit the set cap.
@@ -846,16 +848,19 @@ def derives(
     Derived verdicts are definitive, but not stable under fuel increase: the
     pool thresholds grow with max_formula_size, and when the set cap binds
     the wider instantiation can crowd out a lemma the derivation needs.
-    A goal that a sound matrix separates from gamma (separating_matrix) is
+    A goal among the premises is Derived(0), whatever its size. A goal
+    that a sound matrix separates from gamma (separating_matrix) is
     answered NotDerivedWithin(fuel) without running the engine, which
     would answer the same at any fuel. Otherwise the engine stops as soon
     as the answer is fixed (_Engine.run): before round 1 for a goal over
-    the size cap that is not a premise, and otherwise within the round
-    that decides the answer, without admitting that round.
+    the size cap, and otherwise within the round that decides the answer,
+    without admitting that round.
     """
     if not formula_in_language(phi, cal.sig):
         raise LanguageError(f"goal {phi.text} is outside the calculus language")
     checked = _check_gamma(cal, gamma, fuel)
+    if phi in checked:
+        return Derived(0)
     if separating_matrix(cal, checked, phi) is not None:
         return NotDerivedWithin(fuel)
     engine = _Engine(cal, fuel, (phi,))

@@ -13,8 +13,15 @@ A member whose image would outgrow the session's formula cap stays inside
 too, and its image is not built when a lower bound on its size is already
 over the cap.
 
-fibred_derives keeps its answers in the one memo (syntax.MEMO), so a
-repeated query, in any session, runs no side closure.
+Every fibred member is a premise or the image, under the substitution that
+maps back, of a side closure member, so by structurality it is derivable
+from the premises in the union presentation (merge_presentations). A sound
+matrix of that presentation (consequence.separating_matrix) that
+designates every premise but not the goal therefore settles a query at
+every fuel: fibred_derives answers it NotDerivedWithin without running the
+alternation, and registers no interning entry. It keeps its answers in the
+one memo (syntax.MEMO), so a repeated query, in any session, runs no side
+closure.
 
 Session dumps are this module's alone: one token stream (syntax.tokenize)
 of `session fuel N N N union (name / arity)* intern (N formula)*`.
@@ -26,7 +33,16 @@ from dataclasses import astuple, dataclass
 from typing import Iterable
 
 from . import syntax
-from .consequence import CalculusPresentation, Derived, Fuel, NotDerivedWithin, Verdict, closure_bounded
+from .consequence import (
+    CalculusPresentation,
+    Derived,
+    Fuel,
+    NotDerivedWithin,
+    Rule,
+    Verdict,
+    closure_bounded,
+    separating_matrix,
+)
 from .errors import CapExceeded, FormatError, LanguageError, ParseError
 from .morphisms import Interning, Translation, is_back_translatable, substitute_back, translate
 from .syntax import (
@@ -62,6 +78,48 @@ class FibringSession:
 def open_session(left: CalculusPresentation, right: CalculusPresentation, fuel: Fuel) -> FibringSession:
     """Build the union signature and a fresh shared interning table."""
     return FibringSession(left, right, fuel, signature_union(left.sig, right.sig), Interning())
+
+
+def _merge_rules(
+    left: tuple[Rule, ...], right: tuple[Rule, ...], names: set[str]
+) -> tuple[Rule, ...]:
+    """Union of rule lists; identical rules collapse, and a right rule whose
+    name is in names gets a deterministic suffix. names grows by every name
+    the right rules take."""
+    merged: list[Rule] = list(left)
+    seen = set(left)
+    for rule in right:
+        if rule in seen:
+            continue
+        name = rule.name
+        suffix = 2
+        while name in names:
+            name = f"{rule.name}_{suffix}"
+            suffix += 1
+        renamed = Rule(name, rule.premises, rule.conclusion) if name != rule.name else rule
+        merged.append(renamed)
+        names.add(name)
+        seen.add(rule)
+    return tuple(merged)
+
+
+def merge_presentations(
+    left: CalculusPresentation, right: CalculusPresentation
+) -> CalculusPresentation:
+    """The union presentation over the union signature. Schema rules are
+    carried verbatim: schema variables range over the whole combined
+    language, so each side's rules act exactly as its side closure does.
+    If both sides designate a negation, the left one wins. Axioms and rules
+    share one name space, as in a calculus block, so a right axiom or rule
+    is renamed against every name already taken."""
+    negation = left.negation if left.negation is not None else right.negation
+    names = {r.name for r in left.axioms + left.rules}
+    return CalculusPresentation(
+        signature_union(left.sig, right.sig),
+        _merge_rules(left.axioms, right.axioms, names),
+        _merge_rules(left.rules, right.rules, names),
+        negation,
+    )
 
 
 def _side(session: FibringSession, side: str) -> tuple[CalculusPresentation, Translation]:
@@ -136,6 +194,12 @@ def fibred_derives(session: FibringSession, gamma: Iterable[Formula], phi: Formu
     shared interning registers the same subtrees in the same order as a full
     round: verdicts, depths and session dumps are those of the full round.
 
+    A goal that a sound matrix of the union presentation separates from
+    the premises is answered NotDerivedWithin(fuel) without running the
+    alternation, which could not derive it at any fuel (see the module
+    docstring); such an answer registers no entry. A premise set over the
+    set cap raises CapExceeded in the first side closure.
+
     The answer is a pure function of both presentations, the fuel, the
     premise set, the goal and the interning's entries at entry, and is
     memoised under exactly that key. A hit registers the entries the first
@@ -156,7 +220,13 @@ def fibred_derives(session: FibringSession, gamma: Iterable[Formula], phi: Formu
         verdict, registered = stored
         interning.extend(registered)
         return verdict
-    verdict = _alternate(session, current, phi)
+    # a premise set over the set cap goes to the alternation, whose first
+    # side closure refuses it
+    union = merge_presentations(session.left, session.right)
+    if len(current) <= session.fuel.max_set_size and separating_matrix(union, current, phi) is not None:
+        verdict = NotDerivedWithin(session.fuel)
+    else:
+        verdict = _alternate(session, current, phi)
     # one slot per premise, the goal, and each entry at entry or registered
     syntax.MEMO.put(key, (verdict, interning.entries[len(before):]), len(current) + 1 + len(interning))
     return verdict

@@ -21,11 +21,10 @@ from .consequence import (
     Fuel,
     Report,
     ReportEntry,
-    Rule,
     transfer_evidence,
 )
 from .errors import LanguageError, OntoSigError, ParseError, SignatureError
-from .fibring import fibred_derives, open_session
+from .fibring import fibred_derives, merge_presentations, open_session
 from .morphisms import SignatureMorphism, apply_signature_morphism
 from .syntax import (
     Formula,
@@ -123,48 +122,6 @@ def check_ecsy_morphism(
 
 # ---------------------------------------------------------------------------
 # Heterogeneous connection
-
-
-def _merge_rules(
-    left: tuple[Rule, ...], right: tuple[Rule, ...], names: set[str]
-) -> tuple[Rule, ...]:
-    """Union of rule lists; identical rules collapse, and a right rule whose
-    name is in names gets a deterministic suffix. names grows by every name
-    the right rules take."""
-    merged: list[Rule] = list(left)
-    seen = set(left)
-    for rule in right:
-        if rule in seen:
-            continue
-        name = rule.name
-        suffix = 2
-        while name in names:
-            name = f"{rule.name}_{suffix}"
-            suffix += 1
-        renamed = Rule(name, rule.premises, rule.conclusion) if name != rule.name else rule
-        merged.append(renamed)
-        names.add(name)
-        seen.add(rule)
-    return tuple(merged)
-
-
-def merge_presentations(
-    left: CalculusPresentation, right: CalculusPresentation
-) -> CalculusPresentation:
-    """The union presentation over the union signature. Schema rules are
-    carried verbatim: schema variables range over the whole combined
-    language, so each side's rules act exactly as its side closure does.
-    If both sides designate a negation, the left one wins. Axioms and rules
-    share one name space, as in a calculus block, so a right axiom or rule
-    is renamed against every name already taken."""
-    negation = left.negation if left.negation is not None else right.negation
-    names = {r.name for r in left.axioms + left.rules}
-    return CalculusPresentation(
-        signature_union(left.sig, right.sig),
-        _merge_rules(left.axioms, right.axioms, names),
-        _merge_rules(left.rules, right.rules, names),
-        negation,
-    )
 
 
 def connect(o1: Ontology, o2: Ontology, name: str | None = None) -> Ontology:

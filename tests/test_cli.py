@@ -475,6 +475,23 @@ def test_every_input_takes_a_comment_wherever_whitespace_may(tmp_path, capsys):
     assert dump_session(load_session(spaced(text), keywords, conj)) == text
 
 
+def test_fibre_answers_a_separated_goal_where_the_alternation_outgrows_the_set_cap(defs_file, tmp_path, capsys):
+    # the alternation for {x1, x2} |- bot outgrows a set cap of 40 in round
+    # 1, but bot is an atom that a sound matrix of the union sets to 0 while
+    # x1 and x2 are 1: the bounded answer holds at every fuel, and the
+    # dump holds no interning entry, since the alternation never ran
+    gamma = tmp_path / "gamma.txt"
+    gamma.write_text("x1\nx2\n")
+    dump = tmp_path / "session.txt"
+    code = main([
+        "fibre", "--defs", str(defs_file), "--left", "cpl", "--right", "conj", "--gamma", str(gamma),
+        "--phi", "bot", "--rounds", "2", "--fuel-size", "14", "--fuel-set", "40", "--dump", str(dump),
+    ])
+    assert code == 0
+    assert capsys.readouterr().out == f"UNKNOWN bound=rounds:2,size:14,set:40\nsession dumped to {dump}\n"
+    assert dump.read_text() == "session\nfuel\t2\t14\t40\nunion\tbot/0 not/1 and/2 imp/2\nintern\n"
+
+
 def test_fibre_rounds_is_fuel_rounds(defs_file, capsys):
     # an UNKNOWN answer prints its bounds, so the two spellings must agree
     runs = []

@@ -1705,6 +1705,36 @@ def _calls(monkeypatch, name):
     return calls
 
 
+def test_a_goal_among_the_premises_builds_no_engine_and_asks_no_matrix(cpl, monkeypatch):
+    built, checks = [], []
+    init, check = _Engine.__init__, consequence.separating_matrix
+
+    def counted_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    def counted_check(*args):
+        checks.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(_Engine, "__init__", counted_init)
+    monkeypatch.setattr(consequence, "separating_matrix", counted_check)
+    fuel = Fuel(2, 4, 3)
+    small, big = f("imp(x1, x2)"), f("imp(x1, imp(x2, x1))")
+    assert big.size > fuel.max_formula_size
+    # the answer _Engine.run gives, whatever the goal's size
+    for gamma, phi in (([f("x1"), small], small), ([big], big), ([small, big, big], big)):
+        assert derives(cpl, gamma, phi, fuel) == Derived(0)
+    assert built == checks == []
+    # the premises are still checked first
+    with pytest.raises(CapExceeded, match="^premise set larger than the set cap 3$"):
+        derives(cpl, [f("x1"), f("x2"), f("x3"), small], small, fuel)
+    outside = parse_formula("box(x1)", make_signature([("box", 1)]))
+    with pytest.raises(LanguageError):
+        derives(cpl, [outside], outside, fuel)
+    assert built == checks == []
+
+
 def test_a_goal_a_rule_stages_ends_its_round(cpl, monkeypatch):
     axiom_rounds, admissions = _calls(monkeypatch, "_axiom_conclusions"), _calls(monkeypatch, "_admit")
     gamma = [f("x1"), f("imp(x1, x2)")]

@@ -8,7 +8,7 @@ import weakref
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from ontoweave import consequence, fibring, syntax
 from ontoweave.consequence import (
@@ -27,6 +27,7 @@ from ontoweave.fibring import (
     fibred_derives,
     h_closure,
     load_session,
+    merge_presentations,
     open_session,
 )
 from ontoweave.morphisms import Translation, is_back_translatable, substitute_back, translate
@@ -35,6 +36,7 @@ from ontoweave.syntax import (
     Memo,
     Symbol,
     apply_symbol,
+    by_sort_key,
     enumerate_formulas,
     make_signature,
     parse_formula,
@@ -43,6 +45,7 @@ from ontoweave.syntax import (
 )
 from ontoweave import presets
 from conftest import memo_slots
+from test_consequence import _oracle_calculi
 
 SESSION_FUEL = Fuel(2, 14, 20_000)
 
@@ -177,11 +180,27 @@ def test_fibring_with_itself_matches_plain(cpl):
 
 
 def test_fibred_cap_exceeded(cpl, conj):
-    # the goal is unreachable from bare premises, so growth hits the cap
+    # every sound matrix designates imp(bot, bot), so the alternation runs,
+    # and its growth hits the cap before the goal appears
     s = open_session(cpl, conj, Fuel(2, 14, 40))
     gamma = [union_formula(s, "x1"), union_formula(s, "x2")]
-    with pytest.raises(CapExceeded):
-        fibred_derives(s, gamma, union_formula(s, "bot"))
+    with pytest.raises(CapExceeded, match="^combined set grew past 40 in round 1$"):
+        fibred_derives(s, gamma, union_formula(s, "imp(bot, bot)"))
+
+
+def test_a_separated_goal_is_answered_where_the_alternation_hits_the_cap(cpl, conj):
+    # bot is an atom that no sound matrix fixes, so x1 = x2 = 1, bot = 0
+    # separates it: the answer is a bounded negative at every fuel, and the
+    # alternation, which the query does not run, outgrows the set cap
+    fuel = Fuel(2, 14, 40)
+    s = open_session(cpl, conj, fuel)
+    gamma = [union_formula(s, "x1"), union_formula(s, "x2")]
+    bot = union_formula(s, "bot")
+    assert consequence.separating_matrix(merge_presentations(cpl, conj), gamma, bot) is not None
+    assert fibred_derives(s, gamma, bot) == NotDerivedWithin(fuel)
+    assert len(s.interning) == 0
+    with pytest.raises(CapExceeded, match="^combined set grew past 40 in round 1$"):
+        fibring._alternate(open_session(cpl, conj, fuel), set(gamma), bot)
 
 
 def test_alternation_is_monotone(cpl, conj):
@@ -230,8 +249,6 @@ def test_conservation_left_pure_sample(cpl, conj):
 def test_fibred_is_extension_of_left(cpl, conj):
     # weakness evidence: the standalone presentation is weaker than the
     # union presentation underlying the session
-    from ontoweave.ontology import merge_presentations
-
     merged = merge_presentations(cpl, conj)
     ev = weaker_than(cpl, merged, corpus_depth=2, fuel=Fuel(1, 12, 20_000))
     assert ev.status == "verified"
@@ -274,6 +291,8 @@ def counting_side_closures(monkeypatch):
 
 
 def test_early_round_end_matches_full_rounds(cpl, conj, cold_memo, monkeypatch):
+    # the alternation itself, which fibred_derives skips for a goal a sound
+    # matrix separates
     calls = counting_side_closures(monkeypatch)
     fuel = Fuel(2, 10, 3000)
     corpus = enumerate_formulas(open_session(cpl, conj, fuel).union_sig, 2, 2)
@@ -287,12 +306,12 @@ def test_early_round_end_matches_full_rounds(cpl, conj, cold_memo, monkeypatch):
         start = len(calls)
         expected = full_round_derives(fresh_ref, gamma, phi)
         middle = len(calls)
-        got = fibred_derives(fresh, gamma, phi)
+        got = fibring._alternate(fresh, set(gamma), phi)
         full_calls += middle - start
         early_calls += len(calls) - middle
         assert got == expected, (gamma, phi)
         assert dump_session(fresh) == dump_session(fresh_ref), (gamma, phi)
-        assert fibred_derives(reused, gamma, phi) == full_round_derives(reused_ref, gamma, phi)
+        assert fibring._alternate(reused, set(gamma), phi) == full_round_derives(reused_ref, gamma, phi)
         answers.append(got.depth if got.is_derived else None)
     # dumping freezes the interning, so the reused sessions are dumped once
     assert dump_session(reused) == dump_session(reused_ref)
@@ -302,11 +321,16 @@ def test_early_round_end_matches_full_rounds(cpl, conj, cold_memo, monkeypatch):
 
 def test_the_alternation_stops_at_its_fixpoint(conj, cold_memo, monkeypatch):
     # round 1 leaves a set that both side closures keep as it is, so round
-    # 2 ends at the fixpoint and rounds 3 and 4 never run
+    # 2 ends at the fixpoint and rounds 3 and 4 never run; fibred_derives
+    # gives the same answer without the alternation, since a sound matrix
+    # separates x2 from and(x1, bot)
     calls = counting_side_closures(monkeypatch)
     s = open_session(presets.rule_free(), conj, Fuel(4, 12, 8000))
-    verdict = fibred_derives(s, [union_formula(s, "and(x1, bot)")], union_formula(s, "x2"))
+    gamma, phi = {union_formula(s, "and(x1, bot)")}, union_formula(s, "x2")
+    verdict = fibring._alternate(s, gamma, phi)
     assert verdict == NotDerivedWithin(s.fuel)
+    assert calls == ["left", "right"] * 2
+    assert fibred_derives(open_session(presets.rule_free(), conj, s.fuel), gamma, phi) == verdict
     assert calls == ["left", "right"] * 2
 
 
@@ -406,11 +430,12 @@ def test_a_side_memo_hit_raises_what_a_fresh_call_raises(cpl, conj, cold_memo):
         ask(frozen())
     assert str(warm.value) == str(cold.value)
     # a run that raises is not remembered, so every ask raises again: one
-    # premise set over the set cap, one combined set that outgrows it
+    # premise set over the set cap, one combined set that outgrows it (on
+    # a goal no sound matrix separates, so the alternation runs)
     tight = Fuel(2, 14, 2)
     over_cap = [union_formula(open_session(cpl, conj, tight), text) for text in ("x1", "x2", "and(x1, x2)")]
     grows = [union_formula(open_session(cpl, conj, SESSION_FUEL), text) for text in ("x1", "x2")]
-    for fuel, gamma, phi in ((tight, over_cap, "x3"), (Fuel(2, 14, 40), grows, "bot")):
+    for fuel, gamma, phi in ((tight, over_cap, "x3"), (Fuel(2, 14, 40), grows, "imp(bot, bot)")):
         for _ in range(2):
             s = open_session(cpl, conj, fuel)
             with pytest.raises(CapExceeded):
@@ -447,16 +472,23 @@ def test_a_side_result_is_keyed_by_the_interning_too(cpl, conj, cold_memo):
 
 
 def test_side_results_stay_within_the_slot_budget(cpl, conj, monkeypatch):
-    # closures, queries and the union signature share one slot budget, and
-    # a query entry is evicted like any other
+    # closures, queries, the union signature and the union's matrices
+    # share one slot budget, and a query entry is evicted like any other;
+    # the queries are ones that run the alternation: their goal is not a
+    # premise and no sound matrix separates it
     memo = Memo(3000)
     monkeypatch.setattr(syntax, "MEMO", memo)
     fuel = Fuel(2, 10, 3000)
     corpus = enumerate_formulas(open_session(cpl, conj, fuel).union_sig, 2, 2)
+    union = merge_presentations(cpl, conj)
     rng = random.Random(4)
     stored = set()
-    for _ in range(10):
+    queries = []
+    while len(queries) < 10:
         gamma, phi = rng.sample(corpus, 2), rng.choice(corpus)
+        if phi not in gamma and consequence.separating_matrix(union, gamma, phi) is None:
+            queries.append((gamma, phi))
+    for gamma, phi in queries:
         fibred_derives(open_session(cpl, conj, fuel), gamma, phi)
         assert memo.slots == memo_slots(memo) <= 3000
         stored.update(query_entries(memo))
@@ -514,6 +546,129 @@ def test_a_memo_answer_equals_a_cold_run(cpl, conj, cold_memo, monkeypatch):
     assert dump_session(reused) == dump_session(reused_cold) == dump_session(filler)
     verdicts = Counter(type(a).__name__ for a in answers)
     assert verdicts["Derived"] and verdicts["NotDerivedWithin"] and verdicts["tuple"]
+
+
+# -- a goal a sound matrix of the union separates is answered without the
+# alternation, which could never derive it
+
+
+def counting_matrix_checks(monkeypatch):
+    calls = []
+    check = fibring.separating_matrix
+
+    def counted(cal, gamma, phi):
+        calls.append(cal)
+        return check(cal, gamma, phi)
+
+    monkeypatch.setattr(fibring, "separating_matrix", counted)
+    return calls
+
+
+def test_a_separated_query_runs_no_side_closure_and_is_remembered(cpl, conj, cold_memo, monkeypatch):
+    calls = counting_side_closures(monkeypatch)
+    checks = counting_matrix_checks(monkeypatch)
+    fuel = Fuel(2, 14, 40)
+    # asked twice, in fresh sessions: the second ask is a memo hit
+    for _ in range(2):
+        s = open_session(cpl, conj, fuel)
+        gamma = [union_formula(s, "x1"), union_formula(s, "x2")]
+        assert fibred_derives(s, gamma, union_formula(s, "bot")) == NotDerivedWithin(fuel)
+        assert calls == [] and checks == [merge_presentations(cpl, conj)]
+        (key,) = query_entries(cold_memo)
+        assert cold_memo.table[key][0] == (NotDerivedWithin(fuel), ())
+        assert dump_session(s) == dump_session(open_session(cpl, conj, fuel))
+
+
+def test_a_premise_set_over_the_cap_raises_before_any_matrix_check(cpl, conj, cold_memo, monkeypatch):
+    checks = counting_matrix_checks(monkeypatch)
+    s = open_session(cpl, conj, Fuel(2, 14, 2))
+    gamma = [union_formula(s, text) for text in ("x1", "x2", "x3")]
+    with pytest.raises(CapExceeded, match="^premise set larger than the set cap 2$"):
+        fibred_derives(s, gamma, union_formula(s, "bot"))
+    assert checks == [] and not query_entries(cold_memo)
+
+
+def alternation_outcome(session, gamma, phi):
+    """The alternation's verdict, with no matrix check before it, or the
+    type and message of what it raised."""
+    try:
+        return fibring._alternate(session, set(gamma), phi)
+    except OntoweaveError as exc:
+        return type(exc), str(exc)
+
+
+def designated_wherever(cal, gamma, psi):
+    """Whether every sound matrix of cal designates psi under every
+    valuation that designates gamma; at any number of atoms, where
+    separating_matrix gives up past MATRIX_CAP valuations."""
+    for matrix in consequence.sound_matrices(cal):
+        tables = dict(matrix)
+        atoms, stack = set(), [*gamma, psi]
+        while stack:
+            node = stack.pop()
+            if node.var is None and node.head in tables:
+                stack.extend(node.args)
+            else:
+                atoms.add(node)
+        if consequence._separates(tables, sorted(atoms, key=by_sort_key), gamma, psi):
+            return False
+    return True
+
+
+_DEPTH_2 = {
+    name: enumerate_formulas(getattr(presets, name)().sig, 2, 2)
+    for name in ("cpl", "implication_fragment", "conj")
+}
+
+
+@st.composite
+def _fibred_queries(draw):
+    """Two presentations and 0-2 premises and a goal from the depth-2
+    corpora of both."""
+    pair = draw(st.sampled_from(["cpl+conj", "implication_fragment+conj", "cpl+cpl", "oracle"]))
+    if pair == "oracle":
+        left, right = draw(_oracle_calculi()), draw(_oracle_calculi())
+        corpus = enumerate_formulas(left.sig, 2, 2)
+    else:
+        names = pair.split("+")
+        left, right = (getattr(presets, name)() for name in names)
+        corpus = sorted({phi for name in names for phi in _DEPTH_2[name]}, key=by_sort_key)
+    formulas = st.sampled_from(corpus)
+    return left, right, draw(st.lists(formulas, max_size=2)), draw(formulas)
+
+
+def _premises_x1_x2(goal):
+    """cpl and conj with the query {x1, x2} |- goal."""
+    cpl, conj = presets.cpl(), presets.conj()
+    u = lambda text: parse_formula(text, signature_union(cpl.sig, conj.sig))
+    return cpl, conj, [u("x1"), u("x2")], u(goal)
+
+
+@settings(max_examples=80)
+@given(_fibred_queries(), st.builds(Fuel, st.integers(1, 2), st.integers(4, 12), st.sampled_from([8, 24, 64])))
+# the alternation outgrows the set cap on a separated goal and on one that
+# is not
+@example(_premises_x1_x2("bot"), Fuel(2, 14, 40))
+@example(_premises_x1_x2("imp(bot, bot)"), Fuel(2, 14, 40))
+def test_a_goal_the_union_separates_is_never_fibred_derived(query, fuel):
+    left, right, gamma, phi = query
+    union = merge_presentations(left, right)
+    separated = consequence.separating_matrix(union, gamma, phi) is not None
+    alternated = alternation_outcome(open_session(left, right, fuel), gamma, phi)
+    ended = alternated[0] if isinstance(alternated, tuple) else type(alternated)
+    event(f"separated={separated} alternation={ended.__name__}")
+    if separated:
+        # the alternation may outgrow the set cap, but never derives the goal
+        assert not isinstance(alternated, Derived)
+        assert fibred_derives(open_session(left, right, fuel), gamma, phi) == NotDerivedWithin(fuel)
+    else:
+        expected = Derived(0) if phi in gamma else alternated
+        assert outcome(open_session(left, right, fuel), gamma, phi) == expected
+    # every side closure member is designated wherever the premises are
+    s = open_session(left, right, fuel)
+    for side in ("left", "right"):
+        for psi in h_closure(s, side, gamma):
+            assert designated_wherever(union, gamma, psi), (side, psi.text)
 
 
 # -- session persistence

@@ -1,10 +1,10 @@
-"""The one memo: closures, fibring queries and signature unions share one
-slot budget, and every answer from it is a cold one."""
+"""The one memo: closures, fibring queries, signature unions and sound
+matrices share one slot budget, and every answer from it is a cold one."""
 
 import random
 
 from ontoweave import syntax
-from ontoweave.consequence import Fuel, closure_bounded, transfer_evidence
+from ontoweave.consequence import Fuel, closure_bounded, sound_matrices, transfer_evidence
 from ontoweave.errors import OntoweaveError
 from ontoweave.fibring import dump_session, fibred_derives, open_session
 from ontoweave.syntax import MEMO_SLOTS, Memo, enumerate_formulas, make_signature, signature_union
@@ -72,4 +72,5 @@ def test_every_kind_of_entry_shares_one_budget_and_answers_as_a_cold_run(
     for warm_session, cold_session in sum(sessions.values(), []):
         assert dump_session(warm_session) == dump_session(cold_session)
     assert kinds == {"scan", "fresh", "reused", "frozen", "union"}
-    assert held == {closure_bounded, fibred_derives, signature_union}
+    # a fibring query asks the union presentation's matrices first
+    assert held == {closure_bounded, fibred_derives, signature_union, sound_matrices}
