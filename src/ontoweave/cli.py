@@ -8,6 +8,7 @@ All output is canonical and deterministic for fixed inputs, flags, and seed.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import os
 import sys
@@ -75,7 +76,11 @@ def _write_atomically(path: Path, data: bytes) -> None:
     existing file makes ext4 start writing the new one out inside the
     rename, one disk write per command whose time follows the device's
     load; after an exchange the kernel writes it back on its own schedule.
-    The cost: a power cut before that writeback can leave the file empty."""
+    The cost: a power cut before that writeback can leave the file empty.
+    A path with no file name, such as . or /, names a directory and is
+    refused before anything is written."""
+    if not path.name:
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_bytes(data)

@@ -33,7 +33,8 @@ appears in, or the last round it could appear in, without admitting that
 round, and ends a round at the goal's staging once a count of the
 formulas that could sort before the goal shows it will be admitted
 (_Engine.run). Before it builds an engine, it answers a goal among its
-premises at depth 0, and asks the two-valued matrices sound for its
+premises at depth 0, a goal over the size cap, which no round stages, as
+a bounded negative, and asks the two-valued matrices sound for its
 presentation, searched once per presentation and kept in the memo at one
 slot; a goal one of them separates from the premises is a bounded
 negative at every fuel, so it is answered without a closure. Fibring asks
@@ -49,7 +50,6 @@ import random
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, product
-from math import prod
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import syntax
@@ -296,8 +296,10 @@ def _formula_count(sig: Signature, leaves: int, size: int, cap: int) -> int:
     arity >= 1 and leaves leaves (variables and constants), or cap if that
     is smaller. Counted size by size, so it stops once cap is reached:
     exact[m] is the number of formulas of exactly m nodes, and tuples[k][m]
-    (k >= 2) the number of k-tuples of formulas with m nodes in all."""
-    arities = [arity for arity in sig.arities() if arity >= 1]
+    (k >= 2) the number of k-tuples of formulas with m nodes in all. A
+    k-ary symbol heads formulas of k + 1 nodes or more, so only arities
+    below size count."""
+    arities = [arity for arity in sig.arities() if 1 <= arity < size]
     exact = [0, leaves]
     tuples = {1: exact, **{k: [0] for k in range(2, max(arities, default=1) + 1)}}
     total, m = leaves, 1
@@ -590,10 +592,10 @@ class _Engine:
         """Close gamma, distinct premises in canonical order (_check_gamma).
 
         Returns the engine's own member set, not a copy, and, when watch is
-        given, the round that admits it (0 for a premise), or None if none
-        does. With watch, the run stops as soon as that answer is fixed,
+        given, the round that admits it, or None if none does. watch is
+        not a premise and fits the size cap: derives answers those goals
+        itself. With watch, the run stops as soon as that answer is fixed,
         and the members it returns are those admitted by then:
-        - a goal over the size cap that is not a premise is never staged;
         - once a round has generated, the goal is admitted exactly when it
           is fresh and fewer than room fresh formulas sort before it, and
           no later round starts after the last one or one whose fresh
@@ -609,10 +611,6 @@ class _Engine:
         delta = self._admit(gamma)
         certain = self.set_cap + 1  # over every room: no goal ends a round
         if watch is not None:
-            if watch in members:
-                return members, 0
-            if watch.size > self.size_cap:
-                return members, None
             variables = {*range(1, self.cal._base_var_count + 1), *watch.variables}
             variables = variables.union(*(phi.variables for phi in gamma))
             leaves = len(variables) + len(self.cal.sig.constants())
@@ -791,8 +789,10 @@ def sound_matrices(cal: CalculusPresentation) -> tuple[Matrix, ...]:
         for table in product((0, 1), repeat=1 << sym.arity):
             extend({**tables, sym: table})
 
-    candidates = prod(1 << (1 << sym.arity) for sym in symbols)
-    if candidates <= MATRIX_CAP and all(1 << len(v) <= MATRIX_CAP for v in variables):
+    # compared as exponents of two: a wide symbol's candidate count has
+    # 2**arity bits
+    bits = MATRIX_CAP.bit_length() - 1
+    if sum(1 << sym.arity for sym in symbols) <= bits and all(len(v) <= bits for v in variables):
         extend({})
     found = tuple(matrices)
     syntax.MEMO.put(key, found, 1)
@@ -849,19 +849,18 @@ def derives(
     pool thresholds grow with max_formula_size, and when the set cap binds
     the wider instantiation can crowd out a lemma the derivation needs.
     A goal among the premises is Derived(0), whatever its size. A goal
-    that a sound matrix separates from gamma (separating_matrix) is
-    answered NotDerivedWithin(fuel) without running the engine, which
-    would answer the same at any fuel. Otherwise the engine stops as soon
-    as the answer is fixed (_Engine.run): before round 1 for a goal over
-    the size cap, and otherwise within the round that decides the answer,
-    without admitting that round.
+    over the size cap, which no round stages, or one a sound matrix
+    separates from gamma (separating_matrix, true at any fuel) is
+    NotDerivedWithin(fuel) with no engine built. Otherwise the engine
+    stops as soon as the answer is fixed (_Engine.run), within the round
+    that decides it, without admitting that round.
     """
     if not formula_in_language(phi, cal.sig):
         raise LanguageError(f"goal {phi.text} is outside the calculus language")
     checked = _check_gamma(cal, gamma, fuel)
     if phi in checked:
         return Derived(0)
-    if separating_matrix(cal, checked, phi) is not None:
+    if phi.size > fuel.max_formula_size or separating_matrix(cal, checked, phi) is not None:
         return NotDerivedWithin(fuel)
     engine = _Engine(cal, fuel, (phi,))
     _, found = engine.run(checked, watch=phi)

@@ -20,8 +20,8 @@ matrix of that presentation (consequence.separating_matrix) that
 designates every premise but not the goal therefore settles a query at
 every fuel: fibred_derives answers it NotDerivedWithin without running the
 alternation, and registers no interning entry. It keeps its answers in the
-one memo (syntax.MEMO), so a repeated query, in any session, runs no side
-closure.
+one memo (syntax.MEMO), which it asks first, so a repeated query, in any
+session, checks no language and runs no side closure.
 
 Session dumps are this module's alone: one token stream (syntax.tokenize)
 of `session fuel N N N union (name / arity)* intern (N formula)*`.
@@ -30,7 +30,7 @@ of `session fuel N N N union (name / arity)* intern (N formula)*`.
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
-from typing import Iterable
+from typing import AbstractSet, Iterable
 
 from . import syntax
 from .consequence import (
@@ -136,7 +136,7 @@ def _check_language(session: FibringSession, formulas: list[Formula]) -> None:
             raise LanguageError(f"{phi.text} is outside the combined language")
 
 
-def _translate_given(t: Translation, given: set[Formula]) -> list[Formula]:
+def _translate_given(t: Translation, given: AbstractSet[Formula]) -> list[Formula]:
     """Translate a set into one side's language in canonical order. The
     order fixes the interning index of every new foreign subtree."""
     return [translate(t, phi) for phi in sorted(given, key=by_sort_key)]
@@ -200,26 +200,28 @@ def fibred_derives(session: FibringSession, gamma: Iterable[Formula], phi: Formu
     docstring); such an answer registers no entry. A premise set over the
     set cap raises CapExceeded in the first side closure.
 
-    The answer is a pure function of both presentations, the fuel, the
-    premise set, the goal and the interning's entries at entry, and is
-    memoised under exactly that key. A hit registers the entries the first
-    run registered, in the same order, so the session ends as a cold run
+    The answer is a pure function of both presentations, the union
+    signature, the fuel, the premise set, the goal and the interning's
+    entries at entry, and is memoised under that key. A stored key passed
+    the language check, so only a miss checks it, in input order, and
+    answers a premise goal Derived(0). A hit registers the entries the
+    first run registered, in order, so the session ends as a cold run
     leaves it, and a frozen session raises what a cold run raises. A run
     that raises is not remembered.
     """
     gamma = list(gamma)
-    _check_language(session, gamma + [phi])
-    current = set(gamma)
-    if phi in current:
-        return Derived(0)
+    current = frozenset(gamma)
     interning = session.interning
     before = interning.entries
-    key = (fibred_derives, session.left, session.right, session.fuel, frozenset(current), phi, before)
+    key = (fibred_derives, session.left, session.right, session.union_sig, session.fuel, current, phi, before)
     stored = syntax.MEMO.get(key)
     if stored is not None:
         verdict, registered = stored
         interning.extend(registered)
         return verdict
+    _check_language(session, gamma + [phi])
+    if phi in current:
+        return Derived(0)
     # a premise set over the set cap goes to the alternation, whose first
     # side closure refuses it
     union = merge_presentations(session.left, session.right)
@@ -232,7 +234,7 @@ def fibred_derives(session: FibringSession, gamma: Iterable[Formula], phi: Formu
     return verdict
 
 
-def _alternate(session: FibringSession, current: set[Formula], phi: Formula) -> Verdict:
+def _alternate(session: FibringSession, current: AbstractSet[Formula], phi: Formula) -> Verdict:
     right = _side(session, "right")[1]
     seeds_left = (translate(_side(session, "left")[1], phi),)
     seeds_right = (translate(right, phi),)

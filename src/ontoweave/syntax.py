@@ -120,7 +120,7 @@ class Interned(ReadOnly):
 
 
 # The memo's budget in formula slots. One pass of the graph-session scripts
-# needs about 61k slots and one fibre-alternation pass about 133k.
+# needs about 61k slots and one fibre-alternation pass about 40k.
 MEMO_SLOTS = 1 << 18
 
 
@@ -622,10 +622,12 @@ def enumerate_formulas(sig: Signature, max_depth: int, max_var: int) -> list[For
     leaves = max_var + len(sig.constants())
     # count the depths first: each holds the leaves plus every symbol over
     # the one below, so the count never falls and stopping at the first one
-    # over the cap, or at the first that adds nothing, decides the cap exactly
+    # over the cap, or at the first that adds nothing, decides the cap exactly.
+    # A power saturates past the cap: size**bits > cap once size >= 2
+    bits = DEFAULT_ENUM_CAP.bit_length()
     depths, size = 1, leaves
     while size <= DEFAULT_ENUM_CAP and depths < max_depth:
-        nxt = leaves + sum(len(sig.level(arity)) * size**arity for arity in arities)
+        nxt = leaves + sum(len(sig.level(arity)) * size ** min(arity, bits) for arity in arities)
         if nxt == size:
             break  # no symbol of arity >= 1: this is the fixpoint
         depths, size = depths + 1, nxt

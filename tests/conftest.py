@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import settings
 
@@ -71,10 +73,20 @@ def entry_slots(key: tuple, answer) -> int:
         _, _, premises, _, seeds = key
         return len(premises) + len(seeds) + len(answer)
     if function is fibred_derives:
-        premises, goal, before = key[4:]
+        premises, goal, before = key[-3:]
         return len(premises) + 1 + len(before) + len(answer[1])
     assert function in (signature_union, sound_matrices), key
     return 1
+
+
+def traced_peak(call):
+    """What call returns, and the most bytes tracemalloc saw allocated
+    while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def memo_slots(memo) -> int:

@@ -714,6 +714,27 @@ def test_write_onto_a_directory_fails_and_keeps_it(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["saved"]
 
 
+@pytest.mark.parametrize("target", [".", "/"])
+def test_a_write_target_with_no_file_name_is_an_io_error(defs_file, tmp_path, capsys, monkeypatch, target):
+    # fibre prints its verdict before it dumps; save writes nothing else
+    monkeypatch.chdir(tmp_path)
+    manifest = tmp_path / "graph.dsl"
+    assert graph_cmd(manifest, "add-node", "--defs", str(defs_file), "--name", "efq") == 0
+    capsys.readouterr()
+    gamma = tmp_path / "gamma.txt"
+    gamma.write_text("x1\n")
+    fibre = ["fibre", "--defs", str(defs_file), "--left", "cpl", "--right", "conj"]
+    for argv, out in (
+        ([*fibre, "--gamma", str(gamma), "--phi", "x1", "--dump", target], "DERIVED depth=0\n"),
+        (["graph", "--manifest", str(manifest), "save", "--to", target], ""),
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == out
+        assert captured.err == f"io error: [Errno 21] Is a directory: '{target}'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["defs.dsl", "gamma.txt", "graph.dsl"]
+
+
 def test_failed_manifest_write_keeps_old_manifest(defs_file, tmp_path, capsys, monkeypatch):
     manifest = tmp_path / "graph.dsl"
     assert graph_cmd(manifest, "add-node", "--defs", str(defs_file), "--name", "efq") == 0

@@ -34,11 +34,12 @@ from ontoweave.syntax import (
     enumerate_formulas,
     make_signature,
     parse_formula,
+    signature_union,
     substitute,
     svar,
 )
 from ontoweave import consequence, presets, syntax
-from conftest import memo_slots
+from conftest import memo_slots, traced_peak
 
 
 def f(text, sig=None):
@@ -1284,15 +1285,43 @@ def _falsified(gamma, formulas):
     return [phi for phi in formulas if models & ~value(phi)]
 
 
+def _intuitionistic(gamma, phi):
+    """Whether phi follows from gamma in intuitionistic implicational
+    logic, which A1, A2 and modus ponens present; every formula is an
+    implication or a variable. Goal-directed: assume the goal's
+    antecedents, then prove an atomic goal by a hypothesis whose head it
+    is, proving that hypothesis's antecedents in turn. A (context, goal)
+    met again on its own branch fails; both are subformulas of the
+    query, so the search ends."""
+
+    def prove(context, goal, branch):
+        while goal.var is None:
+            context, goal = context | {goal.args[0]}, goal.args[1]
+        if (context, goal) in branch:
+            return False
+        branch = branch | {(context, goal)}
+        for hypothesis in context:
+            antecedents = []
+            while hypothesis.var is None:
+                antecedents.append(hypothesis.args[0])
+                hypothesis = hypothesis.args[1]
+            if hypothesis is goal and all(prove(context, a, branch) for a in antecedents):
+                return True
+        return False
+
+    return prove(frozenset(gamma), phi, frozenset())
+
+
 def _unsound(name, gamma, formulas):
     """The formulas that do not follow from gamma in the logic that preset
-    name presents. cpl is complete for truth tables, and the implication
-    fragment presents intuitionistic implication, whose theorems are
-    classical ones; over conj, phi follows exactly when gamma holds every
-    variable of phi."""
+    name presents: cpl is complete for truth tables, the implication
+    fragment presents intuitionistic implication, and over conj, phi
+    follows exactly when gamma holds every variable of phi."""
     if name == "conj":
         own = frozenset().union(*(premise.variables for premise in gamma))
         return [phi for phi in formulas if not phi.variables <= own]
+    if name == "implication_fragment":
+        return [phi for phi in formulas if not _intuitionistic(gamma, phi)]
     return _falsified(gamma, formulas)
 
 
@@ -1320,6 +1349,17 @@ def test_the_soundness_deciders_refuse_what_does_not_follow():
     assert _unsound("cpl", [f("x1"), f("imp(x1, x2)")], [f("x2"), f("not(x2)")]) == [f("not(x2)")]
     g = lambda text: parse_formula(text, conj_sig)
     assert _unsound("conj", [g("and(x1, x2)")], [g("and(x2, x1)"), g("x3")]) == [g("x3")]
+    # Peirce's law is a classical theorem, but no intuitionistic one
+    h = lambda text: parse_formula(text, presets.implication_fragment().sig)
+    a1, a2 = (rule.conclusion for rule in presets.implication_fragment().axioms)
+    peirce = h("imp(imp(imp(x1, x2), x1), x1)")
+    assert _unsound("implication_fragment", [], [a1, a2, peirce]) == [peirce]
+    assert _falsified([], [peirce]) == []
+    assert _unsound("implication_fragment", [h("x1"), h("imp(x1, x2)")], [h("x2"), h("x3")]) == [h("x3")]
+    # a hypothesis used twice, and one reached only through another
+    assert _intuitionistic([h("imp(x1, imp(x1, x2))")], h("imp(x1, x2)"))
+    assert _intuitionistic([h("imp(imp(x1, x2), x3)"), h("x2")], h("x3"))
+    assert not _intuitionistic([h("imp(imp(x1, x2), x1)")], h("x1"))
 
 
 # -- sound two-valued matrices: derives answers what they separate without
@@ -1426,6 +1466,14 @@ def _queries(draw):
 def test_derives_is_the_engine_with_separated_goals_unreached(query, fuel):
     cal, gamma, phi = query
     checked = consequence._check_gamma(cal, gamma, fuel)
+    if phi in checked:
+        # derives answers these itself; the engine is only handed goals
+        # that are not premises and fit the size cap
+        assert derives(cal, gamma, phi, fuel) == Derived(0)
+        return
+    if phi.size > fuel.max_formula_size:
+        assert derives(cal, gamma, phi, fuel) == NotDerivedWithin(fuel)
+        return
     _, found = _Engine(cal, fuel, (phi,)).run(checked, watch=phi)
     assert derives(cal, gamma, phi, fuel) == (NotDerivedWithin(fuel) if found is None else Derived(found))
     separation = consequence.separating_matrix(cal, checked, phi)
@@ -1505,6 +1553,27 @@ def _over_the_cap():
     many = CalculusPresentation(make_signature([("g", 4)]), rules=[Rule("M", (chain,), x[0])])
     plain = CalculusPresentation(sig, rules=[Rule("H", (h(x[0]),), x[0])])
     return [(wide, [], x[1]), (many, [], x[1]), (plain, x[1:], x[0])]
+
+
+def _rule_over_a_symbol_of_arity(arity):
+    """w(x1, ..., x<arity>) |- x1."""
+    x = [svar(i) for i in range(1, arity + 1)]
+    premise = apply_symbol(Symbol("w", arity), x)
+    return CalculusPresentation(make_signature([("w", arity)]), rules=[Rule("W", (premise,), x[0])])
+
+
+def test_a_wide_symbol_is_over_the_matrix_cap_before_its_candidates_are_counted(cold_memo):
+    # 2**24 table rows: a count of the candidate matrices would be an
+    # integer of 2**24 bits, 2 MiB
+    cal = _rule_over_a_symbol_of_arity(24)
+    assert traced_peak(lambda: consequence.sound_matrices(cal))[1] < 1 << 20
+    assert consequence.sound_matrices(cal) == ()
+    # 2**40 bits would not fit in memory
+    assert consequence.sound_matrices(_rule_over_a_symbol_of_arity(40)) == ()
+    # 2**8 candidates are within the cap, and the four rows with x1 = 1
+    # are free; 2**16 are not
+    assert len(consequence.sound_matrices(_rule_over_a_symbol_of_arity(3))) == 16
+    assert consequence.sound_matrices(_rule_over_a_symbol_of_arity(4)) == ()
 
 
 @pytest.mark.parametrize("case", range(3))
@@ -1613,6 +1682,16 @@ def test_the_formula_count_stops_at_its_cap_on_a_large_goal(cpl):
     assert consequence._formula_count(unary, 3, 3000, 50_001) == 9000
 
 
+def test_an_unused_wide_symbol_leaves_the_formula_count_alone(cpl):
+    # a 300000-ary symbol heads no formula of at most 7 nodes, so it adds
+    # no table of tuples and nothing to the count
+    wide = signature_union(cpl.sig, make_signature([("f", 300_000)]))
+    for size in (1, 7, 30):
+        count, peak = traced_peak(lambda: consequence._formula_count(wide, 4, size, 10**9))
+        assert count == consequence._formula_count(cpl.sig, 4, size, 10**9)
+        assert peak < 1 << 20
+
+
 _STOP_PATHS = ("mid-round stop", "fresh and fits", "rank admitted", "rank overflow", "last round", "full round")
 
 
@@ -1641,15 +1720,16 @@ def _stop_path(cal, gamma, phi, fuel):
         def __init__(self):
             stops.append(1)
 
+    # derives answers these itself, and hands the engine only the rest
+    if depth == 0:
+        return "premise"
+    if phi.size > fuel.max_formula_size:
+        return "over the size cap"
     with pytest.MonkeyPatch.context() as m:
         # the raise and the except both look the name up at run time
         m.setattr(consequence, "_GoalStaged", Counted)
         _, found = _Engine(cal, fuel, (phi,)).run(checked, watch=phi)
     assert found == depth
-    if depth == 0:
-        return "premise"
-    if phi.size > fuel.max_formula_size:
-        return "over the size cap"
     if stops:
         return "mid-round stop"
     last = fuel.max_closure_rounds
@@ -1705,7 +1785,9 @@ def _calls(monkeypatch, name):
     return calls
 
 
-def test_a_goal_among_the_premises_builds_no_engine_and_asks_no_matrix(cpl, monkeypatch):
+def _engines_and_matrix_checks(monkeypatch):
+    """The argument tuples of every _Engine built and every
+    separating_matrix call made so far."""
     built, checks = [], []
     init, check = _Engine.__init__, consequence.separating_matrix
 
@@ -1719,6 +1801,11 @@ def test_a_goal_among_the_premises_builds_no_engine_and_asks_no_matrix(cpl, monk
 
     monkeypatch.setattr(_Engine, "__init__", counted_init)
     monkeypatch.setattr(consequence, "separating_matrix", counted_check)
+    return built, checks
+
+
+def test_a_goal_among_the_premises_builds_no_engine_and_asks_no_matrix(cpl, monkeypatch):
+    built, checks = _engines_and_matrix_checks(monkeypatch)
     fuel = Fuel(2, 4, 3)
     small, big = f("imp(x1, x2)"), f("imp(x1, imp(x2, x1))")
     assert big.size > fuel.max_formula_size
@@ -1759,11 +1846,14 @@ def test_a_goal_over_the_size_cap_is_answered_before_round_1(cpl, monkeypatch):
     k = f("imp(x1, imp(x2, x1))")
     fuel = Fuel(3, 4, 64)
     assert consequence.separating_matrix(cpl, (), k) is None
+    built, checks = _engines_and_matrix_checks(monkeypatch)
     rounds = _calls(monkeypatch, "_rule_conclusions")
+    # settled where derives is entered: no matrix search and no engine
     assert derives(cpl, (), k, fuel) == NotDerivedWithin(fuel)
-    assert rounds == []
+    assert derives(cpl, [f("x1"), f("imp(x1, x2)")], k, fuel) == NotDerivedWithin(fuel)
+    assert built == checks == rounds == []
     # a premise is a member whatever its size; at a size cap the goal
     # fits, it is an A1 instance of round 1
     assert derives(cpl, [k], k, fuel) == Derived(0)
     assert derives(cpl, (), k, Fuel(3, 5, 64)) == Derived(1)
-    assert len(rounds) == 1
+    assert len(built) == len(checks) == len(rounds) == 1

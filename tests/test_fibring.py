@@ -23,6 +23,7 @@ from ontoweave.consequence import (
 )
 from ontoweave.errors import CapExceeded, FormatError, LanguageError, OntoweaveError, UnknownInternIndex
 from ontoweave.fibring import (
+    FibringSession,
     dump_session,
     fibred_derives,
     h_closure,
@@ -30,7 +31,7 @@ from ontoweave.fibring import (
     merge_presentations,
     open_session,
 )
-from ontoweave.morphisms import Translation, is_back_translatable, substitute_back, translate
+from ontoweave.morphisms import Interning, Translation, is_back_translatable, substitute_back, translate
 from ontoweave.syntax import (
     MEMO_SLOTS,
     Memo,
@@ -143,14 +144,64 @@ def test_h_closure_rejects_foreign_formulas(cpl, conj):
 
 
 def test_fibred_derives_refuses_foreign_formulas_and_remembers_nothing(cpl, conj, cold_memo):
-    s = open_session(cpl, conj, SESSION_FUEL)
-    a = union_formula(s, "x1")
+    # the first formula outside the union is named, premises first in
+    # input order, by a fresh session and by one whose query is stored
+    cold, warm = open_session(cpl, conj, SESSION_FUEL), open_session(cpl, conj, SESSION_FUEL)
+    assert readme_query(cpl, conj, session=warm) == Derived(2)
+    a = union_formula(cold, "x1")
     box = parse_formula("box(x1)", make_signature([("box", 1)]))
+    dia = parse_formula("dia(x2)", make_signature([("dia", 1)]))
     before = list(cold_memo.table.items())
-    for gamma, phi in (([box], a), ([a], box)):
-        with pytest.raises(LanguageError, match=r"^box\(x1\) is outside the combined language$"):
-            fibred_derives(s, gamma, phi)
+    for s in (cold, warm):
+        for gamma, phi, named in (
+            ([box], a, "box(x1)"),
+            ([a], box, "box(x1)"),
+            ([a, dia, box], box, "dia(x2)"),
+            ([box], dia, "box(x1)"),
+        ):
+            with pytest.raises(LanguageError, match=rf"^{re.escape(named)} is outside the combined language$"):
+                fibred_derives(s, gamma, phi)
     assert list(cold_memo.table.items()) == before
+
+
+def counting_language_checks(monkeypatch):
+    """The formulas fibring has asked formula_in_language about so far."""
+    asked = []
+    check = fibring.formula_in_language
+
+    def counted(phi, sig):
+        asked.append(phi)
+        return check(phi, sig)
+
+    monkeypatch.setattr(fibring, "formula_in_language", counted)
+    return asked
+
+
+def test_a_warm_query_checks_no_language(cpl, conj, cold_memo, monkeypatch):
+    asked = counting_language_checks(monkeypatch)
+    assert readme_query(cpl, conj) == Derived(2)
+    assert len(asked) == 3  # the two premises and the goal, on the miss
+    # a fresh session's hit: its key passed the check against this union
+    assert readme_query(cpl, conj) == Derived(2)
+    assert len(asked) == 3
+
+
+def test_a_session_over_another_union_misses_the_memo(cpl, conj, cold_memo, monkeypatch):
+    calls = counting_side_closures(monkeypatch)
+    assert readme_query(cpl, conj) == Derived(2)
+    ran = len(calls)
+    wider = signature_union(signature_union(cpl.sig, conj.sig), make_signature([("box", 1)]))
+    u = lambda text: parse_formula(text, wider)
+    gamma, phi = [u("and(x1, x2)"), u("imp(x1, x3)")], u("x3")
+    # the same query over a wider union is answered afresh, under its own key
+    s = FibringSession(cpl, conj, SESSION_FUEL, wider, Interning())
+    assert fibred_derives(s, gamma, phi) == Derived(2)
+    assert len(calls) == 2 * ran
+    # a union without and refuses the premise that a hit would have skipped
+    s = FibringSession(cpl, conj, SESSION_FUEL, cpl.sig, Interning())
+    with pytest.raises(LanguageError, match=r"^and\(x1, x2\) is outside the combined language$"):
+        fibred_derives(s, gamma, phi)
+    assert len(query_entries(cold_memo)) == 2
 
 
 def test_h_closure_bad_side(cpl, conj):

@@ -19,6 +19,8 @@ A traced replay installs the benchmark's tracer and replays graph-session
 script 0 and fibre-alternation's first four queries from an empty memo:
 every op must still equal its record, and every checker and engine span
 must be entered, so a checker that gets bypassed shows as zero calls.
+Every recorded derive-mix D is checked against an exact decider of its
+logic.
 perfbench/ is only read.
 """
 
@@ -26,12 +28,14 @@ import importlib
 import importlib.util
 import itertools
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from ontoweave import fibring
 from ontoweave.devgraph import load_graph, save_graph
+from test_consequence import _unsound
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -105,6 +109,22 @@ def test_catalogue_ops_replay_their_records(tmp_path, monkeypatch, name, ops, pa
             monkeypatch.setattr(fibring, "_side_closure", counted_side_closure)
             monkeypatch.setattr(fibring, "substitute_back", counted)
     assert side_closures == mapped_back == []
+
+
+def test_every_recorded_derived_answer_follows_in_its_logic(tmp_path, monkeypatch):
+    # cpl by truth tables, the implication fragment by the intuitionistic
+    # decider: both are exact, so a recorded D that fails one is unsound
+    workloads = load_perfbench(monkeypatch, "workloads")
+    workload = workloads.WORKLOADS["derive-mix"](workloads.EXPECTED_DIR, tmp_path)
+    workload.setup()
+    workload.load_expected()
+    derived = Counter()
+    for op, (key, gamma, phi, _) in enumerate(workload.catalogue):
+        if workload.expected(op).startswith("D"):
+            name = "cpl" if key == "cpl" else "implication_fragment"
+            assert _unsound(name, gamma, [phi]) == [], (op, workload.expected(op))
+            derived[name] += 1
+    assert derived["cpl"] and derived["implication_fragment"]
 
 
 def test_every_traced_name_resolves(monkeypatch):

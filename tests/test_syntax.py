@@ -31,6 +31,7 @@ from ontoweave.syntax import (
     svar,
     tokenize,
 )
+from conftest import traced_peak
 
 CPL_DECLS = [("bot", 0), ("not", 1), ("imp", 2)]
 
@@ -508,6 +509,19 @@ def test_enumerate_cap():
     chain = make_signature([("f", 1)])
     with pytest.raises(CapExceeded, match="^enumeration would produce more than 200000 formulas$"):
         enumerate_formulas(chain, 10**9, 2)
+
+
+def test_a_wide_symbol_is_refused_without_its_power():
+    # {a/0, f/10**7} over x1..x3 has 4 + 4**(10**7) formulas at depth 2;
+    # that power alone is an integer of 2 * 10**7 bits, 2.5 MB
+    sig = make_signature([("a", 0), ("f", 10**7)])
+    refused = lambda: pytest.raises(CapExceeded, enumerate_formulas, sig, 2, 3)
+    caught, peak = traced_peak(refused)
+    assert str(caught.value) == "enumeration would produce more than 200000 formulas"
+    assert peak < 1 << 20
+    # over one leaf the power is 1 at any arity: f(x1, ..., x1) is the one
+    # formula depth 2 adds
+    assert len(enumerate_formulas(make_signature([("f", 1000)]), 2, 1)) == 2
 
 
 def test_enumeration_builds_each_formula_once(monkeypatch):
