@@ -1,4 +1,5 @@
-"""Shared fixtures: standard calculi, fuels, and small graph builders."""
+"""Shared fixtures: standard calculi, fuels, small graph builders, and
+exact deciders for the presets' logics."""
 
 from __future__ import annotations
 
@@ -92,6 +93,83 @@ def traced_peak(call):
 def memo_slots(memo) -> int:
     """The slots a memo's entries take, counted afresh."""
     return sum(entry_slots(key, answer) for key, (answer, _) in memo.table.items())
+
+
+# -- exact deciders for the presets' logics, against which every answer
+# the engine gives is checked
+
+
+def falsified(gamma, formulas):
+    """The formulas false under some valuation that makes every member of
+    gamma true, by truth tables over not and imp. cpl does not axiomatize
+    bot, so bot is a free atom. The table is evaluated once per formula: a
+    formula's value is an int whose bit v is its value under valuation v."""
+    atoms = [0, *sorted(set().union(*(phi.variables for phi in (*gamma, *formulas))))]
+    rows = 1 << len(atoms)
+    full = (1 << rows) - 1
+    column = {
+        atom: sum(1 << v for v in range(rows) if v >> k & 1) for k, atom in enumerate(atoms)
+    }
+    table = {}
+
+    def value(phi):
+        got = table.get(phi)
+        if got is None:
+            if phi.var is not None:
+                got = column[phi.var]
+            elif phi.head.name == "bot":
+                got = column[0]
+            elif phi.head.name == "not":
+                got = full & ~value(phi.args[0])
+            else:
+                got = (full & ~value(phi.args[0])) | value(phi.args[1])
+            table[phi] = got
+        return got
+
+    models = full
+    for premise in gamma:
+        models &= value(premise)
+    return [phi for phi in formulas if models & ~value(phi)]
+
+
+def intuitionistic(gamma, phi):
+    """Whether phi follows from gamma in intuitionistic implicational
+    logic, which A1, A2 and modus ponens present; every formula is an
+    implication or a variable. Goal-directed: assume the goal's
+    antecedents, then prove an atomic goal by a hypothesis whose head it
+    is, proving that hypothesis's antecedents in turn. A (context, goal)
+    met again on its own branch fails; both are subformulas of the
+    query, so the search ends."""
+
+    def prove(context, goal, branch):
+        while goal.var is None:
+            context, goal = context | {goal.args[0]}, goal.args[1]
+        if (context, goal) in branch:
+            return False
+        branch = branch | {(context, goal)}
+        for hypothesis in context:
+            antecedents = []
+            while hypothesis.var is None:
+                antecedents.append(hypothesis.args[0])
+                hypothesis = hypothesis.args[1]
+            if hypothesis is goal and all(prove(context, a, branch) for a in antecedents):
+                return True
+        return False
+
+    return prove(frozenset(gamma), phi, frozenset())
+
+
+def unsound(name, gamma, formulas):
+    """The formulas that do not follow from gamma in the logic that preset
+    name presents: cpl is complete for truth tables, the implication
+    fragment presents intuitionistic implication, and over conj, phi
+    follows exactly when gamma holds every variable of phi."""
+    if name == "conj":
+        own = frozenset().union(*(premise.variables for premise in gamma))
+        return [phi for phi in formulas if not phi.variables <= own]
+    if name == "implication_fragment":
+        return [phi for phi in formulas if not intuitionistic(gamma, phi)]
+    return falsified(gamma, formulas)
 
 
 def binary_calculus(symbol: str) -> CalculusPresentation:
