@@ -1,7 +1,8 @@
 """Command-line front end: parsing, validation, derivability queries,
 fibring, connection, and development-graph management.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
+Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
+including an input over a cap or signatures that do not fit.
 All output is canonical and deterministic for fixed inputs, flags, and seed.
 """
 
@@ -22,10 +23,12 @@ from .devgraph import verify_homogeneous_refinement, verify_integration
 from .dsl import Document, Link, emit_calculus, emit_ontology, emit_signature, parse_document
 from .errors import (
     ArityError,
+    CapExceeded,
     FormatError,
     LanguageError,
     OntoweaveError,
     ParseError,
+    SignatureError,
     UnknownInternIndex,
     UnknownNode,
     UnknownSymbol,
@@ -42,6 +45,8 @@ _USAGE_ERRORS = (
     UnknownNode,
     UnknownInternIndex,
     LanguageError,
+    CapExceeded,
+    SignatureError,
 )
 
 

@@ -32,13 +32,11 @@ stops as soon as its answer is fixed: it decides the round its goal
 appears in, or the last round it could appear in, without admitting that
 round, and ends a round at the goal's staging once a count of the
 formulas that could sort before the goal shows it will be admitted
-(_Engine.run). Before it builds an engine, it answers a goal among its
-premises at depth 0, a goal over the size cap, which no round stages, as
-a bounded negative, and asks the two-valued matrices sound for its
-presentation, searched once per presentation and kept in the memo at one
-slot; a goal one of them separates from the premises is a bounded
-negative at every fuel, so it is answered without a closure. Fibring asks
-the same question of the union presentation (fibring.fibred_derives).
+(_Engine.run). Every query enters through settle, which answers what
+needs no closure: a premise goal, a goal over the size cap, and a goal
+that a two-valued matrix sound for the presentation (searched once per
+presentation, kept in the memo at one slot) separates from the premises.
+derives asks it of its calculus, fibring.fibred_derives of the union.
 
 Every link check's evidence comes from one kernel, transfer_evidence: one
 bounded scan of the corpus premise sets that fit the set cap.
@@ -835,6 +833,27 @@ def separating_matrix(
     return None
 
 
+def settle(
+    cal: CalculusPresentation, gamma: Iterable[Formula], phi: Formula, fuel: Fuel
+) -> tuple[tuple[Formula, ...], Verdict | None]:
+    """The distinct premises in canonical order, with the answer a query of
+    phi from gamma gets without a closure, or None.
+
+    Raises on a goal outside the language, then as _check_gamma does. A
+    goal among the premises is Derived(0), whatever its size. A goal over
+    the size cap, which no round stages, or one a sound matrix separates
+    from gamma (separating_matrix, true at any fuel) is
+    NotDerivedWithin(fuel)."""
+    if not formula_in_language(phi, cal.sig):
+        raise LanguageError(f"goal {phi.text} is outside the calculus language")
+    checked = _check_gamma(cal, gamma, fuel)
+    if phi in checked:
+        return checked, Derived(0)
+    if phi.size > fuel.max_formula_size or separating_matrix(cal, checked, phi) is not None:
+        return checked, NotDerivedWithin(fuel)
+    return checked, None
+
+
 def derives(
     cal: CalculusPresentation,
     gamma: Iterable[Formula],
@@ -848,25 +867,15 @@ def derives(
     Derived verdicts are definitive, but not stable under fuel increase: the
     pool thresholds grow with max_formula_size, and when the set cap binds
     the wider instantiation can crowd out a lemma the derivation needs.
-    A goal among the premises is Derived(0), whatever its size. A goal
-    over the size cap, which no round stages, or one a sound matrix
-    separates from gamma (separating_matrix, true at any fuel) is
-    NotDerivedWithin(fuel) with no engine built. Otherwise the engine
+    A query that settle answers builds no engine. Otherwise the engine
     stops as soon as the answer is fixed (_Engine.run), within the round
     that decides it, without admitting that round.
     """
-    if not formula_in_language(phi, cal.sig):
-        raise LanguageError(f"goal {phi.text} is outside the calculus language")
-    checked = _check_gamma(cal, gamma, fuel)
-    if phi in checked:
-        return Derived(0)
-    if phi.size > fuel.max_formula_size or separating_matrix(cal, checked, phi) is not None:
-        return NotDerivedWithin(fuel)
-    engine = _Engine(cal, fuel, (phi,))
-    _, found = engine.run(checked, watch=phi)
-    if found is None:
-        return NotDerivedWithin(fuel)
-    return Derived(found)
+    checked, settled = settle(cal, gamma, phi, fuel)
+    if settled is not None:
+        return settled
+    _, found = _Engine(cal, fuel, (phi,)).run(checked, watch=phi)
+    return NotDerivedWithin(fuel) if found is None else Derived(found)
 
 
 # ---------------------------------------------------------------------------

@@ -13,15 +13,16 @@ A member whose image would outgrow the session's formula cap stays inside
 too, and its image is not built when a lower bound on its size is already
 over the cap.
 
-Every fibred member is a premise or the image, under the substitution that
-maps back, of a side closure member, so by structurality it is derivable
-from the premises in the union presentation (merge_presentations). A sound
-matrix of that presentation (consequence.separating_matrix) that
-designates every premise but not the goal therefore settles a query at
-every fuel: fibred_derives answers it NotDerivedWithin without running the
-alternation, and registers no interning entry. It keeps its answers in the
-one memo (syntax.MEMO), which it asks first, so a repeated query, in any
-session, checks no language and runs no side closure.
+Every fibred member is a premise, or the image under the substitution that
+maps back of a side closure member, of at most the formula cap's size; by
+structurality it is derivable from the premises in the union presentation
+(merge_presentations). So consequence.settle, asked of that presentation,
+answers as the alternation would: a premise goal is Derived(0), and a goal
+over the size cap, or one a sound matrix separates from the premises, is
+never reached. fibred_derives runs the alternation only for a query settle
+leaves open; a settled one registers no interning entry. Answers are kept
+in the one memo (syntax.MEMO), which fibred_derives asks first, so a
+repeated query, in any session, checks no language and runs no side closure.
 
 Session dumps are this module's alone: one token stream (syntax.tokenize)
 of `session fuel N N N union (name / arity)* intern (N formula)*`.
@@ -29,7 +30,7 @@ of `session fuel N N N union (name / arity)* intern (N formula)*`.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, field
 from typing import AbstractSet, Iterable
 
 from . import syntax
@@ -41,9 +42,9 @@ from .consequence import (
     Rule,
     Verdict,
     closure_bounded,
-    separating_matrix,
+    settle,
 )
-from .errors import CapExceeded, FormatError, LanguageError, ParseError
+from .errors import FormatError, LanguageError, ParseError
 from .morphisms import Interning, Translation, is_back_translatable, substitute_back, translate
 from .syntax import (
     Formula,
@@ -58,9 +59,9 @@ from .syntax import (
 
 @dataclass(frozen=True)
 class FibringSession:
-    """Two presentations over their union signature, with the fuel and the
-    interning both sides share. Frozen: only the interning grows, and a
-    dump holds it with the fuel and the union.
+    """Two presentations over their union signature, computed from them,
+    with the fuel and the interning both sides share. Frozen: only the
+    interning grows, and a dump holds it with the fuel and the union.
 
     Single-writer: the shared interning grows during closures, so one
     session should not be used from several tasks at once. A member whose
@@ -71,13 +72,16 @@ class FibringSession:
     left: CalculusPresentation
     right: CalculusPresentation
     fuel: Fuel
-    union_sig: Signature
+    union_sig: Signature = field(init=False)
     interning: Interning
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "union_sig", signature_union(self.left.sig, self.right.sig))
 
 
 def open_session(left: CalculusPresentation, right: CalculusPresentation, fuel: Fuel) -> FibringSession:
-    """Build the union signature and a fresh shared interning table."""
-    return FibringSession(left, right, fuel, signature_union(left.sig, right.sig), Interning())
+    """A session with a fresh shared interning table."""
+    return FibringSession(left, right, fuel, Interning())
 
 
 def _merge_rules(
@@ -130,12 +134,6 @@ def _side(session: FibringSession, side: str) -> tuple[CalculusPresentation, Tra
     return cal, Translation(cal.sig, session.union_sig, session.interning)
 
 
-def _check_language(session: FibringSession, formulas: list[Formula]) -> None:
-    for phi in formulas:
-        if not formula_in_language(phi, session.union_sig):
-            raise LanguageError(f"{phi.text} is outside the combined language")
-
-
 def _translate_given(t: Translation, given: AbstractSet[Formula]) -> list[Formula]:
     """Translate a set into one side's language in canonical order. The
     order fixes the interning index of every new foreign subtree."""
@@ -180,7 +178,9 @@ def h_closure(session: FibringSession, side: str, gamma: Iterable[Formula]) -> f
     """One side's closure of a combined-language set: translate, close
     with the session fuel, map back."""
     gamma = list(gamma)
-    _check_language(session, gamma)
+    for phi in gamma:
+        if not formula_in_language(phi, session.union_sig):
+            raise LanguageError(f"{phi.text} is outside the combined language")
     return _side_closure(session, side, gamma, ())
 
 
@@ -189,45 +189,30 @@ def fibred_derives(session: FibringSession, gamma: Iterable[Formula], phi: Formu
     of the current set. Verdicts are monotone in the round count; the round
     at which the goal appears is implementation-defined.
 
-    A round ends after its left side closure once that closure holds the
-    goal. The right side's translation of the current set still runs, so the
-    shared interning registers the same subtrees in the same order as a full
-    round: verdicts, depths and session dumps are those of the full round.
+    A query enters through consequence.settle on the union presentation,
+    as a derives query does (see the module docstring); only one it leaves
+    open runs the alternation.
 
-    A goal that a sound matrix of the union presentation separates from
-    the premises is answered NotDerivedWithin(fuel) without running the
-    alternation, which could not derive it at any fuel (see the module
-    docstring); such an answer registers no entry. A premise set over the
-    set cap raises CapExceeded in the first side closure.
-
-    The answer is a pure function of both presentations, the union
-    signature, the fuel, the premise set, the goal and the interning's
-    entries at entry, and is memoised under that key. A stored key passed
-    the language check, so only a miss checks it, in input order, and
-    answers a premise goal Derived(0). A hit registers the entries the
-    first run registered, in order, so the session ends as a cold run
-    leaves it, and a frozen session raises what a cold run raises. A run
-    that raises is not remembered.
+    The answer is a pure function of both presentations, the fuel, the
+    premise set, the goal and the interning's entries at entry, and is
+    memoised under that key. A stored key passed settle's checks, so only
+    a miss runs them. A hit registers the entries the first run registered,
+    in order, so the session ends as a cold run leaves it, and a frozen
+    session raises what a cold run raises. A run that raises is not
+    remembered.
     """
     gamma = list(gamma)
     current = frozenset(gamma)
     interning = session.interning
     before = interning.entries
-    key = (fibred_derives, session.left, session.right, session.union_sig, session.fuel, current, phi, before)
+    key = (fibred_derives, session.left, session.right, session.fuel, current, phi, before)
     stored = syntax.MEMO.get(key)
     if stored is not None:
         verdict, registered = stored
         interning.extend(registered)
         return verdict
-    _check_language(session, gamma + [phi])
-    if phi in current:
-        return Derived(0)
-    # a premise set over the set cap goes to the alternation, whose first
-    # side closure refuses it
-    union = merge_presentations(session.left, session.right)
-    if len(current) <= session.fuel.max_set_size and separating_matrix(union, current, phi) is not None:
-        verdict = NotDerivedWithin(session.fuel)
-    else:
+    _, verdict = settle(merge_presentations(session.left, session.right), gamma, phi, session.fuel)
+    if verdict is None:
         verdict = _alternate(session, current, phi)
     # one slot per premise, the goal, and each entry at entry or registered
     syntax.MEMO.put(key, (verdict, interning.entries[len(before):]), len(current) + 1 + len(interning))
@@ -235,6 +220,12 @@ def fibred_derives(session: FibringSession, gamma: Iterable[Formula], phi: Formu
 
 
 def _alternate(session: FibringSession, current: AbstractSet[Formula], phi: Formula) -> Verdict:
+    """A round ends after its left side closure once that closure holds the
+    goal. The right side's translation of the current set still runs, so
+    the shared interning registers the same subtrees in the same order as
+    a full round: verdicts, depths and session dumps are those of the full
+    round. A combined set over the set cap ends the alternation
+    NotDerivedWithin(fuel), as a full set ends a closure."""
     right = _side(session, "right")[1]
     seeds_left = (translate(_side(session, "left")[1], phi),)
     seeds_right = (translate(right, phi),)
@@ -247,11 +238,7 @@ def _alternate(session: FibringSession, current: AbstractSet[Formula], phi: Form
         grown |= _side_closure(session, "right", current, seeds_right)
         if phi in grown:
             return Derived(round_no)
-        if len(grown) > session.fuel.max_set_size:
-            raise CapExceeded(
-                f"combined set grew past {session.fuel.max_set_size} in round {round_no}"
-            )
-        if grown == current:
+        if len(grown) > session.fuel.max_set_size or grown == current:
             break
         current = grown
     return NotDerivedWithin(session.fuel)

@@ -21,6 +21,7 @@ from .consequence import (
     Fuel,
     Report,
     ReportEntry,
+    Verdict,
     transfer_evidence,
 )
 from .errors import LanguageError, OntoSigError, ParseError, SignatureError
@@ -139,15 +140,9 @@ def connect(o1: Ontology, o2: Ontology, name: str | None = None) -> Ontology:
     return Ontology(name, base, onto_sig, o1.axioms + o2.axioms)
 
 
-def connection_axiom_rounds(o1: Ontology, o2: Ontology, fuel: Fuel) -> list[tuple[Formula, int]]:
-    """For each input axiom, the alternation round at which it is
-    fibred-derivable from the empty theory in the session of both effective
-    calculi. Raises if any is not found."""
+def connection_axiom_rounds(o1: Ontology, o2: Ontology, fuel: Fuel) -> list[tuple[Formula, Verdict]]:
+    """Each input axiom with its fibred verdict from the empty theory, in
+    the session of both effective calculi: Derived at the alternation round
+    that reaches it, or a bounded miss."""
     session = open_session(o1.effective, o2.effective, fuel)
-    out = []
-    for phi in o1.axioms + o2.axioms:
-        verdict = fibred_derives(session, (), phi)
-        if not verdict.is_derived:
-            raise LanguageError(f"axiom {phi.text} not fibred-derivable")
-        out.append((phi, verdict.depth))
-    return out
+    return [(phi, fibred_derives(session, (), phi)) for phi in o1.axioms + o2.axioms]

@@ -192,6 +192,26 @@ def test_bad_fuel_is_a_usage_error(defs_file, capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["derive", "--defs", "{defs}", "--calculus", "cpl", "--gamma", "{gamma}", "--phi", "x1",
+          "--fuel-set", "10"],
+         "CapExceeded: premise set larger than the set cap 10"),
+        (["check", "{defs}", "--corpus-depth", "5"],
+         "CapExceeded: enumeration would produce more than 200000 formulas"),
+    ],
+    ids=["premises", "corpus"],
+)
+def test_an_input_over_a_cap_is_a_usage_error(defs_file, capsys, argv, line):
+    # nothing was verified: 19 premises against a set cap of 10, and a
+    # depth-5 corpus over cpl
+    gamma = defs_file.with_name("gamma.txt")
+    gamma.write_text("".join(f"x{i}\n" for i in range(1, 20)))
+    code = main([arg.format(defs=defs_file, gamma=gamma) for arg in argv])
+    assert (code, capsys.readouterr().err) == (2, line + "\n")
+
+
 # no formula deeper than MAX_NESTING reads back, and over a unary symbol a
 # corpus needs memory quadratic in its depth
 @pytest.mark.parametrize(
@@ -490,6 +510,26 @@ def test_fibre_answers_a_separated_goal_where_the_alternation_outgrows_the_set_c
     assert code == 0
     assert capsys.readouterr().out == f"UNKNOWN bound=rounds:2,size:14,set:40\nsession dumped to {dump}\n"
     assert dump.read_text() == "session\nfuel\t2\t14\t40\nunion\tbot/0 not/1 and/2 imp/2\nintern\n"
+
+
+def test_fibre_prints_a_set_cap_stop_as_a_bounded_answer(defs_file, tmp_path, capsys):
+    # no sound matrix separates imp(bot, bot) from {x1, x2}, so the
+    # alternation runs, and its combined set outgrows a set cap of 40 in
+    # round 1: the answer is bounded, as derive's is, and the dump holds
+    # the entry the alternation registered
+    gamma = tmp_path / "gamma.txt"
+    gamma.write_text("x1\nx2\n")
+    dump = tmp_path / "d.txt"
+    code = main([
+        "fibre", "--defs", str(defs_file), "--left", "cpl", "--right", "conj", "--gamma", str(gamma),
+        "--phi", "imp(bot, bot)", "--fuel-rounds", "2", "--fuel-size", "14", "--fuel-set", "40",
+        "--dump", str(dump),
+    ])
+    assert code == 0
+    assert capsys.readouterr() == (f"UNKNOWN bound=rounds:2,size:14,set:40\nsession dumped to {dump}\n", "")
+    assert dump.read_text() == (
+        "session\nfuel\t2\t14\t40\nunion\tbot/0 not/1 and/2 imp/2\nintern\n1\timp(bot, bot)\n"
+    )
 
 
 def test_fibre_rounds_is_fuel_rounds(defs_file, capsys):
@@ -946,6 +986,7 @@ splitting mediator : W -> W { w/2 -> w(x1, x2); }
 splitting leg : W -> P { w/2 -> p(x2, x1); }
 splitting twin : W -> P { w/2 -> p(x1, x2); }
 morphism twin : W -> P { w/2 -> p/2; }
+morphism back : P -> W { p/2 -> w/2; }
 """
 
 
@@ -990,6 +1031,10 @@ def test_non_commuting_cone_fails_at_every_corpus_depth(cone_manifest, capsys, d
          "ParseError: {defs} has no splitting named 'nope'"),
         (["--kind", "theorem", "--defs", "{defs}", "--morphism", "twin"],
          "ParseError: theorem links carry no --morphism"),
+        # a map or languages the link's ends do not fit
+        (["--kind", "definition", "--defs", "{defs}", "--morphism", "back"],
+         "SignatureError: morphism endpoints do not match the ontologies"),
+        (["--kind", "theorem"], "SignatureError: weaker-than needs the left language inside the right one"),
     ],
 )
 def test_add_link_map_must_match_its_kind(cone_manifest, capsys, link, prefix):

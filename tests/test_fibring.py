@@ -70,6 +70,10 @@ def test_open_session_union_levels(cpl, conj):
     s = open_session(cpl, conj, SESSION_FUEL)
     assert s.union_sig == signature_union(cpl.sig, conj.sig)
     assert to_side(s, "left").interning is to_side(s, "right").interning is s.interning
+    # a session computes its union from its two sides and takes none
+    assert FibringSession(cpl, conj, SESSION_FUEL, Interning()).union_sig is s.union_sig
+    with pytest.raises(TypeError):
+        FibringSession(cpl, conj, SESSION_FUEL, cpl.sig, Interning())
 
 
 def test_a_session_is_a_frozen_value(cpl, conj):
@@ -144,64 +148,55 @@ def test_h_closure_rejects_foreign_formulas(cpl, conj):
 
 
 def test_fibred_derives_refuses_foreign_formulas_and_remembers_nothing(cpl, conj, cold_memo):
-    # the first formula outside the union is named, premises first in
-    # input order, by a fresh session and by one whose query is stored
+    # the first formula outside the union is named as derives names it, the
+    # goal first and then the premises in input order, by a fresh session
+    # and by one whose query is stored
     cold, warm = open_session(cpl, conj, SESSION_FUEL), open_session(cpl, conj, SESSION_FUEL)
     assert readme_query(cpl, conj, session=warm) == Derived(2)
     a = union_formula(cold, "x1")
     box = parse_formula("box(x1)", make_signature([("box", 1)]))
     dia = parse_formula("dia(x2)", make_signature([("dia", 1)]))
-    before = list(cold_memo.table.items())
+    before = dict(cold_memo.table)
     for s in (cold, warm):
         for gamma, phi, named in (
-            ([box], a, "box(x1)"),
-            ([a], box, "box(x1)"),
-            ([a, dia, box], box, "dia(x2)"),
-            ([box], dia, "box(x1)"),
+            ([box], a, "premise box(x1)"),
+            ([a], box, "goal box(x1)"),
+            ([a, dia, box], a, "premise dia(x2)"),
+            ([a, dia, box], box, "goal box(x1)"),
+            ([box], dia, "goal dia(x2)"),
         ):
-            with pytest.raises(LanguageError, match=rf"^{re.escape(named)} is outside the combined language$"):
+            with pytest.raises(LanguageError, match=rf"^{re.escape(named)} is outside the calculus language$"):
                 fibred_derives(s, gamma, phi)
-    assert list(cold_memo.table.items()) == before
+    # no entry is added or changed; building the union presentation to
+    # check against only refreshes its signature's entry
+    assert cold_memo.table == before
 
 
 def counting_language_checks(monkeypatch):
-    """The formulas fibring has asked formula_in_language about so far."""
+    """The formulas consequence has asked formula_in_language about so
+    far: the goal and premises a query enters with, and every side
+    closure's premises."""
     asked = []
-    check = fibring.formula_in_language
+    check = consequence.formula_in_language
 
     def counted(phi, sig):
         asked.append(phi)
         return check(phi, sig)
 
-    monkeypatch.setattr(fibring, "formula_in_language", counted)
+    monkeypatch.setattr(consequence, "formula_in_language", counted)
     return asked
 
 
 def test_a_warm_query_checks_no_language(cpl, conj, cold_memo, monkeypatch):
     asked = counting_language_checks(monkeypatch)
-    assert readme_query(cpl, conj) == Derived(2)
-    assert len(asked) == 3  # the two premises and the goal, on the miss
+    s = open_session(cpl, conj, SESSION_FUEL)
+    assert readme_query(cpl, conj, session=s) == Derived(2)
+    # the miss enters through settle: the goal, then the premises in order
+    assert asked[:3] == [union_formula(s, text) for text in ("x3", "and(x1, x2)", "imp(x1, x3)")]
+    checked = len(asked)
     # a fresh session's hit: its key passed the check against this union
     assert readme_query(cpl, conj) == Derived(2)
-    assert len(asked) == 3
-
-
-def test_a_session_over_another_union_misses_the_memo(cpl, conj, cold_memo, monkeypatch):
-    calls = counting_side_closures(monkeypatch)
-    assert readme_query(cpl, conj) == Derived(2)
-    ran = len(calls)
-    wider = signature_union(signature_union(cpl.sig, conj.sig), make_signature([("box", 1)]))
-    u = lambda text: parse_formula(text, wider)
-    gamma, phi = [u("and(x1, x2)"), u("imp(x1, x3)")], u("x3")
-    # the same query over a wider union is answered afresh, under its own key
-    s = FibringSession(cpl, conj, SESSION_FUEL, wider, Interning())
-    assert fibred_derives(s, gamma, phi) == Derived(2)
-    assert len(calls) == 2 * ran
-    # a union without and refuses the premise that a hit would have skipped
-    s = FibringSession(cpl, conj, SESSION_FUEL, cpl.sig, Interning())
-    with pytest.raises(LanguageError, match=r"^and\(x1, x2\) is outside the combined language$"):
-        fibred_derives(s, gamma, phi)
-    assert len(query_entries(cold_memo)) == 2
+    assert len(asked) == checked
 
 
 def test_h_closure_bad_side(cpl, conj):
@@ -230,13 +225,39 @@ def test_fibring_with_itself_matches_plain(cpl):
     assert fibred_derives(s, gamma, union_formula(s, "x2")) == Derived(1)
 
 
-def test_fibred_cap_exceeded(cpl, conj):
+def test_fibred_cap_exceeded(cpl, conj, cold_memo, monkeypatch):
     # every sound matrix designates imp(bot, bot), so the alternation runs,
-    # and its growth hits the cap before the goal appears
-    s = open_session(cpl, conj, Fuel(2, 14, 40))
+    # and its growth hits the cap in round 1, before the goal appears: the
+    # alternation stops there with a bounded answer, as a full set stops a
+    # closure, and the answer is remembered with the entries it registered
+    calls = counting_side_closures(monkeypatch)
+    fuel = Fuel(2, 14, 40)
+    sessions = [open_session(cpl, conj, fuel) for _ in range(2)]
+    for s in sessions:
+        gamma = [union_formula(s, "x1"), union_formula(s, "x2")]
+        assert fibred_derives(s, gamma, union_formula(s, "imp(bot, bot)")) == NotDerivedWithin(fuel)
+        assert calls == ["left", "right"]
+    assert len(sessions[0].interning) > 0
+    assert dump_session(sessions[0]) == dump_session(sessions[1])
+    (key,) = query_entries(cold_memo)
+    assert cold_memo.table[key][0][0] == NotDerivedWithin(fuel)
+
+
+def test_a_goal_over_the_size_cap_runs_no_side_closure(cpl, conj, cold_memo, monkeypatch):
+    # no side closure keeps an image over the size cap, so the alternation
+    # never reaches such a goal: settle answers it, with no matrix needed,
+    # and registers no entry
+    fuel = Fuel(2, 4, 40)
+    s = open_session(cpl, conj, fuel)
     gamma = [union_formula(s, "x1"), union_formula(s, "x2")]
-    with pytest.raises(CapExceeded, match="^combined set grew past 40 in round 1$"):
-        fibred_derives(s, gamma, union_formula(s, "imp(bot, bot)"))
+    goal = union_formula(s, "imp(x1, and(x1, x2))")
+    assert goal.size > fuel.max_formula_size
+    assert consequence.separating_matrix(merge_presentations(cpl, conj), gamma, goal) is None
+    ran = open_session(cpl, conj, fuel)
+    assert fibring._alternate(ran, set(gamma), goal) == NotDerivedWithin(fuel)
+    calls = counting_side_closures(monkeypatch)
+    assert fibred_derives(s, gamma, goal) == NotDerivedWithin(fuel)
+    assert calls == [] and len(s.interning) == 0
 
 
 def test_a_separated_goal_is_answered_where_the_alternation_hits_the_cap(cpl, conj):
@@ -250,8 +271,11 @@ def test_a_separated_goal_is_answered_where_the_alternation_hits_the_cap(cpl, co
     assert consequence.separating_matrix(merge_presentations(cpl, conj), gamma, bot) is not None
     assert fibred_derives(s, gamma, bot) == NotDerivedWithin(fuel)
     assert len(s.interning) == 0
-    with pytest.raises(CapExceeded, match="^combined set grew past 40 in round 1$"):
-        fibring._alternate(open_session(cpl, conj, fuel), set(gamma), bot)
+    # the alternation gives the same answer, once it has translated both
+    # sides and outgrown the cap
+    ran = open_session(cpl, conj, fuel)
+    assert fibring._alternate(ran, set(gamma), bot) == NotDerivedWithin(fuel)
+    assert len(ran.interning) > 0
 
 
 def test_alternation_is_monotone(cpl, conj):
@@ -321,9 +345,7 @@ def full_round_derives(session, gamma, phi):
         grown |= fibring._side_closure(session, "right", current, seeds_right)
         if phi in grown:
             return Derived(round_no)
-        if len(grown) > session.fuel.max_set_size:
-            raise CapExceeded(f"round {round_no}")
-        if grown == current:
+        if len(grown) > session.fuel.max_set_size or grown == current:
             break
         current = grown
     return NotDerivedWithin(session.fuel)
@@ -480,23 +502,28 @@ def test_a_side_memo_hit_raises_what_a_fresh_call_raises(cpl, conj, cold_memo):
     with pytest.raises(UnknownInternIndex) as warm:
         ask(frozen())
     assert str(warm.value) == str(cold.value)
-    # a run that raises is not remembered, so every ask raises again: one
-    # premise set over the set cap, one combined set that outgrows it (on
-    # a goal no sound matrix separates, so the alternation runs)
+    # a run that raises is not remembered, so every ask of a premise set
+    # over the set cap raises again; a combined set that outgrows the cap
+    # (on a goal no sound matrix separates, so the alternation runs) is an
+    # answer, and is remembered
     tight = Fuel(2, 14, 2)
     over_cap = [union_formula(open_session(cpl, conj, tight), text) for text in ("x1", "x2", "and(x1, x2)")]
-    grows = [union_formula(open_session(cpl, conj, SESSION_FUEL), text) for text in ("x1", "x2")]
-    for fuel, gamma, phi in ((tight, over_cap, "x3"), (Fuel(2, 14, 40), grows, "imp(bot, bot)")):
-        for _ in range(2):
-            s = open_session(cpl, conj, fuel)
-            with pytest.raises(CapExceeded):
-                fibred_derives(s, gamma, union_formula(s, phi))
+    for _ in range(2):
+        s = open_session(cpl, conj, tight)
+        with pytest.raises(CapExceeded, match="^premise set larger than the set cap 2$"):
+            fibred_derives(s, over_cap, union_formula(s, "x3"))
     assert len(query_entries(cold_memo)) == 1
+    grows = Fuel(2, 14, 40)
+    for _ in range(2):
+        s = open_session(cpl, conj, grows)
+        gamma = [union_formula(s, "x1"), union_formula(s, "x2")]
+        assert fibred_derives(s, gamma, union_formula(s, "imp(bot, bot)")) == NotDerivedWithin(grows)
+    assert len(query_entries(cold_memo)) == 2
 
 
 def test_a_side_memo_miss_checks_its_premises_once(cpl, conj, cold_memo, monkeypatch):
-    # a query memo miss checks each side closure's premises once; a hit
-    # checks none
+    # a query memo miss checks its premises once against the union, where
+    # it enters, and each side closure's premises once; a hit checks none
     checks = []
     check = consequence._check_gamma
 
@@ -508,7 +535,7 @@ def test_a_side_memo_miss_checks_its_premises_once(cpl, conj, cold_memo, monkeyp
     calls = counting_side_closures(monkeypatch)
     for _ in range(2):
         assert readme_query(cpl, conj) == Derived(2)
-        assert len(checks) == len(calls) == 3
+        assert len(checks) == 1 + len(calls) == 4
 
 
 def test_a_side_result_is_keyed_by_the_interning_too(cpl, conj, cold_memo):
@@ -605,13 +632,13 @@ def test_a_memo_answer_equals_a_cold_run(cpl, conj, cold_memo, monkeypatch):
 
 def counting_matrix_checks(monkeypatch):
     calls = []
-    check = fibring.separating_matrix
+    check = consequence.separating_matrix
 
     def counted(cal, gamma, phi):
         calls.append(cal)
         return check(cal, gamma, phi)
 
-    monkeypatch.setattr(fibring, "separating_matrix", counted)
+    monkeypatch.setattr(consequence, "separating_matrix", counted)
     return calls
 
 
@@ -636,16 +663,10 @@ def test_a_premise_set_over_the_cap_raises_before_any_matrix_check(cpl, conj, co
     gamma = [union_formula(s, text) for text in ("x1", "x2", "x3")]
     with pytest.raises(CapExceeded, match="^premise set larger than the set cap 2$"):
         fibred_derives(s, gamma, union_formula(s, "bot"))
-    assert checks == [] and not query_entries(cold_memo)
-
-
-def alternation_outcome(session, gamma, phi):
-    """The alternation's verdict, with no matrix check before it, or the
-    type and message of what it raised."""
-    try:
-        return fibring._alternate(session, set(gamma), phi)
-    except OntoweaveError as exc:
-        return type(exc), str(exc)
+    # nor is anything translated, and a premise goal raises too, as in derives
+    with pytest.raises(CapExceeded, match="^premise set larger than the set cap 2$"):
+        fibred_derives(s, gamma, gamma[0])
+    assert checks == [] and not query_entries(cold_memo) and len(s.interning) == 0
 
 
 def designated_wherever(cal, gamma, psi):
@@ -705,21 +726,32 @@ def test_a_goal_the_union_separates_is_never_fibred_derived(query, fuel):
     left, right, gamma, phi = query
     union = merge_presentations(left, right)
     separated = consequence.separating_matrix(union, gamma, phi) is not None
-    alternated = alternation_outcome(open_session(left, right, fuel), gamma, phi)
-    ended = alternated[0] if isinstance(alternated, tuple) else type(alternated)
-    event(f"separated={separated} alternation={ended.__name__}")
+    # the alternation alone, with no settle before it
+    alternated = fibring._alternate(open_session(left, right, fuel), set(gamma), phi)
+    event(f"separated={separated} alternation={type(alternated).__name__}")
     if separated:
-        # the alternation may outgrow the set cap, but never derives the goal
+        # the alternation may stop at the set cap, but never derives the goal
         assert not isinstance(alternated, Derived)
         assert fibred_derives(open_session(left, right, fuel), gamma, phi) == NotDerivedWithin(fuel)
     else:
         expected = Derived(0) if phi in gamma else alternated
         assert outcome(open_session(left, right, fuel), gamma, phi) == expected
-    # every side closure member is designated wherever the premises are
+    # settle's two facts, at every round of the alternation: every member
+    # is designated wherever the premises are, and one that is not a
+    # premise fits the size cap
     s = open_session(left, right, fuel)
-    for side in ("left", "right"):
-        for psi in h_closure(s, side, gamma):
-            assert designated_wherever(union, gamma, psi), (side, psi.text)
+    seeds = {side: (translate(to_side(s, side), phi),) for side in ("left", "right")}
+    current = set(gamma)
+    for round_no in range(1, fuel.max_closure_rounds + 1):
+        grown = set(current)
+        for side in ("left", "right"):
+            grown |= fibring._side_closure(s, side, current, seeds[side])
+        for psi in grown - current:
+            assert psi.size <= fuel.max_formula_size, (round_no, psi.text)
+            assert designated_wherever(union, gamma, psi), (round_no, psi.text)
+        if len(grown) > fuel.max_set_size or grown == current:
+            break
+        current = grown
 
 
 # -- session persistence
