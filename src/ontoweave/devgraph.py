@@ -9,22 +9,33 @@ self-links are the one tolerated loop shape, because weakness is reflexive
 and a self-link defines nothing; every other cycle is rejected, by the
 constructor and by add_link, so every graph is acyclic.
 
-A manifest is written in one pass and parsed once per content. save_graph
-emits every part afresh and keeps only the last manifest it wrote beside
-its graph, and load_graph hands that graph back when it is given exactly
-those bytes. That is exact because no graph its manifest cannot carry back
-can be built, so load_graph(save_graph(g)) == g, and because graphs and
-every part they hold are read-only. Any other input, a str or a manifest
-edited by hand included, is parsed by dsl.read_document, which builds each
-link with its map and evidence, and the graph is that document's
-ontologies and links.
+A save costs what changed since the last one, and a manifest is parsed
+once per content. save_graph takes each part's text (signature, calculus,
+map, ontology chunk) from a bounded memo, _part_text, keyed by the emitter,
+the part and the names its text cites; every emitter is pure in its
+arguments and every part is interned, so a key fixes its text. It keeps the
+last manifest it wrote in one slot, beside its graph, that graph's (link,
+evidence) items, their sorted link statements and the map names they cite.
+A graph whose items begin with those items, under map names that keep
+every name the slot's statements cite, reuses those statements and emits
+only its later links; equal items under equal names give equal statements,
+so the bytes are those of a cold save. load_graph hands the slot's graph
+back when it is given exactly its bytes. That is exact because no graph
+its manifest cannot carry back can be built, so load_graph(save_graph(g))
+== g, and because graphs and every part they hold are read-only. Any other
+input, a str or a manifest edited by hand included, is parsed by
+dsl.read_document, which builds each link with its map and evidence, and
+the graph is that document's ontologies and links.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import re
+from operator import attrgetter
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .consequence import (
     ASSERTED,
@@ -434,8 +445,30 @@ def verify_decomposition(
 # Serialization
 
 
-# the bytes save_graph returned last, and the graph it wrote into them
-_last_saved: tuple[bytes, DevGraph] | None = None
+# The part-text memo's bound, in texts. One pass of the four graph-session
+# scripts emits 362 distinct part texts.
+PART_TEXTS = 1024
+
+
+@functools.lru_cache(maxsize=PART_TEXTS)
+def _part_text(emit: Callable[..., str], *args: object) -> str:
+    """emit(*args), emitted once while its key stays in the memo: the part
+    emitters are pure in their arguments, and the parts they take are
+    interned, so the key hashes by identity and fixes the text."""
+    return emit(*args)
+
+
+class _Saved(NamedTuple):
+    """The manifest save_graph returned last and what it wrote into it."""
+
+    data: bytes
+    graph: DevGraph
+    items: list[tuple[Link, Evidence]]  # graph.evidence's items, in order
+    map_names: dict[SignatureMorphism | SplittingMorphism, str]  # as the statements cite them
+    statements: list[str]  # the items' link statements, sorted
+
+
+_last_saved: _Saved | None = None
 
 
 def save_graph(g: DevGraph) -> bytes:
@@ -445,33 +478,54 @@ def save_graph(g: DevGraph) -> bytes:
     Signatures are named s<i>, calculi c<i>, and the maps of definition and
     splitting links h<i> and f<i>, numbered in the order of their texts
     under the name "_" and never in hash order; graph equality never
-    depends on these names. Every part is emitted afresh, and the manifest
-    and g take the one slot load_graph answers from."""
+    depends on these names. Each part's text comes from _part_text, so it
+    is emitted once per part and cited names. The manifest, g and its link
+    statements take the one slot load_graph answers from. When g's
+    (link, evidence) items begin with the slot's, and every map the slot's
+    statements cite keeps its name, those statements are reused and only
+    the later links are emitted and inserted in order: equal items under
+    equal names give equal statements. The test is one list comparison,
+    whose items compare by identity first. A cold save is the same code
+    with no reused statement."""
     global _last_saved
-    cals = dict.fromkeys(g.nodes[name].base for name in sorted(g.nodes))
-    maps = dict.fromkeys(link.morphism for link in g.evidence if link.morphism is not None)
+    text = _part_text
+    nodes = sorted(g.nodes.items())
+    cals = dict.fromkeys(onto.base for _, onto in nodes)
+    maps = dict.fromkeys(map(attrgetter("morphism"), g.evidence))
+    maps.pop(None, None)
     sigs = dict.fromkeys([cal.sig for cal in cals] + [s for m in maps for s in (m.source, m.target)])
-    sigs = sorted(sigs, key=lambda s: emit_signature("_", s))
+    sigs = sorted(sigs, key=lambda s: text(emit_signature, "_", s))
     sig_names = {sig: f"s{i}" for i, sig in enumerate(sigs)}
-    cals = sorted(cals, key=lambda c: emit_calculus("_", c, sig_names[c.sig]))
+    cals = sorted(cals, key=lambda c: text(emit_calculus, "_", c, sig_names[c.sig]))
     cal_names = {cal: f"c{i}" for i, cal in enumerate(cals)}
-    maps = sorted(maps, key=lambda m: emit_map("_", m, sig_names[m.source], sig_names[m.target]))
+    maps = sorted(
+        maps, key=lambda m: text(emit_map, "_", m, sig_names[m.source], sig_names[m.target])
+    )
     map_names = {
         m: f"{'h' if isinstance(m, SignatureMorphism) else 'f'}{i}" for i, m in enumerate(maps)
     }
-    chunks = [emit_signature(sig_names[sig], sig) for sig in sigs]
+    chunks = [text(emit_signature, sig_names[sig], sig) for sig in sigs]
     for cal in cals:
-        chunks.append(emit_calculus(cal_names[cal], cal, sig_names[cal.sig]))
+        chunks.append(text(emit_calculus, cal_names[cal], cal, sig_names[cal.sig]))
     for m in maps:
-        chunks.append(emit_map(map_names[m], m, sig_names[m.source], sig_names[m.target]))
-    for name in sorted(g.nodes):
-        chunks.append(emit_ontology(name, g.nodes[name], cal_names[g.nodes[name].base]))
+        chunks.append(text(emit_map, map_names[m], m, sig_names[m.source], sig_names[m.target]))
+    chunks += [text(emit_ontology, name, onto, cal_names[onto.base]) for name, onto in nodes]
     # the evidence map holds every link, and the statements are sorted
-    chunks.extend(
-        sorted(emit_link(link, ev, map_names.get(link.morphism)) for link, ev in g.evidence.items())
-    )
+    items = list(g.evidence.items())
+    saved = _last_saved
+    if (
+        saved is not None
+        and saved.map_names.items() <= map_names.items()
+        and items[: len(saved.items)] == saved.items
+    ):
+        statements, kept = saved.statements.copy(), len(saved.items)
+    else:
+        statements, kept = [], 0
+    for link, ev in items[kept:]:
+        bisect.insort(statements, emit_link(link, ev, map_names.get(link.morphism)))
+    chunks.extend(statements)
     data = ("\n".join(chunks) + "\n").encode("utf-8")
-    _last_saved = (data, g)
+    _last_saved = _Saved(data, g, items, map_names, statements)
     return data
 
 
@@ -482,8 +536,8 @@ def load_graph(data: bytes | str) -> DevGraph:
     it wrote, equal to the one a parse would build; anything else is parsed.
     """
     saved = _last_saved
-    if saved is not None and isinstance(data, bytes) and data == saved[0]:
-        return saved[1]
+    if saved is not None and isinstance(data, bytes) and data == saved.data:
+        return saved.graph
     try:
         text = data.decode("utf-8") if isinstance(data, bytes) else data
     except UnicodeDecodeError as exc:

@@ -1,6 +1,9 @@
 """Development graphs: links with evidence, pattern verifiers, persistence."""
 
+import contextlib
+import functools
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -956,21 +959,35 @@ _TEXT_STEPS = st.lists(
             st.integers(0, 5),
             st.booleans(),
         ),
+        # go back to an earlier graph of the run, so siblings are saved in turn
+        st.tuples(st.just("revisit"), st.integers(0, 10)),
+        # the same link with verified evidence in place of what it held
+        st.tuples(st.just("verify"), st.integers(0, 10)),
     ),
-    max_size=10,
+    max_size=12,
 )
+VERIFIED = Evidence("verified", 1, LINK_FUEL, "checked")
+
+
+@contextlib.contextmanager
+def cold_saves():
+    """An empty save slot and part-text memo; the warm ones are put back."""
+    kept = devgraph._last_saved, devgraph._part_text
+    devgraph._last_saved = None
+    devgraph._part_text = functools.lru_cache(maxsize=devgraph.PART_TEXTS)(kept[1].__wrapped__)
+    try:
+        yield devgraph._part_text
+    finally:
+        devgraph._last_saved, devgraph._part_text = kept
 
 
 def cold_save(g):
-    """save_graph of g's manifest parsed afresh, with the slot load_graph
-    answers from cleared; the warm slot is put back."""
-    kept = devgraph._last_saved
-    try:
+    """save_graph(g) from an empty slot and an empty part-text memo, so that
+    it reuses nothing; its manifest, parsed afresh, saves to the same bytes."""
+    with cold_saves():
         data = save_graph(g)
-        devgraph._last_saved = None
-        return save_graph(load_graph(data))
-    finally:
-        devgraph._last_saved = kept
+        assert save_graph(load_graph(data.decode("utf-8"))) == data
+        return data
 
 
 # K and M first, then a calculus over a/2, whose signature and calculus sort
@@ -981,9 +998,23 @@ def cold_save(g):
     [("node", "A", 2), ("node", "K", 1), ("node", "M", 0), ("definition", 2, 1, False),
      ("definition", 0, 1, False), ("splitting", 0, 1, True)]
 )
+# siblings g+a and g+b saved in turn: g+a, g, g+b, g+a, g+b, g+a
+@example(
+    [("node", "K", 1), ("node", "M", 0), ("theorem", 0, 0, False), ("revisit", 2),
+     ("theorem", 1, 1, False), ("revisit", 3), ("revisit", 4), ("revisit", 3)]
+)
+# the same link saved with ASSERTED and then, back to back, verified
+@example([("node", "K", 1), ("node", "M", 0), ("theorem", 1, 0, False), ("verify", 0)])
+# links cite h0 and are saved; then a definition link whose map from a/2
+# sorts first renumbers their map h1
+@example(
+    [("node", "A", 2), ("node", "K", 1), ("node", "M", 0), ("definition", 2, 1, False),
+     ("theorem", 2, 2, False), ("definition", 0, 1, False), ("theorem", 0, 0, False)]
+)
 @given(_TEXT_STEPS)
 def test_warm_saves_equal_cold_saves(steps):
     g, cals = DevGraph(), {}
+    history = [g]
     for step in steps:
         names = sorted(g.nodes)
         try:
@@ -991,6 +1022,12 @@ def test_warm_saves_equal_cold_saves(steps):
                 _, name, k = step
                 g = add_node(g, plain_ontology(_TEXT_CALS[k], name), NODE_FUEL)
                 cals[name] = _TEXT_CALS[k]
+            elif step[0] == "revisit":
+                g = history[step[1] % len(history)]
+            elif step[0] == "verify":
+                if g.links:
+                    link = g.links[step[1] % len(g.links)]
+                    g = DevGraph(g.nodes, {**g.evidence, link: VERIFIED})
             elif names:
                 kind, i, j, swap = step
                 src, dst = names[i % len(names)], names[j % len(names)]
@@ -1002,4 +1039,51 @@ def test_warm_saves_equal_cold_saves(steps):
                 g = add_link(g, Link(kind, src, dst, morphism), 1, LINK_FUEL, asserted=True)
         except (CycleError, DuplicateName):
             pass
+        if g is not history[-1] and step[0] != "revisit":
+            history.append(g)
         assert save_graph(g) == cold_save(g)
+
+
+_EMITTERS = ("emit_signature", "emit_calculus", "emit_map", "emit_ontology", "emit_link")
+
+
+def test_a_save_emits_only_what_the_command_added(monkeypatch):
+    calls = Counter()
+
+    def counting(name, emit):
+        def counted(*args):
+            calls[name] += 1
+            return emit(*args)
+
+        return counted
+
+    for name in _EMITTERS:
+        monkeypatch.setattr(devgraph, name, counting(name, getattr(devgraph, name)))
+    a, k = EDGE_CAL, OTHER_CAL
+    g = add_node(add_node(DevGraph(), plain_ontology(a, "A"), NODE_FUEL), plain_ontology(k, "K"), NODE_FUEL)
+    g = add_link(g, Link("definition", "A", "K", relabel(a, k)), 1, LINK_FUEL, asserted=True)
+    save_graph(g)
+    assert set(calls) == set(_EMITTERS)
+    calls.clear()
+    g = add_link(g, Link("theorem", "K", "K"), 1, LINK_FUEL, asserted=True)
+    save_graph(g)
+    assert calls == {"emit_link": 1}
+    calls.clear()
+    # a node over a calculus the last save already named
+    g = add_node(g, plain_ontology(a, "B"), NODE_FUEL)
+    blob = save_graph(g)
+    assert calls == {"emit_ontology": 1}
+    assert blob == cold_save(g)
+
+
+def test_a_thousand_distinct_saves_keep_the_part_texts_within_their_bound():
+    # each graph has its own signature, calculus and node, so each save
+    # emits five new texts: 5000 in all, against a bound of PART_TEXTS
+    with cold_saves() as memo:
+        for i in range(1000):
+            sig = make_signature([(f"a{i}", 0)])
+            g = add_node(DevGraph(), plain_ontology(presets.rule_free(sig), f"n{i}"), NODE_FUEL)
+            save_graph(g)
+            assert memo.cache_info().currsize <= devgraph.PART_TEXTS
+        assert memo.cache_info().misses == 5000
+    assert save_graph(g) == cold_save(g)
