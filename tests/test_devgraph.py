@@ -1060,7 +1060,8 @@ def test_a_save_emits_only_what_the_command_added(monkeypatch):
     for name in _EMITTERS:
         monkeypatch.setattr(devgraph, name, counting(name, getattr(devgraph, name)))
     a, k = EDGE_CAL, OTHER_CAL
-    g = add_node(add_node(DevGraph(), plain_ontology(a, "A"), NODE_FUEL), plain_ontology(k, "K"), NODE_FUEL)
+    g = add_node(DevGraph(), plain_ontology(a, "A"), NODE_FUEL)
+    g = add_node(g, plain_ontology(k, "K"), NODE_FUEL)
     g = add_link(g, Link("definition", "A", "K", relabel(a, k)), 1, LINK_FUEL, asserted=True)
     save_graph(g)
     assert set(calls) == set(_EMITTERS)

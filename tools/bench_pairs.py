@@ -58,7 +58,9 @@ def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
         cwd=tree, capture_output=True, text=True,
     )
     if proc.returncode != 0:
-        raise RuntimeError(f"{tree.name} seed {seed} exited {proc.returncode}: {proc.stderr.strip()}")
+        raise RuntimeError(
+            f"{tree.name} seed {seed} exited {proc.returncode}: {proc.stderr.strip()}"
+        )
     return parse_run(proc.stdout)
 
 
@@ -159,8 +161,7 @@ def main() -> int:
                 f"{side} {pair[side]['metrics']['ops_per_s']:.1f} ops/s" for side in order),
                 file=sys.stderr)
     result["runs_not_correct"] = {
-        side: sum(not p[side]["correct"] or p[side]["failed"] > 0 for p in result["pairs"])
-        for side in sides
+        side: sum(not p[side]["correct"] for p in result["pairs"]) for side in sides
     }
     result["summary"] = summarize(result["pairs"], better)
     out = args.out or ROOT / f"BENCH_{args.workload}.json"
